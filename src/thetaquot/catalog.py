@@ -766,7 +766,7 @@ def _entries() -> list[CatalogEntry]:
 
 
 _CATALOG: dict[str, CatalogEntry] = {e.id: e for e in _entries()}
-_ORDER: list[str] = [e.id for e in _entries()]
+_ORDER: list[str] = list(_CATALOG)
 
 
 def catalog_ids() -> list[str]:

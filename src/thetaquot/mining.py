@@ -41,6 +41,7 @@ __all__ = [
     "InsufficientTruncation",
     "MiningNotFound",
     "ValidationFailed",
+    "MonomialTable",
     "build_coeff_matrix",
     "exact_nullspace",
     "mine",
@@ -109,14 +110,6 @@ class BivarIntPoly:
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def eval_series(
-        self, u_pows: Sequence[PuiseuxSeries], v_pows: Sequence[PuiseuxSeries]
-    ) -> PuiseuxSeries:
-        acc = PuiseuxSeries.zero()
-        for i, j, c in self.terms:
-            acc = acc + (u_pows[i] * v_pows[j]) * c
-        return acc
 
     def eval_numeric(self, u: BigReal, v: BigReal) -> BigReal:
         acc = BigReal(mpmath.mpf(0), min(u.digits, v.digits))
@@ -237,20 +230,64 @@ def _power_table(u: PuiseuxSeries, s: int) -> list[PuiseuxSeries]:
     return pows[: s + 1]
 
 
+class MonomialTable:
+    """Power tables of u and v through degree ``s_max``, and the monomials
+    u^i v^j built from them once, on first use."""
+
+    def __init__(self, u: PuiseuxSeries, v: PuiseuxSeries, s_max: int):
+        self.u_pows = _power_table(u, s_max)
+        self.v_pows = _power_table(v, s_max)
+        self._products: dict[tuple[int, int], PuiseuxSeries] = {}
+
+    @classmethod
+    def truncated(
+        cls, u: PuiseuxSeries, v: PuiseuxSeries, s_max: int, rows: int
+    ) -> "MonomialTable":
+        """Tables whose monomials agree with those of u and v through
+        ``rows`` common-grid rows above every coefficient matrix's base.
+
+        Each factor keeps ``rows`` rows above its own valuation: a monomial
+        whose valuation lies above the base needs fewer, and the base is at
+        most that valuation.  A factor whose kept terms would lie on a
+        coarser grid stays whole, so the matrix grid does not change.
+        """
+        n = u.denom * v.denom // gcd(u.denom, v.denom)
+
+        def cut(w: PuiseuxSeries) -> PuiseuxSeries:
+            if w.is_zero():
+                return w
+            short = w.truncate(w.leading()[0] + Fraction(rows, n))
+            return short if short.denom == w.denom else w
+
+        return cls(cut(u), cut(v), s_max)
+
+    def product(self, i: int, j: int) -> PuiseuxSeries:
+        key = (i, j)
+        if key not in self._products:
+            self._products[key] = self.u_pows[i] * self.v_pows[j]
+        return self._products[key]
+
+
 def build_coeff_matrix(
-    u: PuiseuxSeries, v: PuiseuxSeries, s: int, rows: int
+    u: PuiseuxSeries,
+    v: PuiseuxSeries,
+    s: int,
+    rows: int,
+    table: MonomialTable | None = None,
 ) -> tuple[list[list[Fraction]], list[tuple[int, int]], int, int]:
     """Matrix of coefficients of u^i v^j (0 <= i, j <= s) on the common grid.
 
     Returns (matrix, columns, base_index, grid_denom): one column per (i, j)
     in lexicographic order, one row per grid exponent starting at the global
     minimum ``base_index``.  Raises InsufficientTruncation when any product
-    is not known through the last requested row.
+    is not known through the last requested row.  ``table`` supplies the
+    monomials of u and v, built for some degree >= s; by default they are
+    built here.
     """
-    u_pows = _power_table(u, s)
-    v_pows = _power_table(v, s)
+    if table is None:
+        table = MonomialTable(u, v, s)
     cols = [(i, j) for i in range(s + 1) for j in range(s + 1)]
-    products = {(i, j): u_pows[i] * v_pows[j] for i, j in cols}
+    products = {(i, j): table.product(i, j) for i, j in cols}
     denom = 1
     for prod in products.values():
         denom = denom * prod.denom // gcd(denom, prod.denom)
@@ -476,14 +513,13 @@ def _series_vanishes(
 ) -> tuple[bool, int, int]:
     """Check P(u, v) = 0 on the first ``through_rows`` grid rows from the
     global monomial minimum.  Returns (ok, first_bad_or_checked, base)."""
-    s = poly.max_single_degree
-    u_pows = _power_table(u, s)
-    v_pows = _power_table(v, s)
-    residual = poly.eval_series(u_pows, v_pows)
+    table = MonomialTable(u, v, poly.max_single_degree)
+    residual = PuiseuxSeries.zero()
     # base: the least exponent any monomial of the relation can reach
     base_exp = None
-    for i, j, _ in poly.terms:
-        prod = u_pows[i] * v_pows[j]
+    for i, j, c in poly.terms:
+        prod = table.product(i, j)
+        residual = residual + prod * c
         if prod.coeffs:
             e = Fraction(min(prod.coeffs), prod.denom)
             if base_exp is None or e < base_exp:
@@ -562,12 +598,6 @@ def validate(
     )
 
 
-def _select_poly(polys: list[BivarIntPoly]) -> BivarIntPoly:
-    return sorted(
-        polys, key=lambda p: (p.total_degree, p.term_count(), p.terms)
-    )[0]
-
-
 def mine(
     u: PuiseuxSeries,
     v: PuiseuxSeries,
@@ -603,15 +633,22 @@ def mine(
         )
     rank_profile: dict[int, int] = {}
     failures: list[str] = []
-    for s in range(1, s_max + 1):
-        rows = (s + 1) ** 2 + 10 + _valuation_spread(u, v, s)
+    all_rows = {
+        s: (s + 1) ** 2 + 10 + _valuation_spread(u, v, s) for s in range(1, s_max + 1)
+    }
+    max_rows = max(all_rows.values())
+    # every degree's matrix reads its monomials from one table, cut to the
+    # rows of the largest matrix
+    table = MonomialTable.truncated(u, v, s_max, max_rows)
+    for s, rows in all_rows.items():
         try:
-            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows)
+            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         except InsufficientTruncation:
             if u_binding is None or v_binding is None:
                 raise
             u, v = _extend_for_rows(u_binding, v_binding, u, v, s, rows)
-            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows)
+            table = MonomialTable.truncated(u, v, s_max, max_rows)
+            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         int_rows = _int_rows(matrix)
         rank = _rank_mod_p(int_rows)
         if rank == len(cols):

@@ -9,7 +9,9 @@ polynomial).  Finitely many negative exponents are allowed; indices below
 the smallest stored key are known to be zero.
 
 All arithmetic computes the tightest sound truncation bound for the result
-rather than assuming the operands share one.
+rather than assuming the operands share one.  A product is computed by
+Kronecker substitution: each factor becomes one big integer and CPython's
+big-int multiply does the convolution.
 """
 
 from __future__ import annotations
@@ -56,6 +58,87 @@ def _grid_bound(order: Rat, denom: int) -> int:
 def _min_bound(*bounds: int | None) -> int | None:
     finite = [b for b in bounds if b is not None]
     return min(finite) if finite else None
+
+
+def _integer_terms(terms: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """The terms scaled to integers by the lcm of their denominators, and
+    that lcm."""
+    scale = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
+
+
+def _pack(
+    terms: Mapping[int, int], base: int, stride: int, count: int, width: int
+) -> int:
+    """Evaluate sum c * x^((k - base) / stride) at x = 2^(8 * width).
+
+    Each coefficient must fit a signed ``width``-byte field; positive and
+    negative coefficients are packed separately so that every field is
+    written with a plain unsigned ``to_bytes``.
+    """
+    pos = bytearray(count * width)
+    neg = None
+    for k, c in terms.items():
+        at = (k - base) // stride * width
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(count * width)
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    value = int.from_bytes(pos, "little")
+    if neg is not None:
+        value -= int.from_bytes(neg, "little")
+    return value
+
+
+def _kronecker_product(
+    a: Mapping[int, Fraction], b: Mapping[int, Fraction], hi: int | None
+) -> dict[int, Fraction | int]:
+    """Coefficients of the product of two sparse series below grid index
+    ``hi``, by Kronecker substitution: both factors are scaled to integer
+    vectors on the gcd stride of their index offsets, packed into one big
+    int each and multiplied once.  Values are ints when both factors have
+    integer coefficients."""
+    if not a or not b:
+        return {}
+    ia, scale_a = _integer_terms(a)
+    ib, scale_b = _integer_terms(b)
+    va, vb = min(ia), min(ib)
+    stride = gcd(*(k - va for k in ia), *(k - vb for k in ib)) or 1
+    na = (max(ia) - va) // stride + 1
+    nb = (max(ib) - vb) // stride + 1
+    base = va + vb
+    count = na + nb - 1
+    if hi is not None:
+        count = min(count, _ceil_div(hi - base, stride))
+    # |product coefficient| <= min(#a, #b) * max|a| * max|b| < 2^(bits - 1)
+    bits = (
+        max(abs(c) for c in ia.values()).bit_length()
+        + max(abs(c) for c in ib.values()).bit_length()
+        + min(len(ia), len(ib)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    prod = _pack(ia, va, stride, na, width) * _pack(ib, vb, stride, nb, width)
+    # adding half a field to each of the low ``count`` fields makes them
+    # all non-negative, so they read back as unsigned bytes; higher fields
+    # only absorb borrows and are cut off
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    low = (prod + offset) & ((1 << (8 * width * count)) - 1)
+    raw = low.to_bytes(width * count, "little")
+    scale = scale_a * scale_b
+    out: dict[int, Fraction | int] = {}
+    for m in range(count):
+        c = int.from_bytes(raw[m * width : (m + 1) * width], "little") - half
+        if c:
+            out[base + m * stride] = c if scale == 1 else Fraction(c, scale)
+    return out
 
 
 class PuiseuxSeries:
@@ -234,14 +317,12 @@ class PuiseuxSeries:
         bound_a = None if ha is None else ha + lb
         bound_b = None if hb is None else hb + la
         hi = _min_bound(bound_a, bound_b)
-        out: dict[int, Fraction] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                if hi is not None and k >= hi:
-                    continue
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return PuiseuxSeries(n, out, hi)
+        if hi is not None:
+            # terms that pair with the other factor's lowest term at or
+            # above the bound cannot contribute
+            a = {k: c for k, c in a.items() if k < hi - lb}
+            b = {k: c for k, c in b.items() if k < hi - la}
+        return PuiseuxSeries(n, _kronecker_product(a, b, hi), hi)
 
     __rmul__ = __mul__
 

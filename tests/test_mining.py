@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from thetaquot import mining
 from thetaquot.series import (
     A_series,
     PuiseuxSeries,
@@ -138,6 +139,28 @@ class TestMine:
         assert rel.poly == REL_14
         assert rel.degree == 2
         assert len(rel.numeric_checks) == 2
+
+    def test_shared_tables_build_the_standalone_matrices(self, monkeypatch):
+        # mine builds its power tables once at s_max, cut to the largest
+        # matrix's rows; every degree's matrix must equal the one that
+        # build_coeff_matrix builds from u and v on its own
+        standalone = mining.build_coeff_matrix
+        calls = []
+
+        def recording(u, v, s, rows, table=None):
+            calls.append((u, v, s, rows, table))
+            return standalone(u, v, s, rows, table)
+
+        monkeypatch.setattr(mining, "build_coeff_matrix", recording)
+        # at s_max = 2 the s = 2 matrix is the largest, so the cut is tight
+        assert mine_14(s_max=2).poly == REL_14
+        assert [s for _, _, s, _, _ in calls] == [1, 2]
+        (u, v, _, _, table), _ = calls
+        assert len(table.u_pows) == 3 and all(call[4] is table for call in calls)
+        assert table.u_pows[1].hi < u.hi and table.v_pows[1].hi < v.hi
+        for u, v, s, rows, table in calls:
+            matrix, cols, base, denom = standalone(u, v, s, rows, table)
+            assert (matrix, cols, base, denom) == standalone(u, v, s, rows)
 
     def test_three_term_variant_fails_certification(self):
         # the 2-variable relation u^2 v + 16 v - 16 (the shape implied by

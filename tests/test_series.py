@@ -3,8 +3,11 @@ contracts, and ring properties on seeded random inputs."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaquot.series import (
     A_series,
@@ -126,6 +129,69 @@ class TestRingOps:
     def test_negative_power_of_non_unit_raises(self):
         with pytest.raises(ValueError):
             series([], order=5) ** -1
+
+
+def schoolbook_product(x, y):
+    """Reference product: the double loop over term pairs on the common
+    grid, keeping the pairs that land below the sound bound."""
+    n = x.denom * y.denom // gcd(x.denom, y.denom)
+    fx, fy = n // x.denom, n // y.denom
+    a = {k * fx: c for k, c in x.coeffs.items()}
+    b = {k * fy: c for k, c in y.coeffs.items()}
+    ha = None if x.hi is None else x.hi * fx
+    hb = None if y.hi is None else y.hi * fy
+    if (ha is None and not a) or (hb is None and not b):
+        return PuiseuxSeries(1, {}, None)
+    la = min(a) if a else ha
+    lb = min(b) if b else hb
+    bounds = [h + l for h, l in ((ha, lb), (hb, la)) if h is not None]
+    hi = min(bounds) if bounds else None
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            if hi is None or k < hi:
+                out[k] = out.get(k, F(0)) + c1 * c2
+    return PuiseuxSeries(n, out, hi)
+
+
+@st.composite
+def product_operands(draw):
+    """Series on the 1, 1/2, 1/5 or 1/96 grid: negative exponents, rational
+    and negative coefficients, exact or truncated, possibly zero to their
+    bound, and strided terms above an offset valuation (q^delta * theta)."""
+    denom = draw(st.sampled_from([1, 2, 5, 96]))
+    lead = draw(st.integers(-3 * denom, 3 * denom))
+    stride = draw(st.sampled_from([1, 2, 3, denom, 2 * denom]))
+    coeff = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+    )
+    offsets = draw(st.lists(st.integers(0, 40), max_size=25))
+    coeffs = {lead + stride * j: draw(coeff) for j in offsets}
+    if draw(st.booleans()):
+        return PuiseuxSeries(denom, coeffs, None)
+    span = 40 * stride
+    return PuiseuxSeries(denom, coeffs, lead + draw(st.integers(1, span)))
+
+
+class TestKroneckerProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands(), product_operands())
+    def test_matches_schoolbook(self, x, y):
+        got, want = x * y, schoolbook_product(x, y)
+        assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
+
+    def test_theta_quotient_on_the_1_96_grid(self):
+        # q^delta * theta on the 1/96 grid times a series in q^(1/2)
+        spec = ThetaSpec(F(1, 2), 4)
+        x = A_series(spec, 30)
+        y = series([(F(j, 2), (-1) ** j * (j + 1)) for j in range(40)], order=20)
+        prod = x * y
+        assert prod == schoolbook_product(x, y)
+        assert prod.knowledge_order() == min(
+            x.knowledge_order() + y.leading()[0], y.knowledge_order() + x.leading()[0]
+        )
 
 
 class TestInvertUnit:
