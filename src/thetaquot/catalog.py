@@ -17,12 +17,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath
-from mpmath import mp
 
 from .series import (
     A_series,
     A_series_product,
     ThetaSpec,
+    common_known_order,
     modulus_series,
     nome_sqrt_exp_form,
     sqrt_series,
@@ -39,6 +39,7 @@ from .numeric import (
     real_eval_series,
     singular_modulus,
     theta_sum,
+    tolerance,
 )
 from .modular import check_theorem3_instance, singular_chain
 from .mining import (
@@ -46,11 +47,10 @@ from .mining import (
     BivarIntPoly,
     MinedRelation,
     MiningError,
-    ValidationFailed,
     build_binding_series,
+    get_v_binding,
     mine,
     _series_vanishes,
-    v_binding_numeric,
 )
 
 __all__ = [
@@ -152,11 +152,6 @@ class CatalogEntry:
     tol_guard: int = 10  # numeric tolerance 10^(-digits + tol_guard)
 
 
-def _tol(digits: int, guard: int) -> mpmath.mpf:
-    with mp.workdps(30):
-        return mpmath.mpf(10) ** (-digits + guard)
-
-
 def _record(
     data: CheckData, label: str, digits: int, residual: BigReal | mpmath.mpf, tol
 ) -> None:
@@ -175,7 +170,7 @@ def _record(
 def _check_even_shift(s: int):
     def run(entry, digits, M, r_list):
         data = CheckData()
-        tol = _tol(digits, entry.tol_guard)
+        tol = tolerance(digits, entry.tol_guard)
         for r in r_list:
             ep = singular_modulus(r, digits)
             lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
@@ -189,7 +184,7 @@ def _check_even_shift(s: int):
 def _check_odd_shift(s: int):
     def run(entry, digits, M, r_list):
         data = CheckData()
-        tol = _tol(digits, entry.tol_guard)
+        tol = tolerance(digits, entry.tol_guard)
         m = 2 * s + 1
         for r in r_list:
             ep = singular_modulus(r, digits)
@@ -210,7 +205,7 @@ def _check_odd_shift(s: int):
 
 def _check_eta8(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     for r in r_list:
         ep = singular_modulus(r, digits)
         lhs = eval_eta(1, ep.q, digits) ** 8
@@ -229,7 +224,7 @@ def _check_eta8(entry, digits, M, r_list):
 def _check_a14_24(corrected: bool):
     def run(entry, digits, M, r_list):
         data = CheckData()
-        tol = _tol(digits, entry.tol_guard)
+        tol = tolerance(digits, entry.tol_guard)
         for r in r_list:
             ep = singular_modulus(r, digits)
             lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
@@ -246,7 +241,7 @@ def _check_a14_24(corrected: bool):
 
 def _check_thm1(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     for r in r_list:
         ep = singular_modulus(r, digits)
         lhs = eval_theta(2, 1, ep.q, digits)
@@ -258,7 +253,7 @@ def _check_thm1(entry, digits, M, r_list):
 
 def _check_eq18(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     for r in r_list:
         ep = singular_modulus(r, digits)
         k = ep.k
@@ -270,7 +265,7 @@ def _check_eq18(entry, digits, M, r_list):
 
 def _check_thm2(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     for r in r_list:
         ep = singular_modulus(r, digits)
         k = ep.k
@@ -290,7 +285,7 @@ def _check_thm2(entry, digits, M, r_list):
 
 def _check_eq27(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     for r in r_list:
         q = nome_from_r(r, digits)
         u = eval_A(ThetaSpec(1, 4), q, digits)
@@ -301,7 +296,7 @@ def _check_eq27(entry, digits, M, r_list):
 
 def _check_thm3(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     points = [
         ("x=0.3", big_real(Fraction(3, 10), digits)),
         ("x=1/sqrt2", big_real(Fraction(1, 2), digits).sqrt()),
@@ -327,7 +322,7 @@ def _m5_candidates(q: BigReal, digits: int) -> dict[str, BigReal]:
 
 def _check_eq45(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     passing: dict[str, bool] = {name: True for name in M5_CONVENTIONS}
     for r in r_list:
         ep = singular_modulus(r, digits)
@@ -364,15 +359,12 @@ def _check_eq45(entry, digits, M, r_list):
 
 
 def _check_eq32(entry, digits, M, r_list):
-    from math import gcd
-
     data = CheckData()
     q_order = M // 2 + 2
     lhs = sqrt_series(modulus_series(q_order))
     rhs = nome_sqrt_exp_form(q_order)
     agree = lhs.agrees_with(rhs)
-    common = lhs.denom * rhs.denom // gcd(lhs.denom, rhs.denom)
-    known = min(lhs.hi * (common // lhs.denom), rhs.hi * (common // rhs.denom))
+    known = common_known_order(lhs, rhs)
     data.series_ok = bool(agree and known >= M)
     data.series_order = int(known)
     data.notes = "sqrt of the squared-modulus series vs the divisor-sum exp form"
@@ -395,21 +387,11 @@ def _check_jtp(entry, digits, M, r_list):
     q_order = 26
     min_known = None
     ok = True
-    from math import gcd
-
     for spec in JTP_PAIRS:
         via_theta = A_series(spec, q_order)
         via_product = A_series_product(spec, q_order)
         agree = via_theta.agrees_with(via_product)
-        common = (
-            via_theta.denom
-            * via_product.denom
-            // gcd(via_theta.denom, via_product.denom)
-        )
-        known_grid = min(
-            via_theta.hi * (common // via_theta.denom),
-            via_product.hi * (common // via_product.denom),
-        )
+        known_grid = common_known_order(via_theta, via_product)
         ok = ok and agree and known_grid >= 200
         if min_known is None or known_grid < min_known:
             min_known = known_grid
@@ -419,7 +401,7 @@ def _check_jtp(entry, digits, M, r_list):
     q = nome_from_r(1, digits)
     direct = eval_A(spec86, q, digits)
     series_val = real_eval_series(A_series(spec86, 45), q, digits)
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     _record(data, "(8,6) two-path r=1", digits, direct - series_val.value, tol)
     data.series_ok = bool(ok)
     data.series_order = int(min_known)
@@ -462,27 +444,17 @@ def _check_prefactors(entry, digits, M, r_list):
 
 def _check_poly_relation(entry, digits, M, r_list):
     data = CheckData()
-    tol = _tol(digits, entry.tol_guard)
+    tol = tolerance(digits, entry.tol_guard)
     # series residual through M grid rows above the base monomial exponent
-    q_order = Fraction(M + 25)
-    ok = False
-    for attempt in range(4):
-        u, v = build_binding_series(entry.u_binding, entry.v_binding, q_order)
-        try:
-            ok, checked, _ = _series_vanishes(entry.poly, u, v, M)
-            break
-        except MiningError as exc:
-            required = getattr(exc, "required_grid_order", None)
-            if required is None or attempt == 3:
-                raise
-            q_order = Fraction(required + 10)
+    u, v = build_binding_series(entry.u_binding, entry.v_binding, Fraction(M))
+    ok, _, _ = _series_vanishes(entry.poly, u, v, M)
     data.series_ok = bool(ok)
     data.series_order = M if ok else None
     if not ok:
         data.notes = "series residual is nonzero within the checked window"
     for r in r_list:
         uval = entry.u_binding.numeric(r, digits)
-        vval = v_binding_numeric(entry.v_binding, r, digits)
+        vval = get_v_binding(entry.v_binding).numeric(r, digits)
         _record(data, f"r={r}", digits, entry.poly.eval_numeric(uval, vval), tol)
     return data
 
@@ -863,7 +835,7 @@ def _verify_one(args) -> EntryReport:
                 notes=notes,
                 remined=remined,
             )
-        except (MiningError, ValidationFailed) as exc:
+        except MiningError as exc:
             report = EntryReport(
                 id=report.id,
                 verdict="fail",

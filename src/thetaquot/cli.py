@@ -25,6 +25,7 @@ from .modular import s_n
 from .numeric import (
     BigReal,
     GUARD,
+    MIN_DIGITS,
     big_real,
     ellipk,
     eval_A,
@@ -48,7 +49,6 @@ from .series import (
     theta_series,
 )
 
-MIN_DIGITS = 20
 MIN_ORDER = 40
 
 
@@ -156,14 +156,6 @@ def _cmd_series(args) -> int:
     return 0
 
 
-_V_TOKENS = {
-    "m": "m",
-    "k": "sqrt_m",
-    "m2sq": "m_q2_squared",
-    "eta5q4p5": "eta5_q4_pow5",
-}
-
-
 def _cmd_mine(args) -> int:
     digits = args.digits
     _require(digits >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
@@ -172,7 +164,7 @@ def _cmd_mine(args) -> int:
     spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
     qscale = parse_rational(args.qscale) if args.qscale else Fraction(1)
     binding = mining.ABinding(spec, args.power, qscale)
-    vname = _V_TOKENS[args.v]
+    vname = next(n for n, b in mining.V_BINDINGS.items() if b.token == args.v)
     u, v = mining.build_binding_series(binding, vname, Fraction(args.order))
     rel = mining.mine(
         u,
@@ -293,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--p", required=True)
     p_mine.add_argument("--power", type=int, required=True)
     p_mine.add_argument("--qscale", help="nome scale of u (default 1)")
-    p_mine.add_argument("--v", required=True, choices=sorted(_V_TOKENS))
+    tokens = sorted(b.token for b in mining.V_BINDINGS.values())
+    p_mine.add_argument("--v", required=True, choices=tokens)
     p_mine.add_argument("--max-degree", type=int, required=True)
     p_mine.add_argument("--order", type=int, default=150)
     p_mine.add_argument("--digits", type=int, default=60)
@@ -333,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError, mining.MiningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,7 @@ from .series import (
     A_series,
     PuiseuxSeries,
     ThetaSpec,
+    common_known_order,
     eta5_series,
     modulus_series,
     rescale,
@@ -47,9 +48,9 @@ __all__ = [
     "mine",
     "validate",
     "build_binding_series",
-    "V_BINDING_NAMES",
-    "v_binding_series",
-    "v_binding_numeric",
+    "VBinding",
+    "V_BINDINGS",
+    "get_v_binding",
 ]
 
 
@@ -181,41 +182,55 @@ class ABinding:
         )
 
 
-V_BINDING_NAMES = ("m", "sqrt_m", "m_q2_squared", "eta5_q4_pow5")
+@dataclass(frozen=True)
+class VBinding:
+    """What v means: its ``--v`` token on the command line, its series
+    known below a given order, and its value at q = e^(-pi sqrt(r))."""
+
+    token: str
+    series: Callable[[Fraction], PuiseuxSeries]
+    numeric: Callable[[Fraction, int], BigReal]
 
 
-def v_binding_series(name: str, q_order: Fraction) -> PuiseuxSeries:
-    q_order = Fraction(q_order)
-    if name == "m":
-        return modulus_series(q_order)
-    if name == "sqrt_m":
-        return sqrt_series(modulus_series(q_order + 1))
-    if name == "m_q2_squared":
-        return rescale(modulus_series(q_order / 2 + 1), 2) ** 2
-    if name == "eta5_q4_pow5":
-        return rescale(eta5_series(q_order / 4 + 1), 4) ** 5
-    raise ValueError(f"unknown v binding {name!r}")
+# keyed by the name relation files carry in their "v" field
+V_BINDINGS = {
+    "m": VBinding(
+        "m",
+        lambda order: modulus_series(order),
+        lambda r, digits: singular_modulus(r, digits).k ** 2,
+    ),
+    "sqrt_m": VBinding(
+        "k",
+        lambda order: sqrt_series(modulus_series(order + 1)),
+        lambda r, digits: singular_modulus(r, digits).k,
+    ),
+    "m_q2_squared": VBinding(
+        "m2sq",
+        lambda order: rescale(modulus_series(order / 2 + 1), 2) ** 2,
+        lambda r, digits: singular_modulus(4 * r, digits).k ** 4,
+    ),
+    "eta5_q4_pow5": VBinding(
+        "eta5q4p5",
+        lambda order: rescale(eta5_series(order / 4 + 1), 4) ** 5,
+        lambda r, digits: eval_eta5(nome_from_r(r, digits) ** 4, digits) ** 5,
+    ),
+}
 
 
-def v_binding_numeric(name: str, r: Fraction, digits: int) -> BigReal:
-    if name == "m":
-        return singular_modulus(r, digits).k ** 2
-    if name == "sqrt_m":
-        return singular_modulus(r, digits).k
-    if name == "m_q2_squared":
-        return singular_modulus(4 * Fraction(r), digits).k ** 4
-    if name == "eta5_q4_pow5":
-        q = nome_from_r(r, digits)
-        return eval_eta5(q ** 4, digits) ** 5
-    raise ValueError(f"unknown v binding {name!r}")
+def get_v_binding(name: str) -> VBinding:
+    try:
+        return V_BINDINGS[name]
+    except KeyError:
+        raise ValueError(f"unknown v binding {name!r}") from None
 
 
 def build_binding_series(
     u_binding: ABinding, v_binding: str, q_order: Fraction
 ) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    return u_binding.series(Fraction(q_order)), v_binding_series(
-        v_binding, Fraction(q_order)
-    )
+    """u and v with relative order (``PuiseuxSeries.relative_order``) at
+    least ``q_order``."""
+    q_order = Fraction(q_order)
+    return u_binding.series(q_order), get_v_binding(v_binding).series(q_order)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +303,7 @@ def build_coeff_matrix(
         table = MonomialTable(u, v, s)
     cols = [(i, j) for i in range(s + 1) for j in range(s + 1)]
     products = {(i, j): table.product(i, j) for i, j in cols}
-    denom = 1
-    for prod in products.values():
-        denom = denom * prod.denom // gcd(denom, prod.denom)
+    denom = math.lcm(*(prod.denom for prod in products.values()))
     los = []
     for prod in products.values():
         if prod.coeffs:
@@ -430,16 +443,17 @@ def exact_nullspace(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int
 
 
 def _kernel_polys(
-    matrix: list[list[Fraction]],
+    int_rows: list[list[int]],
     cols: list[tuple[int, int]],
     keep: Callable[[tuple[int, int]], bool],
 ) -> list[BivarIntPoly]:
+    """Kernel relations on the kept columns of a matrix already scaled to
+    integer rows (a row's scale does not change the kernel)."""
     idx = [k for k, c in enumerate(cols) if keep(c)]
     if not idx:
         return []
-    sub = [[row[k] for k in idx] for row in matrix]
-    int_rows = _int_rows(sub)
-    if _rank_mod_p(int_rows) == len(idx):
+    sub = [[row[k] for k in idx] for row in int_rows]
+    if _rank_mod_p(sub) == len(idx):
         return []  # full column rank over a prime field forces a trivial kernel
     basis = exact_nullspace(sub)
     polys = []
@@ -549,25 +563,16 @@ def validate(
 ) -> MinedRelation:
     """Re-certify a relation on extra series rows and at numeric points.
 
-    Series are rebuilt from the bindings when not supplied.  Raises
-    ValidationFailed on the first offending order or point.
+    Series are built from the bindings when not supplied, once, with
+    relative order enough for every checked row.  Raises ValidationFailed
+    on the first offending order or point.
     """
     rows_needed = rel.validated_grid_order + extra_orders
     if u is None or v is None:
         if rel.u_binding is None or rel.v_binding is None:
             raise ValidationFailed("no series supplied and no bindings to rebuild from")
-        q_order = Fraction(rows_needed + 10, 1)
-        for _ in range(4):
-            u, v = build_binding_series(rel.u_binding, rel.v_binding, q_order)
-            try:
-                ok, info, _ = _series_vanishes(rel.poly, u, v, rows_needed)
-                break
-            except InsufficientTruncation as exc:
-                q_order = Fraction(exc.required_grid_order + 10, 1)
-        else:
-            raise ValidationFailed("could not build series long enough to validate")
-    else:
-        ok, info, _ = _series_vanishes(rel.poly, u, v, rows_needed)
+        u, v = build_binding_series(rel.u_binding, rel.v_binding, Fraction(rows_needed))
+    ok, info, _ = _series_vanishes(rel.poly, u, v, rows_needed)
     if not ok:
         raise ValidationFailed(
             f"series residual is nonzero {info} grid rows above the base exponent"
@@ -579,7 +584,7 @@ def validate(
         r = Fraction(r)
         if rel.u_binding is not None and rel.v_binding is not None:
             uval = rel.u_binding.numeric(r, digits)
-            vval = v_binding_numeric(rel.v_binding, r, digits)
+            vval = get_v_binding(rel.v_binding).numeric(r, digits)
         else:
             q = nome_from_r(r, digits)
             uval = numeric.real_eval_series(u, q, digits).value
@@ -618,15 +623,10 @@ def mine(
     least total degree present in the kernel (then fewest terms, then
     lexicographic order as tie-breaks).
     """
-    n_common = u.denom * v.denom // gcd(u.denom, v.denom)
-    avail = []
-    for w in (u, v):
-        if w.hi is not None:
-            avail.append(w.hi * (n_common // w.denom))
     if M is None:
-        if not avail:
+        M = common_known_order(u, v)
+        if M is None:
             raise MiningError("both series are exact; specify M explicitly")
-        M = min(avail)
     if M < (s_max + 1) ** 2 + 25:
         raise MiningError(
             f"M={M} is below the floor (s_max+1)^2 + 25 = {(s_max + 1) ** 2 + 25}"
@@ -637,18 +637,21 @@ def mine(
         s: (s + 1) ** 2 + 10 + _valuation_spread(u, v, s) for s in range(1, s_max + 1)
     }
     max_rows = max(all_rows.values())
+    # every matrix and every validation window fits in max_rows +
+    # extra_orders rows; series known that far relative to their leading
+    # terms cover them all, so short series are rebuilt once up front
+    needed = max_rows + extra_orders
+    if (
+        u_binding is not None
+        and v_binding is not None
+        and min(u.relative_order(), v.relative_order()) < needed
+    ):
+        u, v = build_binding_series(u_binding, v_binding, Fraction(needed))
     # every degree's matrix reads its monomials from one table, cut to the
     # rows of the largest matrix
     table = MonomialTable.truncated(u, v, s_max, max_rows)
     for s, rows in all_rows.items():
-        try:
-            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
-        except InsufficientTruncation:
-            if u_binding is None or v_binding is None:
-                raise
-            u, v = _extend_for_rows(u_binding, v_binding, u, v, s, rows)
-            table = MonomialTable.truncated(u, v, s_max, max_rows)
-            matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
+        matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         int_rows = _int_rows(matrix)
         rank = _rank_mod_p(int_rows)
         if rank == len(cols):
@@ -658,14 +661,14 @@ def mine(
         # first (cheap restricted solve), the full kernel only as a fallback
         def restricted_candidates() -> list[BivarIntPoly]:
             for d in range(1, 2 * s + 1):
-                found = _kernel_polys(matrix, cols, lambda c: c[0] + c[1] <= d)
+                found = _kernel_polys(int_rows, cols, lambda c: c[0] + c[1] <= d)
                 if found:
                     return sorted(found, key=lambda p: (p.term_count(), p.terms))
             return []
 
         def full_candidates() -> list[BivarIntPoly]:
             return sorted(
-                _kernel_polys(matrix, cols, lambda c: True),
+                _kernel_polys(int_rows, cols, lambda c: True),
                 key=lambda p: (p.total_degree, p.term_count(), p.terms),
             )
 
@@ -686,23 +689,14 @@ def mine(
                     v_binding=v_binding,
                 )
                 try:
-                    try:
-                        winner = validate(
-                            rel,
-                            extra_orders=extra_orders,
-                            points=points,
-                            digits=digits,
-                            u=u,
-                            v=v,
-                        )
-                    except InsufficientTruncation:
-                        if u_binding is None or v_binding is None:
-                            raise
-                        # supplied series were a little short of the
-                        # validation span; rebuild from the bindings
-                        winner = validate(
-                            rel, extra_orders=extra_orders, points=points, digits=digits
-                        )
+                    winner = validate(
+                        rel,
+                        extra_orders=extra_orders,
+                        points=points,
+                        digits=digits,
+                        u=u,
+                        v=v,
+                    )
                 except ValidationFailed as exc:
                     # a kernel vector failing certification is an artifact
                     # of the truncation; keep looking
@@ -732,22 +726,3 @@ def _valuation_spread(u: PuiseuxSeries, v: PuiseuxSeries, s: int) -> int:
         return 0
     vals = [i * vu + j * vv for i in (0, s) for j in (0, s)]
     return int((max(vals) - min(vals)) * n)
-
-
-def _extend_for_rows(
-    u_binding: ABinding,
-    v_binding: str,
-    u: PuiseuxSeries,
-    v: PuiseuxSeries,
-    s: int,
-    rows: int,
-) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    q_order = Fraction(rows + 10)
-    for _ in range(4):
-        u2, v2 = build_binding_series(u_binding, v_binding, q_order)
-        try:
-            build_coeff_matrix(u2, v2, s, rows)
-            return u2, v2
-        except InsufficientTruncation as exc:
-            q_order = Fraction(exc.required_grid_order + 10)
-    raise MiningError("could not extend series far enough for the matrix")

@@ -26,6 +26,7 @@ Rat = Union[int, Fraction]
 
 __all__ = [
     "PuiseuxSeries",
+    "common_known_order",
     "ThetaSpec",
     "invert_unit",
     "exp_series",
@@ -254,6 +255,16 @@ class PuiseuxSeries:
         """Exclusive exponent bound of knowledge (None when exact)."""
         return None if self.hi is None else Fraction(self.hi, self.denom)
 
+    def relative_order(self) -> Fraction | float:
+        """Knowledge order minus the leading exponent (``inf`` when exact, 0
+        when no known coefficient is nonzero).  A product's is at least the
+        least of its factors'."""
+        if self.hi is None:
+            return math.inf
+        if not self.coeffs:
+            return Fraction(0)
+        return Fraction(self.hi - min(self.coeffs), self.denom)
+
     def terms(self) -> list[tuple[Fraction, Fraction]]:
         return [
             (Fraction(k, self.denom), self.coeffs[k]) for k in sorted(self.coeffs)
@@ -419,6 +430,13 @@ class PuiseuxSeries:
     @classmethod
     def from_json(cls, text: str) -> "PuiseuxSeries":
         return cls.from_json_obj(json.loads(text))
+
+
+def common_known_order(a: PuiseuxSeries, b: PuiseuxSeries) -> int | None:
+    """Index on the common grid of a and b below which both are known
+    (None when both are exact)."""
+    n = math.lcm(a.denom, b.denom)
+    return _min_bound(*(w.hi * (n // w.denom) for w in (a, b) if w.hi is not None))
 
 
 def _coerce(x) -> PuiseuxSeries:

@@ -126,6 +126,22 @@ class TestMine:
         )
         assert code == 2
 
+    def test_no_relation_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
+            "--max-degree", "1", "--order", "40",
+        )
+        assert code == 2
+        assert err.startswith("error: no certified integer relation of degree <= 1")
+
+    def test_rows_below_floor_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
+            "--max-degree", "7", "--order", "40",
+        )
+        assert code == 2
+        assert err.startswith("error: M=82 is below the floor")
+
 
 class TestVerify:
     def test_table4_passes_with_exit_zero(self, capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaquot import mining
 from thetaquot.series import (
@@ -25,8 +27,8 @@ from thetaquot.mining import (
     build_binding_series,
     build_coeff_matrix,
     exact_nullspace,
+    get_v_binding,
     mine,
-    v_binding_series,
     validate,
 )
 
@@ -186,7 +188,16 @@ class TestMine:
         assert rel.poly == REL_M2_8
         assert rel.degree == 4
 
-    def test_rediscovers_table3_relation(self):
+    def test_rediscovers_table3_relation(self, monkeypatch):
+        # these series are short of the largest matrix plus the validation
+        # rows: mine rebuilds them from the bindings once, before any matrix
+        events = []
+        for name in ("build_binding_series", "build_coeff_matrix"):
+            def recording(*args, _fn=getattr(mining, name), _name=name):
+                events.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(mining, name, recording)
         u = A_series(ThetaSpec(-1, 6), 60) ** 6
         v = sqrt_series(modulus_series(61))
         rel = mine(
@@ -194,6 +205,8 @@ class TestMine:
             u_binding=ABinding(ThetaSpec(-1, 6), 6), v_binding="sqrt_m",
         )
         assert rel.poly == REL_M1_6
+        assert events[0] == "build_binding_series"
+        assert events.count("build_binding_series") == 1
 
     def test_no_degree_one_relation_for_1_4(self):
         with pytest.raises(MiningNotFound) as exc:
@@ -328,10 +341,78 @@ class TestVBindings:
                      ("eta5_q4_pow5", F(4))]
     )
     def test_series_leading_exponent(self, name, val):
-        ser = v_binding_series(name, F(30))
+        ser = get_v_binding(name).series(F(30))
         assert ser.leading()[0] == val
 
     def test_build_binding_series_pair(self):
         u, v = build_binding_series(ABinding(ThetaSpec(1, 4), 12), "m", F(40))
         assert u.leading()[0] == F(-1, 2)
         assert v.leading()[0] == 1
+
+
+# every u the catalog, the CLI examples and the tests bind, plus the two
+# half-integer quotients
+A_BINDINGS = (
+    ABinding(ThetaSpec(1, 4), 12),
+    ABinding(ThetaSpec(1, 3), 12),
+    ABinding(ThetaSpec(8, 6), 6),
+    ABinding(ThetaSpec(-1, 6), 6),
+    ABinding(ThetaSpec(-2, 8), 12),
+    ABinding(ThetaSpec(1, 5), 15, F(2)),
+    ABinding(ThetaSpec(1, 5), 15, F(4)),
+    ABinding(ThetaSpec(F(1, 2), 4), 1),
+    ABinding(ThetaSpec(F(1, 2), 2), 1),
+)
+BINDING_SERIES = {
+    **{f"A({b.spec.a},{b.spec.p};q^{b.qscale})^{b.power}": b.series
+       for b in A_BINDINGS},
+    **{name: b.series for name, b in mining.V_BINDINGS.items()},
+}
+
+
+@st.composite
+def known_pairs(draw):
+    """(u, v, n): series on the 1, 1/2, 1/3 or 1/5 grid with a nonzero
+    leading term (negative valuations allowed), exact or truncated with
+    relative order at least n."""
+    n = draw(st.integers(1, 12))
+
+    def one():
+        denom = draw(st.sampled_from([1, 2, 3, 5]))
+        lead = draw(st.integers(-2 * denom, 2 * denom))
+        span = n * denom + draw(st.integers(0, 2 * denom))
+        coeffs = {lead + k: draw(st.integers(-5, 5))
+                  for k in draw(st.lists(st.integers(1, span), max_size=12))}
+        coeffs[lead] = draw(st.sampled_from([-3, -1, 1, 2]))
+        hi = None if draw(st.booleans()) else lead + span
+        return PuiseuxSeries(denom, coeffs, hi)
+
+    return one(), one(), n
+
+
+class TestKnownThrough:
+    @pytest.mark.parametrize("name", list(BINDING_SERIES))
+    @settings(max_examples=12, deadline=None)
+    @given(order=st.fractions(min_value=1, max_value=45, max_denominator=12))
+    def test_bindings_reach_their_relative_order(self, name, order):
+        assert BINDING_SERIES[name](order).relative_order() >= order
+
+    @settings(max_examples=150, deadline=None)
+    @given(known_pairs(), st.integers(1, 3), st.data())
+    def test_relative_order_covers_matrices_and_residuals(self, pair, s, data):
+        u, v, n = pair
+        assert min(u.relative_order(), v.relative_order()) >= n
+        build_coeff_matrix(u, v, s, n)
+        terms = data.draw(
+            st.dictionaries(st.tuples(st.integers(0, s), st.integers(0, s)),
+                            st.integers(-4, 4).filter(bool), min_size=1)
+        )
+        poly = BivarIntPoly.normalized([(i, j, c) for (i, j), c in terms.items()])
+        mining._series_vanishes(poly, u, v, n)
+        # a residual that vanishes collapses to the integer grid
+        square = BivarIntPoly.normalized([(2, 0, 1), (0, 1, -1)])
+        assert mining._series_vanishes(square, u, u * u, n)[0]
+
+    def test_unknown_v_binding(self):
+        with pytest.raises(ValueError, match="unknown v binding 'zz'"):
+            get_v_binding("zz")

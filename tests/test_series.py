@@ -181,6 +181,7 @@ class TestKroneckerProduct:
     def test_matches_schoolbook(self, x, y):
         got, want = x * y, schoolbook_product(x, y)
         assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
+        assert got.relative_order() >= min(x.relative_order(), y.relative_order())
 
     def test_theta_quotient_on_the_1_96_grid(self):
         # q^delta * theta on the 1/96 grid times a series in q^(1/2)
