@@ -346,11 +346,16 @@ def _int_rows(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
 _PRESCREEN_PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(rows: list[list[int]], p: int = _PRESCREEN_PRIME) -> int:
+def _pivots_mod_p(rows: list[list[int]], p: int = _PRESCREEN_PRIME) -> list[int]:
+    """Pivot columns of the row echelon form mod p: a column is a pivot
+    when it is independent of the columns before it."""
     m = [[x % p for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         piv = None
         for r in range(rank, nrows):
             if m[r][col]:
@@ -368,10 +373,23 @@ def _rank_mod_p(rows: list[list[int]], p: int = _PRESCREEN_PRIME) -> int:
                 row = m[r]
                 for cix in range(col, ncols):
                     row[cix] = (row[cix] - f * prow[cix]) % p
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _rank_profile(
+    int_rows: list[list[int]], cols: list[tuple[int, int]]
+) -> dict[int, int]:
+    """Rank mod p of the columns of total degree i + j <= d, for every d,
+    from one elimination with the columns ordered by total degree."""
+    order = sorted(range(len(cols)), key=lambda k: cols[k][0] + cols[k][1])
+    pivots = set(_pivots_mod_p([[row[k] for k in order] for row in int_rows]))
+    profile: dict[int, int] = {}
+    rank = 0
+    for at, k in enumerate(order):
+        rank += at in pivots
+        profile[cols[k][0] + cols[k][1]] = rank
+    return profile
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -446,15 +464,15 @@ def _kernel_polys(
     int_rows: list[list[int]],
     cols: list[tuple[int, int]],
     keep: Callable[[tuple[int, int]], bool],
+    rank: int,
 ) -> list[BivarIntPoly]:
     """Kernel relations on the kept columns of a matrix already scaled to
-    integer rows (a row's scale does not change the kernel)."""
+    integer rows (a row's scale does not change the kernel), given their
+    rank mod p."""
     idx = [k for k, c in enumerate(cols) if keep(c)]
-    if not idx:
-        return []
-    sub = [[row[k] for k in idx] for row in int_rows]
-    if _rank_mod_p(sub) == len(idx):
+    if rank == len(idx):
         return []  # full column rank over a prime field forces a trivial kernel
+    sub = [[row[k] for k in idx] for row in int_rows]
     basis = exact_nullspace(sub)
     polys = []
     for vec in basis:
@@ -653,7 +671,8 @@ def mine(
     for s, rows in all_rows.items():
         matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         int_rows = _int_rows(matrix)
-        rank = _rank_mod_p(int_rows)
+        profile = _rank_profile(int_rows, cols)
+        rank = profile[2 * s]
         if rank == len(cols):
             rank_profile[s] = rank
             continue
@@ -661,14 +680,16 @@ def mine(
         # first (cheap restricted solve), the full kernel only as a fallback
         def restricted_candidates() -> list[BivarIntPoly]:
             for d in range(1, 2 * s + 1):
-                found = _kernel_polys(int_rows, cols, lambda c: c[0] + c[1] <= d)
+                found = _kernel_polys(
+                    int_rows, cols, lambda c: c[0] + c[1] <= d, profile[d]
+                )
                 if found:
                     return sorted(found, key=lambda p: (p.term_count(), p.terms))
             return []
 
         def full_candidates() -> list[BivarIntPoly]:
             return sorted(
-                _kernel_polys(int_rows, cols, lambda c: True),
+                _kernel_polys(int_rows, cols, lambda c: True, rank),
                 key=lambda p: (p.total_degree, p.term_count(), p.terms),
             )
 

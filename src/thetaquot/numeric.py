@@ -231,6 +231,8 @@ def ellipk(x: Number, digits: int | None = None) -> BigReal:
         raise PrecisionError("digits required when x is not a BigReal")
     wd = digits + GUARD
     xv = _to_mpf(x, wd)
+    if not isinstance(xv, mpf):
+        raise ValueError("modulus must be real")
     if xv < 0:
         raise ValueError("modulus must be nonnegative")
     if xv >= 1:
@@ -291,6 +293,10 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
         theta2_sq = 4 * mpmath.sqrt(qv) * s2 * s2
         theta3_sq = s3 * s3
         kv = theta2_sq / theta3_sq
+        if kv >= 1:
+            raise ValueError(
+                f"singular modulus k_r rounds to 1 at r={r} with {digits} digits"
+            )
         kpv = mpmath.sqrt(1 - kv * kv)
     k = BigReal(kv, digits)
     kprime = BigReal(kpv, digits)

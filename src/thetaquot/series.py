@@ -11,13 +11,15 @@ the smallest stored key are known to be zero.
 All arithmetic computes the tightest sound truncation bound for the result
 rather than assuming the operands share one.  A product is computed by
 Kronecker substitution: each factor becomes one big integer and CPython's
-big-int multiply does the convolution.
+big-int multiply does the convolution.  Inverses and square roots are
+Newton iterations on such products.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
@@ -485,18 +487,6 @@ class ThetaSpec:
 # ---------------------------------------------------------------------------
 
 
-def _relative_coeffs(u: PuiseuxSeries, n_rel: int) -> tuple[int, list[Fraction]]:
-    """Leading grid index and dense list of the first n_rel coefficients
-    relative to it."""
-    alpha = min(u.coeffs)
-    a = [Fraction(0)] * n_rel
-    for k, c in u.coeffs.items():
-        j = k - alpha
-        if j < n_rel:
-            a[j] = c
-    return alpha, a
-
-
 def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
     """Number of relative coefficients available/requested for a unit op."""
     alpha = min(u.coeffs)
@@ -515,6 +505,26 @@ def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
     return want
 
 
+def _relative_terms(u: PuiseuxSeries, n_rel: int) -> tuple[int, dict[int, Fraction]]:
+    """Leading grid index of u and its terms below n_rel relative to it."""
+    alpha = min(u.coeffs)
+    return alpha, {k - alpha: c for k, c in u.coeffs.items() if k - alpha < n_rel}
+
+
+def _cut(terms: Mapping[int, Rat], n: int) -> dict[int, Rat]:
+    return {k: c for k, c in terms.items() if k < n}
+
+
+def _newton_lengths(n: int) -> list[int]:
+    """Known lengths of a Newton iteration that starts from one term and
+    at most doubles it each step until n terms are known."""
+    out = []
+    while n > 1:
+        out.append(n)
+        n = (n + 1) // 2
+    return out[::-1]
+
+
 def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     """Multiplicative inverse of a series with nonzero leading coefficient.
 
@@ -524,16 +534,16 @@ def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     if not u.coeffs:
         raise ValueError("cannot invert a series that is zero to its bound")
     n_rel = _resolve_rel_length(u, order, "inversion")
-    alpha, a = _relative_coeffs(u, n_rel)
-    b = [Fraction(0)] * n_rel
-    b[0] = 1 / a[0]
-    for m in range(1, n_rel):
-        s = Fraction(0)
-        for j in range(1, m + 1):
-            if a[j]:
-                s += a[j] * b[m - j]
-        b[m] = -s / a[0]
-    coeffs = {m - alpha: b[m] for m in range(n_rel) if b[m]}
+    alpha, a = _relative_terms(u, n_rel)
+    # Newton: when b = 1/a below m, b + b (1 - a b) = 1/a below 2m
+    b: dict[int, Rat] = {0: 1 / a[0]}
+    m = 1
+    for n in _newton_lengths(n_rel):
+        ab = _kronecker_product(_cut(a, n), b, n)
+        err = {k: -c for k, c in ab.items() if k >= m}
+        b.update(_kronecker_product(_cut(b, n - m), err, n))
+        m = n
+    coeffs = {k - alpha: c for k, c in b.items()}
     return PuiseuxSeries(u.denom, coeffs, n_rel - alpha)
 
 
@@ -590,20 +600,23 @@ def sqrt_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
             return PuiseuxSeries.zero()
         raise ValueError("sqrt of a series that is zero to its bound is undetermined")
     n_rel = _resolve_rel_length(u, order, "sqrt")
-    alpha, a = _relative_coeffs(u, n_rel)
+    alpha, a = _relative_terms(u, n_rel)
     c = a[0]
     root = _fraction_sqrt(c)
     if root is None:
         raise ValueError(f"leading coefficient {c} is not the square of a rational")
-    g = [Fraction(0)] * n_rel
-    g[0] = Fraction(1)
-    for m in range(1, n_rel):
-        s = Fraction(0)
-        for j in range(1, m):
-            if g[j]:
-                s += g[j] * g[m - j]
-        g[m] = (a[m] / c - s) / 2
-    coeffs = {2 * m + alpha: root * g[m] for m in range(n_rel) if g[m]}
+    a = {k: x / c for k, x in a.items()}
+    # Newton for r = a^(-1/2): when r is right below m,
+    # r + r (1 - a r^2) / 2 is right below 2m; then sqrt(a) = a r
+    r: dict[int, Rat] = {0: 1}
+    m = 1
+    for n in _newton_lengths(n_rel):
+        ar2 = _kronecker_product(_cut(a, n), _kronecker_product(r, r, n), n)
+        err = {k: Fraction(-x, 2) for k, x in ar2.items() if k >= m}
+        r.update(_kronecker_product(_cut(r, n - m), err, n))
+        m = n
+    g = _kronecker_product(a, r, n_rel)
+    coeffs = {2 * k + alpha: root * x for k, x in g.items()}
     return PuiseuxSeries(2 * u.denom, coeffs, 2 * n_rel + alpha)
 
 
@@ -626,7 +639,9 @@ def rescale(u: PuiseuxSeries, s: Rat) -> PuiseuxSeries:
 def eta_series(scale: Rat, order: Rat) -> PuiseuxSeries:
     """prod_{n>=1} (1 - q^(n*scale)) expanded below exponent ``order``.
 
-    This is the pure product, with no fractional power of q in front.
+    This is the pure product, with no fractional power of q in front.  By
+    Euler's pentagonal number theorem it is the sum over integers k of
+    (-1)^k q^(scale * k(3k-1)/2).
     """
     scale = Fraction(scale)
     if scale <= 0:
@@ -634,17 +649,13 @@ def eta_series(scale: Rat, order: Rat) -> PuiseuxSeries:
     denom = scale.denominator
     step = scale.numerator
     hi = _grid_bound(order, denom)
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    n = 1
-    while n * step < hi:
-        shift = n * step
-        for k in sorted(coeffs, reverse=True):
-            kk = k + shift
-            if kk < hi:
-                coeffs[kk] = coeffs.get(kk, Fraction(0)) - coeffs[k]
-                if not coeffs[kk]:
-                    del coeffs[kk]
-        n += 1
+    coeffs: dict[int, int] = {}
+    k = 0
+    while k * (3 * k - 1) // 2 * step < hi:
+        sign = -1 if k % 2 else 1
+        coeffs[k * (3 * k - 1) // 2 * step] = sign
+        coeffs[k * (3 * k + 1) // 2 * step] = sign  # dropped at or above hi
+        k += 1
     return PuiseuxSeries(denom, coeffs, hi)
 
 
@@ -733,16 +744,29 @@ def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
                 break
             exps.append(e)
             n += 1
-    denoms = [e.denominator for e in exps] + [spec.delta.denominator]
-    N = 1
-    for d in denoms:
-        N = N * d // gcd(N, d)
-    # the accumulator's truncation is chosen so that after the negative
-    # factors shift knowledge down, the result is still known below `order`
-    acc = PuiseuxSeries(N, {0: Fraction(1)}, _grid_bound(order - total_neg, N))
+    # integer coefficients on the grid (1/N)Z, acc[i] at grid index
+    # i + shift, known below grid index hi; a factor with e < 0 is
+    # -q^e (1 - q^-e), a sign and a shift
+    N = math.lcm(*(e.denominator for e in exps))
+    hi = N * math.ceil(order - total_neg)
+    acc = [int(i == 0) for i in range(hi)]
+    shift = 0
+    sign = 1
     for e in exps:
-        acc = acc * PuiseuxSeries.from_pairs([(0, 1), (e, -1)])
-    return PuiseuxSeries.monomial(1, spec.delta) * acc
+        step = int(e * N)
+        if step < 0:
+            sign, shift, step = -sign, shift + step, -step
+            # the leading term +-1 at grid index shift keeps the bound on
+            # the product's grid; a series known to be zero below its bound
+            # normalises to the integer grid, rounding the bound up
+            hi = hi - step if acc else _ceil_div(hi - step, N) * N
+        # times (1 - q^step): acc[k] -= acc[k - step] for k descending
+        acc[step:] = map(operator.sub, acc[step:], acc[: len(acc) - step])
+    D = math.lcm(N, spec.delta.denominator)
+    f = D // N
+    lead = int(spec.delta * D)
+    coeffs = {(i + shift) * f + lead: sign * c for i, c in enumerate(acc) if c}
+    return PuiseuxSeries(D, coeffs, hi * f + lead)
 
 
 def theta3_series(order: Rat) -> PuiseuxSeries:

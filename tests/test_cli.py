@@ -64,6 +64,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--fn", "k", "--r", "1", "--digits", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("r", ["1/10000", "1/100000", "1/1000000"])
+    def test_modulus_rounding_to_one_is_usage_error(self, capsys, r):
+        # near q -> 1 the theta quotient k rounds to 1 at 60 digits, so
+        # k' = sqrt(1 - k^2) has no real value
+        code, out, err = run(capsys, "eval", "--fn", "k", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: singular modulus k_r rounds to 1 at r={r} with 60 digits\n"
+        )
+
     def test_bad_nome_rejected(self, capsys):
         code, _, err = run(
             capsys, "eval", "--fn", "eta", "--q", "1.5", "--digits", "40"

@@ -48,6 +48,23 @@ REL_M1_6 = BivarIntPoly.normalized(
 )
 
 
+def rank_mod_p(rows, p=(1 << 61) - 1):
+    """Reference rank over the prime field: plain Gaussian elimination."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def mine_14(order=62, M=120, s_max=3, **kw):
     u = A_series(ThetaSpec(1, 4), order) ** 12
     v = modulus_series(order)
@@ -163,6 +180,29 @@ class TestMine:
         for u, v, s, rows, table in calls:
             matrix, cols, base, denom = standalone(u, v, s, rows, table)
             assert (matrix, cols, base, denom) == standalone(u, v, s, rows)
+
+    def test_rank_profile_matches_rank_of_each_column_subset(self, monkeypatch):
+        # one elimination with the columns ordered by total degree must give
+        # the rank of every restricted degree's column subset
+        profiles = []
+
+        def recording(int_rows, cols):
+            profile = real(int_rows, cols)
+            profiles.append((int_rows, cols, profile))
+            return profile
+
+        real = mining._rank_profile
+        monkeypatch.setattr(mining, "_rank_profile", recording)
+        assert mine_14().poly == REL_14
+        assert [len(cols) for _, cols, _ in profiles] == [4, 9]
+        for int_rows, cols, profile in profiles:
+            s = max(i for i, _ in cols)
+            assert sorted(profile) == list(range(2 * s + 1))
+            for d, rank in profile.items():
+                idx = [k for k, (i, j) in enumerate(cols) if i + j <= d]
+                assert rank == rank_mod_p([[row[k] for k in idx] for row in int_rows])
+        # the s = 2 matrix has a kernel, first seen at total degree 3
+        assert profiles[1][2][2] == 6 and profiles[1][2][3] == 7
 
     def test_three_term_variant_fails_certification(self):
         # the 2-variable relation u^2 v + 16 v - 16 (the shape implied by

@@ -18,6 +18,7 @@ from thetaquot.series import (
     theta_series,
 )
 from thetaquot.numeric import (
+    BigReal,
     big_real,
     ellipk,
     eval_A,
@@ -83,6 +84,8 @@ class TestEllipk:
             ellipk(big_real(1, 40))
         with pytest.raises(ValueError):
             ellipk(big_real(F(-1, 2), 40))
+        with pytest.raises(ValueError, match="real"):
+            ellipk(BigReal(mpmath.mpc(0, 1), 40))
 
     def test_agm_iteration_count_is_logarithmic(self):
         rng = random.Random(1123)

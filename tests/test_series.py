@@ -1,6 +1,7 @@
 """Exact series ring: constructors against independent oracles, operation
 contracts, and ring properties on seeded random inputs."""
 
+import math
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -25,6 +26,7 @@ from thetaquot.series import (
     sqrt_series,
     theta_series,
 )
+from thetaquot.series import _resolve_rel_length
 
 
 def series(pairs, order=None):
@@ -155,6 +157,117 @@ def schoolbook_product(x, y):
     return PuiseuxSeries(n, out, hi)
 
 
+def _dense_relative(u, order, what):
+    """Leading grid index, relative length and the first coefficients
+    relative to the leading term."""
+    alpha = min(u.coeffs)
+    n_rel = _resolve_rel_length(u, order, what)
+    a = [F(0)] * n_rel
+    for k, c in u.coeffs.items():
+        if k - alpha < n_rel:
+            a[k - alpha] = c
+    return alpha, n_rel, a
+
+
+def schoolbook_inverse(u, order=None):
+    """Reference inverse: the recurrence b_m = -sum a_j b_(m-j) / a_0."""
+    alpha, n_rel, a = _dense_relative(u, order, "inversion")
+    b = [F(0)] * n_rel
+    b[0] = 1 / a[0]
+    for m in range(1, n_rel):
+        b[m] = -sum((a[j] * b[m - j] for j in range(1, m + 1)), F(0)) / a[0]
+    coeffs = {m - alpha: b[m] for m in range(n_rel)}
+    return PuiseuxSeries(u.denom, coeffs, n_rel - alpha)
+
+
+def schoolbook_sqrt(u, order=None):
+    """Reference square root: g^2 = a/c solved term by term, scaled by sqrt(c)."""
+    alpha, n_rel, a = _dense_relative(u, order, "sqrt")
+    c = a[0]
+    root = F(math.isqrt(abs(c.numerator)), math.isqrt(c.denominator))
+    if c < 0 or root * root != c:
+        raise ValueError(f"leading coefficient {c} is not the square of a rational")
+    g = [F(0)] * n_rel
+    g[0] = F(1)
+    for m in range(1, n_rel):
+        s = sum((g[j] * g[m - j] for j in range(1, m)), F(0))
+        g[m] = (a[m] / c - s) / 2
+    coeffs = {2 * m + alpha: root * g[m] for m in range(n_rel)}
+    return PuiseuxSeries(2 * u.denom, coeffs, 2 * n_rel + alpha)
+
+
+def eta_product_loop(scale, order):
+    """Reference eta: multiply out (1 - q^(n*scale)) one factor at a time."""
+    scale = F(scale)
+    step = scale.numerator
+    hi = -((-F(order) * scale.denominator) // 1)
+    coeffs = {0: F(1)}
+    n = 1
+    while n * step < hi:
+        for k in sorted(coeffs, reverse=True):
+            if k + n * step < hi:
+                coeffs[k + n * step] = coeffs.get(k + n * step, F(0)) - coeffs[k]
+        n += 1
+    return PuiseuxSeries(scale.denominator, coeffs, hi)
+
+
+def binomial_loop_product(spec, order):
+    """Reference product form: a series accumulator multiplied by one exact
+    binomial (1 - q^e) at a time, bounds as the series product gives them."""
+    order = F(order)
+    a, p = spec.a, spec.p
+    total_neg = F(0)
+    for base in (a, p - a):
+        n = 0
+        while n * p + base <= 0:
+            if n * p + base == 0:
+                raise ValueError("product form degenerates: a factor exponent is 0")
+            total_neg += n * p + base
+            n += 1
+    exps = []
+    for base in (a, p - a):
+        n = 0
+        while n * p + base <= 0 or n * p + base < order - total_neg:
+            exps.append(n * p + base)
+            n += 1
+    N = math.lcm(*(e.denominator for e in exps), spec.delta.denominator)
+    hi = -((-(order - total_neg) * N) // 1)
+    acc = PuiseuxSeries(N, {0: F(1)}, hi)
+    for e in exps:
+        acc = acc * series([(0, 1), (e, -1)])
+    return PuiseuxSeries.monomial(1, spec.delta) * acc
+
+
+def outcome(fn, *args):
+    """A constructor's (denom, coeffs, hi), or its ValueError message."""
+    try:
+        got = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return got.denom, got.coeffs, got.hi
+
+
+@st.composite
+def unit_operands(draw):
+    """A series on the 1, 1/2, 1/5 or 1/96 grid with a nonzero, possibly
+    non-square leading coefficient, a possibly negative valuation and
+    strided rational terms, with the order argument of a unit operation:
+    exact with an order, or truncated with or without one."""
+    denom = draw(st.sampled_from([1, 2, 5, 96]))
+    lead = draw(st.integers(-3 * denom, 3 * denom))
+    stride = draw(st.sampled_from([1, 2, 3, denom]))
+    c0 = draw(st.sampled_from([F(1), F(-1), F(4, 9), F(9), F(1, 16), F(3)]))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+    offsets = draw(st.lists(st.integers(1, 30), max_size=12))
+    coeffs = {lead + stride * j: draw(coeff) for j in offsets}
+    coeffs[lead] = c0
+    order = F(lead + draw(st.integers(-2, 70)), denom)
+    if draw(st.booleans()):
+        return PuiseuxSeries(denom, coeffs, None), order
+    u = PuiseuxSeries(denom, coeffs, lead + draw(st.integers(1, 70)))
+    return u, draw(st.sampled_from([None, order]))
+
+
 @st.composite
 def product_operands(draw):
     """Series on the 1, 1/2, 1/5 or 1/96 grid: negative exponents, rational
@@ -221,6 +334,12 @@ class TestInvertUnit:
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             invert_unit(series([], order=5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_operands())
+    def test_matches_schoolbook(self, operand):
+        u, order = operand
+        assert outcome(invert_unit, u, order) == outcome(schoolbook_inverse, u, order)
 
     def test_random_units_multiply_to_one(self):
         rng = random.Random(7177)
@@ -293,6 +412,20 @@ class TestSqrtSeries:
         s = sqrt_series(modulus_series(10))
         assert s.leading() == (F(1, 2), F(4))
 
+    @settings(max_examples=200, deadline=None)
+    @given(unit_operands())
+    def test_matches_schoolbook(self, operand):
+        u, order = operand
+        assert outcome(sqrt_series, u, order) == outcome(schoolbook_sqrt, u, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_operands(), st.sampled_from([F(1), F(4, 9), F(1, 16)]))
+    def test_square_matches_schoolbook(self, operand, c):
+        # every square leading coefficient, and squares of units
+        u, order = operand
+        w = u * u * c
+        assert outcome(sqrt_series, w, order) == outcome(schoolbook_sqrt, w, order)
+
 
 class TestRescale:
     def test_simple(self):
@@ -321,6 +454,18 @@ class TestRescale:
 class TestEtaSeries:
     def test_pentagonal_oracle(self):
         assert eta_series(1, 40).agrees_with(pentagonal_eta(1, 40))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 96), max_value=8, max_denominator=96),
+        st.fractions(min_value=-1, max_value=150, max_denominator=7),
+    )
+    def test_matches_product_loop(self, scale, steps):
+        # eta_series itself sums over pentagonal numbers, so the oracle is
+        # the product it expands
+        order = scale * steps
+        got, want = eta_series(scale, order), eta_product_loop(scale, order)
+        assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
 
     def test_scale_four_matches_rescale(self):
         assert eta_series(4, 60) == rescale(eta_series(1, 15), 4)
@@ -412,6 +557,36 @@ class TestASeries:
         assert via_theta.agrees_with(via_product)
         grid_known = min(via_theta.hi, via_product.hi * via_theta.denom // via_product.denom)
         assert grid_known >= 200
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(min_value=-6, max_value=10, max_denominator=2),
+        st.sampled_from([F(n) for n in (1, 2, 3, 4, 5, 8)] + [F(1, 2), F(5, 2), F(7, 3)]),
+        st.one_of(
+            st.sampled_from([F(37, 3), F(1, 7)]),
+            st.fractions(min_value=-1, max_value=40, max_denominator=12),
+        ),
+    )
+    def test_product_matches_binomial_loop(self, a, p, order):
+        # a <= 0 and a >= p give negative exponents, half-integer a a finer
+        # grid; the bound must round as the series accumulator's does
+        spec = ThetaSpec(a, p)
+        assert outcome(A_series_product, spec, order) == outcome(
+            binomial_loop_product, spec, order
+        )
+
+    @pytest.mark.parametrize("order", [F(37, 3), F(1, 7), 26, F(-1, 2), -2])
+    @pytest.mark.parametrize(
+        "spec",
+        JTP_SPECS + [ThetaSpec(F(-1, 2), 4), ThetaSpec(F(-3, 2), 2)],
+        ids=lambda s: f"a{s.a}_p{s.p}",
+    )
+    def test_product_bound_at_fractional_orders(self, spec, order):
+        # at order <= 0 nothing is known and each negative exponent moves
+        # the bound, which the empty series rounds to the integer grid
+        got = A_series_product(spec, order)
+        want = binomial_loop_product(spec, order)
+        assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
 
     def test_delta_recomputed_matches(self):
         spec = ThetaSpec(F(1, 2), 4)
