@@ -24,6 +24,7 @@ from .recognize import NotFound, recognize as recognize_poly
 from .modular import s_n
 from .numeric import (
     BigReal,
+    CertificationError,
     GUARD,
     MIN_DIGITS,
     big_real,
@@ -152,7 +153,7 @@ def _cmd_series(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(ser.to_json_obj(), fh, sort_keys=True, indent=2)
             fh.write("\n")
-        print(f"wrote {args.json} ({len(ser.coeffs)} terms)", file=sys.stderr)
+        print(f"wrote {args.json} ({len(ser.nums)} terms)", file=sys.stderr)
     return 0
 
 
@@ -326,7 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, KeyError, mining.MiningError) as exc:
+    except (
+        UsageError, ValueError, KeyError, mining.MiningError, CertificationError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

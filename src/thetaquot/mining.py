@@ -2,8 +2,8 @@
 
 Given two truncated series u(q), v(q), find an integer-coefficient
 polynomial P with P(u, v) = O(q^M): build the matrix whose columns are the
-coefficient vectors of the monomials u^i v^j on the common exponent grid,
-compute its exact rational nullspace by fraction-free elimination, and
+integer coefficient vectors of the monomials u^i v^j on the common
+exponent grid, compute its exact nullspace by fraction-free elimination, and
 certify the resulting relation both on extra series orders and numerically
 at high precision.  Post-validation guards against overfitting the
 truncation, which interpolation-style mining invites.
@@ -289,12 +289,15 @@ def build_coeff_matrix(
     s: int,
     rows: int,
     table: MonomialTable | None = None,
-) -> tuple[list[list[Fraction]], list[tuple[int, int]], int, int]:
-    """Matrix of coefficients of u^i v^j (0 <= i, j <= s) on the common grid.
+) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
+    """Integer matrix of coefficients of u^i v^j (0 <= i, j <= s) on the
+    common grid.
 
     Returns (matrix, columns, base_index, grid_denom): one column per (i, j)
     in lexicographic order, one row per grid exponent starting at the global
-    minimum ``base_index``.  Raises InsufficientTruncation when any product
+    minimum ``base_index``.  Every column is put over the lcm of the
+    products' scales, so each row is an integer multiple of the coefficient
+    row, with the same kernel.  Raises InsufficientTruncation when any product
     is not known through the last requested row.  ``table`` supplies the
     monomials of u and v, built for some degree >= s; by default they are
     built here.
@@ -306,8 +309,8 @@ def build_coeff_matrix(
     denom = math.lcm(*(prod.denom for prod in products.values()))
     los = []
     for prod in products.values():
-        if prod.coeffs:
-            los.append(min(prod.coeffs) * (denom // prod.denom))
+        if prod.nums:
+            los.append(min(prod.nums) * (denom // prod.denom))
     if not los:
         raise MiningError("all monomial products vanish; nothing to interpolate")
     base = min(los)
@@ -321,26 +324,13 @@ def build_coeff_matrix(
                 f"but rows through {top} are required",
                 required_grid_order=top,
             )
-    matrix = []
+    scale = math.lcm(*(prod.scale for prod in products.values()))
     rebased = {}
     for key, prod in products.items():
-        f = denom // prod.denom
-        rebased[key] = {k * f: c for k, c in prod.coeffs.items()}
-    for rix in range(rows):
-        e = base + rix
-        matrix.append([rebased[c].get(e, Fraction(0)) for c in cols])
+        f, m = denom // prod.denom, scale // prod.scale
+        rebased[key] = {k * f: c * m for k, c in prod.nums.items()}
+    matrix = [[rebased[c].get(e, 0) for c in cols] for e in range(base, top)]
     return matrix, cols, base, denom
-
-
-def _int_rows(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    out = []
-    for row in matrix:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
-    return out
 
 
 _PRESCREEN_PRIME = (1 << 61) - 1
@@ -426,14 +416,13 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
     return m, pivots
 
 
-def exact_nullspace(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Basis of the right kernel, each vector scaled to coprime integers
-    with its first nonzero entry positive.  Exact over the rationals."""
+def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
+    """Basis of the right kernel of an integer matrix, each vector scaled to
+    coprime integers with its first nonzero entry positive."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows = _int_rows(matrix)
-    ech, pivots = _bareiss_echelon(rows)
+    ech, pivots = _bareiss_echelon(matrix)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -466,9 +455,8 @@ def _kernel_polys(
     keep: Callable[[tuple[int, int]], bool],
     rank: int,
 ) -> list[BivarIntPoly]:
-    """Kernel relations on the kept columns of a matrix already scaled to
-    integer rows (a row's scale does not change the kernel), given their
-    rank mod p."""
+    """Kernel relations on the kept columns of an integer matrix, given
+    their rank mod p."""
     idx = [k for k, c in enumerate(cols) if keep(c)]
     if rank == len(idx):
         return []  # full column rank over a prime field forces a trivial kernel
@@ -552,8 +540,8 @@ def _series_vanishes(
     for i, j, c in poly.terms:
         prod = table.product(i, j)
         residual = residual + prod * c
-        if prod.coeffs:
-            e = Fraction(min(prod.coeffs), prod.denom)
+        if prod.nums:
+            e = Fraction(min(prod.nums), prod.denom)
             if base_exp is None or e < base_exp:
                 base_exp = e
     if base_exp is None:
@@ -565,9 +553,9 @@ def _series_vanishes(
             f"residual known to grid order {residual.hi} < required {top}",
             required_grid_order=top,
         )
-    for k in sorted(residual.coeffs):
-        if k < top and residual.coeffs[k]:
-            return False, k - base, base
+    bad = [k for k in residual.nums if k < top]
+    if bad:
+        return False, min(bad) - base, base
     return True, through_rows, base
 
 
@@ -669,8 +657,7 @@ def mine(
     # rows of the largest matrix
     table = MonomialTable.truncated(u, v, s_max, max_rows)
     for s, rows in all_rows.items():
-        matrix, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
-        int_rows = _int_rows(matrix)
+        int_rows, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         profile = _rank_profile(int_rows, cols)
         rank = profile[2 * s]
         if rank == len(cols):

@@ -306,7 +306,8 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
         resid = abs(ratio.value - mpmath.sqrt(_to_mpf(r, wd)))
         if resid > mpf(10) ** (-digits + 5):
             raise CertificationError(
-                f"singular modulus certification failed at r={r}: residual {resid}"
+                f"singular modulus certification failed at r={r}: "
+                f"residual {mpmath.nstr(resid, 5)}"
             )
     return EvalPoint(r=r, q=q, k=k, kprime=kprime)
 
@@ -450,18 +451,15 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
         lq = mpmath.log(qv)
         total = mpf(0)
         last = mpf(0)
-        for k in sorted(u.coeffs):
-            c = u.coeffs[k]
-            term = (
-                mpf(c.numerator)
-                / c.denominator
-                * mpmath.exp(mpf(k) / u.denom * lq)
-            )
+        for k in sorted(u.nums):
+            c = u.nums[k]
+            g = math.gcd(c, u.scale)
+            term = mpf(c // g) / (u.scale // g) * mpmath.exp(mpf(k) / u.denom * lq)
             total += term
             last = term
         if u.hi is None:
             tail = mpf(0)
-        elif u.coeffs:
+        elif u.nums:
             tail = abs(last)
         else:
             tail = mpmath.exp(mpf(u.hi) / u.denom * lq)

@@ -63,12 +63,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         parts = []
         for e in range(self.degree, -1, -1):

@@ -1,7 +1,8 @@
 """Truncated Laurent-Puiseux series over the rationals.
 
-A series lives on the exponent grid (1/denom)*Z.  Coefficients are exact
-``fractions.Fraction`` values stored sparsely by grid index.  ``hi`` is the
+A series lives on the exponent grid (1/denom)*Z.  Its coefficients are
+integer numerators over one common denominator: the coefficient at grid
+index k is ``nums[k] / scale``, stored sparsely by grid index.  ``hi`` is the
 exclusive knowledge bound on the grid: every coefficient at a grid index
 ``k < hi`` is known exactly, coefficients at ``k >= hi`` are unknown.  A
 series with ``hi is None`` is exactly known everywhere (a Laurent
@@ -63,14 +64,10 @@ def _min_bound(*bounds: int | None) -> int | None:
     return min(finite) if finite else None
 
 
-def _integer_terms(terms: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+def _integer_terms(terms: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
     """The terms scaled to integers by the lcm of their denominators, and
     that lcm."""
-    scale = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            scale = scale * d // gcd(scale, d)
+    scale = math.lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
 
 
@@ -99,35 +96,32 @@ def _pack(
     return value
 
 
-def _kronecker_product(
-    a: Mapping[int, Fraction], b: Mapping[int, Fraction], hi: int | None
-) -> dict[int, Fraction | int]:
-    """Coefficients of the product of two sparse series below grid index
-    ``hi``, by Kronecker substitution: both factors are scaled to integer
-    vectors on the gcd stride of their index offsets, packed into one big
-    int each and multiplied once.  Values are ints when both factors have
-    integer coefficients."""
+def _int_product(
+    a: Mapping[int, int], b: Mapping[int, int], hi: int | None
+) -> dict[int, int]:
+    """Integer coefficients of the product of two sparse integer series below
+    grid index ``hi``, by Kronecker substitution: both factors are packed on
+    the gcd stride of their index offsets into one big int each and
+    multiplied once."""
     if not a or not b:
         return {}
-    ia, scale_a = _integer_terms(a)
-    ib, scale_b = _integer_terms(b)
-    va, vb = min(ia), min(ib)
-    stride = gcd(*(k - va for k in ia), *(k - vb for k in ib)) or 1
-    na = (max(ia) - va) // stride + 1
-    nb = (max(ib) - vb) // stride + 1
+    va, vb = min(a), min(b)
+    stride = gcd(*(k - va for k in a), *(k - vb for k in b)) or 1
+    na = (max(a) - va) // stride + 1
+    nb = (max(b) - vb) // stride + 1
     base = va + vb
     count = na + nb - 1
     if hi is not None:
         count = min(count, _ceil_div(hi - base, stride))
     # |product coefficient| <= min(#a, #b) * max|a| * max|b| < 2^(bits - 1)
     bits = (
-        max(abs(c) for c in ia.values()).bit_length()
-        + max(abs(c) for c in ib.values()).bit_length()
-        + min(len(ia), len(ib)).bit_length()
+        max(abs(c) for c in a.values()).bit_length()
+        + max(abs(c) for c in b.values()).bit_length()
+        + min(len(a), len(b)).bit_length()
         + 1
     )
     width = (bits + 7) // 8
-    prod = _pack(ia, va, stride, na, width) * _pack(ib, vb, stride, nb, width)
+    prod = _pack(a, va, stride, na, width) * _pack(b, vb, stride, nb, width)
     # adding half a field to each of the low ``count`` fields makes them
     # all non-negative, so they read back as unsigned bytes; higher fields
     # only absorb borrows and are cut off
@@ -135,53 +129,81 @@ def _kronecker_product(
     offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
     low = (prod + offset) & ((1 << (8 * width * count)) - 1)
     raw = low.to_bytes(width * count, "little")
-    scale = scale_a * scale_b
-    out: dict[int, Fraction | int] = {}
+    out: dict[int, int] = {}
     for m in range(count):
         c = int.from_bytes(raw[m * width : (m + 1) * width], "little") - half
         if c:
-            out[base + m * stride] = c if scale == 1 else Fraction(c, scale)
+            out[base + m * stride] = c
     return out
 
 
-class PuiseuxSeries:
-    """Sparse exact series on the grid (1/denom)*Z, truncated at ``hi``."""
+def _kronecker_product(
+    a: Mapping[int, Rat], b: Mapping[int, Rat], hi: int | None
+) -> dict[int, Rat]:
+    """Rational coefficients of a product below grid index ``hi``: the
+    integer kernel on both factors scaled by their common denominators.
+    Values are ints when both factors have integer coefficients."""
+    ia, scale_a = _integer_terms(a)
+    ib, scale_b = _integer_terms(b)
+    scale = scale_a * scale_b
+    return {
+        k: c if scale == 1 else Fraction(c, scale)
+        for k, c in _int_product(ia, ib, hi).items()
+    }
 
-    __slots__ = ("denom", "coeffs", "hi")
+
+class PuiseuxSeries:
+    """Sparse exact series on the grid (1/denom)*Z, truncated at ``hi``.
+
+    The coefficient at grid index k is ``nums[k] / scale``.  The form is
+    canonical: ``nums`` holds nonzero integers below ``hi`` only,
+    ``gcd(scale, *nums.values()) == 1`` with ``scale`` positive (1 for the
+    zero series), and the grid is the coarsest one carrying every term.
+    """
+
+    __slots__ = ("denom", "nums", "scale", "hi")
 
     def __init__(self, denom: int, coeffs: Mapping[int, Rat], hi: int | None):
+        nums, scale = _integer_terms(coeffs)
+        self._init(denom, nums, scale, hi)
+
+    @classmethod
+    def _make(
+        cls, denom: int, nums: Mapping[int, int], scale: int, hi: int | None
+    ) -> "PuiseuxSeries":
+        """The series sum nums[k]/scale * q^(k/denom) + O(q^(hi/denom))."""
+        self = cls.__new__(cls)
+        self._init(denom, nums, scale, hi)
+        return self
+
+    def _init(self, denom: int, nums: Mapping[int, int], scale: int, hi: int | None):
         if denom < 1:
             raise ValueError("grid denominator must be >= 1")
-        cleaned: dict[int, Fraction] = {}
-        for k, c in coeffs.items():
-            if hi is not None and k >= hi:
-                continue  # beyond knowledge, truncate
-            c = Fraction(c)
-            if c:
-                cleaned[int(k)] = c
+        nums = {k: c for k, c in nums.items() if c and (hi is None or k < hi)}
+        if scale != 1:
+            g = gcd(scale, *nums.values())
+            if g != 1:
+                nums = {k: c // g for k, c in nums.items()}
+                scale //= g
         # normalize to the smallest grid supporting all nonzero exponents
-        if cleaned:
-            g = denom
-            for k in cleaned:
-                g = gcd(g, k)
-                if g == 1:
-                    break
-        else:
-            g = denom
+        g = denom
+        for k in nums:
+            g = gcd(g, k)
+            if g == 1:
+                break
         if g > 1:
-            cleaned = {k // g: c for k, c in cleaned.items()}
+            nums = {k // g: c for k, c in nums.items()}
             if hi is not None:
                 hi = _ceil_div(hi, g)
             denom //= g
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "hi", hi)
+        for name, value in zip(self.__slots__, (denom, nums, scale, hi)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("PuiseuxSeries is immutable")
 
     def __reduce__(self):
-        return (PuiseuxSeries, (self.denom, self.coeffs, self.hi))
+        return (PuiseuxSeries._make, (self.denom, self.nums, self.scale, self.hi))
 
     # -- constructors ------------------------------------------------------
 
@@ -218,40 +240,29 @@ class PuiseuxSeries:
     # -- structure ---------------------------------------------------------
 
     @property
-    def lo(self) -> int | None:
-        """Lowest possibly-nonzero grid index (``hi`` if all known
-        coefficients vanish, ``None`` for the exact zero series)."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.hi
-
-    @property
-    def is_exact(self) -> bool:
-        return self.hi is None
+    def coeffs(self) -> dict[int, Fraction]:
+        """The nonzero known coefficients by grid index."""
+        return {k: Fraction(c, self.scale) for k, c in self.nums.items()}
 
     def is_zero(self) -> bool:
         """True when no known coefficient is nonzero."""
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the lowest nonzero term."""
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("series has no nonzero term within its bound")
-        k = min(self.coeffs)
-        return Fraction(k, self.denom), self.coeffs[k]
+        k = min(self.nums)
+        return Fraction(k, self.denom), Fraction(self.nums[k], self.scale)
 
     def coefficient(self, exponent: Rat) -> Fraction:
         """Coefficient at a rational exponent; raises beyond the bound."""
         e = Fraction(exponent)
         k = e * self.denom
-        if k.denominator != 1:
-            if self.hi is not None and e * self.denom >= self.hi:
-                raise ValueError(f"exponent {e} is beyond the truncation bound")
-            return Fraction(0)
-        k = int(k)
         if self.hi is not None and k >= self.hi:
             raise ValueError(f"exponent {e} is beyond the truncation bound")
-        return self.coeffs.get(k, Fraction(0))
+        c = self.nums.get(k.numerator, 0) if k.denominator == 1 else 0
+        return Fraction(c, self.scale)
 
     def knowledge_order(self) -> Fraction | None:
         """Exclusive exponent bound of knowledge (None when exact)."""
@@ -263,24 +274,22 @@ class PuiseuxSeries:
         least of its factors'."""
         if self.hi is None:
             return math.inf
-        if not self.coeffs:
+        if not self.nums:
             return Fraction(0)
-        return Fraction(self.hi - min(self.coeffs), self.denom)
+        return Fraction(self.hi - min(self.nums), self.denom)
 
     def terms(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (Fraction(k, self.denom), self.coeffs[k]) for k in sorted(self.coeffs)
-        ]
+        return [(Fraction(k, self.denom), c) for k, c in sorted(self.coeffs.items())]
 
     # -- alignment ---------------------------------------------------------
 
-    def _rebased(self, denom: int) -> tuple[dict[int, Fraction], int | None]:
+    def _rebased(self, denom: int) -> tuple[dict[int, int], int | None]:
         if denom == self.denom:
-            return dict(self.coeffs), self.hi
+            return dict(self.nums), self.hi
         f = denom // self.denom
-        coeffs = {k * f: c for k, c in self.coeffs.items()}
+        nums = {k * f: c for k, c in self.nums.items()}
         hi = None if self.hi is None else self.hi * f
-        return coeffs, hi
+        return nums, hi
 
     def _common(self, other: "PuiseuxSeries"):
         n = self.denom * other.denom // gcd(self.denom, other.denom)
@@ -293,15 +302,19 @@ class PuiseuxSeries:
     def __add__(self, other) -> "PuiseuxSeries":
         other = _coerce(other)
         n, a, ha, b, hb = self._common(other)
-        hi = _min_bound(ha, hb)
+        scale = math.lcm(self.scale, other.scale)
+        fa, fb = scale // self.scale, scale // other.scale
+        if fa != 1:
+            a = {k: c * fa for k, c in a.items()}
         for k, c in b.items():
-            a[k] = a.get(k, Fraction(0)) + c
-        return PuiseuxSeries(n, a, hi)
+            a[k] = a.get(k, 0) + c * fb
+        return PuiseuxSeries._make(n, a, scale, _min_bound(ha, hb))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.denom, {k: -c for k, c in self.coeffs.items()}, self.hi)
+        nums = {k: -c for k, c in self.nums.items()}
+        return PuiseuxSeries._make(self.denom, nums, self.scale, self.hi)
 
     def __sub__(self, other) -> "PuiseuxSeries":
         return self + (-_coerce(other))
@@ -314,9 +327,10 @@ class PuiseuxSeries:
             c = Fraction(other)
             if not c:
                 # scalar zero: exactly zero wherever self was known
-                return PuiseuxSeries(self.denom, {}, self.hi)
-            return PuiseuxSeries(
-                self.denom, {k: c * v for k, v in self.coeffs.items()}, self.hi
+                return PuiseuxSeries._make(self.denom, {}, 1, self.hi)
+            nums = {k: c.numerator * v for k, v in self.nums.items()}
+            return PuiseuxSeries._make(
+                self.denom, nums, self.scale * c.denominator, self.hi
             )
         other = _coerce(other)
         n, a, ha, b, hb = self._common(other)
@@ -335,7 +349,8 @@ class PuiseuxSeries:
             # above the bound cannot contribute
             a = {k: c for k, c in a.items() if k < hi - lb}
             b = {k: c for k, c in b.items() if k < hi - la}
-        return PuiseuxSeries(n, _kronecker_product(a, b, hi), hi)
+        scale = self.scale * other.scale
+        return PuiseuxSeries._make(n, _int_product(a, b, hi), scale, hi)
 
     __rmul__ = __mul__
 
@@ -362,30 +377,25 @@ class PuiseuxSeries:
             return NotImplemented
         return (
             self.denom == other.denom
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.scale == other.scale
             and self.hi == other.hi
         )
 
     def __hash__(self):
-        return hash((self.denom, tuple(sorted(self.coeffs.items())), self.hi))
+        return hash((self.denom, tuple(sorted(self.nums.items())), self.scale, self.hi))
 
     def agrees_with(self, other: "PuiseuxSeries", through: Rat | None = None) -> bool:
         """Coefficient-wise equality below min of the knowledge bounds and
         the optional exponent bound ``through`` (exclusive)."""
-        n, a, ha, b, hb = self._common(other)
-        hi = _min_bound(ha, hb)
+        diff = self - other
         if through is not None:
-            hi = _min_bound(hi, _grid_bound(through, n))
-        if hi is None:
-            return a == b
-        keys = set(a) | set(b)
-        return all(
-            a.get(k, Fraction(0)) == b.get(k, Fraction(0)) for k in keys if k < hi
-        )
+            diff = diff.truncate(through)
+        return diff.is_zero()
 
     def truncate(self, order: Rat) -> "PuiseuxSeries":
-        hi = _grid_bound(order, self.denom)
-        return PuiseuxSeries(self.denom, self.coeffs, _min_bound(self.hi, hi))
+        hi = _min_bound(self.hi, _grid_bound(order, self.denom))
+        return PuiseuxSeries._make(self.denom, self.nums, self.scale, hi)
 
     # -- display and serialization ------------------------------------------
 
@@ -417,7 +427,7 @@ class PuiseuxSeries:
     def to_json_obj(self) -> dict:
         return {
             "denom": self.denom,
-            "terms": [[k, str(self.coeffs[k])] for k in sorted(self.coeffs)],
+            "terms": [[k, str(c)] for k, c in sorted(self.coeffs.items())],
             "hi": self.hi,
         }
 
@@ -489,7 +499,7 @@ class ThetaSpec:
 
 def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
     """Number of relative coefficients available/requested for a unit op."""
-    alpha = min(u.coeffs)
+    alpha = min(u.nums)
     natural = None if u.hi is None else u.hi - alpha
     if order is None:
         if natural is None:
@@ -507,7 +517,7 @@ def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
 
 def _relative_terms(u: PuiseuxSeries, n_rel: int) -> tuple[int, dict[int, Fraction]]:
     """Leading grid index of u and its terms below n_rel relative to it."""
-    alpha = min(u.coeffs)
+    alpha = min(u.nums)
     return alpha, {k - alpha: c for k, c in u.coeffs.items() if k - alpha < n_rel}
 
 
@@ -531,7 +541,7 @@ def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     ``order`` (an exponent bound for u itself, not the inverse) is required
     when u is exact, since the inverse is generally an infinite series.
     """
-    if not u.coeffs:
+    if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
     n_rel = _resolve_rel_length(u, order, "inversion")
     alpha, a = _relative_terms(u, n_rel)
@@ -549,13 +559,13 @@ def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
 
 def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     """exp of a series with strictly positive leading exponent."""
-    if not u.coeffs:
+    if not u.nums:
         if u.hi is None:
             return PuiseuxSeries.constant(1)  # exp of the exact zero
         if u.hi <= 0:
             raise ValueError("exp needs knowledge of the constant term")
         return PuiseuxSeries(u.denom, {0: Fraction(1)}, u.hi)
-    if min(u.coeffs) <= 0:
+    if min(u.nums) <= 0:
         raise ValueError("exp requires a strictly positive leading exponent")
     if u.hi is None and order is None:
         raise ValueError("exp of an exact series needs an explicit truncation order")
@@ -595,7 +605,7 @@ def sqrt_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     Factors out the leading monomial c*q^alpha, requires c to be the square
     of a rational, and doubles the exponent grid when alpha is odd.
     """
-    if not u.coeffs:
+    if not u.nums:
         if u.hi is None:
             return PuiseuxSeries.zero()
         raise ValueError("sqrt of a series that is zero to its bound is undetermined")
@@ -626,9 +636,9 @@ def rescale(u: PuiseuxSeries, s: Rat) -> PuiseuxSeries:
     if s <= 0:
         raise ValueError("rescale factor must be positive")
     n = u.denom * s.denominator
-    coeffs = {k * s.numerator: c for k, c in u.coeffs.items()}
+    nums = {k * s.numerator: c for k, c in u.nums.items()}
     hi = None if u.hi is None else u.hi * s.numerator
-    return PuiseuxSeries(n, coeffs, hi)
+    return PuiseuxSeries._make(n, nums, u.scale, hi)
 
 
 # ---------------------------------------------------------------------------

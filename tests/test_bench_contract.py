@@ -1,0 +1,56 @@
+"""The names the benchmark under perfbench/ wraps or reads: every one must
+exist, or every benchmark job fails while the rest of the suite passes."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from thetaquot.series import PuiseuxSeries
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _wrapped_names():
+    tracer = _tracer()
+    for module, names in (
+        ("series", tracer.SERIES_BUILDERS),
+        ("numeric", tracer.NUMERIC_FNS),
+        ("mining", tracer.MINING_FNS),
+        ("recognize", tracer.RECOGNIZE_FNS),
+        ("modular", tracer.MODULAR_FNS),
+        ("catalog", tracer.CATALOG_FNS),
+    ):
+        for name in names:
+            yield module, name
+
+
+READ_NAMES = [
+    ("numeric", "last_agm_iterations"),
+    ("mining", "InsufficientTruncation"),
+    ("mining", "ValidationFailed"),
+    ("catalog", "verify_entry"),
+    ("catalog", "get_entry"),
+]
+
+
+@pytest.mark.parametrize("module, name", [*_wrapped_names(), *READ_NAMES])
+def test_module_attribute_exists(module, name):
+    mod = importlib.import_module(f"thetaquot.{module}")
+    assert callable(getattr(mod, name))
+
+
+@pytest.mark.parametrize(
+    "name", ["coeffs", "denom", "hi", "agrees_with", "knowledge_order"]
+)
+def test_series_attribute_exists(name):
+    x = PuiseuxSeries.from_pairs([(0, 1), ("1/2", "-1/3")], order=3)
+    assert hasattr(x, name)

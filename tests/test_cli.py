@@ -75,6 +75,17 @@ class TestEval:
             f"error: singular modulus k_r rounds to 1 at r={r} with 60 digits\n"
         )
 
+    @pytest.mark.parametrize("r", ["1/1000", "1/3000", "300"])
+    def test_failed_modulus_certification_is_usage_error(self, capsys, r):
+        # k' (or k) is rounded to the working precision before K, and K near
+        # modulus 1 amplifies that rounding past the certification tolerance
+        code, out, err = run(capsys, "eval", "--fn", "k", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: singular modulus certification failed at r={r}: residual "
+        )
+
     def test_bad_nome_rejected(self, capsys):
         code, _, err = run(
             capsys, "eval", "--fn", "eta", "--q", "1.5", "--digits", "40"
@@ -192,6 +203,14 @@ class TestVerify:
             capsys, "verify", "--entry", "eq13", "--rs", "1,1/2", "--digits", "40"
         )
         assert code == 0
+
+    def test_failed_modulus_certification_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--entry", "eq13", "--rs", "1/1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "error: singular modulus certification failed at r=1/1000: residual "
+        )
 
     def test_bad_rs_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "eq13", "--rs", "-1")

@@ -1,6 +1,7 @@
 """Relation mining: coefficient matrix, exact nullspace, rediscovery of the
 catalog relations, validation guards, and stability properties."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -101,16 +102,12 @@ class TestExactNullspace:
     def test_single_row(self):
         assert exact_nullspace([[1, 1]]) == [[1, -1]]
 
-    def test_fraction_entries(self):
-        ker = exact_nullspace([[F(1, 2), F(1, 3)]])
-        assert ker == [[2, -3]]
-
     def test_random_kernel_vectors_annihilate(self):
         rng = random.Random(2718)
         for _ in range(15):
             rows = rng.randint(2, 6)
             cols = rng.randint(2, 6)
-            m = [[F(rng.randint(-5, 5)) for _ in range(cols)] for _ in range(rows)]
+            m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             basis = exact_nullspace(m)
             for vec in basis:
                 for row in m:
@@ -120,7 +117,40 @@ class TestExactNullspace:
             assert len(basis) <= cols
 
 
+def fraction_matrix_kernel(u, v, s, rows):
+    """Reference kernel: the coefficient matrix of u^i v^j as Fractions,
+    each row scaled to integers by the lcm of its denominators."""
+    prods = [(i, j, u ** i * v ** j) for i in range(s + 1) for j in range(s + 1)]
+    denom = math.lcm(*(p.denom for _, _, p in prods))
+    base = min(
+        min(p.coeffs) * (denom // p.denom) for _, _, p in prods if not p.is_zero()
+    )
+    matrix = []
+    for e in range(base, base + rows):
+        row = [p.coefficient(F(e, denom)) for _, _, p in prods]
+        den = math.lcm(*(x.denominator for x in row))
+        matrix.append([int(x * den) for x in row])
+    return exact_nullspace(matrix)
+
+
 class TestBuildCoeffMatrix:
+    def test_rational_columns_match_row_scaled_fractions(self):
+        # u has halves and v thirds, so u^i v^j has scale 2^i 3^j
+        u = PuiseuxSeries.from_pairs([(1, F(1, 2)), (2, 1), (5, -3)], order=40)
+        v = u * u * F(4, 3)
+        m, cols, base, denom = build_coeff_matrix(u, v, 2, 19)
+        assert [(u ** i * v ** j).scale for i, j in cols] == [
+            2 ** i * 3 ** j for i, j in cols
+        ]
+        assert all(isinstance(x, int) for row in m for x in row)
+        ker = exact_nullspace(m)
+        assert ker == fraction_matrix_kernel(u, v, 2, 19)
+        relation = BivarIntPoly.normalized([(0, 1, 3), (2, 0, -4)])
+        assert relation in [
+            BivarIntPoly.normalized([(i, j, c) for (i, j), c in zip(cols, vec)])
+            for vec in ker
+        ]
+
     def test_constant_inputs(self):
         one = PuiseuxSeries.constant(1)
         m, cols, base, denom = build_coeff_matrix(one, one, 1, 5)

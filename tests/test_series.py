@@ -269,10 +269,11 @@ def unit_operands(draw):
 
 
 @st.composite
-def product_operands(draw):
-    """Series on the 1, 1/2, 1/5 or 1/96 grid: negative exponents, rational
-    and negative coefficients, exact or truncated, possibly zero to their
-    bound, and strided terms above an offset valuation (q^delta * theta)."""
+def series_arguments(draw):
+    """(denom, coeffs, hi) on the 1, 1/2, 1/5 or 1/96 grid: negative
+    exponents, rational, zero and negative coefficients, exact or truncated,
+    possibly zero to the bound, and strided terms above an offset valuation
+    (q^delta * theta)."""
     denom = draw(st.sampled_from([1, 2, 5, 96]))
     lead = draw(st.integers(-3 * denom, 3 * denom))
     stride = draw(st.sampled_from([1, 2, 3, denom, 2 * denom]))
@@ -283,9 +284,65 @@ def product_operands(draw):
     offsets = draw(st.lists(st.integers(0, 40), max_size=25))
     coeffs = {lead + stride * j: draw(coeff) for j in offsets}
     if draw(st.booleans()):
-        return PuiseuxSeries(denom, coeffs, None)
+        return denom, coeffs, None
     span = 40 * stride
-    return PuiseuxSeries(denom, coeffs, lead + draw(st.integers(1, span)))
+    return denom, coeffs, lead + draw(st.integers(1, span))
+
+
+def product_operands():
+    return series_arguments().map(lambda args: PuiseuxSeries(*args))
+
+
+def fraction_normalized(denom, coeffs, hi):
+    """Reference normalisation of a Fraction-valued series: drop terms at or
+    above hi and zero terms, then move to the coarsest grid carrying the
+    rest."""
+    cleaned = {}
+    for k, c in coeffs.items():
+        if hi is not None and k >= hi:
+            continue
+        c = F(c)
+        if c:
+            cleaned[int(k)] = c
+    g = denom
+    for k in cleaned:
+        g = gcd(g, k)
+    if g > 1:
+        cleaned = {k // g: c for k, c in cleaned.items()}
+        if hi is not None:
+            hi = -((-hi) // g)
+        denom //= g
+    return denom, cleaned, hi
+
+
+nonzero_scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+).filter(bool)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(series_arguments())
+    def test_matches_fraction_normalization(self, args):
+        got = PuiseuxSeries(*args)
+        assert (got.denom, got.coeffs, got.hi) == fraction_normalized(*args)
+        assert gcd(got.scale, *got.nums.values()) == 1
+        assert all(got.nums.values())
+        if got.is_zero():
+            assert got.scale == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands(), nonzero_scalars)
+    def test_scalar_round_trip(self, x, c):
+        y = (x * c) * (1 / F(c))
+        assert y == x
+        assert hash(y) == hash(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands())
+    def test_json_round_trip(self, x):
+        assert PuiseuxSeries.from_json_obj(x.to_json_obj()) == x
 
 
 class TestKroneckerProduct:
