@@ -5,7 +5,7 @@ Subcommands: ``eval`` (numeric values), ``series`` (exact expansions),
 ``verify`` (catalog runs with JSON reports).  Rationals are passed as
 "num/den" strings or decimal literals; exact paths never touch binary
 floats.  Exit codes: 0 all requested checks pass, 1 verification failures
-present, 2 usage or domain errors.
+present, 2 usage, domain or file errors.
 """
 
 from __future__ import annotations
@@ -219,8 +219,9 @@ def _cmd_verify(args) -> int:
     _require(args.order >= MIN_ORDER, f"--order must be at least {MIN_ORDER}")
     rs = tuple(parse_rational(tok) for tok in args.rs.split(","))
     _require(all(r > 0 for r in rs), "all r values must be positive")
+    _require(args.jobs is None or args.jobs >= 1, "--jobs must be at least 1")
     if args.all:
-        jobs = args.jobs if args.jobs else min(4, os.cpu_count() or 1)
+        jobs = args.jobs or min(4, os.cpu_count() or 1)
         report = catalog.verify_all(digits=digits, M=args.order, r_list=rs, jobs=jobs)
         entries = report.entries
     else:
@@ -328,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        UsageError, ValueError, KeyError, mining.MiningError, CertificationError
+        UsageError, ValueError, KeyError, OSError, mining.MiningError,
+        CertificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,6 +154,10 @@ class ABinding:
     power: int
     qscale: Fraction = Fraction(1)
 
+    def __post_init__(self):
+        if self.qscale <= 0:
+            raise ValueError("qscale must be positive")
+
     def series(self, q_order: Fraction) -> PuiseuxSeries:
         inner = Fraction(q_order) / self.qscale
         base = rescale(A_series(self.spec, inner + 2), self.qscale)

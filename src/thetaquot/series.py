@@ -12,8 +12,9 @@ the smallest stored key are known to be zero.
 All arithmetic computes the tightest sound truncation bound for the result
 rather than assuming the operands share one.  A product is computed by
 Kronecker substitution: each factor becomes one big integer and CPython's
-big-int multiply does the convolution.  Inverses and square roots are
-Newton iterations on such products.
+big-int multiply does the convolution.  Inverses, square roots and
+exponentials are Newton iterations on series values, so ``__mul__`` computes
+and cuts every product.
 """
 
 from __future__ import annotations
@@ -135,21 +136,6 @@ def _int_product(
         if c:
             out[base + m * stride] = c
     return out
-
-
-def _kronecker_product(
-    a: Mapping[int, Rat], b: Mapping[int, Rat], hi: int | None
-) -> dict[int, Rat]:
-    """Rational coefficients of a product below grid index ``hi``: the
-    integer kernel on both factors scaled by their common denominators.
-    Values are ints when both factors have integer coefficients."""
-    ia, scale_a = _integer_terms(a)
-    ib, scale_b = _integer_terms(b)
-    scale = scale_a * scale_b
-    return {
-        k: c if scale == 1 else Fraction(c, scale)
-        for k, c in _int_product(ia, ib, hi).items()
-    }
 
 
 class PuiseuxSeries:
@@ -515,16 +501,6 @@ def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
     return want
 
 
-def _relative_terms(u: PuiseuxSeries, n_rel: int) -> tuple[int, dict[int, Fraction]]:
-    """Leading grid index of u and its terms below n_rel relative to it."""
-    alpha = min(u.nums)
-    return alpha, {k - alpha: c for k, c in u.coeffs.items() if k - alpha < n_rel}
-
-
-def _cut(terms: Mapping[int, Rat], n: int) -> dict[int, Rat]:
-    return {k: c for k, c in terms.items() if k < n}
-
-
 def _newton_lengths(n: int) -> list[int]:
     """Known lengths of a Newton iteration that starts from one term and
     at most doubles it each step until n terms are known."""
@@ -533,6 +509,13 @@ def _newton_lengths(n: int) -> list[int]:
         out.append(n)
         n = (n + 1) // 2
     return out[::-1]
+
+
+def _rebound(x: PuiseuxSeries, n: int) -> PuiseuxSeries:
+    """A Newton iterate on grid 1, claimed known below n.  The step that
+    follows makes every term below n right, and with this bound the
+    products' own bounds cut each operand where the step needs it."""
+    return PuiseuxSeries._make(1, x.nums, x.scale, n)
 
 
 def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
@@ -544,17 +527,19 @@ def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
     n_rel = _resolve_rel_length(u, order, "inversion")
-    alpha, a = _relative_terms(u, n_rel)
+    # u over its leading monomial on grid 1, which never coarsens, so the
+    # grid indices stay put
+    alpha = min(u.nums)
+    a = PuiseuxSeries._make(
+        1, {k - alpha: c for k, c in u.nums.items()}, u.scale, n_rel
+    )
     # Newton: when b = 1/a below m, b + b (1 - a b) = 1/a below 2m
-    b: dict[int, Rat] = {0: 1 / a[0]}
-    m = 1
+    b = PuiseuxSeries.constant(Fraction(u.scale, u.nums[alpha]))
     for n in _newton_lengths(n_rel):
-        ab = _kronecker_product(_cut(a, n), b, n)
-        err = {k: -c for k, c in ab.items() if k >= m}
-        b.update(_kronecker_product(_cut(b, n - m), err, n))
-        m = n
-    coeffs = {k - alpha: c for k, c in b.items()}
-    return PuiseuxSeries(u.denom, coeffs, n_rel - alpha)
+        b = _rebound(b, n)
+        b = b + b * (1 - a * b)
+    nums = {k - alpha: c for k, c in b.nums.items()}
+    return PuiseuxSeries._make(u.denom, nums, b.scale, n_rel - alpha)
 
 
 def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
@@ -570,23 +555,21 @@ def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     if u.hi is None and order is None:
         raise ValueError("exp of an exact series needs an explicit truncation order")
     hi = u.hi if order is None else _min_bound(u.hi, _grid_bound(order, u.denom))
-    n = hi  # result knowledge: grid indices [0, hi)
-    if n < 1:
+    if hi < 1:
         raise ValueError("exp target order leaves no computable terms")
-    w = [Fraction(0)] * n
-    for k, c in u.coeffs.items():
-        if 0 < k < n:
-            w[k] = c
-    # f' = u' f, coefficient recurrence m*f_m = sum_j (j*w_j) f_{m-j}
-    f = [Fraction(0)] * n
-    f[0] = Fraction(1)
-    for m in range(1, n):
-        s = Fraction(0)
-        for j in range(1, m + 1):
-            if w[j]:
-                s += j * w[j] * f[m - j]
-        f[m] = s / m
-    return PuiseuxSeries(u.denom, {m: f[m] for m in range(n) if f[m]}, n)
+    w = PuiseuxSeries._make(1, u.nums, u.scale, hi)
+    # Newton: when f = exp(w) below m, f + f (w - log f) = exp(w) below 2m,
+    # where log f is the integral of f'/f
+    f = PuiseuxSeries.constant(1)
+    for n in _newton_lengths(hi):
+        f = _rebound(f, n)
+        df = {k - 1: k * c for k, c in f.nums.items()}
+        g = PuiseuxSeries._make(1, df, f.scale, n - 1) * invert_unit(f)
+        # integrate g = f'/f over the common denominator of the 1/(k+1)
+        lcm = math.lcm(*(k + 1 for k in g.nums))
+        log_f = {k + 1: c * (lcm // (k + 1)) for k, c in g.nums.items()}
+        f = f + f * (w - PuiseuxSeries._make(1, log_f, g.scale * lcm, n))
+    return PuiseuxSeries._make(u.denom, f.nums, f.scale, hi)
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction | None:
@@ -610,24 +593,24 @@ def sqrt_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
             return PuiseuxSeries.zero()
         raise ValueError("sqrt of a series that is zero to its bound is undetermined")
     n_rel = _resolve_rel_length(u, order, "sqrt")
-    alpha, a = _relative_terms(u, n_rel)
-    c = a[0]
+    alpha = min(u.nums)
+    c = Fraction(u.nums[alpha], u.scale)
     root = _fraction_sqrt(c)
     if root is None:
         raise ValueError(f"leading coefficient {c} is not the square of a rational")
-    a = {k: x / c for k, x in a.items()}
+    # a = u / (c q^alpha) on grid 1, as in invert_unit; c > 0 here
+    a = PuiseuxSeries._make(
+        1, {k - alpha: x for k, x in u.nums.items()}, u.nums[alpha], n_rel
+    )
     # Newton for r = a^(-1/2): when r is right below m,
     # r + r (1 - a r^2) / 2 is right below 2m; then sqrt(a) = a r
-    r: dict[int, Rat] = {0: 1}
-    m = 1
+    r = PuiseuxSeries.constant(1)
     for n in _newton_lengths(n_rel):
-        ar2 = _kronecker_product(_cut(a, n), _kronecker_product(r, r, n), n)
-        err = {k: Fraction(-x, 2) for k, x in ar2.items() if k >= m}
-        r.update(_kronecker_product(_cut(r, n - m), err, n))
-        m = n
-    g = _kronecker_product(a, r, n_rel)
-    coeffs = {2 * k + alpha: root * x for k, x in g.items()}
-    return PuiseuxSeries(2 * u.denom, coeffs, 2 * n_rel + alpha)
+        r = _rebound(r, n)
+        r = r + r * (1 - a * (r * r)) * Fraction(1, 2)
+    g = a * r * root
+    nums = {2 * k + alpha: x for k, x in g.nums.items()}
+    return PuiseuxSeries._make(2 * u.denom, nums, g.scale, 2 * n_rel + alpha)
 
 
 def rescale(u: PuiseuxSeries, s: Rat) -> PuiseuxSeries:

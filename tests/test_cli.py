@@ -122,6 +122,15 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--fn", "theta", "--order", "5")
         assert code == 2
 
+    def test_unwritable_json_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "m.json"
+        code, _, err = run(
+            capsys, "series", "--fn", "m", "--order", "5", "--json", str(path)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestMine:
     def test_writes_schema_conformant_relation(self, capsys, tmp_path):
@@ -155,6 +164,15 @@ class TestMine:
         )
         assert code == 2
         assert err.startswith("error: no certified integer relation of degree <= 1")
+
+    @pytest.mark.parametrize("qscale", ["0", "-1"])
+    def test_non_positive_qscale_is_usage_error(self, capsys, qscale):
+        code, _, err = run(
+            capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
+            "--max-degree", "3", "--order", "70", "--qscale", qscale,
+        )
+        assert code == 2
+        assert err == "error: qscale must be positive\n"
 
     def test_rows_below_floor_is_usage_error(self, capsys):
         code, _, err = run(
@@ -211,6 +229,13 @@ class TestVerify:
         assert err.startswith(
             "error: singular modulus certification failed at r=1/1000: residual "
         )
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_non_positive_jobs_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--all", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be at least 1\n"
 
     def test_bad_rs_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "eq13", "--rs", "-1")

@@ -404,6 +404,12 @@ class TestRelationFile:
         assert "qscale" not in ABinding(ThetaSpec(1, 4), 12).to_json_obj()
         assert ABinding.from_json_obj(b.to_json_obj()) == b
 
+    @pytest.mark.parametrize("qscale", ["0", "-1/2"])
+    def test_non_positive_qscale_rejected(self, qscale):
+        obj = {"a": "1", "p": "5", "power": 15, "qscale": qscale}
+        with pytest.raises(ValueError, match="qscale must be positive"):
+            ABinding.from_json_obj(obj)
+
 
 class TestVBindings:
     @pytest.mark.parametrize(

@@ -196,6 +196,34 @@ def schoolbook_sqrt(u, order=None):
     return PuiseuxSeries(2 * u.denom, coeffs, 2 * n_rel + alpha)
 
 
+def schoolbook_exp(u, order=None):
+    """Reference exp: the recurrence m f_m = sum_j j w_j f_(m-j) from f' = u' f."""
+    if not u.coeffs:
+        if u.hi is None:
+            return PuiseuxSeries.constant(1)
+        if u.hi <= 0:
+            raise ValueError("exp needs knowledge of the constant term")
+        return PuiseuxSeries(u.denom, {0: F(1)}, u.hi)
+    if min(u.coeffs) <= 0:
+        raise ValueError("exp requires a strictly positive leading exponent")
+    if u.hi is None and order is None:
+        raise ValueError("exp of an exact series needs an explicit truncation order")
+    n = -((-F(order) * u.denom) // 1) if order is not None else u.hi
+    if u.hi is not None:
+        n = min(n, u.hi)
+    if n < 1:
+        raise ValueError("exp target order leaves no computable terms")
+    w = [F(0)] * n
+    for k, c in u.coeffs.items():
+        if 0 < k < n:
+            w[k] = c
+    f = [F(0)] * n
+    f[0] = F(1)
+    for m in range(1, n):
+        f[m] = sum((j * w[j] * f[m - j] for j in range(1, m + 1) if w[j]), F(0)) / m
+    return PuiseuxSeries(u.denom, {m: f[m] for m in range(n)}, n)
+
+
 def eta_product_loop(scale, order):
     """Reference eta: multiply out (1 - q^(n*scale)) one factor at a time."""
     scale = F(scale)
@@ -266,6 +294,24 @@ def unit_operands(draw):
         return PuiseuxSeries(denom, coeffs, None), order
     u = PuiseuxSeries(denom, coeffs, lead + draw(st.integers(1, 70)))
     return u, draw(st.sampled_from([None, order]))
+
+
+@st.composite
+def exp_operands(draw):
+    """A series on the 1, 1/2, 1/5 or 1/96 grid with a (mostly) positive
+    valuation and strided rational terms, exact or truncated, with an order
+    argument that may be None, may leave no terms, or may be omitted for an
+    exact series."""
+    denom = draw(st.sampled_from([1, 2, 5, 96]))
+    lead = draw(st.integers(-1, 3 * denom))
+    stride = draw(st.sampled_from([1, 2, 3, denom]))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool)
+    offsets = draw(st.lists(st.integers(1, 30), max_size=12))
+    coeffs = {lead + stride * j: draw(coeff) for j in offsets}
+    coeffs[lead] = draw(coeff)
+    order = draw(st.sampled_from([None, F(draw(st.integers(-2, 70)), denom)]))
+    hi = draw(st.sampled_from([None, lead + draw(st.integers(-lead, 70))]))
+    return PuiseuxSeries(denom, coeffs, hi), order
 
 
 @st.composite
@@ -439,6 +485,12 @@ class TestExpSeries:
             lhs = exp_series(u + v)
             rhs = exp_series(u) * exp_series(v)
             assert lhs.agrees_with(rhs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exp_operands())
+    def test_matches_schoolbook(self, operand):
+        u, order = operand
+        assert outcome(exp_series, u, order) == outcome(schoolbook_exp, u, order)
 
 
 class TestSqrtSeries:
