@@ -194,6 +194,7 @@ def _cmd_recognize(args) -> int:
     if args.value is not None:
         with mp.workdps(digits + GUARD):
             x = BigReal(mpmath.mpf(args.value), digits)
+        _require(mpmath.isfinite(x.value), "--value must be a finite real number")
     else:
         _require(
             args.expr == "A" and args.a is not None and args.p is not None
@@ -332,7 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         UsageError, ValueError, KeyError, OSError, mining.MiningError,
         CertificationError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -87,67 +87,64 @@ class IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact LLL
+# integral LLL (Cohen, GTM 138, Alg. 2.6.7) on full-rank integer bases
 # ---------------------------------------------------------------------------
 
 
-def _gram_schmidt(b: list[list[int]]):
-    n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for i in range(n):
-        w = [Fraction(x) for x in b[i]]
-        mu[i][i] = Fraction(1)
-        for j in range(i):
-            if norms[j]:
-                mu[i][j] = _dot(b[i], bstar[j]) / norms[j]
-                w = [w[k] - mu[i][j] * bstar[j][k] for k in range(len(w))]
-        bstar.append(w)
-        norms.append(_dot(w, w))
-    return mu, norms
-
-
-def _dot(a, b) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
-
-
 def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA) -> list[list[int]]:
-    """Integer LLL with exact rational Gram-Schmidt data (Lovasz parameter
-    delta), maintained incrementally across size reductions and swaps.
-    Suitable for the small dimensions used here."""
+    """LLL-reduce a full-rank integer basis (Lovasz parameter delta) with
+    Cohen's integral algorithm (GTM 138, Alg. 2.6.7).
+
+    The Gram-Schmidt data are kept exactly as integers: d[0] = 1,
+    d[i+1] = B_0*...*B_i with B_i = |b_i*|^2, and lam[i][j] = d[j+1]*mu_ij;
+    every division is exact.  Each step size-reduces b_k against
+    b_{k-1}, ..., b_0, rounding mu half to even, then applies the Lovasz
+    test.  Raises ValueError when the rows are linearly dependent."""
     b = [row[:] for row in basis]
     n = len(b)
-    mu, norms = _gram_schmidt(b)
+    d = [1]
+    lam: list[list[int]] = []
+    for k in range(n):
+        row: list[int] = []
+        lam.append(row)
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - row[i] * lam[j][i]) // d[i]
+            row.append(u)
+        d.append(row.pop())
+        if not d[-1]:
+            raise ValueError("LLL input basis is not of full rank")
+    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            m = mu[k][j]
-            if abs(m) > Fraction(1, 2):
-                r = round(m)
-                b[k] = [b[k][t] - r * b[j][t] for t in range(len(b[k]))]
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                r, rem = divmod(lk[j], dj)
+                if 2 * rem > dj or (2 * rem == dj and r & 1):
+                    r += 1
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lj = lam[j]
                 for t in range(j):
-                    mu[k][t] -= r * mu[j][t]
-                mu[k][j] -= r
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lk[t] -= r * lj[t]
+                lk[j] -= r * dj
+        m = lk[k - 1]
+        g = d[k + 1] * d[k - 1] + m * m  # d[k-1] d[k] (B_k + mu^2 B_{k-1})
+        if den * g >= num * d[k] * d[k]:
             k += 1
             continue
-        # swap b_{k-1} and b_k, updating the GSO data in place
-        m = mu[k][k - 1]
-        bk1_new = norms[k] + m * m * norms[k - 1]
-        if not bk1_new:
-            raise ValueError("LLL input basis is not of full rank")
-        mu_new = m * norms[k - 1] / bk1_new
-        norms[k] = norms[k - 1] * norms[k] / bk1_new
-        norms[k - 1] = bk1_new
+        # swap b_{k-1} and b_k; the divisions below are exact
+        dk = g // d[k]
         b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        mu[k][k - 1] = mu_new
+        lam[k - 1], lam[k] = lk[:-1], lam[k - 1] + [m]
         for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu_new * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (dk * t + m * li[k]) // d[k + 1]
+        d[k] = dk
         k = max(k - 1, 1)
     return b
 
@@ -199,7 +196,7 @@ def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
             row[i] = 1
             basis.append(row)
         reduced = lll_reduce(basis)
-        ranked = sorted(reduced, key=lambda r: _dot(r, r))
+        ranked = sorted(reduced, key=lambda r: sum(x * x for x in r))
         for vec in ranked:
             cs = vec[: d + 1]
             if not any(cs) or not any(cs[1:]):

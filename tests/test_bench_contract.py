@@ -3,10 +3,12 @@ exist, or every benchmark job fails while the rest of the suite passes."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
+from thetaquot.recognize import lll_reduce
 from thetaquot.series import PuiseuxSeries
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -54,3 +56,8 @@ def test_module_attribute_exists(module, name):
 def test_series_attribute_exists(name):
     x = PuiseuxSeries.from_pairs([(0, 1), ("1/2", "-1/3")], order=3)
     assert hasattr(x, name)
+
+
+def test_lll_reduce_takes_basis():
+    # the tracer's lll_reduce hook reads the lattice as kwargs["basis"]
+    assert "basis" in inspect.signature(lll_reduce).parameters

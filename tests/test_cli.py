@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from thetaquot.catalog import catalog_ids
 from thetaquot.cli import main, parse_rational, UsageError
 from thetaquot.mining import MinedRelation
 from thetaquot.series import PuiseuxSeries
@@ -195,7 +196,8 @@ class TestVerify:
     def test_unknown_entry_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--entry", "zzz", "--rs", "1")
         assert code == 2
-        assert "unknown catalog entry" in err
+        known = ", ".join(catalog_ids())
+        assert err == f"error: unknown catalog entry 'zzz'; known ids: {known}\n"
 
     def test_flagged_entry_alone_exits_zero(self, capsys):
         # a documented discrepancy is not an unexpected failure
@@ -258,6 +260,16 @@ class TestRecognizeCommand:
         )
         assert code == 0
         assert 'polynomial "2*x - 1"' in out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_value_is_usage_error(self, capsys, value):
+        code, out, err = run(
+            capsys, "recognize", f"--value={value}", "--max-degree", "2",
+            "--digits", "40",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --value must be a finite real number\n"
 
     def test_not_found_exit_code(self, capsys):
         code, out, _ = run(

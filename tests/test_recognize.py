@@ -6,10 +6,18 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from thetaquot.numeric import BigReal, big_real, eval_A, nome_from_r
-from thetaquot.recognize import IntPoly, NotFound, recognize, recognize_rational
+from thetaquot.numeric import GUARD, BigReal, big_real, eval_A, nome_from_r
+from thetaquot.recognize import (
+    IntPoly,
+    NotFound,
+    lll_reduce,
+    recognize,
+    recognize_rational,
+)
 from thetaquot.series import ThetaSpec
 
 
@@ -34,6 +42,153 @@ class TestIntPoly:
         p = IntPoly.normalized([-2, 0, 0, 0, 0, 0, 1])
         assert p.to_json_obj() == ["-2", "0", "0", "0", "0", "0", "1"]
         assert IntPoly.from_json_obj(p.to_json_obj()) == p
+
+
+def _gram_schmidt(b):
+    n = len(b)
+    mu = [[F(0)] * n for _ in range(n)]
+    bstar = []
+    norms = []
+    for i in range(n):
+        w = [F(x) for x in b[i]]
+        mu[i][i] = F(1)
+        for j in range(i):
+            if norms[j]:
+                mu[i][j] = _dot(b[i], bstar[j]) / norms[j]
+                w = [w[k] - mu[i][j] * bstar[j][k] for k in range(len(w))]
+        bstar.append(w)
+        norms.append(_dot(w, w))
+    return mu, norms
+
+
+def _dot(a, b):
+    return sum((F(x) * y for x, y in zip(a, b)), F(0))
+
+
+def fraction_lll(basis, delta):
+    """Reference LLL on rational Gram-Schmidt data, updated in place across
+    size reductions and swaps (the recognizer's original implementation)."""
+    b = [row[:] for row in basis]
+    n = len(b)
+    mu, norms = _gram_schmidt(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            m = mu[k][j]
+            if abs(m) > F(1, 2):
+                r = round(m)
+                b[k] = [b[k][t] - r * b[j][t] for t in range(len(b[k]))]
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+                mu[k][j] -= r
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+            continue
+        m = mu[k][k - 1]
+        bk1_new = norms[k] + m * m * norms[k - 1]
+        mu_new = m * norms[k - 1] / bk1_new
+        norms[k] = norms[k - 1] * norms[k] / bk1_new
+        norms[k - 1] = bk1_new
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        mu[k][k - 1] = mu_new
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu_new * mu[i][k]
+        k = max(k - 1, 1)
+    return b
+
+
+def _det(rows):
+    a = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+DELTAS = st.sampled_from([F(3, 4), F(99, 100)])
+
+
+@st.composite
+def full_rank_bases(draw):
+    n = draw(st.integers(2, 7))
+    cols = n + draw(st.integers(0, 2))
+    bound = 10 ** draw(st.sampled_from([1, 3, 10, 30]))
+    entry = st.integers(-bound, bound)
+    basis = [[draw(entry) for _ in range(cols)] for _ in range(n)]
+    assume(all(_gram_schmidt(basis)[1]))
+    return basis
+
+
+@st.composite
+def tie_bases(draw):
+    """Lower-triangular bases: b_j* = L[j][j] e_j, so mu_ij = L[i][j]/L[j][j].
+    Even diagonals with entries h*L[j][j]/2, h in {-3, -1, 1, 3}, start the
+    reduction on exact ties mu = +-1/2 and +-3/2."""
+    n = draw(st.integers(2, 7))
+    half = [draw(st.integers(1, 10 ** 6)) for _ in range(n)]
+    tie = st.sampled_from([-3, -1, 1, 3])
+    basis = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 2 * half[i]
+        for j in range(i):
+            if draw(st.booleans()):
+                row[j] = draw(tie) * half[j]
+            else:
+                row[j] = draw(st.integers(-(10 ** 7), 10 ** 7))
+        basis.append(row)
+    perm = draw(st.permutations(range(n)))
+    return [[row[c] for c in perm] for row in basis]
+
+
+class TestLLL:
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_bases(), DELTAS)
+    def test_matches_fraction_lll(self, basis, delta):
+        assert lll_reduce(basis, delta) == fraction_lll(basis, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_bases(), DELTAS)
+    def test_matches_fraction_lll_on_ties(self, basis, delta):
+        assert lll_reduce(basis, delta) == fraction_lll(basis, delta)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [[[0, 0], [1, 0]], [[1, 0], [2, 0]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]],
+    )
+    def test_rank_deficient_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="not of full rank"):
+            lll_reduce(basis)
+
+    def test_recognition_lattice_is_reduced(self):
+        digits, deg, delta = 200, 4, F(99, 100)
+        x = eval_A(ThetaSpec(1, 4), nome_from_r(5, digits), digits) ** 24
+        with mp.workdps(digits + GUARD):
+            cols = [int(mpmath.nint(10 ** digits * x.value ** i)) for i in range(deg + 1)]
+        basis = [
+            [int(i == j) for j in range(deg + 1)] + [cols[i]] for i in range(deg + 1)
+        ]
+        reduced = lll_reduce(basis, delta)
+        assert reduced == fraction_lll(basis, delta)
+        mu, norms = _gram_schmidt(reduced)
+        for i in range(1, deg + 1):
+            assert all(2 * abs(mu[i][j]) <= 1 for j in range(i))
+            assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+        # rows are U * basis, and the first deg+1 columns of basis are I
+        assert abs(_det([row[: deg + 1] for row in reduced])) == 1
 
 
 class TestRecognize:
