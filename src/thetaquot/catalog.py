@@ -37,6 +37,7 @@ from .numeric import (
     nome_from_r,
     pi_at,
     real_eval_series,
+    residual_str,
     singular_modulus,
     theta_sum,
     tolerance,
@@ -158,7 +159,7 @@ def _record(
     val = residual.value if isinstance(residual, BigReal) else residual
     val = abs(val)
     data.records.append(
-        ResidualRecord(label, digits, mpmath.nstr(val, 5), bool(val < tol))
+        ResidualRecord(label, digits, residual_str(val, digits), bool(val < tol))
     )
 
 
@@ -334,7 +335,9 @@ def _check_eq45(entry, digits, M, r_list):
             ok = bool(val < tol)
             passing[name] = passing[name] and ok
             data.records.append(
-                ResidualRecord(f"r={r} M5={name}", digits, mpmath.nstr(val, 5), ok)
+                ResidualRecord(
+                    f"r={r} M5={name}", digits, residual_str(val, digits), ok
+                )
             )
     winners = [name for name, ok in passing.items() if ok]
     if len(winners) == 1:

@@ -605,7 +605,7 @@ def validate(
                 f"numeric residual {mpmath.nstr(resid, 5)} at r={r} exceeds "
                 f"10^(-{digits}/2)"
             )
-        checks.append(NumericCheck(r, digits, mpmath.nstr(resid, 5)))
+        checks.append(NumericCheck(r, digits, numeric.residual_str(resid, digits)))
     return replace(
         rel,
         validated_grid_order=rows_needed,

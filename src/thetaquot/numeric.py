@@ -48,6 +48,7 @@ __all__ = [
     "eval_eta5",
     "real_eval_series",
     "SeriesEval",
+    "residual_str",
     "tolerance",
 ]
 
@@ -196,6 +197,15 @@ def tolerance(digits: int, guard: int = 10) -> mpf:
     """10^(-digits+guard) as a float at modest precision."""
     with mp.workdps(30):
         return mpf(10) ** (-digits + guard)
+
+
+def residual_str(value, digits: int) -> str:
+    """A residual as printed in reports: five significant digits, floored at
+    10^(-digits), so that a passing check prints the floor rather than
+    rounding noise of the working precision."""
+    with mp.workdps(30):
+        floor = mpf(10) ** (-digits)
+    return mpmath.nstr(max(abs(value), floor), 5)
 
 
 def agm(a0, b0, wdps: int) -> tuple[mpf, int]:
