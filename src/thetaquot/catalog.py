@@ -11,6 +11,7 @@ documented) and a corrected or re-mined counterpart that passes.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .series import (
     sqrt_series,
 )
 from .numeric import (
+    GUARD,
     BigReal,
     big_real,
     ellipk,
@@ -403,7 +405,9 @@ def _check_jtp(entry, digits, M, r_list):
     spec86 = ThetaSpec(8, 6)
     q = nome_from_r(1, digits)
     direct = eval_A(spec86, q, digits)
-    series_val = real_eval_series(A_series(spec86, 45), q, digits)
+    # the series is cut at q^order = e^(-pi order) below the working precision
+    order = math.ceil((digits + GUARD) * math.log(10) / math.pi)
+    series_val = real_eval_series(A_series(spec86, order), q, digits)
     tol = tolerance(digits, entry.tol_guard)
     _record(data, "(8,6) two-path r=1", digits, direct - series_val.value, tol)
     data.series_ok = bool(ok)

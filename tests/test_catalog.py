@@ -96,6 +96,14 @@ class TestSeriesEntries:
         assert rep.verdict == "pass"
         assert rep.series_order >= 200
 
+    @pytest.mark.parametrize("digits", [100, 200])
+    def test_jtp_consistency_two_paths_at_high_precision(self, digits):
+        # the (8,6) series must be long enough for the numeric two-path
+        # comparison to hold at every precision, not just 60 digits
+        rep = verify_entry("jtp_consistency", digits=digits)
+        assert rep.verdict == "pass"
+        assert [rec.residual for rec in rep.residuals] == [f"1.0e-{digits}"]
+
     def test_prefactor_consistency(self):
         rep = verify_entry("prefactor_consistency", digits=40)
         assert rep.verdict == "pass"
