@@ -275,35 +275,17 @@ class EvalPoint:
 
 
 def singular_modulus(r: Number, digits: int) -> EvalPoint:
-    """Singular modulus k_r computed from the nome via the classical theta
-    quotient, then certified against the defining period-ratio equation."""
+    """Singular modulus k_r = theta2^2 / theta3^2 at q = e^(-pi sqrt r), with
+    theta3 = theta_sum(1, 0) and theta2^2 = sqrt(q) theta_sum(1, 1)^2 (both
+    non-alternating), certified against the period-ratio equation.  A k
+    within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``."""
     wd = digits + GUARD
     q = nome_from_r(r, digits)
+    theta2 = theta_sum(1, 1, q, alternating=False)
+    theta3 = theta_sum(1, 0, q, alternating=False)
     with mp.workdps(wd):
-        qv = q.value
-        lq = mpmath.log(qv)
-        eps = mpf(10) ** (-wd)
-        # theta2 core: 2 q^(1/4) sum q^(n^2+n); theta3: 1 + 2 sum q^(n^2)
-        s2 = mpf(1)
-        n = 1
-        while True:
-            t = mpmath.exp((n * n + n) * lq)
-            s2 += t
-            if t < eps:
-                break
-            n += 1
-        s3 = mpf(1)
-        n = 1
-        while True:
-            t = 2 * mpmath.exp(n * n * lq)
-            s3 += t
-            if t < eps:
-                break
-            n += 1
-        theta2_sq = 4 * mpmath.sqrt(qv) * s2 * s2
-        theta3_sq = s3 * s3
-        kv = theta2_sq / theta3_sq
-        if kv >= 1:
+        kv = mpmath.sqrt(q.value) * (theta2.value / theta3.value) ** 2
+        if 1 - kv < mpf(10) ** (-wd):
             raise ValueError(
                 f"singular modulus k_r rounds to 1 at r={r} with {digits} digits"
             )
@@ -345,8 +327,14 @@ def theta_sum(
     digits: int | None = None,
     alternating: bool = True,
 ) -> BigReal:
-    """Bilateral sum of (+-1)^n q^(a n^2 + b n), truncated where the terms
-    drop below the working tolerance (explicit quadratic tail bound)."""
+    """Bilateral sum of (+-1)^n q^(a n^2 + b n) over |n| <= n0, the window
+    past which every term is below the working tolerance.
+
+    Each term is the last one times a ratio, walking out from n = 0 both
+    ways: q^(a n^2 + b n) = q^(a (n-1)^2 + b (n-1)) q^(a (2n-1) +- b), and
+    each ratio is the last one times q^(2a).  So a call costs three exps,
+    and the rounding of the walk grows only linearly in n0.
+    """
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0:
@@ -363,14 +351,16 @@ def theta_sum(
         need = wd / (-lq / mpmath.log(10))
         af, bf = float(a), abs(float(b))
         n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
-        total = mpf(0)
-        for n in range(-n0, n0 + 1):
-            e = a * n * n + b * n
-            term = mpmath.exp(mpf(e.numerator) / e.denominator * lq)
-            if alternating and n % 2 != 0:
-                total -= term
-            else:
+        la, lb = lq * a.numerator / a.denominator, lq * b.numerator / b.denominator
+        step = mpmath.exp(2 * la)
+        total = mpf(1)
+        for lc in (lb, -lb):  # n = 1..n0, then n = -1..-n0
+            ratio = -mpmath.exp(la + lc) if alternating else mpmath.exp(la + lc)
+            term = mpf(1)
+            for _ in range(n0):
+                term *= ratio
                 total += term
+                ratio *= step
         return BigReal(total, digits)
 
 
@@ -379,30 +369,27 @@ def eval_theta(a, b, q: BigReal, digits: int | None = None) -> BigReal:
 
 
 def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
-    """prod_{n>=1} (1 - q^(np)) with the tail cut once q^(np) is below the
-    working tolerance."""
+    """prod_{n>=1} (1 - q^(np)), summed by Euler's pentagonal theorem as
+    theta_sum(3p/2, -p/2, q).
+
+    The largest term of that sum is 1 while the product can be tiny as
+    q -> 1, so the sum runs with extra digits covering the cancellation:
+    -ln prod = sum_m 1/(m (e^(tm) - 1)) <= pi^2/(6t) with t = -p ln q.
+    """
     p = Fraction(p)
     if p <= 0:
         raise ValueError("eta scale must be positive")
     if digits is None:
         digits = q.digits
-    wd = digits + GUARD
     qv = q.value
     if not (0 < qv < 1):
         raise ValueError("eta evaluation requires 0 < q < 1")
-    with mp.workdps(wd):
-        lq = mpmath.log(qv)
-        eps = mpf(10) ** (-wd)
-        total = mpf(1)
-        n = 1
-        while True:
-            e = p * n
-            term = mpmath.exp(mpf(e.numerator) / e.denominator * lq)
-            if term < eps:
-                break
-            total *= 1 - term
-            n += 1
-        return BigReal(total, digits)
+    with mp.workdps(30):
+        t = -mpf(p.numerator) / p.denominator * mpmath.log(qv)
+        cancel = int(mpmath.ceil(mp.pi ** 2 / (6 * t * mpmath.log(10))))
+    total = theta_sum(3 * p / 2, -p / 2, q, digits + cancel)
+    with mp.workdps(digits + GUARD):
+        return BigReal(+total.value, digits)
 
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:

@@ -44,8 +44,6 @@ __all__ = [
     "nome_sqrt_exp_form",
     "h5_series",
     "eta5_series",
-    "theta3_series",
-    "theta2_half_series",
 ]
 
 
@@ -634,55 +632,35 @@ def eta_series(scale: Rat, order: Rat) -> PuiseuxSeries:
 
     This is the pure product, with no fractional power of q in front.  By
     Euler's pentagonal number theorem it is the sum over integers k of
-    (-1)^k q^(scale * k(3k-1)/2).
+    (-1)^k q^(scale * k(3k-1)/2), that is theta_series(3 scale/2, -scale/2).
     """
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("eta scale must be positive")
-    denom = scale.denominator
-    step = scale.numerator
-    hi = _grid_bound(order, denom)
-    coeffs: dict[int, int] = {}
-    k = 0
-    while k * (3 * k - 1) // 2 * step < hi:
-        sign = -1 if k % 2 else 1
-        coeffs[k * (3 * k - 1) // 2 * step] = sign
-        coeffs[k * (3 * k + 1) // 2 * step] = sign  # dropped at or above hi
-        k += 1
-    return PuiseuxSeries(denom, coeffs, hi)
+    return theta_series(3 * scale / 2, -scale / 2, order)
 
 
-def theta_series(a: Rat, b: Rat, order: Rat) -> PuiseuxSeries:
-    """Bilateral alternating sum over n of (-1)^n q^(a n^2 + b n), keeping
-    exponents below ``order``.  Requires a > 0; exponents may be negative."""
+def theta_series(
+    a: Rat, b: Rat, order: Rat, alternating: bool = True
+) -> PuiseuxSeries:
+    """Bilateral sum over n of (+-1)^n q^(a n^2 + b n), alternating in sign
+    unless ``alternating`` is false, keeping exponents below ``order``.
+    Requires a > 0; exponents may be negative."""
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0:
         raise ValueError("theta_series requires a > 0")
-    order = Fraction(order)
-    denom = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    denom = math.lcm(a.denominator, b.denominator)
+    A, B = int(a * denom), int(b * denom)
     hi = _grid_bound(order, denom)
-    coeffs: dict[int, Fraction] = {}
-
-    def emit(n: int) -> bool:
-        e = (a * n * n + b * n) * denom  # exact grid index
-        k = int(e)
-        if k >= hi:
-            return False
-        coeffs[k] = coeffs.get(k, Fraction(0)) + (1 if n % 2 == 0 else -1)
-        if coeffs[k] == 0:
-            del coeffs[k]
-        return True
-
-    vertex = -b / (2 * a)
-    n0 = math.floor(vertex)
-    n = n0
-    while emit(n):
-        n -= 1
-    n = n0 + 1
-    while emit(n):
-        n += 1
-    return PuiseuxSeries(denom, coeffs, hi)
+    nums: dict[int, int] = {}
+    # grid indices A n^2 + B n grow away from the vertex -b/(2a) both ways
+    n0 = math.floor(-b / (2 * a))
+    for n, step in ((n0, -1), (n0 + 1, 1)):
+        while (k := A * n * n + B * n) < hi:
+            nums[k] = nums.get(k, 0) + (-1 if alternating and n % 2 else 1)
+            n += step
+    return PuiseuxSeries._make(denom, nums, 1, hi)
 
 
 def _theta_min_exponent(a: Fraction, b: Fraction) -> Fraction:
@@ -762,43 +740,17 @@ def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
     return PuiseuxSeries(D, coeffs, hi * f + lead)
 
 
-def theta3_series(order: Rat) -> PuiseuxSeries:
-    """Non-alternating bilateral sum of q^(n^2)."""
-    order = Fraction(order)
-    hi = _grid_bound(order, 1)
-    coeffs = {0: Fraction(1)}
-    n = 1
-    while n * n < hi:
-        coeffs[n * n] = Fraction(2)
-        n += 1
-    return PuiseuxSeries(1, coeffs, hi)
-
-
-def theta2_half_series(order: Rat) -> PuiseuxSeries:
-    """Sum over n>=0 of q^(n^2+n): the even-weight core of the half-integer
-    theta constant (which equals 2 q^(1/4) times this series)."""
-    order = Fraction(order)
-    hi = _grid_bound(order, 1)
-    coeffs = {}
-    n = 0
-    while n * n + n < hi:
-        coeffs[n * n + n] = Fraction(1)
-        n += 1
-    return PuiseuxSeries(1, coeffs, hi)
-
-
 def modulus_series(order: Rat) -> PuiseuxSeries:
     """Squared elliptic modulus m(q) = k^2 as an exact q-series.
 
-    Built from the classical theta quotient
-    16 q (sum_{n>=0} q^(n^2+n))^4 / (sum_{n in Z} q^(n^2))^4,
-    which has integer coefficients 16q - 128q^2 + 704q^3 - ...
+    Built from the classical theta quotient q theta2^4 / theta3^4, with the
+    non-alternating theta_series(1, 1) = 2 sum_{n>=0} q^(n^2+n) standing for
+    q^(-1/4) theta2 and theta_series(1, 0) for theta3.  It has integer
+    coefficients 16q - 128q^2 + 704q^3 - ...
     """
-    order = Fraction(order)
-    s2 = theta2_half_series(order)
-    s3 = theta3_series(order)
-    m = s2 ** 4 * invert_unit(s3 ** 4)
-    return PuiseuxSeries.monomial(16, 1) * m
+    t2 = theta_series(1, 1, order, alternating=False)
+    t3 = theta_series(1, 0, order, alternating=False)
+    return PuiseuxSeries.monomial(1, 1) * (t2 ** 4 * invert_unit(t3 ** 4))
 
 
 def nome_sqrt_exp_form(order: Rat) -> PuiseuxSeries:

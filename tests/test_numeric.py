@@ -18,6 +18,7 @@ from thetaquot.series import (
     theta_series,
 )
 from thetaquot.numeric import (
+    GUARD,
     BigReal,
     big_real,
     ellipk,
@@ -273,3 +274,130 @@ class TestPrecisionScaling:
         alow = eval_A(ThetaSpec(8, 6), nome_from_r(r, digits))
         ahigh = eval_A(ThetaSpec(8, 6), nome_from_r(r, 2 * digits))
         assert abs(alow.value - ahigh.value) < mp_tol(digits, 5)
+
+
+# The evaluators below are the per-term-exp loops that theta_sum's ratio
+# recurrence replaced, kept as oracles and run 20 digits above the code
+# under test.
+
+
+def per_term_theta_sum(a, b, qv, digits, alternating=True):
+    """One exp per term over theta_sum's window |n| <= n0."""
+    a, b = F(a), F(b)
+    wd = digits + GUARD
+    with mp.workdps(wd):
+        lq = mpmath.log(qv)
+        need = wd / (-lq / mpmath.log(10))
+        af, bf = float(a), abs(float(b))
+        n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
+        total = mpmath.mpf(0)
+        for n in range(-n0, n0 + 1):
+            e = a * n * n + b * n
+            term = mpmath.exp(mpmath.mpf(e.numerator) / e.denominator * lq)
+            total += -term if (alternating and n % 2) else term
+        return total
+
+
+def product_loop_eta(p, qv, digits):
+    """prod (1 - q^(np)), cut once q^(np) is below the working tolerance."""
+    p = F(p)
+    wd = digits + GUARD
+    with mp.workdps(wd):
+        lq = mpmath.log(qv)
+        eps = mpmath.mpf(10) ** (-wd)
+        total = mpmath.mpf(1)
+        n = 1
+        while True:
+            e = p * n
+            term = mpmath.exp(mpmath.mpf(e.numerator) / e.denominator * lq)
+            if term < eps:
+                return total
+            total *= 1 - term
+            n += 1
+
+
+def inlined_theta_modulus(qv, digits):
+    """k = 4 sqrt(q) (sum_{n>=0} q^(n^2+n))^2 / (1 + 2 sum_{n>=1} q^(n^2))^2."""
+    wd = digits + GUARD
+    with mp.workdps(wd):
+        lq = mpmath.log(qv)
+        eps = mpmath.mpf(10) ** (-wd)
+        s2 = mpmath.mpf(1)
+        n = 1
+        while True:
+            t = mpmath.exp((n * n + n) * lq)
+            s2 += t
+            if t < eps:
+                break
+            n += 1
+        s3 = mpmath.mpf(1)
+        n = 1
+        while True:
+            t = 2 * mpmath.exp(n * n * lq)
+            s3 += t
+            if t < eps:
+                break
+            n += 1
+        return 4 * mpmath.sqrt(qv) * s2 * s2 / (s3 * s3)
+
+
+def assert_relative(got, want, digits):
+    with mp.workdps(digits + GUARD + 20):
+        assert abs(got - want) <= mpmath.mpf(10) ** (-digits) * abs(want)
+
+
+ORACLE_RS = [F(1, 200), F(1, 4), 1, 5, 250]
+ORACLE_DIGITS = [20, 60, 400]
+
+
+class TestRatioRecurrenceOracles:
+    @pytest.mark.parametrize("digits", ORACLE_DIGITS)
+    @pytest.mark.parametrize("r", ORACLE_RS, ids=str)
+    @pytest.mark.parametrize(
+        "a, b, alternating",
+        [
+            (1, 0, False),
+            (1, 1, False),
+            (1, 2, False),
+            (F(5, 2), F(-1, 3), False),
+            (2, 1, True),
+            (3, -5, True),
+            (F(1, 2), F(1, 3), True),
+        ],
+        ids=str,
+    )
+    def test_theta_sum(self, a, b, alternating, r, digits):
+        q = nome_from_r(r, digits)
+        got = theta_sum(a, b, q, alternating=alternating)
+        assert got.digits == digits
+        want = per_term_theta_sum(a, b, q.value, digits + 20, alternating)
+        assert_relative(got.value, want, digits)
+
+    @pytest.mark.parametrize("digits", ORACLE_DIGITS)
+    @pytest.mark.parametrize("r", ORACLE_RS, ids=str)
+    @pytest.mark.parametrize("p", [1, F(1, 5), 4], ids=str)
+    def test_eval_eta(self, p, r, digits):
+        q = nome_from_r(r, digits)
+        got = eval_eta(p, q)
+        assert got.digits == digits
+        assert_relative(got.value, product_loop_eta(p, q.value, digits + 20), digits)
+
+    @pytest.mark.parametrize("digits", ORACLE_DIGITS)
+    @pytest.mark.parametrize("r", ORACLE_RS, ids=str)
+    def test_singular_modulus(self, r, digits):
+        ep = singular_modulus(r, digits)
+        want = inlined_theta_modulus(ep.q.value, digits + 20)
+        assert_relative(ep.k.value, want, digits)
+
+    @pytest.mark.parametrize("qtext", ["0.99", "0.999"])
+    def test_eval_eta_near_one(self, qtext):
+        # every Euler-sum term is at most 1 while eta(0.999) is 7.4e-713, so
+        # the sum must run with that many extra digits
+        digits = 60
+        with mp.workdps(digits + GUARD):
+            q = BigReal(mpmath.mpf(qtext), digits)
+        got = eval_eta(1, q)
+        with mp.workdps(digits + 20):
+            want = mpmath.qp(q.value)
+        assert_relative(got.value, want, digits)
+        assert got.nstr(digits) == BigReal(want, digits).nstr(digits)

@@ -266,6 +266,63 @@ def binomial_loop_product(spec, order):
     return PuiseuxSeries.monomial(1, spec.delta) * acc
 
 
+def fraction_theta_loop(a, b, order):
+    """Reference alternating theta series: Fraction exponents emitted from
+    the vertex outward, colliding terms accumulated."""
+    a, b, order = F(a), F(b), F(order)
+    if a <= 0:
+        raise ValueError("theta_series requires a > 0")
+    denom = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    hi = math.ceil(order * denom)
+    coeffs = {}
+
+    def emit(n):
+        k = int((a * n * n + b * n) * denom)
+        if k >= hi:
+            return False
+        coeffs[k] = coeffs.get(k, F(0)) + (1 if n % 2 == 0 else -1)
+        if coeffs[k] == 0:
+            del coeffs[k]
+        return True
+
+    n0 = math.floor(-b / (2 * a))
+    n = n0
+    while emit(n):
+        n -= 1
+    n = n0 + 1
+    while emit(n):
+        n += 1
+    return PuiseuxSeries(denom, coeffs, hi)
+
+
+def theta3_loop(order):
+    """Reference sum over n in Z of q^(n^2)."""
+    hi = math.ceil(F(order))
+    coeffs = {0: F(1)}
+    n = 1
+    while n * n < hi:
+        coeffs[n * n] = F(2)
+        n += 1
+    return PuiseuxSeries(1, coeffs, hi)
+
+
+def theta2_half_loop(order):
+    """Reference sum over n >= 0 of q^(n^2 + n)."""
+    hi = math.ceil(F(order))
+    coeffs = {}
+    n = 0
+    while n * n + n < hi:
+        coeffs[n * n + n] = F(1)
+        n += 1
+    return PuiseuxSeries(1, coeffs, hi)
+
+
+theta_orders = st.one_of(
+    st.sampled_from([F(0), F(-1), F(-1, 2), F(1, 7), F(1), F(37, 3)]),
+    st.fractions(min_value=-3, max_value=120, max_denominator=12),
+)
+
+
 def outcome(fn, *args):
     """A constructor's (denom, coeffs, hi), or its ValueError message."""
     try:
@@ -625,6 +682,42 @@ class TestThetaSeries:
         # exponents collide in pairs with opposite signs when -b/a is 1
         assert theta_series(1, 1, 25).is_zero()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-1, max_value=6, max_denominator=6),
+        st.fractions(min_value=-12, max_value=12, max_denominator=10),
+        theta_orders,
+    )
+    def test_matches_fraction_loop(self, a, b, order):
+        # integer grid indices A n^2 + B n against Fraction exponents
+        assert outcome(theta_series, a, b, order) == outcome(
+            fraction_theta_loop, a, b, order
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta_orders)
+    def test_non_alternating_theta_constants(self, order):
+        t3 = theta_series(1, 0, order, alternating=False)
+        t2 = theta_series(1, 1, order, alternating=False)
+        assert outcome(lambda: t3) == outcome(theta3_loop, order)
+        assert outcome(lambda: t2) == outcome(lambda: theta2_half_loop(order) * 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+        st.fractions(min_value=-12, max_value=12, max_denominator=10),
+        theta_orders,
+    )
+    def test_non_alternating_is_the_absolute_series(self, a, b, order):
+        # the alternating sum with every coefficient's sign dropped, except
+        # where two exponents collide, which the signed sum may cancel
+        plain = theta_series(a, b, order, alternating=False)
+        signed = theta_series(a, b, order)
+        assert all(c > 0 for c in plain.nums.values())
+        if (b / a).denominator != 1:  # no colliding exponents
+            assert plain.hi == signed.hi
+            assert plain.coeffs == {k: abs(c) for k, c in signed.coeffs.items()}
+
 
 JTP_SPECS = [
     ThetaSpec(1, 4),
@@ -726,6 +819,22 @@ class TestModulusSeries:
     def test_first_coefficients(self):
         m = modulus_series(6)
         assert [m.coefficient(k) for k in (1, 2, 3)] == [16, -128, 704]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([F(1, 7), F(1), F(3, 2), F(4), F(37, 3)]),
+            st.fractions(min_value=F(1, 12), max_value=60, max_denominator=12),
+        )
+    )
+    def test_matches_theta_constant_loops(self, order):
+        # 16 q (sum_{n>=0} q^(n^2+n))^4 / theta3^4 from the loops it replaced
+        s2, s3 = theta2_half_loop(order), theta3_loop(order)
+        want = PuiseuxSeries.monomial(16, 1) * (s2 ** 4 * invert_unit(s3 ** 4))
+        assert outcome(modulus_series, order) == outcome(lambda: want)
+        m = modulus_series(order)
+        head = {k: c for k, c in {1: 16, 2: -128, 3: 704}.items() if k < m.hi}
+        assert {k: m.coefficient(k) for k in head} == head
 
     def test_exp_form_agreement(self):
         lhs = sqrt_series(modulus_series(30))
