@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import mpmath
@@ -166,135 +167,101 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# closed-form checks
+# closed forms: each is a residual function (r, digits) -> lhs - rhs
 # ---------------------------------------------------------------------------
 
 
-def _check_even_shift(s: int):
+def _at_each_r(residual: Callable[[Fraction, int], BigReal]):
+    """A closed-form check: lhs - rhs from ``residual(r, digits)`` at every r."""
+
     def run(entry, digits, M, r_list):
         data = CheckData()
         tol = tolerance(digits, entry.tol_guard)
         for r in r_list:
-            ep = singular_modulus(r, digits)
-            lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
-            rhs = ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
-            _record(data, f"r={r}", digits, lhs - rhs, tol)
+            _record(data, f"r={r}", digits, residual(r, digits), tol)
         return data
 
     return run
 
 
-def _check_odd_shift(s: int):
-    def run(entry, digits, M, r_list):
-        data = CheckData()
-        tol = tolerance(digits, entry.tol_guard)
-        m = 2 * s + 1
-        for r in r_list:
-            ep = singular_modulus(r, digits)
-            ch = singular_chain(ep)
-            lhs = theta_sum(1, m, ep.q, digits, alternating=False)
-            rhs = (
-                big_real(2, digits) ** Fraction(5, 6)
-                * ep.q ** Fraction(-m * m, 4)
-                * (ch.k11 * ch.k12 * ch.k21) ** Fraction(1, 6)
-                / ch.k22 ** Fraction(1, 3)
-                * (ellipk(ch.k11) / pi_at(digits)).sqrt()
-            )
-            _record(data, f"r={r}", digits, lhs - rhs, tol)
-        return data
-
-    return run
+def _even_shift(s: int, r, digits):
+    ep = singular_modulus(r, digits)
+    lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
+    return lhs - ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
 
 
-def _check_eta8(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    for r in r_list:
-        ep = singular_modulus(r, digits)
-        lhs = eval_eta(1, ep.q, digits) ** 8
-        rhs = (
-            big_real(2, digits) ** Fraction(8, 3)
-            / pi_at(digits) ** 4
-            * ep.q ** Fraction(-1, 3)
-            * ep.k ** Fraction(2, 3)
-            * ep.kprime ** Fraction(8, 3)
-            * ellipk(ep.k) ** 4
-        )
-        _record(data, f"r={r}", digits, lhs - rhs, tol)
-    return data
+def _odd_shift(s: int, r, digits):
+    m = 2 * s + 1
+    ep = singular_modulus(r, digits)
+    ch = singular_chain(ep)
+    lhs = theta_sum(1, m, ep.q, digits, alternating=False)
+    return lhs - (
+        big_real(2, digits) ** Fraction(5, 6)
+        * ep.q ** Fraction(-m * m, 4)
+        * (ch.k11 * ch.k12 * ch.k21) ** Fraction(1, 6)
+        / ch.k22 ** Fraction(1, 3)
+        * (ellipk(ch.k11) / pi_at(digits)).sqrt()
+    )
 
 
-def _check_a14_24(corrected: bool):
-    def run(entry, digits, M, r_list):
-        data = CheckData()
-        tol = tolerance(digits, entry.tol_guard)
-        for r in r_list:
-            ep = singular_modulus(r, digits)
-            lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
-            ksq = ep.k ** 2
-            if corrected:
-                rhs = 16 * (1 - ksq) ** 2 / ksq
-            else:
-                rhs = 16 * (1 - ksq) / ksq
-            _record(data, f"r={r}", digits, lhs - rhs, tol)
-        return data
-
-    return run
+def _eta8(r, digits):
+    ep = singular_modulus(r, digits)
+    lhs = eval_eta(1, ep.q, digits) ** 8
+    return lhs - (
+        big_real(2, digits) ** Fraction(8, 3)
+        / pi_at(digits) ** 4
+        * ep.q ** Fraction(-1, 3)
+        * ep.k ** Fraction(2, 3)
+        * ep.kprime ** Fraction(8, 3)
+        * ellipk(ep.k) ** 4
+    )
 
 
-def _check_thm1(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    for r in r_list:
-        ep = singular_modulus(r, digits)
-        lhs = eval_theta(2, 1, ep.q, digits)
-        inner = 4 * (1 - ep.k ** 2) / ep.k
-        rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
-        _record(data, f"r={r}", digits, lhs - rhs, tol)
-    return data
+def _a14_24(corrected: bool, r, digits):
+    ep = singular_modulus(r, digits)
+    lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
+    ksq = ep.k ** 2
+    num = (1 - ksq) ** 2 if corrected else 1 - ksq
+    return lhs - 16 * num / ksq
 
 
-def _check_eq18(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    for r in r_list:
-        ep = singular_modulus(r, digits)
-        k = ep.k
-        lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
-        rhs = (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
-        _record(data, f"r={r}", digits, lhs - rhs, tol)
-    return data
+def _thm1(r, digits):
+    ep = singular_modulus(r, digits)
+    lhs = eval_theta(2, 1, ep.q, digits)
+    inner = 4 * (1 - ep.k ** 2) / ep.k
+    rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
+    return lhs - rhs
 
 
-def _check_thm2(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    for r in r_list:
-        ep = singular_modulus(r, digits)
-        k = ep.k
-        lhs = eval_theta(2, Fraction(3, 2), ep.q, digits)
-        inner = (
-            4 * (1 - k) ** 4 * (2 + k - 2 * (1 + k).sqrt()) ** 12
-            / (k ** 13 * (1 + k) ** 2)
-        )
-        rhs = (
-            ep.q ** Fraction(-11, 96)
-            * eval_eta(4, ep.q, digits)
-            * inner ** Fraction(1, 48)
-        )
-        _record(data, f"r={r}", digits, lhs - rhs, tol)
-    return data
+def _eq18(r, digits):
+    ep = singular_modulus(r, digits)
+    k = ep.k
+    lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
+    return lhs - (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
 
 
-def _check_eq27(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    for r in r_list:
-        q = nome_from_r(r, digits)
-        u = eval_A(ThetaSpec(1, 4), q, digits)
-        v = eval_A(ThetaSpec(1, 4), q * q, digits)
-        _record(data, f"r={r}", digits, 16 * u ** 8 + u ** 16 * v ** 8 - v ** 16, tol)
-    return data
+def _thm2(r, digits):
+    ep = singular_modulus(r, digits)
+    k = ep.k
+    lhs = eval_theta(2, Fraction(3, 2), ep.q, digits)
+    inner = (
+        4 * (1 - k) ** 4 * (2 + k - 2 * (1 + k).sqrt()) ** 12
+        / (k ** 13 * (1 + k) ** 2)
+    )
+    return lhs - (
+        ep.q ** Fraction(-11, 96)
+        * eval_eta(4, ep.q, digits)
+        * inner ** Fraction(1, 48)
+    )
+
+
+def _eq27(r, digits):
+    # the nome alone: nothing here needs the modulus, so r beyond the reach
+    # of singular_modulus's certification still gets a residual
+    q = nome_from_r(r, digits)
+    u = eval_A(ThetaSpec(1, 4), q, digits)
+    v = eval_A(ThetaSpec(1, 4), q * q, digits)
+    return 16 * u ** 8 + u ** 16 * v ** 8 - v ** 16
 
 
 def _check_thm3(entry, digits, M, r_list):
@@ -466,11 +433,7 @@ def _check_poly_relation(entry, digits, M, r_list):
     return data
 
 
-def _poly(terms) -> BivarIntPoly:
-    return BivarIntPoly.normalized(terms)
-
-
-TABLE1_POLY = _poly(
+TABLE1_POLY = BivarIntPoly.normalized(
     [
         (4, 5, 1), (4, 4, -4), (4, 3, 6), (4, 2, -4), (4, 1, 1),
         (3, 6, -16), (3, 5, 84), (3, 4, -12480), (3, 3, -40712),
@@ -484,25 +447,25 @@ TABLE1_POLY = _poly(
     ]
 )
 
-TABLE2_POLY = _poly(
+TABLE2_POLY = BivarIntPoly.normalized(
     [
         (8, 4, 1), (8, 2, -1), (6, 6, 16), (6, 4, -24), (6, 2, -24),
         (6, 0, 16), (4, 4, -486), (4, 2, 486), (0, 4, -19683), (0, 2, 19683),
     ]
 )
 
-TABLE3_POLY = _poly(
+TABLE3_POLY = BivarIntPoly.normalized(
     [
         (4, 3, 1), (4, 1, -1), (3, 2, 16), (2, 3, -18), (2, 1, 18),
         (1, 4, 4), (1, 2, -8), (1, 0, 4), (0, 3, 1), (0, 1, -1),
     ]
 )
 
-TABLE4_POLY = _poly(
+TABLE4_POLY = BivarIntPoly.normalized(
     [(4, 1, -1), (2, 1, -64), (0, 2, 256), (0, 1, -512), (0, 0, 256)]
 )
 
-TABLE5_POLY = _poly(
+TABLE5_POLY = BivarIntPoly.normalized(
     [
         (4, 0, 1), (0, 11, 1), (0, 10, 55), (0, 9, 1205), (0, 8, 13090),
         (0, 7, 69585), (0, 6, 134761), (0, 5, -69585), (0, 4, 13090),
@@ -527,7 +490,7 @@ def _entries() -> list[CatalogEntry]:
                     f"bilateral sum of q^(n^2+{2 * s}n) equals "
                     f"q^(-{s * s}) sqrt(2K(k)/pi)"
                 ),
-                check=_check_even_shift(s),
+                check=_at_each_r(partial(_even_shift, s)),
                 tol_guard=15,
             )
         )
@@ -540,7 +503,7 @@ def _entries() -> list[CatalogEntry]:
                     f"bilateral sum of q^(n^2+{2 * s + 1}n) via the "
                     "k11/k12/k21/k22 chain"
                 ),
-                check=_check_odd_shift(s),
+                check=_at_each_r(partial(_odd_shift, s)),
                 tol_guard=15,
             )
         )
@@ -549,7 +512,7 @@ def _entries() -> list[CatalogEntry]:
             id="eq13",
             kind="closed_form",
             statement="eta(q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4",
-            check=_check_eta8,
+            check=_at_each_r(_eta8),
         )
     )
     entries.append(
@@ -557,7 +520,7 @@ def _entries() -> list[CatalogEntry]:
             id="eq15_as_printed",
             kind="closed_form",
             statement="A(1,4;q)^24 = 16(1-k^2)/k^2 (printed form; fails)",
-            check=_check_a14_24(corrected=False),
+            check=_at_each_r(partial(_a14_24, False)),
             status_expectation="known_discrepancy",
         )
     )
@@ -566,7 +529,7 @@ def _entries() -> list[CatalogEntry]:
             id="eq15_corrected",
             kind="closed_form",
             statement="A(1,4;q)^24 = 16(1-k^2)^2/k^2 (corrected form)",
-            check=_check_a14_24(corrected=True),
+            check=_at_each_r(partial(_a14_24, True)),
         )
     )
     entries.append(
@@ -577,7 +540,7 @@ def _entries() -> list[CatalogEntry]:
                 "alternating sum of q^(2n^2+n) equals "
                 "q^(1/24) eta(q^4) (4(1-k^2)/k)^(1/12)"
             ),
-            check=_check_thm1,
+            check=_at_each_r(_thm1),
         )
     )
     entries.append(
@@ -585,7 +548,7 @@ def _entries() -> list[CatalogEntry]:
             id="eq18",
             kind="closed_form",
             statement="A(1/2,2;q) = (4(1-k)^4 / (k(1+k)^2))^(1/24)",
-            check=_check_eq18,
+            check=_at_each_r(_eq18),
         )
     )
     entries.append(
@@ -596,7 +559,7 @@ def _entries() -> list[CatalogEntry]:
                 "alternating sum of q^(2n^2+3n/2) equals q^(-11/96) eta(q^4) "
                 "(4(1-k)^4 (2+k-2 sqrt(1+k))^12 / (k^13 (1+k)^2))^(1/48)"
             ),
-            check=_check_thm2,
+            check=_at_each_r(_thm2),
             tol_guard=15,
         )
     )
@@ -606,7 +569,7 @@ def _entries() -> list[CatalogEntry]:
             kind="closed_form",
             statement="degree-2 modular equation 16u^8 + u^16 v^8 - v^16 = 0 "
             "for the (1,4) quotient at nomes (q, q^2)",
-            check=_check_eq27,
+            check=_at_each_r(_eq27),
             tol_guard=15,
         )
     )
@@ -822,37 +785,17 @@ def verify_entry_with_fallback(
     r_list: Sequence[Fraction | int] = (1, 2, 3),
 ) -> EntryReport:
     """verify_entry plus the re-mining fallback for polynomial entries."""
-    return _verify_one((entry_id, digits, M, tuple(r_list)))
-
-
-def _verify_one(args) -> EntryReport:
-    entry_id, digits, M, rs = args
-    report = verify_entry(entry_id, digits, M, rs)
-    entry = get_entry(entry_id)
-    if report.verdict != "pass" and entry.kind == "poly_relation" and entry.remine:
-        try:
-            remined = remine_entry(entry_id, digits, M)
-            note = entry.remine.note or "re-mined replacement attached"
-            notes = (report.notes + "; " if report.notes else "") + note
-            report = EntryReport(
-                id=report.id,
-                verdict="flagged",
-                residuals=report.residuals,
-                series_order=report.series_order,
-                notes=notes,
-                remined=remined,
-            )
-        except MiningError as exc:
-            report = EntryReport(
-                id=report.id,
-                verdict="fail",
-                residuals=report.residuals,
-                series_order=report.series_order,
-                notes=(report.notes + "; " if report.notes else "")
-                + f"re-mining failed: {exc}",
-                remined=None,
-            )
-    return report
+    report = verify_entry(entry_id, digits, M, r_list)
+    recipe = get_entry(entry_id).remine
+    if report.verdict == "pass" or recipe is None:
+        return report
+    lead = report.notes + "; " if report.notes else ""
+    try:
+        remined = remine_entry(entry_id, digits, M)
+    except MiningError as exc:
+        return replace(report, verdict="fail", notes=f"{lead}re-mining failed: {exc}")
+    note = recipe.note or "re-mined replacement attached"
+    return replace(report, verdict="flagged", notes=lead + note, remined=remined)
 
 
 def verify_all(
@@ -866,16 +809,10 @@ def verify_all(
     bounded pool of worker processes (the precision state of the float
     backend is process-global, so threads are not used)."""
     rs = tuple(Fraction(r) for r in r_list)
-    tasks = [(eid, digits, M, rs) for eid in _ORDER]
+    verify = partial(verify_entry_with_fallback, digits=digits, M=M, r_list=rs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_one, tasks))
+            entries = tuple(pool.map(verify, _ORDER))
     else:
-        results = [_verify_one(t) for t in tasks]
-    by_id = {rep.id: rep for rep in results}
-    return Report(
-        digits=digits,
-        order=M,
-        r_list=rs,
-        entries=tuple(by_id[eid] for eid in _ORDER),
-    )
+        entries = tuple(map(verify, _ORDER))
+    return Report(digits=digits, order=M, r_list=rs, entries=entries)

@@ -625,13 +625,14 @@ def mine(
     points: Sequence[Fraction | int] = (1, 2),
     extra_orders: int = 25,
 ) -> MinedRelation:
-    """Search degrees s = 1..s_max for the first nonempty kernel, select the
-    minimal relation, and validate it before returning.
+    """Search degrees s = 1..s_max and return the first kernel relation
+    that validates.
 
-    For the chosen s the kernel is refined by re-solving with the monomials
-    restricted to ascending total degree, so the returned polynomial has the
-    least total degree present in the kernel (then fewest terms, then
-    lexicographic order as tie-breaks).
+    At each s one loop tries the kernel of the least total degree that has
+    one (fewest terms, then lexicographic order first), then the full
+    kernel, solved only after those all fail, so the returned polynomial
+    has the least total degree present in the kernel.  MiningNotFound
+    carries each degree's mod-p rank.
     """
     if M is None:
         M = common_known_order(u, v)
@@ -663,63 +664,46 @@ def mine(
     for s, rows in all_rows.items():
         int_rows, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
         profile = _rank_profile(int_rows, cols)
-        rank = profile[2 * s]
-        if rank == len(cols):
-            rank_profile[s] = rank
-            continue
-        # candidate phases: smallest total degree present in the kernel
-        # first (cheap restricted solve), the full kernel only as a fallback
-        def restricted_candidates() -> list[BivarIntPoly]:
+
+        def candidates():
             for d in range(1, 2 * s + 1):
                 found = _kernel_polys(
                     int_rows, cols, lambda c: c[0] + c[1] <= d, profile[d]
                 )
                 if found:
-                    return sorted(found, key=lambda p: (p.term_count(), p.terms))
-            return []
-
-        def full_candidates() -> list[BivarIntPoly]:
-            return sorted(
-                _kernel_polys(int_rows, cols, lambda c: True, rank),
+                    yield from sorted(found, key=lambda p: (p.term_count(), p.terms))
+                    break
+            yield from sorted(
+                _kernel_polys(int_rows, cols, lambda c: True, profile[2 * s]),
                 key=lambda p: (p.total_degree, p.term_count(), p.terms),
             )
 
-        tried: list[BivarIntPoly] = []
-        found_any = False
-        winner = None
-        for phase in (restricted_candidates, full_candidates):
-            for poly in phase():
-                if poly in tried:
-                    continue
-                tried.append(poly)
-                found_any = True
-                rel = MinedRelation(
-                    poly=poly,
-                    degree=s,
-                    validated_grid_order=rows,
-                    u_binding=u_binding,
-                    v_binding=v_binding,
+        tried: set[BivarIntPoly] = set()
+        for poly in candidates():
+            if poly in tried:
+                continue
+            tried.add(poly)
+            rel = MinedRelation(
+                poly=poly,
+                degree=s,
+                validated_grid_order=rows,
+                u_binding=u_binding,
+                v_binding=v_binding,
+            )
+            try:
+                return validate(
+                    rel,
+                    extra_orders=extra_orders,
+                    points=points,
+                    digits=digits,
+                    u=u,
+                    v=v,
                 )
-                try:
-                    winner = validate(
-                        rel,
-                        extra_orders=extra_orders,
-                        points=points,
-                        digits=digits,
-                        u=u,
-                        v=v,
-                    )
-                except ValidationFailed as exc:
-                    # a kernel vector failing certification is an artifact
-                    # of the truncation; keep looking
-                    failures.append(f"s={s}: {poly} rejected ({exc})")
-                    continue
-                break
-            if winner is not None:
-                break
-        if winner is not None:
-            return winner
-        rank_profile[s] = len(cols) - len(tried) if found_any else len(cols)
+            except ValidationFailed as exc:
+                # a kernel vector failing certification is an artifact of
+                # the truncation; keep looking
+                failures.append(f"s={s}: {poly} rejected ({exc})")
+        rank_profile[s] = profile[2 * s]
     msg = f"no certified integer relation of degree <= {s_max} through grid order {M}"
     if failures:
         msg += "; rejected candidates: " + " | ".join(failures[:4])

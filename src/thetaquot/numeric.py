@@ -141,14 +141,6 @@ class BigReal:
         with mp.workdps(self._wd()):
             return BigReal(mpmath.sqrt(self.value), self.digits)
 
-    def exp(self) -> "BigReal":
-        with mp.workdps(self._wd()):
-            return BigReal(mpmath.exp(self.value), self.digits)
-
-    def log(self) -> "BigReal":
-        with mp.workdps(self._wd()):
-            return BigReal(mpmath.log(self.value), self.digits)
-
     def _cmp_value(self, other):
         return other.value if isinstance(other, BigReal) else _to_mpf(other, self._wd())
 
@@ -393,9 +385,13 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
 
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
-    """Direct numeric value of the theta quotient at a real nome."""
+    """Direct numeric value of the theta quotient at a real nome.  When p
+    divides a the quotient vanishes identically (its product form has the
+    factor 1 - q^0), so the value is an exact zero, not rounding noise."""
     if digits is None:
         digits = q.digits
+    if spec.a % spec.p == 0:
+        return BigReal(mpf(0), digits)
     wd = digits + GUARD
     with mp.workdps(wd):
         lq = mpmath.log(q.value)

@@ -41,6 +41,14 @@ READ_NAMES = [
     ("mining", "ValidationFailed"),
     ("catalog", "verify_entry"),
     ("catalog", "get_entry"),
+    ("catalog", "catalog_ids"),
+    ("catalog", "verify_entry_with_fallback"),
+    ("mining", "ABinding"),
+    ("mining", "MinedRelation"),
+    ("series", "ThetaSpec"),
+    ("numeric", "nome_from_r"),
+    ("numeric", "eval_h5"),
+    ("recognize", "IntPoly"),
 ]
 
 
@@ -48,6 +56,15 @@ READ_NAMES = [
 def test_module_attribute_exists(module, name):
     mod = importlib.import_module(f"thetaquot.{module}")
     assert callable(getattr(mod, name))
+
+
+def test_entry_kinds_name_the_tracer_spans():
+    # the tracer names each verify_entry span catalog.verify_entry.<kind>,
+    # and the benchmark reads exactly these three
+    from thetaquot.catalog import catalog_ids, get_entry
+
+    kinds = {get_entry(eid).kind for eid in catalog_ids()}
+    assert kinds <= {"closed_form", "poly_relation", "series_identity"}
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """Catalog verification: entry outcomes, the errata pair, re-mining
 fallbacks, convention determination, and report structure."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp
 
+from thetaquot import catalog
 from thetaquot.catalog import (
     M5_CONVENTIONS,
     catalog_ids,
@@ -12,8 +15,9 @@ from thetaquot.catalog import (
     remine_entry,
     verify_all,
     verify_entry,
+    verify_entry_with_fallback,
 )
-from thetaquot.mining import validate
+from thetaquot.mining import MiningError, validate
 from thetaquot.numeric import singular_modulus
 from thetaquot.recognize import recognize_rational
 
@@ -207,6 +211,39 @@ class TestVerifyAll:
     def test_determinism(self, report):
         again = verify_all(digits=60, M=150, r_list=(1, 2, 3), jobs=1)
         assert again.to_json() == report.to_json()
+
+
+class TestVerifyPath:
+    # closed forms checked at every r of the run; thm3_instance uses x-points
+    # and eq45 labels each r with its multiplier convention
+    PER_R = [
+        eid for eid in catalog_ids()
+        if get_entry(eid).kind == "closed_form"
+        and eid not in ("thm3_instance", "eq45")
+    ]
+
+    def test_remine_failure_turns_the_entry_to_fail(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise MiningError("boom")
+
+        monkeypatch.setattr(catalog, "remine_entry", boom)
+        rep = verify_entry_with_fallback("table2", 60, 60)
+        assert rep.verdict == "fail"
+        assert rep.remined is None
+        assert rep.notes.endswith("re-mining failed: boom")
+
+    def test_pool_report_matches_serial(self):
+        serial = verify_all(digits=60, M=60, jobs=1)
+        assert verify_all(digits=60, M=60, jobs=2).to_json() == serial.to_json()
+
+    def test_closed_forms_cover_twelve_entries(self):
+        assert len(self.PER_R) == 12
+
+    @pytest.mark.parametrize("eid", PER_R)
+    def test_records_follow_the_r_list(self, eid):
+        rep = verify_entry(eid, digits=40, r_list=(2, Fraction(1, 2)))
+        assert [rec.label for rec in rep.residuals] == ["r=2", "r=1/2"]
+        assert all(rec.digits == 40 for rec in rep.residuals)
 
 
 class TestToleranceScaling:

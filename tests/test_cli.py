@@ -49,6 +49,20 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.0905077326652576")
 
+    @pytest.mark.parametrize("a, p", [("0", "4"), ("1", "1"), ("8", "4")])
+    def test_quotient_vanishing_when_p_divides_a(self, capsys, a, p):
+        # the product form has the factor 1 - q^0, so A is identically zero
+        # (as `series --fn A` shows), not the rounding noise of its theta sum
+        code, out, _ = run(
+            capsys, "eval", "--fn", "A", "--a", a, "--p", p, "--r", "1"
+        )
+        assert code == 0
+        assert out == "0.0\n"
+        code, out, _ = run(
+            capsys, "series", "--fn", "A", "--a", a, "--p", p, "--order", "5"
+        )
+        assert out.startswith("0 + O(q^")
+
     def test_sn(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "Sn", "--n", "2", "--x", "0.3", "--digits", "40"

@@ -283,6 +283,43 @@ class TestMine:
             mine_14(s_max=1, M=120)
         assert exc.value.rank_profile.get(1) == 4  # full column rank at s=1
 
+    def test_not_found_reports_the_full_rank_of_each_degree(self, monkeypatch):
+        profiles = []
+
+        def recording(int_rows, cols):
+            profiles.append(real_profile(int_rows, cols))
+            return profiles[-1]
+
+        def reject(rel, **kwargs):
+            raise ValidationFailed("forced")
+
+        real_profile = mining._rank_profile
+        monkeypatch.setattr(mining, "_rank_profile", recording)
+        monkeypatch.setattr(mining, "validate", reject)
+        with pytest.raises(MiningNotFound) as exc:
+            mine_14(s_max=3)
+        assert "rejected candidates: s=2: " in str(exc.value)
+        assert exc.value.rank_profile == {
+            s: profile[2 * s] for s, profile in enumerate(profiles, start=1)
+        }
+
+    def test_full_kernel_solved_only_after_restricted_candidates_fail(
+        self, monkeypatch
+    ):
+        solved = []
+
+        def recording(rows):
+            solved.append(len(rows[0]))
+            return real_nullspace(rows)
+
+        real_nullspace = mining.exact_nullspace
+        monkeypatch.setattr(mining, "exact_nullspace", recording)
+        assert mine_14().poly == REL_14
+        # the s = 2 kernel first appears on the 8 columns of total degree
+        # <= 3, and its relation validates, so the 9-column kernel is never
+        # solved
+        assert solved == [8]
+
     def test_floor_on_M(self):
         with pytest.raises(Exception, match="floor"):
             mine_14(M=30)
