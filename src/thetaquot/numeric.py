@@ -312,6 +312,13 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
     return ratio * ratio
 
 
+def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
+    """A window |n| <= n0 past which every term at q = e^-t is below 10^-wd."""
+    need = wd * math.log(10) / t
+    af, bf = float(a), abs(float(b))
+    return int((bf + math.sqrt(bf * bf + 4 * af * need)) / (2 * af)) + 2
+
+
 def theta_sum(
     a: Fraction | int,
     b: Fraction | int,
@@ -337,12 +344,11 @@ def theta_sum(
     qv = q.value
     if not (0 < qv < 1):
         raise ValueError("theta evaluation requires 0 < q < 1")
+    if alternating and (b / a).denominator == 1 and (b / a).numerator % 2:
+        return BigReal(mpf(0), digits)  # terms n, -b/a - n cancel in pairs
     with mp.workdps(wd):
         lq = mpmath.log(qv)
-        # smallest n0 with a n0^2 - |b| n0 > (digits + GUARD) / log10(1/q)
-        need = wd / (-lq / mpmath.log(10))
-        af, bf = float(a), abs(float(b))
-        n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
+        n0 = _term_count(a, b, -float(lq), wd)
         la, lb = lq * a.numerator / a.denominator, lq * b.numerator / b.denominator
         step = mpmath.exp(2 * la)
         total = mpf(1)
@@ -386,12 +392,10 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
     """Direct numeric value of the theta quotient at a real nome.  When p
-    divides a the quotient vanishes identically (its product form has the
-    factor 1 - q^0), so the value is an exact zero, not rounding noise."""
+    divides a the quotient vanishes identically, and b/a = 1 - 2a/p of its
+    theta sum is an odd integer, so ``theta_sum`` gives an exact zero."""
     if digits is None:
         digits = q.digits
-    if spec.a % spec.p == 0:
-        return BigReal(mpf(0), digits)
     wd = digits + GUARD
     with mp.workdps(wd):
         lq = mpmath.log(q.value)

@@ -2,7 +2,9 @@
 
 ``recognize`` searches for a small integer polynomial vanishing at x by
 lattice basis reduction on the vector (1, x, x^2, ..., x^d) scaled by
-10^precision, trying degrees in ascending order; every candidate must be
+10^precision, trying degrees in ascending order.  Each degree's lattice
+extends the last degree's reduced basis by one row, the state a fresh
+reduction passes through, so the result is unchanged.  Every candidate is
 re-certified at doubled working precision and must keep its coefficients
 well below the information content of the input.  ``recognize_rational``
 is the continued-fraction special case with an explicit denominator bound.
@@ -10,9 +12,9 @@ is the continued-fraction special case with an explicit denominator bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import mpmath
 from mpmath import mp
@@ -47,7 +49,7 @@ class IntPoly:
             raise ValueError("the zero polynomial is not a valid recognition")
         g = 0
         for c in cs:
-            g = gcd(g, abs(c))
+            g = math.gcd(g, abs(c))
         cs = [c // g for c in cs]
         if cs[-1] < 0:
             cs = [-c for c in cs]
@@ -174,9 +176,11 @@ def _certify(poly: IntPoly, x: BigReal, digits: int) -> bool:
 def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
     """Smallest-degree certified integer polynomial vanishing at x.
 
-    Degrees are tried in ascending order; within a degree, the reduced
-    lattice vectors are tried by norm.  Raises NotFound with a diagnostic
-    naming the exhausted budget.
+    Degrees are tried in ascending order, each lattice extending the last
+    degree's reduced basis (0 at column d) by the row [e_d | 10^digits x^d];
+    a fresh LLL passes through that basis, so the result is unchanged.
+    Within a degree, the reduced vectors are tried by norm.  Raises NotFound
+    with a diagnostic naming the exhausted budget.
     """
     if digits is None:
         digits = x.digits
@@ -189,21 +193,15 @@ def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
         for _ in range(d_max):
             powers.append(powers[-1] * x.value)
         cols = [int(mpmath.nint(scale * p)) for p in powers]
+    reduced = [[1, cols[0]]]
     for d in range(1, d_max + 1):
-        basis = []
-        for i in range(d + 1):
-            row = [0] * (d + 1) + [cols[i]]
-            row[i] = 1
-            basis.append(row)
+        basis = [row[:d] + [0, row[d]] for row in reduced]
+        basis.append([0] * d + [1, cols[d]])
         reduced = lll_reduce(basis)
-        ranked = sorted(reduced, key=lambda r: sum(x * x for x in r))
-        for vec in ranked:
-            cs = vec[: d + 1]
-            if not any(cs) or not any(cs[1:]):
+        for vec in sorted(reduced, key=lambda r: sum(x * x for x in r)):
+            if not any(vec[1 : d + 1]):
                 continue  # constant or zero rows carry no algebraic content
-            poly = IntPoly.normalized(cs)
-            if poly.degree < 1:
-                continue
+            poly = IntPoly.normalized(vec[: d + 1])
             if _certify(poly, x, digits):
                 return poly
     budget = 20 * (d_max + 1)
@@ -224,8 +222,6 @@ def recognize_rational(
     if digits is None:
         digits = x.digits
     digits = min(digits, x.digits)
-    import math
-
     num, den = mpmath.libmp.to_rational(x.value._mpf_)
     exact = Fraction(int(num), int(den))
     # walk the continued fraction of the binary-exact value

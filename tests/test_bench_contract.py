@@ -6,9 +6,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from thetaquot.recognize import lll_reduce
+from thetaquot.numeric import big_real
+from thetaquot.recognize import NotFound, lll_reduce, recognize
 from thetaquot.series import PuiseuxSeries
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -78,3 +80,31 @@ def test_series_attribute_exists(name):
 def test_lll_reduce_takes_basis():
     # the tracer's lll_reduce hook reads the lattice as kwargs["basis"]
     assert "basis" in inspect.signature(lll_reduce).parameters
+
+
+@pytest.mark.parametrize(
+    "value, d_max, dims",
+    [("pi", 4, [2, 3, 4, 5]), ("sqrt2", 4, [2, 3]), ("8", 3, [2])],
+)
+def test_recognize_calls_lll_once_per_degree(monkeypatch, value, d_max, dims):
+    # recognize.lll_reduce.calls counts the degrees tried and
+    # recognize.lattice_dim_max reads the rows of the tracer's argument,
+    # so recognize must call the module attribute once per degree d, on
+    # d + 1 rows passed as the first argument or as basis=
+    seen = []
+
+    def counting(*args, **kwargs):
+        basis = args[0] if args else kwargs["basis"]
+        seen.append(len(basis))
+        return lll_reduce(*args, **kwargs)
+
+    recognize_mod = importlib.import_module("thetaquot.recognize")
+    monkeypatch.setattr(recognize_mod, "lll_reduce", counting)
+    with mpmath.workdps(80):
+        x = {"pi": mpmath.pi, "sqrt2": mpmath.sqrt(2), "8": 8}[value]
+        x = big_real(+mpmath.mpf(x), 60)
+    try:
+        recognize(x, d_max, 60)
+    except NotFound:
+        assert value == "pi"
+    assert seen == dims

@@ -63,6 +63,20 @@ class TestEval:
         )
         assert out.startswith("0 + O(q^")
 
+    @pytest.mark.parametrize("a, b", [("1", "1"), ("2", "6"), ("1/2", "3/2")])
+    def test_theta_vanishing_when_b_over_a_is_odd(self, capsys, a, b):
+        # n and -b/a - n carry the same power of q at opposite signs, so the
+        # sum is identically zero (as `series --fn theta` shows)
+        code, out, _ = run(
+            capsys, "eval", "--fn", "theta", "--a", a, "--b", b, "--r", "1"
+        )
+        assert code == 0
+        assert out == "0.0\n"
+        code, out, _ = run(
+            capsys, "series", "--fn", "theta", "--a", a, "--b", b, "--order", "10"
+        )
+        assert out.startswith("0 + O(q^")
+
     def test_sn(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "Sn", "--n", "2", "--x", "0.3", "--digits", "40"

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from thetaquot.series import (
@@ -19,6 +21,7 @@ from thetaquot.series import (
 )
 from thetaquot.numeric import (
     GUARD,
+    _term_count,
     BigReal,
     big_real,
     ellipk,
@@ -401,3 +404,55 @@ class TestRatioRecurrenceOracles:
             want = mpmath.qp(q.value)
         assert_relative(got.value, want, digits)
         assert got.nstr(digits) == BigReal(want, digits).nstr(digits)
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestThetaSumWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        RATIONALS.filter(lambda a: a > 0),
+        RATIONALS,
+        st.floats(-6, 6).map(lambda e: F(10) ** round(e, 2)),
+        st.integers(20, 2000),
+    )
+    def test_float_window_equals_working_precision_window(self, a, b, r, digits):
+        # the window n0 was computed from log10(1/q) at working precision;
+        # the float form of the same bound must give the same n0
+        wd = digits + GUARD
+        q = nome_from_r(r, digits)
+        with mp.workdps(wd):
+            lq = mpmath.log(q.value)
+            need = wd / (-lq / mpmath.log(10))
+        af, bf = float(a), abs(float(b))
+        n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
+        assert _term_count(a, b, -float(lq), wd) == n0
+
+
+class TestThetaSumExactZero:
+    @pytest.mark.parametrize(
+        "a, b", [(1, 1), (2, 6), (3, -9), (F(1, 2), F(3, 2)), (F(2, 3), F(2, 3))],
+        ids=str,
+    )
+    def test_alternating_sum_vanishes_when_b_over_a_is_odd(self, a, b):
+        q = nome_from_r(1, 60)
+        got = theta_sum(a, b, q)
+        assert got.value == 0 and got.digits == 60
+        # the per-term sum cancels to its rounding noise
+        assert abs(per_term_theta_sum(a, b, q.value, 80)) < mp_tol(80, 10)
+        assert theta_sum(a, b, q, alternating=False).value > 0
+
+    @pytest.mark.parametrize(
+        "a, b", [(1, 0), (1, 2), (2, 1), (2, -4), (F(1, 2), F(1, 4)), (2, F(-6, 5))],
+        ids=str,
+    )
+    def test_other_alternating_sums_do_not_vanish(self, a, b):
+        q = nome_from_r(1, 60)
+        want = per_term_theta_sum(a, b, q.value, 80)
+        assert abs(want) > mp_tol(60, -20)
+        assert_relative(theta_sum(a, b, q).value, want, 60)
+
+    @pytest.mark.parametrize("a, p", [(4, 2), (3, 3), (0, 4), (F(3, 2), F(1, 2))])
+    def test_eval_A_vanishes_when_p_divides_a(self, a, p):
+        assert eval_A(ThetaSpec(a, p), nome_from_r(2, 60)).value == 0

@@ -1,6 +1,7 @@
 """Algebraic recognition: lattice route, rational route, certification
 guards, and the divisor round-trip property."""
 
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,9 @@ from thetaquot.recognize import (
     recognize_rational,
 )
 from thetaquot.series import ThetaSpec
+
+# the module, which the package's ``recognize`` function shadows as an attribute
+recognize_mod = importlib.import_module("thetaquot.recognize")
 
 
 def br(expr, digits, dps=None):
@@ -189,6 +193,57 @@ class TestLLL:
             assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
         # rows are U * basis, and the first deg+1 columns of basis are I
         assert abs(_det([row[: deg + 1] for row in reduced])) == 1
+
+
+def _fresh_lattice(x, d, digits):
+    """The degree-d recognition lattice [e_i | round(10^digits x^i)] built
+    from scratch, with the powers formed as the recognizer forms them."""
+    with mp.workdps(digits + GUARD):
+        powers = [mpmath.mpf(1)]
+        for _ in range(d):
+            powers.append(powers[-1] * x.value)
+        cols = [int(mpmath.nint(10 ** digits * p)) for p in powers]
+    return [[int(i == j) for j in range(d + 1)] + [cols[i]] for i in range(d + 1)]
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
+
+
+@st.composite
+def algebraic_values(draw):
+    """(c0 + c1 m^(1/k)) / den with m prime: degree exactly k (Eisenstein)."""
+    k = draw(st.integers(1, 5))
+    m = draw(PRIMES)
+    c0 = draw(st.integers(-50, 50))
+    c1 = draw(st.integers(-50, 50).filter(bool))
+    den = draw(st.integers(1, 30))
+    return lambda: (c0 + c1 * mpmath.root(m, k)) / den
+
+
+class TestIncrementalLattice:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(algebraic_values(), st.just(lambda: +mpmath.pi)),
+        st.integers(60, 200),
+    )
+    def test_each_degree_equals_a_fresh_reduction(self, expr, digits):
+        x = br(expr, digits)
+        calls = []
+
+        def recording(basis, *args, **kwargs):
+            reduced = lll_reduce(basis, *args, **kwargs)
+            calls.append(reduced)
+            return reduced
+
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(recognize_mod, "lll_reduce", recording)
+            try:
+                recognize(x, 5, digits)
+            except NotFound:
+                assert len(calls) == 5  # the NotFound path tries every degree
+        assert calls
+        for d, reduced in enumerate(calls, start=1):
+            assert reduced == lll_reduce(_fresh_lattice(x, d, digits))
 
 
 class TestRecognize:
