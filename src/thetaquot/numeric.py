@@ -129,13 +129,10 @@ class BigReal:
             with mp.workdps(self._wd()):
                 return BigReal(self.value ** e, self.digits)
         e = Fraction(e)
+        if self.value < 0:
+            raise ValueError("fractional power of a negative value")
         with mp.workdps(self._wd()):
-            if self.value < 0:
-                raise ValueError("fractional power of a negative value")
-            return BigReal(
-                mpmath.exp(mpmath.log(self.value) * mpf(e.numerator) / e.denominator),
-                self.digits,
-            )
+            return BigReal(_power(self.value, e), self.digits)
 
     def sqrt(self) -> "BigReal":
         with mp.workdps(self._wd()):
@@ -198,6 +195,22 @@ def residual_str(value, digits: int) -> str:
     with mp.workdps(30):
         floor = mpf(10) ** (-digits)
     return mpmath.nstr(max(abs(value), floor), 5)
+
+
+def _power(x: mpf, e: Fraction) -> mpf:
+    """x^e for x >= 0 as an integer power of x^(1/den e), with no log or exp.
+    A Newton step mends ``mpmath.root``, 1e-766 off at n = 55 and 815 digits."""
+    n = e.denominator
+    y = mpmath.root(x, n)
+    if y:
+        y += y * (x / y ** n - 1) / n
+    return y ** e.numerator
+
+
+def _neg_log(x: mpf) -> float:
+    """-ln x in float for 0 < x < 1, even below the float range."""
+    man, exp = mpmath.frexp(x)
+    return -(math.log1p(float(man - 1)) + exp * math.log(2))
 
 
 def agm(a0, b0, wdps: int) -> tuple[mpf, int]:
@@ -269,8 +282,8 @@ class EvalPoint:
 def singular_modulus(r: Number, digits: int) -> EvalPoint:
     """Singular modulus k_r = theta2^2 / theta3^2 at q = e^(-pi sqrt r), with
     theta3 = theta_sum(1, 0) and theta2^2 = sqrt(q) theta_sum(1, 1)^2 (both
-    non-alternating), certified against the period-ratio equation.  A k
-    within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``."""
+    non-alternating), certified by K(k')/K(k) = agm(1, k')/agm(1, k) = sqrt r.
+    A k within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``."""
     wd = digits + GUARD
     q = nome_from_r(r, digits)
     theta2 = theta_sum(1, 1, q, alternating=False)
@@ -282,18 +295,14 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
                 f"singular modulus k_r rounds to 1 at r={r} with {digits} digits"
             )
         kpv = mpmath.sqrt(1 - kv * kv)
-    k = BigReal(kv, digits)
-    kprime = BigReal(kpv, digits)
-    # certification: K(k')/K(k) must reproduce sqrt(r)
-    ratio = ellipk(kprime, digits) / ellipk(k, digits)
-    with mp.workdps(wd):
-        resid = abs(ratio.value - mpmath.sqrt(_to_mpf(r, wd)))
+        ratio = agm(1, kpv, wd)[0] / agm(1, kv, wd)[0]
+        resid = abs(ratio - mpmath.sqrt(_to_mpf(r, wd)))
         if resid > mpf(10) ** (-digits + 5):
             raise CertificationError(
                 f"singular modulus certification failed at r={r}: "
                 f"residual {mpmath.nstr(resid, 5)}"
             )
-    return EvalPoint(r=r, q=q, k=k, kprime=kprime)
+    return EvalPoint(r=r, q=q, k=BigReal(kv, digits), kprime=BigReal(kpv, digits))
 
 
 def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
@@ -326,14 +335,14 @@ def theta_sum(
     digits: int | None = None,
     alternating: bool = True,
 ) -> BigReal:
-    """Bilateral sum of (+-1)^n q^(a n^2 + b n) over |n| <= n0, the window
-    past which every term is below the working tolerance.
+    """Bilateral sum of (+-1)^n q^(a n^2 + b n), with no log or exp.
 
-    Each term is the last one times a ratio, walking out from n = 0 both
-    ways: q^(a n^2 + b n) = q^(a (n-1)^2 + b (n-1)) q^(a (2n-1) +- b), and
-    each ratio is the last one times q^(2a).  So a call costs three exps,
-    and the rounding of the walk grows only linearly in n0.
-    """
+    With n = c + m, c the integer nearest -b/(2a), the sum is the head
+    (+-1)^c q^(a c^2 + b c) times a walk out from its largest term m = 0 over
+    |m| <= n0, past which every term is below the working tolerance.  Each
+    term is the last one times a ratio <= 1, and each ratio the last one times
+    q^(2a), all integer powers of q^(1/lcm(den a, den b)).  The walk runs in
+    Python-int fixed point with guard bits for its 4 n0 truncations."""
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0:
@@ -346,20 +355,27 @@ def theta_sum(
         raise ValueError("theta evaluation requires 0 < q < 1")
     if alternating and (b / a).denominator == 1 and (b / a).numerator % 2:
         return BigReal(mpf(0), digits)  # terms n, -b/a - n cancel in pairs
+    c = round(-b / (2 * a))
+    d = math.lcm(a.denominator, b.denominator)
+    ad, bd = int(a * d), int((b + 2 * a * c) * d)  # |bd| <= ad
+    n0 = _term_count(a, b + 2 * a * c, _neg_log(qv), wd)
+    prec = math.ceil(wd * math.log2(10)) + (4 * n0).bit_length()
+    sign = -1 if alternating else 1
+    with mp.workprec(prec):
+        root = _power(qv, Fraction(1, d))
+        head = sign ** abs(c) * root ** (bd * c - ad * c * c)
+        up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
+        down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
+    step = up * down >> prec
+    total = 1 << prec
+    for ratio in (up, down):  # m = 1..n0, then m = -1..-n0
+        term = 1 << prec
+        for _ in range(n0):
+            term = term * ratio >> prec
+            total += term
+            ratio = ratio * step >> prec
     with mp.workdps(wd):
-        lq = mpmath.log(qv)
-        n0 = _term_count(a, b, -float(lq), wd)
-        la, lb = lq * a.numerator / a.denominator, lq * b.numerator / b.denominator
-        step = mpmath.exp(2 * la)
-        total = mpf(1)
-        for lc in (lb, -lb):  # n = 1..n0, then n = -1..-n0
-            ratio = -mpmath.exp(la + lc) if alternating else mpmath.exp(la + lc)
-            term = mpf(1)
-            for _ in range(n0):
-                term *= ratio
-                total += term
-                ratio *= step
-        return BigReal(total, digits)
+        return BigReal(mpf((total, -prec)) * head, digits)
 
 
 def eval_theta(a, b, q: BigReal, digits: int | None = None) -> BigReal:
@@ -382,29 +398,23 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
     qv = q.value
     if not (0 < qv < 1):
         raise ValueError("eta evaluation requires 0 < q < 1")
-    with mp.workdps(30):
-        t = -mpf(p.numerator) / p.denominator * mpmath.log(qv)
-        cancel = int(mpmath.ceil(mp.pi ** 2 / (6 * t * mpmath.log(10))))
+    cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(qv) * math.log(10)))
     total = theta_sum(3 * p / 2, -p / 2, q, digits + cancel)
     with mp.workdps(digits + GUARD):
         return BigReal(+total.value, digits)
 
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
-    """Direct numeric value of the theta quotient at a real nome.  When p
-    divides a the quotient vanishes identically, and b/a = 1 - 2a/p of its
-    theta sum is an odd integer, so ``theta_sum`` gives an exact zero."""
+    """Direct numeric value of the theta quotient at a real nome; 0 before any
+    eta when p divides a, as b/a = 1 - 2a/p of its theta sum is then odd."""
     if digits is None:
         digits = q.digits
-    wd = digits + GUARD
-    with mp.workdps(wd):
-        lq = mpmath.log(q.value)
-        d = spec.delta
-        pref = mpmath.exp(mpf(d.numerator) / d.denominator * lq)
     th = theta_sum(spec.p / 2, spec.p / 2 - spec.a, q, digits)
+    if th.value == 0:
+        return th
     et = eval_eta(spec.p, q, digits)
-    with mp.workdps(wd):
-        return BigReal(pref * th.value / et.value, digits)
+    with mp.workdps(digits + GUARD):
+        return BigReal(_power(q.value, spec.delta) * th.value / et.value, digits)
 
 
 def eval_h5(x: BigReal, digits: int | None = None) -> BigReal:
@@ -445,13 +455,13 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
     if not (0 < qv < 1):
         raise ValueError("series evaluation requires 0 < q < 1")
     with mp.workdps(wd):
-        lq = mpmath.log(qv)
+        root = _power(qv, Fraction(1, u.denom))
         total = mpf(0)
         last = mpf(0)
         for k in sorted(u.nums):
             c = u.nums[k]
             g = math.gcd(c, u.scale)
-            term = mpf(c // g) / (u.scale // g) * mpmath.exp(mpf(k) / u.denom * lq)
+            term = mpf(c // g) / (u.scale // g) * root ** k
             total += term
             last = term
         if u.hi is None:
@@ -459,6 +469,6 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
         elif u.nums:
             tail = abs(last)
         else:
-            tail = mpmath.exp(mpf(u.hi) / u.denom * lq)
+            tail = root ** u.hi
         low = bool(tail > mpf(10) ** (-digits))
         return SeriesEval(BigReal(total, digits), tail, low)

@@ -3,6 +3,7 @@ trips, and byte-level determinism of the JSON outputs."""
 
 import json
 
+import mpmath
 import pytest
 
 from thetaquot.catalog import catalog_ids
@@ -104,16 +105,28 @@ class TestEval:
             f"error: singular modulus k_r rounds to 1 at r={r} with 60 digits\n"
         )
 
-    @pytest.mark.parametrize("r", ["1/1000", "1/3000", "300"])
+    @pytest.mark.parametrize("r", ["1/1000", "1/3000"])
     def test_failed_modulus_certification_is_usage_error(self, capsys, r):
-        # k' (or k) is rounded to the working precision before K, and K near
-        # modulus 1 amplifies that rounding past the certification tolerance
+        # k' = sqrt(1 - k^2) cancels as k -> 1, and agm(1, k') amplifies
+        # that rounding past the certification tolerance
         code, out, err = run(capsys, "eval", "--fn", "k", "--r", r)
         assert code == 2
         assert out == ""
         assert err.startswith(
             f"error: singular modulus certification failed at r={r}: residual "
         )
+
+    @pytest.mark.parametrize("r", ["300", "1000", "10000", "100000"])
+    def test_large_r_modulus_certifies(self, capsys, r):
+        # the certificate agm(1, k')/agm(1, k) uses k itself, so a tiny k
+        # (7.5e-216 at r = 10^5) neither cancels in sqrt(1 - k'^2) nor
+        # leaves a k' that rounds to 1
+        code, out, err = run(capsys, "eval", "--fn", "k", "--r", r)
+        assert code == 0 and err == ""
+        with mpmath.mp.workdps(80):
+            want = mpmath.kfrom(q=mpmath.exp(-mpmath.pi * mpmath.sqrt(int(r))))
+            # 60 printed significant digits: within one unit of the last
+            assert abs(mpmath.mpf(out) - want) <= mpmath.mpf(10) ** -59 * want
 
     def test_bad_nome_rejected(self, capsys):
         code, _, err = run(

@@ -66,6 +66,34 @@ class TestBigReal:
         with pytest.raises(ValueError):
             big_real(-2, 50) ** F(1, 2)
 
+    @staticmethod
+    def assert_power_equals_exp_log(x, e, digits):
+        # a root and an integer power, against exp(e log x) 20 digits above
+        got = big_real(x, digits) ** e
+        with mp.workdps(digits + GUARD + 20):
+            xv = mpmath.mpf(x.numerator) / x.denominator
+            want = mpmath.exp(mpmath.mpf(e.numerator) / e.denominator * mpmath.log(xv))
+        assert got.digits == digits
+        assert_relative(got.value, want, digits + 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=-30, max_value=30, max_denominator=150),
+        st.integers(20, 1000),
+    )
+    def test_fraction_power_equals_exp_log(self, x, e, digits):
+        self.assert_power_equals_exp_log(x, e, digits)
+
+    @pytest.mark.parametrize("e", [F(1, 24), F(-1, 55)], ids=str)
+    def test_fraction_power_where_mpmath_root_loses_bits(self, e):
+        # at 815 working digits mpmath.root(x, 55) is off by 1e-766
+        self.assert_power_equals_exp_log(F(2, 3), e, 800)
+
+    @pytest.mark.parametrize("e", [F(1, 2), F(1, 96), F(7, 3), F(2)], ids=str)
+    def test_fraction_power_of_zero(self, e):
+        assert (big_real(0, 40) ** e).value == 0
+
 
 class TestResidualStr:
     def test_noise_prints_the_floor(self):
@@ -428,6 +456,66 @@ class TestThetaSumWindow:
         af, bf = float(a), abs(float(b))
         n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
         assert _term_count(a, b, -float(lq), wd) == n0
+
+
+class TestThetaSumLargestTermFarFromZero:
+    # the walk starts at the largest term n = c, the integer nearest
+    # -b/(2a); a walk from n = 0 fails here once q^(a + b) is large and
+    # q^(2a) small, as at (a, b) = (15, -28), r = 188/25
+
+    @pytest.mark.parametrize("digits", [60, 400])
+    def test_pitfall_case(self, digits):
+        q = nome_from_r(F(188, 25), digits)
+        got = theta_sum(15, -28, q)
+        want = per_term_theta_sum(15, -28, q.value, digits + 20)
+        assert_relative(got.value, want, digits)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 12), max_value=30, max_denominator=12),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.floats(math.log(0.25), math.log(400)).map(lambda e: F(math.exp(e))),
+        st.integers(20, 2000),
+        st.booleans(),
+    )
+    def test_error_below_largest_term(self, a, b, r, digits, alternating):
+        # cancellation below the largest term is the Poisson dual's business,
+        # so the bound is 10^-digits of the largest term, not of the sum
+        q = nome_from_r(r, digits)
+        got = theta_sum(a, b, q, alternating=alternating)
+        want = per_term_theta_sum(a, b, q.value, digits + 20, alternating)
+        c = round(-b / (2 * a))
+        e = a * c * c + b * c
+        with mp.workdps(digits + GUARD + 20):
+            largest = mpmath.exp(mpmath.log(q.value) * e.numerator / e.denominator)
+            assert abs(got.value - want) <= mpmath.mpf(10) ** (-digits) * largest
+
+
+class TestLogFree:
+    # every power of q in the numeric layer is a root and an integer power;
+    # the one exp is the nome e^(-pi sqrt r) in nome_from_r
+
+    @pytest.fixture
+    def no_log(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("log called in the numeric layer")
+
+        monkeypatch.setattr(mpmath, "log", forbidden)
+        return forbidden
+
+    def test_modulus_runs_without_log(self, no_log):
+        ep = singular_modulus(F(7, 3), 200)
+        assert 0 < ep.k.value < 1
+
+    def test_evaluators_run_without_log_or_exp(self, monkeypatch, no_log):
+        q = nome_from_r(F(5, 2), 200)
+        monkeypatch.setattr(mpmath, "exp", no_log)
+        theta_sum(F(5, 2), F(-7, 3), q)
+        eval_eta(F(1, 5), q)
+        eval_A(ThetaSpec(F(1, 2), 3), q)
+        eval_eta5(q)
+        real_eval_series(A_series(ThetaSpec(1, 4), 40), q)
+        assert (q ** F(-11, 96)).value > 1
 
 
 class TestThetaSumExactZero:
