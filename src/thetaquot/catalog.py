@@ -421,7 +421,7 @@ def _check_poly_relation(entry, digits, M, r_list):
     tol = tolerance(digits, entry.tol_guard)
     # series residual through M grid rows above the base monomial exponent
     u, v = build_binding_series(entry.u_binding, entry.v_binding, Fraction(M))
-    ok, _, _ = _series_vanishes(entry.poly, u, v, M)
+    ok, _ = _series_vanishes(entry.poly, u, v, M)
     data.series_ok = bool(ok)
     data.series_order = M if ok else None
     if not ok:

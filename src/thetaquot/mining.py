@@ -3,10 +3,10 @@
 Given two truncated series u(q), v(q), find an integer-coefficient
 polynomial P with P(u, v) = O(q^M): build the matrix whose columns are the
 integer coefficient vectors of the monomials u^i v^j on the common
-exponent grid, compute its exact nullspace by fraction-free elimination, and
-certify the resulting relation both on extra series orders and numerically
-at high precision.  Post-validation guards against overfitting the
-truncation, which interpolation-style mining invites.
+exponent grid, solve its exact nullspace mod a prime and lift it by rational
+reconstruction, and certify the resulting relation both on extra series
+orders and numerically at high precision.  Post-validation guards against
+overfitting the truncation, which interpolation-style mining invites.
 """
 
 from __future__ import annotations
@@ -337,12 +337,19 @@ def build_coeff_matrix(
     return matrix, cols, base, denom
 
 
-_PRESCREEN_PRIME = (1 << 61) - 1
+# Mersenne primes 2^e - 1, e running through a prefix of OEIS A000043 from
+# 61: the ladder of primes that exact_nullspace tries, one at a time
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497,
+)
+_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
 
-def _pivots_mod_p(rows: list[list[int]], p: int = _PRESCREEN_PRIME) -> list[int]:
-    """Pivot columns of the row echelon form mod p: a column is a pivot
-    when it is independent of the columns before it."""
+def _echelon_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form mod p with unit pivots: (echelon rows, pivot
+    columns).  A column is a pivot when it is independent of the columns
+    before it."""
     m = [[x % p for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
@@ -357,18 +364,18 @@ def _pivots_mod_p(rows: list[list[int]], p: int = _PRESCREEN_PRIME) -> list[int]
                 break
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        prow = m[rank]
+        inv = pow(m[piv][col], -1, p)
+        prow = [x * inv % p for x in m[piv]]
+        m[piv] = m[rank]
+        m[rank] = prow
         for r in range(rank + 1, nrows):
             f = m[r][col]
             if f:
-                f = f * inv % p
                 row = m[r]
                 for cix in range(col, ncols):
                     row[cix] = (row[cix] - f * prow[cix]) % p
         pivots.append(col)
-    return pivots
+    return m[: len(pivots)], pivots
 
 
 def _rank_profile(
@@ -377,7 +384,8 @@ def _rank_profile(
     """Rank mod p of the columns of total degree i + j <= d, for every d,
     from one elimination with the columns ordered by total degree."""
     order = sorted(range(len(cols)), key=lambda k: cols[k][0] + cols[k][1])
-    pivots = set(_pivots_mod_p([[row[k] for k in order] for row in int_rows]))
+    permuted = [[row[k] for k in order] for row in int_rows]
+    pivots = set(_echelon_mod_p(permuted, _PRIMES[0])[1])
     profile: dict[int, int] = {}
     rank = 0
     for at, k in enumerate(order):
@@ -386,71 +394,59 @@ def _rank_profile(
     return profile
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot column list)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        # pick the nonzero pivot with the smallest bit length for growth control
-        best = None
-        for i in range(r, nrows):
-            x = m[i][col]
-            if x:
-                if best is None or abs(x).bit_length() < abs(m[best][col]).bit_length():
-                    best = i
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        piv = m[r][col]
-        for i in range(r + 1, nrows):
-            xi = m[i][col]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(col, ncols):
-                row_i[j] = (piv * row_i[j] - xi * row_r[j]) // prev
-        pivots.append(col)
-        prev = piv
-        r += 1
-    return m, pivots
+def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
+    """n/d with d > 0 and n = a d mod p, from the extended Euclidean
+    algorithm stopped at the first remainder n <= bound: when 2 bound^2 < p
+    and a fraction with |n|, d <= bound exists, it is this one (rational
+    reconstruction, von zur Gathen & Gerhard, Modern Computer Algebra,
+    5.10).  Otherwise d may exceed bound; the caller's exact check rejects
+    such a lift."""
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the right kernel of an integer matrix, each vector scaled to
-    coprime integers with its first nonzero entry positive."""
+    coprime integers with its first nonzero entry positive.
+
+    The reduced basis (1 at one free column, 0 at the others) is solved
+    mod p, lifted by rational reconstruction and checked over the integers;
+    if any vector fails, the next prime of the ladder is tried.  The rank
+    over Q is at least the rank mod p, so as many checked vectors as the
+    kernel's dimension mod p span the kernel over Q, with the same free
+    columns: they are its unique reduced basis (Cohen, GTM 138, Alg. 2.3.1).
+    """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    ech, pivots = _bareiss_echelon(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for rix in range(len(pivots) - 1, -1, -1):
-            pc = pivots[rix]
-            row = ech[rix]
-            s = sum((row[c] * x[c] for c in range(pc + 1, ncols) if x[c]), Fraction(0))
-            x[pc] = -s / row[pc]
-        den = 1
-        for val in x:
-            den = den * val.denominator // gcd(den, val.denominator)
-        ints = [int(val * den) for val in x]
-        g = 0
-        for val in ints:
-            g = gcd(g, abs(val))
-        ints = [val // g for val in ints]
-        first = next(val for val in ints if val)
-        if first < 0:
-            ints = [-val for val in ints]
-        basis.append(ints)
-    return basis
+    for p in _PRIMES:
+        ech, pivots = _echelon_mod_p(matrix, p)
+        bound = math.isqrt(p // 2)
+        basis = []
+        for fc in sorted(set(range(ncols)) - set(pivots)):
+            # back-substitution leaves every pivot column past fc at 0
+            x = [0] * ncols
+            x[fc] = 1
+            for row, pc in zip(reversed(ech), reversed(pivots)):
+                if pc < fc:
+                    x[pc] = -sum(row[c] * x[c] for c in range(pc + 1, fc + 1)) % p
+            fracs = [_rational_mod_p(val, p, bound) for val in x]
+            den = math.lcm(*(d for _, d in fracs))
+            vec = [n * (den // d) for n, d in fracs]
+            support = [c for c in range(fc + 1) if vec[c]]
+            if any(sum(row[c] * vec[c] for c in support) for row in matrix):
+                break
+            g = gcd(*vec) if vec[support[0]] > 0 else -gcd(*vec)
+            basis.append([val // g for val in vec])
+        else:
+            return basis
+    raise MiningError(
+        "exact kernel not found: its entries are too large for rational "
+        f"reconstruction mod 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+    )
 
 
 def _kernel_polys(
@@ -534,9 +530,9 @@ def _series_vanishes(
     u: PuiseuxSeries,
     v: PuiseuxSeries,
     through_rows: int,
-) -> tuple[bool, int, int]:
+) -> tuple[bool, int]:
     """Check P(u, v) = 0 on the first ``through_rows`` grid rows from the
-    global monomial minimum.  Returns (ok, first_bad_or_checked, base)."""
+    global monomial minimum.  Returns (ok, first_bad_or_checked)."""
     table = MonomialTable(u, v, poly.max_single_degree)
     residual = PuiseuxSeries.zero()
     # base: the least exponent any monomial of the relation can reach
@@ -559,8 +555,8 @@ def _series_vanishes(
         )
     bad = [k for k in residual.nums if k < top]
     if bad:
-        return False, min(bad) - base, base
-    return True, through_rows, base
+        return False, min(bad) - base
+    return True, through_rows
 
 
 def validate(
@@ -582,7 +578,7 @@ def validate(
         if rel.u_binding is None or rel.v_binding is None:
             raise ValidationFailed("no series supplied and no bindings to rebuild from")
         u, v = build_binding_series(rel.u_binding, rel.v_binding, Fraction(rows_needed))
-    ok, info, _ = _series_vanishes(rel.poly, u, v, rows_needed)
+    ok, info = _series_vanishes(rel.poly, u, v, rows_needed)
     if not ok:
         raise ValidationFailed(
             f"series residual is nonzero {info} grid rows above the base exponent"

@@ -306,7 +306,8 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
 
 
 def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
-    """k_i(x) = (K(sqrt(1-x^2)) / K(x))^2 for 0 < x < 1."""
+    """k_i(x) = (K(x') / K(x))^2 for 0 < x < 1, with x' = sqrt(1-x^2),
+    taken as (agm(1, x') / agm(1, x))^2, which never forms sqrt(1-x'^2)."""
     if isinstance(x, BigReal) and digits is None:
         digits = x.digits
     if digits is None:
@@ -316,9 +317,8 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
     if not (0 < xv < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
     with mp.workdps(wd):
-        xp = mpmath.sqrt(1 - xv * xv)
-    ratio = ellipk(BigReal(xp, digits)) / ellipk(BigReal(xv, digits))
-    return ratio * ratio
+        ratio = agm(1, mpmath.sqrt(1 - xv * xv), wd)[0] / agm(1, xv, wd)[0]
+        return BigReal(ratio * ratio, digits)
 
 
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
@@ -434,10 +434,9 @@ def eval_eta5(x: BigReal, digits: int | None = None) -> BigReal:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """Numeric value of a truncated series, with a tail-size heuristic."""
+    """Numeric value of a truncated series, flagged by a tail heuristic."""
 
     value: BigReal
-    tail_estimate: mpf
     low_confidence: bool
 
 
@@ -471,4 +470,4 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
         else:
             tail = root ** u.hi
         low = bool(tail > mpf(10) ** (-digits))
-        return SeriesEval(BigReal(total, digits), tail, low)
+        return SeriesEval(BigReal(total, digits), low)

@@ -42,6 +42,15 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.5707963267948966")
 
+    def test_inverse_modulus_of_tiny_x(self, capsys):
+        # the 200-digit AGM value (agm(1, x')/agm(1, x))^2 at x = 10^-40,
+        # rounded to 60 digits
+        code, out, _ = run(
+            capsys, "eval", "--fn", "ki", "--x", f"1/{10 ** 40}", "--digits", "60"
+        )
+        assert code == 0
+        assert out == "3542.31974942772970490065011995929699063526676943580280639336\n"
+
     def test_quotient_value(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "1",

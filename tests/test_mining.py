@@ -23,6 +23,7 @@ from thetaquot.mining import (
     BivarIntPoly,
     InsufficientTruncation,
     MinedRelation,
+    MiningError,
     MiningNotFound,
     ValidationFailed,
     build_binding_series,
@@ -64,6 +65,84 @@ def rank_mod_p(rows, p=(1 << 61) - 1):
             m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def bareiss_nullspace(matrix):
+    """Reference kernel: fraction-free (Bareiss) row echelon form, then
+    back-substitution in Fractions, scaled as ``exact_nullspace`` scales."""
+    if not matrix:
+        return []
+    m = [row[:] for row in matrix]
+    nrows, ncols = len(m), len(m[0])
+    pivots, prev, r = [], 1, 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        # the nonzero pivot with the smallest bit length, for growth control
+        best = None
+        for i in range(r, nrows):
+            bits = abs(m[i][col]).bit_length()
+            if bits and (best is None or bits < abs(m[best][col]).bit_length()):
+                best = i
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][col]
+        for i in range(r + 1, nrows):
+            xi = m[i][col]
+            for j in range(col, ncols):
+                m[i][j] = (piv * m[i][j] - xi * m[r][j]) // prev
+        pivots.append(col)
+        prev = piv
+        r += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [F(0)] * ncols
+        x[fc] = F(1)
+        for rix in range(len(pivots) - 1, -1, -1):
+            pc, row = pivots[rix], m[rix]
+            s = sum((row[c] * x[c] for c in range(pc + 1, ncols) if x[c]), F(0))
+            x[pc] = -s / row[pc]
+        den = math.lcm(*(val.denominator for val in x))
+        ints = [int(val * den) for val in x]
+        g = math.gcd(*ints)
+        sign = 1 if next(val for val in ints if val) > 0 else -1
+        basis.append([sign * val // g for val in ints])
+    return basis
+
+
+@st.composite
+def planted_kernel_matrices(draw):
+    """C B with B of rank < its 1-14 columns, entries below 2^100 in
+    absolute value and more rows than rank."""
+    ncols = draw(st.integers(1, 14))
+    rank = draw(st.integers(0, ncols - 1))
+    nrows = rank + draw(st.integers(1, 4))
+    top = (1 << draw(st.integers(1, 100))) // max(rank, 1)
+    entry = st.integers(-top, top)
+    b = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    c = [[draw(st.integers(-1, 1)) for _ in range(rank)] for _ in range(nrows)]
+    return [
+        [sum(c[i][k] * b[k][j] for k in range(rank)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+# OEIS A000043: the exponents e of the Mersenne primes 2^e - 1
+A000043 = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+    3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+    110503, 132049, 216091,
+)
+
+
+def lucas_lehmer(e):
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def mine_14(order=62, M=120, s_max=3, **kw):
@@ -115,6 +194,41 @@ class TestExactNullspace:
             # dimension check against rank over a prime field is implicit in
             # the annihilation plus the pivot structure; spot check sizes
             assert len(basis) <= cols
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_kernel_matrices())
+    def test_planted_kernels_match_bareiss(self, matrix):
+        assert exact_nullspace(matrix) == bareiss_nullspace(matrix)
+
+    def test_large_kernel_entries_climb_the_ladder(self):
+        # a kernel entry near 2^200 needs the 2^521 - 1 rung
+        big = 3 ** 127
+        assert exact_nullspace([[big, 5, 0]]) == [[5, -big, 0], [0, 0, 1]]
+
+    def test_unlucky_first_prime(self):
+        # mod 2^61 - 1 the first column vanishes, so the first prime's kernel
+        # [1, 0] fails the exact check
+        p = (1 << 61) - 1
+        assert exact_nullspace([[p, 1]]) == [[1, -p]]
+        assert exact_nullspace([[p, 0], [0, 1]]) == []
+
+    def test_ladder_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(mining, "_PRIMES", mining._PRIMES[:1])
+        with pytest.raises(MiningError, match="too large"):
+            exact_nullspace([[(1 << 61) - 1, 1]])
+
+    def test_ladder_is_mersenne_primes(self):
+        exps = mining._MERSENNE_EXPONENTS
+        start = A000043.index(61)
+        assert exps == A000043[start : start + len(exps)]
+        assert mining._PRIMES == tuple((1 << e) - 1 for e in exps)
+        # rungs past 2^4423 - 1 take seconds each; they rest on the citation
+        assert all(lucas_lehmer(e) for e in exps if e <= 4423)
+
+    def test_lucas_lehmer_rejects_composites(self):
+        assert [e for e in (3, 5, 7, 11, 13, 23, 29, 31) if lucas_lehmer(e)] == [
+            3, 5, 7, 13, 31,
+        ]
 
 
 def fraction_matrix_kernel(u, v, s, rows):

@@ -195,6 +195,15 @@ class TestInverseModulus:
         with pytest.raises(ValueError):
             inverse_modulus(big_real(1, 40))
 
+    @pytest.mark.parametrize("e", [20, 40])
+    def test_small_modulus_against_agm_oracle(self, e):
+        # x' = sqrt(1 - x^2) rounds to 1 here, so nothing may form 1 - x'^2
+        with mp.workdps(200):
+            x = mpmath.mpf(10) ** -e
+            want = (mpmath.agm(1, mpmath.sqrt(1 - x * x)) / mpmath.agm(1, x)) ** 2
+        got = inverse_modulus(F(1, 10 ** e), 60)
+        assert abs(got.value - want) < want * mpmath.mpf(10) ** -62
+
 
 def brute_theta_value(a, b, q, dps, alternating=True):
     a, b = F(a), F(b)
