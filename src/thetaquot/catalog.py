@@ -157,28 +157,31 @@ class CatalogEntry:
 
 
 def _record(
-    data: CheckData, label: str, digits: int, residual: BigReal | mpmath.mpf, tol
+    data: CheckData, label: str, digits: int, residual, tol, *terms: BigReal
 ) -> None:
-    val = residual.value if isinstance(residual, BigReal) else residual
-    val = abs(val)
-    data.records.append(
-        ResidualRecord(label, digits, residual_str(val, digits), bool(val < tol))
-    )
+    """Record a residual, passing when it is below ``tol`` times the largest
+    of 1 and the absolute ``terms`` it was summed from."""
+    val = abs(residual.value if isinstance(residual, BigReal) else residual)
+    size = max([mpmath.mpf(1)] + [abs(t.value) for t in terms])
+    ok = bool(val < tol * size)
+    data.records.append(ResidualRecord(label, digits, residual_str(val, digits), ok))
 
 
 # ---------------------------------------------------------------------------
-# closed forms: each is a residual function (r, digits) -> lhs - rhs
+# closed forms: each is a function (r, digits) -> (lhs, rhs)
 # ---------------------------------------------------------------------------
 
 
-def _at_each_r(residual: Callable[[Fraction, int], BigReal]):
-    """A closed-form check: lhs - rhs from ``residual(r, digits)`` at every r."""
+def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
+    """A closed-form check: lhs - rhs, with (lhs, rhs) from ``sides(r,
+    digits)``, at every r, relative to the larger side."""
 
     def run(entry, digits, M, r_list):
         data = CheckData()
         tol = tolerance(digits, entry.tol_guard)
         for r in r_list:
-            _record(data, f"r={r}", digits, residual(r, digits), tol)
+            lhs, rhs = sides(r, digits)
+            _record(data, f"r={r}", digits, lhs - rhs, tol, lhs, rhs)
         return data
 
     return run
@@ -187,7 +190,7 @@ def _at_each_r(residual: Callable[[Fraction, int], BigReal]):
 def _even_shift(s: int, r, digits):
     ep = singular_modulus(r, digits)
     lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
-    return lhs - ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
+    return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
 
 
 def _odd_shift(s: int, r, digits):
@@ -195,7 +198,7 @@ def _odd_shift(s: int, r, digits):
     ep = singular_modulus(r, digits)
     ch = singular_chain(ep)
     lhs = theta_sum(1, m, ep.q, digits, alternating=False)
-    return lhs - (
+    return lhs, (
         big_real(2, digits) ** Fraction(5, 6)
         * ep.q ** Fraction(-m * m, 4)
         * (ch.k11 * ch.k12 * ch.k21) ** Fraction(1, 6)
@@ -207,7 +210,7 @@ def _odd_shift(s: int, r, digits):
 def _eta8(r, digits):
     ep = singular_modulus(r, digits)
     lhs = eval_eta(1, ep.q, digits) ** 8
-    return lhs - (
+    return lhs, (
         big_real(2, digits) ** Fraction(8, 3)
         / pi_at(digits) ** 4
         * ep.q ** Fraction(-1, 3)
@@ -222,7 +225,7 @@ def _a14_24(corrected: bool, r, digits):
     lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
     ksq = ep.k ** 2
     num = (1 - ksq) ** 2 if corrected else 1 - ksq
-    return lhs - 16 * num / ksq
+    return lhs, 16 * num / ksq
 
 
 def _thm1(r, digits):
@@ -230,14 +233,14 @@ def _thm1(r, digits):
     lhs = eval_theta(2, 1, ep.q, digits)
     inner = 4 * (1 - ep.k ** 2) / ep.k
     rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
-    return lhs - rhs
+    return lhs, rhs
 
 
 def _eq18(r, digits):
     ep = singular_modulus(r, digits)
     k = ep.k
     lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
-    return lhs - (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
+    return lhs, (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
 
 
 def _thm2(r, digits):
@@ -248,7 +251,7 @@ def _thm2(r, digits):
         4 * (1 - k) ** 4 * (2 + k - 2 * (1 + k).sqrt()) ** 12
         / (k ** 13 * (1 + k) ** 2)
     )
-    return lhs - (
+    return lhs, (
         ep.q ** Fraction(-11, 96)
         * eval_eta(4, ep.q, digits)
         * inner ** Fraction(1, 48)
@@ -261,7 +264,7 @@ def _eq27(r, digits):
     q = nome_from_r(r, digits)
     u = eval_A(ThetaSpec(1, 4), q, digits)
     v = eval_A(ThetaSpec(1, 4), q * q, digits)
-    return 16 * u ** 8 + u ** 16 * v ** 8 - v ** 16
+    return 16 * u ** 8 + u ** 16 * v ** 8, v ** 16
 
 
 def _check_thm3(entry, digits, M, r_list):
@@ -429,7 +432,8 @@ def _check_poly_relation(entry, digits, M, r_list):
     for r in r_list:
         uval = entry.u_binding.numeric(r, digits)
         vval = get_v_binding(entry.v_binding).numeric(r, digits)
-        _record(data, f"r={r}", digits, entry.poly.eval_numeric(uval, vval), tol)
+        terms = entry.poly.eval_terms(uval, vval)
+        _record(data, f"r={r}", digits, sum(terms[1:], terms[0]), tol, *terms)
     return data
 
 

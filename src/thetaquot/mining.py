@@ -3,20 +3,22 @@
 Given two truncated series u(q), v(q), find an integer-coefficient
 polynomial P with P(u, v) = O(q^M): build the matrix whose columns are the
 integer coefficient vectors of the monomials u^i v^j on the common
-exponent grid, solve its exact nullspace mod a prime and lift it by rational
-reconstruction, and certify the resulting relation both on extra series
-orders and numerically at high precision.  Post-validation guards against
-overfitting the truncation, which interpolation-style mining invites.
+exponent grid, ordered by total degree, lift its reduced kernel basis from
+mod-p solutions one vector at a time, least total degree first, and certify
+each candidate on extra series orders and numerically at high precision.
+Post-validation guards against overfitting the truncation, which
+interpolation-style mining invites.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 from mpmath import mp
@@ -65,6 +67,8 @@ class InsufficientTruncation(MiningError):
 
 
 class MiningNotFound(MiningError):
+    """No relation certified; ``rank_profile[s]`` is the rank over Q at degree s."""
+
     def __init__(self, message: str, rank_profile: dict[int, int]):
         super().__init__(message)
         self.rank_profile = rank_profile
@@ -112,11 +116,12 @@ class BivarIntPoly:
     def term_count(self) -> int:
         return len(self.terms)
 
+    def eval_terms(self, u: BigReal, v: BigReal) -> list[BigReal]:
+        return [u ** i * v ** j * c for i, j, c in self.terms]
+
     def eval_numeric(self, u: BigReal, v: BigReal) -> BigReal:
-        acc = BigReal(mpmath.mpf(0), min(u.digits, v.digits))
-        for i, j, c in self.terms:
-            acc = acc + u ** i * v ** j * c
-        return acc
+        terms = self.eval_terms(u, v)
+        return sum(terms[1:], terms[0])
 
     def __str__(self) -> str:
         parts = []
@@ -298,17 +303,18 @@ def build_coeff_matrix(
     common grid.
 
     Returns (matrix, columns, base_index, grid_denom): one column per (i, j)
-    in lexicographic order, one row per grid exponent starting at the global
-    minimum ``base_index``.  Every column is put over the lcm of the
-    products' scales, so each row is an integer multiple of the coefficient
-    row, with the same kernel.  Raises InsufficientTruncation when any product
-    is not known through the last requested row.  ``table`` supplies the
-    monomials of u and v, built for some degree >= s; by default they are
-    built here.
+    ordered by total degree i + j and lexicographically within a degree, so
+    that a reduced kernel vector has the total degree of its free column;
+    one row per grid exponent starting at the global minimum ``base_index``.
+    Every column is put over the lcm of the products' scales, so each row is
+    an integer multiple of the coefficient row, with the same kernel.
+    Raises InsufficientTruncation when any product is not known through the
+    last requested row.  ``table`` supplies the monomials of u and v, built
+    for some degree >= s; by default they are built here.
     """
     if table is None:
         table = MonomialTable(u, v, s)
-    cols = [(i, j) for i in range(s + 1) for j in range(s + 1)]
+    cols = sorted(((i, j) for i in range(s + 1) for j in range(s + 1)), key=sum)
     products = {(i, j): table.product(i, j) for i, j in cols}
     denom = math.lcm(*(prod.denom for prod in products.values()))
     los = []
@@ -378,22 +384,6 @@ def _echelon_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list
     return m[: len(pivots)], pivots
 
 
-def _rank_profile(
-    int_rows: list[list[int]], cols: list[tuple[int, int]]
-) -> dict[int, int]:
-    """Rank mod p of the columns of total degree i + j <= d, for every d,
-    from one elimination with the columns ordered by total degree."""
-    order = sorted(range(len(cols)), key=lambda k: cols[k][0] + cols[k][1])
-    permuted = [[row[k] for k in order] for row in int_rows]
-    pivots = set(_echelon_mod_p(permuted, _PRIMES[0])[1])
-    profile: dict[int, int] = {}
-    rank = 0
-    for at, k in enumerate(order):
-        rank += at in pivots
-        profile[cols[k][0] + cols[k][1]] = rank
-    return profile
-
-
 def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
     """n/d with d > 0 and n = a d mod p, from the extended Euclidean
     algorithm stopped at the first remainder n <= bound: when 2 bound^2 < p
@@ -408,25 +398,30 @@ def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of the right kernel of an integer matrix, each vector scaled to
-    coprime integers with its first nonzero entry positive.
+def _kernel_basis(matrix: list[list[int]]) -> Iterator[list[int]]:
+    """The reduced basis of the right kernel of an integer matrix (1 at one
+    free column, 0 at the other free columns and past it), one vector at a
+    time in free-column order, scaled to coprime integers with its first
+    nonzero entry positive (Cohen, GTM 138, Alg. 2.3.1).
 
-    The reduced basis (1 at one free column, 0 at the others) is solved
-    mod p, lifted by rational reconstruction and checked over the integers;
-    if any vector fails, the next prime of the ladder is tried.  The rank
-    over Q is at least the rank mod p, so as many checked vectors as the
-    kernel's dimension mod p span the kernel over Q, with the same free
-    columns: they are its unique reduced basis (Cohen, GTM 138, Alg. 2.3.1).
+    Each vector is solved mod p, lifted by rational reconstruction and
+    checked over the integers.  A checked vector makes its free column
+    dependent over Q, and a column independent mod p is independent over Q,
+    so the free columns through the last checked vector are those over Q.
+    When a lift fails, the next prime whose free columns begin with those
+    already yielded resumes after them.
     """
     if not matrix:
-        return []
+        return
     ncols = len(matrix[0])
+    done: list[int] = []  # the free columns of the vectors yielded so far
     for p in _PRIMES:
         ech, pivots = _echelon_mod_p(matrix, p)
+        free = sorted(set(range(ncols)) - set(pivots))
+        if free[: len(done)] != done:
+            continue
         bound = math.isqrt(p // 2)
-        basis = []
-        for fc in sorted(set(range(ncols)) - set(pivots)):
+        for fc in free[len(done) :]:
             # back-substitution leaves every pivot column past fc at 0
             x = [0] * ncols
             x[fc] = 1
@@ -440,33 +435,21 @@ def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
             if any(sum(row[c] * vec[c] for c in support) for row in matrix):
                 break
             g = gcd(*vec) if vec[support[0]] > 0 else -gcd(*vec)
-            basis.append([val // g for val in vec])
+            done.append(fc)
+            yield [val // g for val in vec]
         else:
-            return basis
+            return
     raise MiningError(
         "exact kernel not found: its entries are too large for rational "
         f"reconstruction mod 2^{_MERSENNE_EXPONENTS[-1]} - 1"
     )
 
 
-def _kernel_polys(
-    int_rows: list[list[int]],
-    cols: list[tuple[int, int]],
-    keep: Callable[[tuple[int, int]], bool],
-    rank: int,
-) -> list[BivarIntPoly]:
-    """Kernel relations on the kept columns of an integer matrix, given
-    their rank mod p."""
-    idx = [k for k, c in enumerate(cols) if keep(c)]
-    if rank == len(idx):
-        return []  # full column rank over a prime field forces a trivial kernel
-    sub = [[row[k] for k in idx] for row in int_rows]
-    basis = exact_nullspace(sub)
-    polys = []
-    for vec in basis:
-        terms = [(cols[idx[k]][0], cols[idx[k]][1], vec[k]) for k in range(len(idx))]
-        polys.append(BivarIntPoly.normalized(terms))
-    return polys
+def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
+    """Basis of the right kernel of an integer matrix: the reduced basis,
+    each vector scaled to coprime integers with its first nonzero entry
+    positive."""
+    return list(_kernel_basis(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +607,12 @@ def mine(
     """Search degrees s = 1..s_max and return the first kernel relation
     that validates.
 
-    At each s one loop tries the kernel of the least total degree that has
-    one (fewest terms, then lexicographic order first), then the full
-    kernel, solved only after those all fail, so the returned polynomial
-    has the least total degree present in the kernel.  MiningNotFound
-    carries each degree's mod-p rank.
+    At each s the reduced kernel basis of the coefficient matrix is lifted
+    lazily, in order of total degree, and each total degree's vectors are
+    tried fewest terms first, then in lexicographic order, so the returned
+    polynomial has the least total degree present in the kernel.  One
+    elimination per prime serves every total degree.  MiningNotFound
+    carries each degree's rank over Q.
     """
     if M is None:
         M = common_known_order(u, v)
@@ -659,26 +643,17 @@ def mine(
     table = MonomialTable.truncated(u, v, s_max, max_rows)
     for s, rows in all_rows.items():
         int_rows, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
-        profile = _rank_profile(int_rows, cols)
-
-        def candidates():
-            for d in range(1, 2 * s + 1):
-                found = _kernel_polys(
-                    int_rows, cols, lambda c: c[0] + c[1] <= d, profile[d]
-                )
-                if found:
-                    yield from sorted(found, key=lambda p: (p.term_count(), p.terms))
-                    break
-            yield from sorted(
-                _kernel_polys(int_rows, cols, lambda c: True, profile[2 * s]),
-                key=lambda p: (p.total_degree, p.term_count(), p.terms),
-            )
-
-        tried: set[BivarIntPoly] = set()
-        for poly in candidates():
-            if poly in tried:
-                continue
-            tried.add(poly)
+        polys = (
+            BivarIntPoly.normalized([(i, j, c) for (i, j), c in zip(cols, vec)])
+            for vec in _kernel_basis(int_rows)
+        )
+        candidates = itertools.chain.from_iterable(
+            sorted(group, key=lambda p: (p.term_count(), p.terms))
+            for _, group in itertools.groupby(polys, key=lambda p: p.total_degree)
+        )
+        nullity = 0
+        for poly in candidates:
+            nullity += 1
             rel = MinedRelation(
                 poly=poly,
                 degree=s,
@@ -699,7 +674,7 @@ def mine(
                 # a kernel vector failing certification is an artifact of
                 # the truncation; keep looking
                 failures.append(f"s={s}: {poly} rejected ({exc})")
-        rank_profile[s] = profile[2 * s]
+        rank_profile[s] = len(cols) - nullity
     msg = f"no certified integer relation of degree <= {s_max} through grid order {M}"
     if failures:
         msg += "; rejected candidates: " + " | ".join(failures[:4])

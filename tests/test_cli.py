@@ -258,6 +258,13 @@ class TestVerify:
         assert code == 0
         assert "eq15_as_printed: flagged" in out
 
+    def test_large_terms_pass_on_a_relative_residual(self, capsys):
+        # at r = 1000 eq27's terms are about 3e57 and its residual 7e-18, a
+        # relative 2e-75, well inside the 60-digit tolerance
+        code, out, _ = run(capsys, "verify", "--entry", "eq27", "--rs", "1000,10000")
+        assert code == 0
+        assert out == "eq27: pass\n"
+
     def test_report_determinism(self, capsys, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for p in (p1, p2):

@@ -225,16 +225,45 @@ class TestExactNullspace:
         # rungs past 2^4423 - 1 take seconds each; they rest on the citation
         assert all(lucas_lehmer(e) for e in exps if e <= 4423)
 
+    def test_lazy_basis_resumes_after_a_climb(self, monkeypatch):
+        # the second vector's entry 2^40 is past the reconstruction bound
+        # mod 2^61 - 1; the next rung resumes at its free column
+        matrix = [[1, -1, 0, 0], [0, 0, 2 ** 40, 5]]
+        primes = []
+
+        def echelon(rows, p):
+            primes.append(p)
+            return real_echelon(rows, p)
+
+        real_echelon = mining._echelon_mod_p
+        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        basis = mining._kernel_basis(matrix)
+        assert next(basis) == [1, 1, 0, 0]
+        assert primes == [(1 << 61) - 1]
+        assert list(basis) == [[0, 0, 5, -(2 ** 40)]]
+        assert primes == [(1 << 61) - 1, (1 << 89) - 1]
+        assert exact_nullspace(matrix) == bareiss_nullspace(matrix)
+
+    def test_resume_skips_a_prime_unlucky_on_the_solved_columns(self):
+        # [2, -1, 0] checks at 2^61 - 1 and the column-2 lift fails; mod
+        # 2^89 - 1 the row is [0, 0, 1], whose free columns are not those
+        # already solved, so that rung is skipped and a later one resumes
+        p = (1 << 89) - 1
+        matrix = [[p, 2 * p, 1]]
+        assert exact_nullspace(matrix) == bareiss_nullspace(matrix)
+        assert exact_nullspace(matrix) == [[2, -1, 0], [1, 0, -p]]
+
     def test_lucas_lehmer_rejects_composites(self):
         assert [e for e in (3, 5, 7, 11, 13, 23, 29, 31) if lucas_lehmer(e)] == [
             3, 5, 7, 13, 31,
         ]
 
 
-def fraction_matrix_kernel(u, v, s, rows):
-    """Reference kernel: the coefficient matrix of u^i v^j as Fractions,
-    each row scaled to integers by the lcm of its denominators."""
-    prods = [(i, j, u ** i * v ** j) for i in range(s + 1) for j in range(s + 1)]
+def fraction_matrix_kernel(u, v, cols, rows):
+    """Reference kernel: the coefficient matrix of u^i v^j, one column per
+    (i, j) in ``cols``, as Fractions, each row scaled to integers by the lcm
+    of its denominators."""
+    prods = [(i, j, u ** i * v ** j) for i, j in cols]
     denom = math.lcm(*(p.denom for _, _, p in prods))
     base = min(
         min(p.coeffs) * (denom // p.denom) for _, _, p in prods if not p.is_zero()
@@ -258,7 +287,7 @@ class TestBuildCoeffMatrix:
         ]
         assert all(isinstance(x, int) for row in m for x in row)
         ker = exact_nullspace(m)
-        assert ker == fraction_matrix_kernel(u, v, 2, 19)
+        assert ker == fraction_matrix_kernel(u, v, cols, 19)
         relation = BivarIntPoly.normalized([(0, 1, 3), (2, 0, -4)])
         assert relation in [
             BivarIntPoly.normalized([(i, j, c) for (i, j), c in zip(cols, vec)])
@@ -325,28 +354,26 @@ class TestMine:
             matrix, cols, base, denom = standalone(u, v, s, rows, table)
             assert (matrix, cols, base, denom) == standalone(u, v, s, rows)
 
-    def test_rank_profile_matches_rank_of_each_column_subset(self, monkeypatch):
-        # one elimination with the columns ordered by total degree must give
-        # the rank of every restricted degree's column subset
-        profiles = []
-
-        def recording(int_rows, cols):
-            profile = real(int_rows, cols)
-            profiles.append((int_rows, cols, profile))
-            return profile
-
-        real = mining._rank_profile
-        monkeypatch.setattr(mining, "_rank_profile", recording)
-        assert mine_14().poly == REL_14
-        assert [len(cols) for _, cols, _ in profiles] == [4, 9]
-        for int_rows, cols, profile in profiles:
-            s = max(i for i, _ in cols)
-            assert sorted(profile) == list(range(2 * s + 1))
-            for d, rank in profile.items():
-                idx = [k for k, (i, j) in enumerate(cols) if i + j <= d]
-                assert rank == rank_mod_p([[row[k] for k in idx] for row in int_rows])
-        # the s = 2 matrix has a kernel, first seen at total degree 3
-        assert profiles[1][2][2] == 6 and profiles[1][2][3] == 7
+    def test_rank_profile_matches_rank_of_each_column_subset(self):
+        # the columns are ordered by total degree, so for every d the basis
+        # vectors of total degree <= d, cut to the columns of total degree
+        # <= d, are those columns' reduced kernel, and give their rank
+        u = A_series(ThetaSpec(-2, 8), 90) ** 12
+        v = rescale(modulus_series(45), 2) ** 2
+        for s in (4, 5):
+            rows = (s + 1) ** 2 + 10 + mining._valuation_spread(u, v, s)
+            m, cols, _, _ = build_coeff_matrix(u, v, s, rows)
+            basis = exact_nullspace(m)
+            for d in range(2 * s + 1):
+                n = sum(1 for i, j in cols if i + j <= d)
+                assert all(i + j <= d for i, j in cols[:n])
+                sub = [row[:n] for row in m]
+                low = [vec[:n] for vec in basis if not any(vec[n:])]
+                assert low == bareiss_nullspace(sub)
+                assert n - len(low) == rank_mod_p(sub)
+        # at s = 5 the kernel has two vectors each of total degree 6, 7, 8
+        degrees = [sum(cols[max(k for k, c in enumerate(x) if c)]) for x in basis]
+        assert degrees == [5, 6, 6, 7, 7, 8, 8, 9]
 
     def test_three_term_variant_fails_certification(self):
         # the 2-variable relation u^2 v + 16 v - 16 (the shape implied by
@@ -398,41 +425,50 @@ class TestMine:
         assert exc.value.rank_profile.get(1) == 4  # full column rank at s=1
 
     def test_not_found_reports_the_full_rank_of_each_degree(self, monkeypatch):
-        profiles = []
+        matrices = []
 
-        def recording(int_rows, cols):
-            profiles.append(real_profile(int_rows, cols))
-            return profiles[-1]
+        def recording(*args):
+            matrices.append(real_matrix(*args))
+            return matrices[-1]
 
         def reject(rel, **kwargs):
             raise ValidationFailed("forced")
 
-        real_profile = mining._rank_profile
-        monkeypatch.setattr(mining, "_rank_profile", recording)
+        real_matrix = mining.build_coeff_matrix
+        monkeypatch.setattr(mining, "build_coeff_matrix", recording)
         monkeypatch.setattr(mining, "validate", reject)
         with pytest.raises(MiningNotFound) as exc:
             mine_14(s_max=3)
         assert "rejected candidates: s=2: " in str(exc.value)
         assert exc.value.rank_profile == {
-            s: profile[2 * s] for s, profile in enumerate(profiles, start=1)
+            s: len(cols) - len(exact_nullspace(m))
+            for s, (m, cols, _, _) in enumerate(matrices, start=1)
         }
 
     def test_full_kernel_solved_only_after_restricted_candidates_fail(
         self, monkeypatch
     ):
-        solved = []
+        # one elimination per degree serves every total degree, and only the
+        # vectors that mine asks for are lifted
+        eliminations, lifted = [], []
 
-        def recording(rows):
-            solved.append(len(rows[0]))
-            return real_nullspace(rows)
+        def echelon(rows, p):
+            eliminations.append((len(rows[0]), p))
+            return real_echelon(rows, p)
 
-        real_nullspace = mining.exact_nullspace
-        monkeypatch.setattr(mining, "exact_nullspace", recording)
+        def kernel(matrix):
+            lifted.append([])
+            for vec in real_kernel(matrix):
+                lifted[-1].append(vec)
+                yield vec
+
+        real_echelon, real_kernel = mining._echelon_mod_p, mining._kernel_basis
+        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        monkeypatch.setattr(mining, "_kernel_basis", kernel)
         assert mine_14().poly == REL_14
-        # the s = 2 kernel first appears on the 8 columns of total degree
-        # <= 3, and its relation validates, so the 9-column kernel is never
-        # solved
-        assert solved == [8]
+        assert eliminations == [(4, (1 << 61) - 1), (9, (1 << 61) - 1)]
+        # s = 2: the kernel's one vector, of total degree 3, validates
+        assert lifted == [[], [[16, -32, 0, 16, 0, 0, 0, -1, 0]]]
 
     def test_floor_on_M(self):
         with pytest.raises(Exception, match="floor"):
