@@ -1,13 +1,16 @@
 """Arbitrary-precision real evaluation.
 
 BigReal wraps an mpmath float together with its working precision in
-decimal digits.  Every kernel computes internally with ``digits + GUARD``
-decimal digits and reports at ``digits``; binary operations carry the
+decimal digits.  Every kernel keeps ``digits + GUARD`` decimal digits of
+working precision and reports at ``digits``; binary operations carry the
 minimum of the operand precisions.
 
-The precision context of the float backend is process-global, so these
-functions are not safe to call concurrently from threads.  Run independent
-evaluations in separate processes instead (the CLI report runner does).
+Most kernels set that precision on mpmath's context.  The two hot loops do
+not: ``theta_sum``'s walk and ``agm`` run on Python ints in fixed point,
+with their bit counts passed explicitly.  The context is process-global,
+so the functions here are still not safe to call concurrently from
+threads.  Run independent evaluations in separate processes instead (the
+CLI report runner does).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .series import PuiseuxSeries, ThetaSpec
 
@@ -199,7 +203,10 @@ def residual_str(value, digits: int) -> str:
 
 def _power(x: mpf, e: Fraction) -> mpf:
     """x^e for x >= 0 as an integer power of x^(1/den e), with no log or exp.
-    A Newton step mends ``mpmath.root``, 1e-766 off at n = 55 and 815 digits."""
+    A Newton step mends ``mpmath.root``, 1e-766 off at n = 55 and 815 digits;
+    an integer e needs neither."""
+    if e.denominator == 1:
+        return x ** e.numerator
     n = e.denominator
     y = mpmath.root(x, n)
     if y:
@@ -213,20 +220,37 @@ def _neg_log(x: mpf) -> float:
     return -(math.log1p(float(man - 1)) + exp * math.log(2))
 
 
-def agm(a0, b0, wdps: int) -> tuple[mpf, int]:
-    """Arithmetic-geometric mean at ``wdps`` decimal digits; returns the
-    limit and the iteration count (quadratic convergence)."""
-    with mp.workdps(wdps):
-        a, b = mpf(a0), mpf(b0)
-        eps = mpf(10) ** (-(wdps - 2))
-        scale = max(abs(a), abs(b))
-        count = 0
-        while abs(a - b) > eps * scale:
-            a, b = (a + b) / 2, mpmath.sqrt(a * b)
-            count += 1
-            if count > 10000:
-                raise CertificationError("AGM failed to converge")
-        return a, count
+AGM_GUARD_BITS = 8  # three floors an iteration, for up to 80 iterations
+
+
+def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
+    """Arithmetic-geometric mean of a0, b0 > 0 at ``wdps`` decimal digits;
+    returns the limit and the iteration count (quadratic convergence).
+
+    The iteration runs on Python ints, A, B = (A + B) >> 1, isqrt(A B), in
+    fixed point: the smaller operand gets wdps digits' bits plus
+    ``AGM_GUARD_BITS``, and the larger as many more as the exponent spread
+    of the two.  Every later iterate lies between them, and as the spread
+    halves each iteration the low bits it no longer needs are dropped.  It
+    stops once |A - B| <= 10^-(wdps-2) max(a0, b0).  The limit is returned
+    exactly, for the caller to round."""
+    if not (a0 > 0 and b0 > 0):
+        raise ValueError("the AGM needs positive arguments")
+    ea, eb = mpmath.mag(a0), mpmath.mag(b0)
+    bits = dps_to_prec(wdps) + AGM_GUARD_BITS
+    shift = bits - min(ea, eb)
+    a, b = (int(mpmath.ldexp(x, shift)) for x in (a0, b0))  # exact, then floored
+    tol = max(a, b) // 10 ** (wdps - 2)
+    count = 0
+    while abs(a - b) > tol:
+        a, b = (a + b) >> 1, math.isqrt(a * b)  # so b <= a
+        drop = b.bit_length() - bits
+        if drop > 0:
+            a, b, tol, shift = a >> drop, b >> drop, tol >> drop, shift - drop
+        count += 1
+        if count > 10000:
+            raise CertificationError("AGM failed to converge")
+    return mpmath.ldexp(a, -shift), count
 
 
 _last_agm_iterations = 0
@@ -328,6 +352,45 @@ def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
     return int((bf + math.sqrt(bf * bf + 4 * af * need)) / (2 * af)) + 2
 
 
+def _walk(ratio: int, step: int, n0: int, prec: int, guard: int) -> tuple[int, int]:
+    """S = T_1 + ... + T_n0 and T_n0 in fixed point at ``prec`` bits, where
+    T_0 = 1, T_m = T_(m-1) ratio_m, ratio_1 = ``ratio`` and each next ratio
+    is the last times ``step``.
+
+    Each step first drops the low bits of the ratio and of ``step`` whose
+    products with the term fall below 2^-guard of the last place: with B
+    the bit length of the term, both keep their top B + guard bits, so the
+    products shrink as the terms fall.  ``guard`` >= ``prec`` drops
+    nothing."""
+    term, total = 1 << prec, 0
+    for _ in range(n0):
+        cut = max(prec - term.bit_length() - guard, 0)
+        r = ratio >> cut
+        term = term * r >> (prec - cut)
+        total += term
+        ratio = r * (step >> cut) >> (prec - cut) << cut
+    return total, term
+
+
+def _fold(up: int, down: int, ad: int, bd: int, n0: int, prec: int, guard: int) -> int:
+    """1 + the walks T_1..T_n0 by ``up`` and by ``down``, in fixed point,
+    walking one side only where the other mirrors it.
+
+    When bd = 0, up = down and the sides are one walk: 1 + 2 S.  When
+    bd = +-ad the vertex is a half-integer and one ratio is exactly 1, so
+    that side is the other shifted by one: 2 (1 + S) - T_n0.  Both are the
+    two-sided sum bit for bit."""
+    one = 1 << prec
+    step = up * down >> prec
+    if bd == 0:
+        return one + 2 * _walk(up, step, n0, prec, guard)[0]
+    if abs(bd) == ad:
+        s, last = _walk(up if bd == ad else down, step, n0, prec, guard)
+        return 2 * (one + s) - last
+    s_up, s_down = (_walk(r, step, n0, prec, guard)[0] for r in (up, down))
+    return one + s_up + s_down
+
+
 def theta_sum(
     a: Fraction | int,
     b: Fraction | int,
@@ -342,7 +405,16 @@ def theta_sum(
     |m| <= n0, past which every term is below the working tolerance.  Each
     term is the last one times a ratio <= 1, and each ratio the last one times
     q^(2a), all integer powers of q^(1/lcm(den a, den b)).  The walk runs in
-    Python-int fixed point with guard bits for its 4 n0 truncations."""
+    Python-int fixed point at ``prec`` bits (see ``_walk``), one side only
+    when the other mirrors it (see ``_fold``).
+
+    Error budget, in units u = 2^-prec of the largest term.  Each step
+    floors a term and a ratio, < 1 u each, which later factors <= 1 carry on
+    without growth: about 4 n0 u in all, which the (4 n0).bit_length() guard
+    bits of ``prec`` hold near 2^-ceil(wd log2 10).  The taper adds < 2^-g u
+    to each product, and < 3 2^-g u of ratio error per step, which reaches
+    the m-th term as < 3m 2^-g u; with g = (4 n0).bit_length() + 4 that is
+    < 1/16 u a step, n0/8 u in all."""
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0:
@@ -357,23 +429,18 @@ def theta_sum(
         return BigReal(mpf(0), digits)  # terms n, -b/a - n cancel in pairs
     c = round(-b / (2 * a))
     d = math.lcm(a.denominator, b.denominator)
-    ad, bd = int(a * d), int((b + 2 * a * c) * d)  # |bd| <= ad
+    # |bd| <= ad, and bd = +-ad only when b/a is odd, so never alternating
+    ad, bd = int(a * d), int((b + 2 * a * c) * d)
     n0 = _term_count(a, b + 2 * a * c, _neg_log(qv), wd)
-    prec = math.ceil(wd * math.log2(10)) + (4 * n0).bit_length()
+    guard = (4 * n0).bit_length()  # for the walk's floors; its taper takes 4 more
+    prec = math.ceil(wd * math.log2(10)) + guard
     sign = -1 if alternating else 1
     with mp.workprec(prec):
         root = _power(qv, Fraction(1, d))
         head = sign ** abs(c) * root ** (bd * c - ad * c * c)
         up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
         down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
-    step = up * down >> prec
-    total = 1 << prec
-    for ratio in (up, down):  # m = 1..n0, then m = -1..-n0
-        term = 1 << prec
-        for _ in range(n0):
-            term = term * ratio >> prec
-            total += term
-            ratio = ratio * step >> prec
+    total = _fold(up, down, ad, bd, n0, prec, guard + 4)
     with mp.workdps(wd):
         return BigReal(mpf((total, -prec)) * head, digits)
 

@@ -51,6 +51,22 @@ class TestEval:
         assert code == 0
         assert out == "3542.31974942772970490065011995929699063526676943580280639336\n"
 
+    @pytest.mark.parametrize(
+        "fn, want",
+        [
+            ("ki", "8600289.02650043944178393680926672903941681733082334731851911\n"),
+            ("K", "1.57079632679489661923132169163975144209858469968755291048747\n"),
+        ],
+    )
+    def test_modulus_far_below_the_working_precision(self, capsys, fn, want):
+        # x = 10^-2000 lies 6644 bits below 1, so the AGM's fixed point must
+        # widen by that spread; the bytes are those of the mpmath-float AGM
+        code, out, _ = run(
+            capsys, "eval", "--fn", fn, "--x", "1e-2000", "--digits", "60"
+        )
+        assert code == 0
+        assert out == want
+
     def test_quotient_value(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "1",

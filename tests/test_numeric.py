@@ -21,8 +21,10 @@ from thetaquot.series import (
 )
 from thetaquot.numeric import (
     GUARD,
+    _fold,
     _term_count,
     BigReal,
+    agm,
     big_real,
     ellipk,
     eval_A,
@@ -145,6 +147,64 @@ class TestEllipk:
                 assert last_agm_iterations() <= 2 * math.log2(digits) + 10
 
 
+# agm(1, x) iteration counts, then ellipk(x)'s, at 20, 60, 400 and 2000
+# digits, as the mpmath-float AGM gave them before it ran on Python ints
+AGM_ITERATIONS = {
+    F(1, 10 ** 2000): [(16, 0), (18, 0), (20, 0), (23, 0)],
+    F(1, 10 ** 300): [(14, 0), (15, 0), (18, 0), (20, 2)],
+    F(1, 10 ** 40): [(11, 0), (12, 0), (15, 3), (17, 5)],
+    F(1, 10 ** 10): [(9, 1), (10, 2), (13, 5), (15, 7)],
+    F(1, 1000): [(8, 3), (9, 4), (11, 6), (13, 9)],
+    F(1, 10): [(6, 4), (7, 5), (10, 8), (12, 10)],
+    F(1, 2): [(5, 5), (7, 6), (9, 8), (11, 11)],
+    F(9, 10): [(5, 6), (6, 7), (8, 9), (11, 11)],
+    F(99, 100): [(4, 6), (5, 7), (8, 10), (10, 12)],
+    1 - F(1, 10 ** 10): [(2, 8), (3, 9), (6, 12), (8, 14)],
+}
+
+
+class TestAgm:
+    @pytest.mark.parametrize(
+        "x",
+        list(AGM_ITERATIONS),
+        ids=lambda x: mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 11),
+    )
+    def test_iteration_counts_are_pinned(self, x):
+        got = []
+        for digits in (20, 60, 400, 2000):
+            xv = big_real(x, digits)
+            count = agm(1, xv.value, digits + GUARD)[1]
+            ellipk(xv)
+            got.append((count, last_agm_iterations()))
+        assert got == AGM_ITERATIONS[x]
+
+    @pytest.mark.parametrize("digits", [20, 60, 400])
+    @pytest.mark.parametrize(
+        "a0, b0",
+        [
+            (1, "0.5"), (1, "0.999"), (1, "3e-10"), (1, "7e-40"), (1, "1e-300"),
+            (1, "2e-2000"), ("2e-2000", 1), ("1e5", "3e-300"), (3, 5),
+        ],
+        ids=str,
+    )
+    def test_against_mpmath_agm(self, a0, b0, digits):
+        # the limit lies between the last A and B, and the loop stops once
+        # they are 10^-(wd-2) max(a0, b0) apart; the oracle runs at 2 wd
+        wd = digits + GUARD
+        with mp.workdps(wd):
+            a0, b0 = mpmath.mpf(a0), mpmath.mpf(b0)
+        got, _ = agm(a0, b0, wd)
+        with mp.workdps(2 * wd):
+            want = mpmath.agm(a0, b0)
+            assert abs(got - want) <= mpmath.mpf(10) ** -(wd - 2) * max(a0, b0)
+
+    def test_nonpositive_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            agm(1, 0, 40)
+        with pytest.raises(ValueError):
+            agm(-1, 1, 40)
+
+
 class TestSingularModulus:
     def test_r1_is_inverse_sqrt2(self):
         ep = singular_modulus(1, 60)
@@ -215,6 +275,111 @@ def brute_theta_value(a, b, q, dps, alternating=True):
             t = mpmath.exp(mpmath.mpf(e.numerator) / e.denominator * lq)
             total += -t if (alternating and n % 2) else t
         return total
+
+
+@st.composite
+def theta_cases(draw):
+    """(a, b) whose vertex -b/(2a) is an integer, a half-integer (Python's
+    round-half-even then gives b + 2ac = +a or -a) or anywhere, with
+    |vertex| <= 6 so that brute_theta_value's |n| <= 40 covers the sum."""
+    a = draw(st.fractions(min_value=1, max_value=6, max_denominator=6))
+    c = draw(st.integers(-4, 4))
+    kind = draw(st.sampled_from(["integer", "half", "generic"]))
+    if kind == "integer":
+        b = -2 * a * c
+    elif kind == "half":
+        b = -2 * a * c + draw(st.sampled_from([a, -a]))
+    else:
+        b = draw(st.fractions(min_value=-12, max_value=12, max_denominator=6))
+    return a, b
+
+
+def assert_theta_sum_matches_brute(a, b, r, digits, alternating):
+    q = nome_from_r(r, digits)
+    got = theta_sum(a, b, q, alternating=alternating)
+    want = brute_theta_value(a, b, q.value, 2 * digits + 20, alternating)
+    c = round(-b / (2 * a))
+    e = a * c * c + b * c
+    with mp.workdps(2 * digits + 20):
+        largest = mpmath.exp(mpmath.log(q.value) * e.numerator / e.denominator)
+        if alternating and (b / a).denominator == 1 and (b / a).numerator % 2:
+            assert got.value == 0
+            assert abs(want) <= mpmath.mpf(10) ** -(2 * digits) * largest
+        else:
+            assert abs(got.value - want) <= mpmath.mpf(10) ** -digits * largest
+
+
+class TestThetaSumAgainstBruteForce:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        theta_cases(),
+        st.floats(math.log(0.5), math.log(50)).map(lambda e: F(math.exp(e))),
+        st.integers(20, 400),
+        st.booleans(),
+    )
+    def test_integer_half_integer_and_generic_vertices(self, ab, r, digits, alt):
+        assert_theta_sum_matches_brute(*ab, r, digits, alt)
+
+    @pytest.mark.parametrize(
+        "a, b", [(1, 0), (1, 1), (1, -1), (F(5, 2), F(-7, 3))], ids=str
+    )
+    def test_at_2000_digits(self, a, b):
+        assert_theta_sum_matches_brute(a, b, 1, 2000, alternating=False)
+
+
+def two_sided_walk(up, down, n0, prec):
+    """theta_sum's walk before the fold and the taper: n0 steps out by each
+    ratio, every product at full precision."""
+    step = up * down >> prec
+    total = 1 << prec
+    for ratio in (up, down):
+        term = 1 << prec
+        for _ in range(n0):
+            term = term * ratio >> prec
+            total += term
+            ratio = ratio * step >> prec
+    return total
+
+
+@st.composite
+def walk_cases(draw):
+    """Ratios for _fold as theta_sum makes them, 0 <= |ratio| <= 1 in fixed
+    point: up = down when bd = 0, one ratio exactly 1 when bd = +-ad."""
+    prec = draw(st.integers(8, 3000))
+    n0 = draw(st.integers(1, 80))
+    one = 1 << prec
+    near_one = st.integers(0, prec).flatmap(lambda k: st.integers(one - (1 << k), one))
+    ratio = st.one_of(st.integers(0, one), near_one)
+    ad = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["bd = 0", "bd = ad", "bd = -ad", "generic"]))
+    if kind == "bd = 0":
+        up = down = draw(st.sampled_from([1, -1])) * draw(ratio)
+        bd = 0
+    elif kind == "generic":
+        sign = draw(st.sampled_from([1, -1]))
+        up, down = sign * draw(ratio), sign * draw(ratio)
+        bd = draw(st.integers(1 - ad, ad - 1).filter(bool))
+    else:  # the alternating sum is exactly 0 here, so the walk is plain
+        bd = ad if kind == "bd = ad" else -ad
+        up, down = (draw(ratio), one) if bd == ad else (one, draw(ratio))
+    return up, down, ad, bd, n0, prec
+
+
+class TestThetaFold:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_fold_equals_the_two_sided_walk(self, case):
+        up, down, ad, bd, n0, prec = case
+        # a guard of prec bits cuts nothing, which leaves the fold alone
+        want = two_sided_walk(up, down, n0, prec)
+        assert _fold(up, down, ad, bd, n0, prec, prec) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_taper_stays_within_the_walks_floor_budget(self, case):
+        up, down, ad, bd, n0, prec = case
+        tapered = _fold(up, down, ad, bd, n0, prec, (4 * n0).bit_length() + 4)
+        assert abs(tapered - two_sided_walk(up, down, n0, prec)) <= 4 * n0
 
 
 class TestDirectEvaluation:
