@@ -23,11 +23,13 @@ import mpmath
 from .series import (
     A_series,
     A_series_product,
+    PuiseuxSeries,
     ThetaSpec,
     common_known_order,
     modulus_series,
     nome_sqrt_exp_form,
     sqrt_series,
+    theta_series,
 )
 from .numeric import (
     GUARD,
@@ -153,17 +155,17 @@ class CatalogEntry:
     u_binding: ABinding | None = None
     v_binding: str | None = None
     remine: RemineSpec | None = None
-    tol_guard: int = 10  # numeric tolerance 10^(-digits + tol_guard)
 
 
 def _record(
-    data: CheckData, label: str, digits: int, residual, tol, *terms: BigReal
+    data: CheckData, label: str, digits: int, residual, *terms: BigReal
 ) -> None:
-    """Record a residual, passing when it is below ``tol`` times the largest
-    of 1 and the absolute ``terms`` it was summed from."""
+    """Record a residual, passing when it is below ``tolerance(digits)``
+    times the largest of 1 and the absolute ``terms`` it was summed from.
+    This is the catalog's one pass rule for a numeric residual."""
     val = abs(residual.value if isinstance(residual, BigReal) else residual)
     size = max([mpmath.mpf(1)] + [abs(t.value) for t in terms])
-    ok = bool(val < tol * size)
+    ok = bool(val < tolerance(digits) * size)
     data.records.append(ResidualRecord(label, digits, residual_str(val, digits), ok))
 
 
@@ -178,10 +180,9 @@ def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
 
     def run(entry, digits, M, r_list):
         data = CheckData()
-        tol = tolerance(digits, entry.tol_guard)
         for r in r_list:
             lhs, rhs = sides(r, digits)
-            _record(data, f"r={r}", digits, lhs - rhs, tol, lhs, rhs)
+            _record(data, f"r={r}", digits, lhs - rhs, lhs, rhs)
         return data
 
     return run
@@ -247,8 +248,10 @@ def _thm2(r, digits):
     ep = singular_modulus(r, digits)
     k = ep.k
     lhs = eval_theta(2, Fraction(3, 2), ep.q, digits)
+    # 2 + k - 2 sqrt(1+k) = (sqrt(1+k) - 1)^2 = (k / (1 + sqrt(1+k)))^2, a
+    # form that does not cancel as k -> 0
     inner = (
-        4 * (1 - k) ** 4 * (2 + k - 2 * (1 + k).sqrt()) ** 12
+        4 * (1 - k) ** 4 * (k / (1 + (1 + k).sqrt())) ** 24
         / (k ** 13 * (1 + k) ** 2)
     )
     return lhs, (
@@ -269,62 +272,60 @@ def _eq27(r, digits):
 
 def _check_thm3(entry, digits, M, r_list):
     data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
     points = [
         ("x=0.3", big_real(Fraction(3, 10), digits)),
         ("x=1/sqrt2", big_real(Fraction(1, 2), digits).sqrt()),
         ("x=0.6", big_real(Fraction(3, 5), digits)),
     ]
     for label, x in points:
-        _record(data, label, digits, check_theorem3_instance(x, digits), tol)
+        _record(data, label, digits, check_theorem3_instance(x, digits))
     return data
 
 
-M5_CONVENTIONS = ("theta3_sq_ratio(q,q5)", "theta3_sq_ratio(q5,q)")
+# eq45's multiplier M = theta3(q^i)^2 / theta3(q^j)^2, for one of the two
+# orders (i, j) of the nome scales 1 and 5
+_EQ45_M = {(1, 5): "theta3_sq_ratio(q,q5)", (5, 1): "theta3_sq_ratio(q5,q)"}
 
 
-def _m5_candidates(q: BigReal, digits: int) -> dict[str, BigReal]:
-    t3q = theta_sum(1, 0, q, digits, alternating=False)
-    t3q5 = theta_sum(1, 0, q ** 5, digits, alternating=False)
-    direct = (t3q / t3q5) ** 2
-    return {
-        M5_CONVENTIONS[0]: direct,
-        M5_CONVENTIONS[1]: 1 / direct,
-    }
+def _eq45(i: int, j: int, r, digits):
+    ep = singular_modulus(r, digits)
+    t3 = {s: theta_sum(1, 0, ep.q ** s, digits, alternating=False) for s in (1, 5)}
+    m5 = (t3[i] / t3[j]) ** 2
+    m = ep.k ** 2
+    return (5 * m5 - 1) ** 5 * (1 - m5), 256 * m * (1 - m) * m5
 
 
 def _check_eq45(entry, digits, M, r_list):
-    data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
-    passing: dict[str, bool] = {name: True for name in M5_CONVENTIONS}
-    for r in r_list:
-        ep = singular_modulus(r, digits)
-        mval = ep.k ** 2
-        mprime = 1 - mval
-        for name, m5 in _m5_candidates(ep.q, digits).items():
-            resid = (5 * m5 - 1) ** 5 * (1 - m5) - 256 * mval * mprime * m5
-            val = abs(resid.value)
-            ok = bool(val < tol)
-            passing[name] = passing[name] and ok
-            data.records.append(
-                ResidualRecord(
-                    f"r={r} M5={name}", digits, residual_str(val, digits), ok
-                )
-            )
-    winners = [name for name, ok in passing.items() if ok]
-    if len(winners) == 1:
-        data.notes = f"multiplier convention satisfying the relation: {winners[0]}"
-        # exactly one convention passing IS the expected outcome; rewrite the
-        # loser's records as informational so the verdict reflects success
-        data.records = [
-            ResidualRecord(rec.label, rec.digits, rec.residual, True)
-            if not rec.passed
-            else rec
-            for rec in data.records
-        ]
-    else:
-        data.notes = f"conventions passing: {winners!r} (expected exactly one)"
-        data.series_ok = False
+    """The exact series picks the convention, and only its numerics run.
+
+    With x = theta3(q^i)^2 and y = theta3(q^j)^2, so that M = x/y, and with
+    m m' = c / a^4, where a = theta3(q)^2 and c = q t2^4 t4^4 (t2 =
+    q^(-1/4) theta2, t4 = theta4), the relation times y^6 a^4 reads
+    a^4 (5x - y)^5 (y - x) = 256 c x y^5, with no series inverted."""
+    t3sq = {s: theta_series(s, 0, M, alternating=False) ** 2 for s in (1, 5)}
+    a = t3sq[1]
+    t2t4 = theta_series(1, 1, M, alternating=False) * theta_series(1, 0, M)
+    c = PuiseuxSeries.monomial(1, 1) * t2t4 ** 4
+    residuals = {
+        (i, j): a ** 4 * (5 * t3sq[i] - t3sq[j]) ** 5 * (t3sq[j] - t3sq[i])
+        - 256 * c * t3sq[i] * t3sq[j] ** 5
+        for i, j in _EQ45_M
+    }
+    winners = [ij for ij, res in residuals.items() if res.is_zero()]
+    if len(winners) != 1:
+        names = [_EQ45_M[ij] for ij in winners]
+        return CheckData(
+            series_ok=False,
+            notes=f"conventions whose series residual vanishes: {names!r} "
+            "(expected exactly one)",
+        )
+    (i, j), = winners
+    data = _at_each_r(partial(_eq45, i, j))(entry, digits, M, r_list)
+    order = residuals[i, j].knowledge_order()
+    data.notes = (
+        f"multiplier convention satisfying the relation: {_EQ45_M[i, j]}; "
+        f"its series residual is zero below q^{order}, the other's is not"
+    )
     return data
 
 
@@ -378,8 +379,7 @@ def _check_jtp(entry, digits, M, r_list):
     # the series is cut at q^order = e^(-pi order) below the working precision
     order = math.ceil((digits + GUARD) * math.log(10) / math.pi)
     series_val = real_eval_series(A_series(spec86, order), q, digits)
-    tol = tolerance(digits, entry.tol_guard)
-    _record(data, "(8,6) two-path r=1", digits, direct - series_val.value, tol)
+    _record(data, "(8,6) two-path r=1", digits, direct - series_val.value, direct)
     data.series_ok = bool(ok)
     data.series_order = int(min_known)
     data.notes = "theta/eta form vs n>=0 product form for seven parameter pairs"
@@ -421,7 +421,6 @@ def _check_prefactors(entry, digits, M, r_list):
 
 def _check_poly_relation(entry, digits, M, r_list):
     data = CheckData()
-    tol = tolerance(digits, entry.tol_guard)
     # series residual through M grid rows above the base monomial exponent
     u, v = build_binding_series(entry.u_binding, entry.v_binding, Fraction(M))
     ok, _ = _series_vanishes(entry.poly, u, v, M)
@@ -433,7 +432,7 @@ def _check_poly_relation(entry, digits, M, r_list):
         uval = entry.u_binding.numeric(r, digits)
         vval = get_v_binding(entry.v_binding).numeric(r, digits)
         terms = entry.poly.eval_terms(uval, vval)
-        _record(data, f"r={r}", digits, sum(terms[1:], terms[0]), tol, *terms)
+        _record(data, f"r={r}", digits, sum(terms[1:], terms[0]), *terms)
     return data
 
 
@@ -495,7 +494,6 @@ def _entries() -> list[CatalogEntry]:
                     f"q^(-{s * s}) sqrt(2K(k)/pi)"
                 ),
                 check=_at_each_r(partial(_even_shift, s)),
-                tol_guard=15,
             )
         )
     for s in (0, 1):
@@ -508,7 +506,6 @@ def _entries() -> list[CatalogEntry]:
                     "k11/k12/k21/k22 chain"
                 ),
                 check=_at_each_r(partial(_odd_shift, s)),
-                tol_guard=15,
             )
         )
     entries.append(
@@ -564,7 +561,6 @@ def _entries() -> list[CatalogEntry]:
                 "(4(1-k)^4 (2+k-2 sqrt(1+k))^12 / (k^13 (1+k)^2))^(1/48)"
             ),
             check=_at_each_r(_thm2),
-            tol_guard=15,
         )
     )
     entries.append(
@@ -574,7 +570,6 @@ def _entries() -> list[CatalogEntry]:
             statement="degree-2 modular equation 16u^8 + u^16 v^8 - v^16 = 0 "
             "for the (1,4) quotient at nomes (q, q^2)",
             check=_at_each_r(_eq27),
-            tol_guard=15,
         )
     )
     entries.append(
@@ -584,7 +579,6 @@ def _entries() -> list[CatalogEntry]:
             statement="functional equation Q(S_2(x)) = P_2(Q(x)) for the "
             "(1,4) quotient, rearranged to avoid inverting Q",
             check=_check_thm3,
-            tol_guard=30,
         )
     )
     entries.append(
@@ -606,7 +600,6 @@ def _entries() -> list[CatalogEntry]:
             u_binding=ABinding(ThetaSpec(1, 3), 12),
             v_binding="m",
             remine=RemineSpec(ABinding(ThetaSpec(1, 3), 12), "m", 7, 220),
-            tol_guard=20,
         )
     )
     entries.append(
@@ -628,7 +621,6 @@ def _entries() -> list[CatalogEntry]:
                 "the printed polynomial with all u-exponents halved",
             ),
             status_expectation="known_discrepancy",
-            tol_guard=20,
         )
     )
     entries.append(
@@ -641,7 +633,6 @@ def _entries() -> list[CatalogEntry]:
             u_binding=ABinding(ThetaSpec(-1, 6), 6),
             v_binding="sqrt_m",
             remine=RemineSpec(ABinding(ThetaSpec(-1, 6), 6), "sqrt_m", 6, 120),
-            tol_guard=20,
         )
     )
     entries.append(
@@ -654,7 +645,6 @@ def _entries() -> list[CatalogEntry]:
             u_binding=ABinding(ThetaSpec(-2, 8), 12),
             v_binding="m_q2_squared",
             remine=RemineSpec(ABinding(ThetaSpec(-2, 8), 12), "m_q2_squared", 5, 150),
-            tol_guard=20,
         )
     )
     entries.append(
@@ -676,7 +666,6 @@ def _entries() -> list[CatalogEntry]:
                 "of v; the mined polynomial is the printed one verbatim",
             ),
             status_expectation="known_discrepancy",
-            tol_guard=20,
         )
     )
     entries.append(
@@ -684,10 +673,9 @@ def _entries() -> list[CatalogEntry]:
             id="eq45",
             kind="closed_form",
             statement="(5 M5 - 1)^5 (1 - M5) = 256 m m' M5 fixes the degree-5 "
-            "multiplier convention (tested against both theta-quotient "
-            "candidates)",
+            "multiplier convention (the exact series picks one of the two "
+            "theta-quotient candidates)",
             check=_check_eq45,
-            tol_guard=30,
         )
     )
     entries.append(
@@ -697,7 +685,6 @@ def _entries() -> list[CatalogEntry]:
             statement="triple-product consistency of the quotient's two "
             "constructions",
             check=_check_jtp,
-            tol_guard=15,
         )
     )
     entries.append(
@@ -733,8 +720,9 @@ def verify_entry(
     M: int = 150,
     r_list: Sequence[Fraction | int] = (1, 2, 3),
 ) -> EntryReport:
-    """Run one entry's checks; numeric tolerances are 10^(-digits+guard)
-    with the guard fixed per entry."""
+    """Run one entry's checks; a numeric residual passes below
+    10^(-digits+10) times the largest of 1 and the terms it was summed
+    from."""
     entry = get_entry(entry_id)
     rs = [Fraction(r) for r in r_list]
     data = entry.check(entry, digits, M, rs)

@@ -28,7 +28,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SingularChain:
     """The constants of the odd-shift theta evaluation: k11 = k_r,
-    k12 = k'_r, k21 = (2 - k11^2 - 2 k12)/k11^2, k22 = sqrt(1 - k21^2)."""
+    k12 = k'_r, k21 = k_4r and k22 = k'_4r = sqrt(1 - k21^2)."""
 
     k11: BigReal
     k12: BigReal
@@ -37,9 +37,12 @@ class SingularChain:
 
 
 def singular_chain(point: EvalPoint) -> SingularChain:
+    """The chain at ``point``.  The paper's k21 = (2 - k11^2 - 2 k12)/k11^2
+    equals (1 - k12)/(1 + k12), the Landen descent of k11, and is taken from
+    ``landen_k4``, whose form has no cancellation as k11 -> 0."""
     k11 = point.k
     k12 = point.kprime
-    k21 = (2 - k11 ** 2 - 2 * k12) / (k11 ** 2)
+    k21 = landen_k4(k11)
     k22 = (1 - k21 ** 2).sqrt()
     return SingularChain(k11=k11, k12=k12, k21=k21, k22=k22)
 
@@ -50,17 +53,21 @@ def s_n(x: BigReal, n: int, digits: int | None = None) -> BigReal:
         raise ValueError("n must be a positive integer")
     if digits is None:
         digits = x.digits
+    if not (0 < x.value < 1):
+        raise ValueError("S_n(x) needs 0 < x < 1")
     r = inverse_modulus(x, digits)
     return singular_modulus(n * n * r, digits).k
 
 
 def landen_k4(k: BigReal, digits: int | None = None) -> BigReal:
-    """Degree-2 modulus descent (1 - k') / (1 + k') with k' = sqrt(1-k^2)."""
+    """Degree-2 modulus descent k_r -> k_4r, (1 - k') / (1 + k') with
+    k' = sqrt(1-k^2), taken as (k / (1 + k'))^2: the same value by
+    (1 - k')(1 + k') = k^2, with no cancellation as k -> 0."""
     if digits is None:
         digits = k.digits
     k = big_real(k, digits)
     kp = (1 - k * k).sqrt()
-    return (1 - kp) / (1 + kp)
+    return (k / (1 + kp)) ** 2
 
 
 def q_A14(x: BigReal) -> BigReal:

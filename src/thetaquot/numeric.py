@@ -186,10 +186,10 @@ def pi_at(digits: int) -> BigReal:
         return BigReal(+mp.pi, digits)
 
 
-def tolerance(digits: int, guard: int = 10) -> mpf:
-    """10^(-digits+guard) as a float at modest precision."""
+def tolerance(digits: int) -> mpf:
+    """10^(-digits+10) as a float at modest precision."""
     with mp.workdps(30):
-        return mpf(10) ** (-digits + guard)
+        return mpf(10) ** (-digits + 10)
 
 
 def residual_str(value, digits: int) -> str:

@@ -17,11 +17,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from thetaquot.catalog import (
-    M5_CONVENTIONS,
-    remine_entry,
-    verify_entry,
-)
+from thetaquot.catalog import remine_entry, verify_entry
 from thetaquot.mining import (
     ABinding,
     BivarIntPoly,
@@ -318,20 +314,27 @@ def test_c12_exp_form_series():
 # -- criterion 13: the degree-5 multiplier convention -------------------------
 
 
+def eq45_m_form_residual(i: int, j: int, order: int = 30) -> PuiseuxSeries:
+    """(5M - 1)^5 (1 - M) - 256 m m' M for M = theta3(q^i)^2 / theta3(q^j)^2."""
+    t3 = theta_series(1, 0, order, alternating=False)
+    t3sq = {1: t3 ** 2, 5: rescale(t3, 5) ** 2}
+    m5 = t3sq[i] * invert_unit(t3sq[j])
+    m = modulus_series(order)
+    return (5 * m5 - 1) ** 5 * (1 - m5) - 256 * m * (1 - m) * m5
+
+
 def test_c13_multiplier_convention():
     rep = verify_entry("eq45", digits=60, r_list=(1, 2))
     assert rep.verdict == "pass"
-    assert M5_CONVENTIONS[1] in rep.notes
-    # the criterion demands residual < 1e-30 for the winner at both points
-    winner_records = [rec for rec in rep.residuals if M5_CONVENTIONS[1] in rec.label]
-    assert len(winner_records) == 2
-    assert all(mpmath.mpf(rec.residual) < tol(-30) for rec in winner_records)
-    loser_records = [
-        rec
-        for rec in rep.residuals
-        if M5_CONVENTIONS[0] in rec.label and M5_CONVENTIONS[1] not in rec.label
-    ]
-    assert all(mpmath.mpf(rec.residual) > tol(-30) for rec in loser_records)
+    assert "theta3_sq_ratio(q5,q)" in rep.notes
+    # the criterion demands residual < 1e-30 for the winner at both points;
+    # only the winner's numerics run
+    assert [rec.label for rec in rep.residuals] == ["r=1", "r=2"]
+    assert all(mpmath.mpf(rec.residual) < tol(-30) for rec in rep.residuals)
+    # the series decides: the winner's residual vanishes, the loser's
+    # (M = theta3(q)^2 / theta3(q^5)^2) starts at -8192 q
+    assert eq45_m_form_residual(5, 1).is_zero()
+    assert eq45_m_form_residual(1, 5).leading() == (1, -8192)
     report_line(13, "degree-5 multiplier convention determined")
 
 

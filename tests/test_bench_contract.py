@@ -4,6 +4,9 @@ exist, or every benchmark job fails while the rest of the suite passes."""
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -58,6 +61,23 @@ READ_NAMES = [
 def test_module_attribute_exists(module, name):
     mod = importlib.import_module(f"thetaquot.{module}")
     assert callable(getattr(mod, name))
+
+
+def test_importing_the_catalog_loads_every_module_the_benchmark_reads():
+    # the benchmark imports thetaquot.catalog alone and then reads six
+    # modules from sys.modules; recognize is loaded only by the package's
+    # re-exports, so a leaner thetaquot/__init__.py must still load it
+    src = Path(importlib.import_module("thetaquot").__file__).parent.parent
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, thetaquot.catalog; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    read = ("series", "numeric", "mining", "recognize", "modular", "catalog")
+    assert {f"thetaquot.{name}" for name in read} <= set(loaded)
 
 
 def test_entry_kinds_name_the_tracer_spans():

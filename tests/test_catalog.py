@@ -9,7 +9,6 @@ from mpmath import mp
 
 from thetaquot import catalog
 from thetaquot.catalog import (
-    M5_CONVENTIONS,
     catalog_ids,
     get_entry,
     remine_entry,
@@ -20,6 +19,7 @@ from thetaquot.catalog import (
 from thetaquot.mining import MiningError, validate
 from thetaquot.numeric import singular_modulus
 from thetaquot.recognize import recognize_rational
+from thetaquot.series import invert_unit, modulus_series, rescale, theta_series
 
 
 def residual_values(report):
@@ -78,8 +78,19 @@ class TestClosedFormEntries:
     def test_eq45_exactly_one_convention(self):
         rep = verify_entry("eq45", digits=60, r_list=(1, 2))
         assert rep.verdict == "pass"
-        assert M5_CONVENTIONS[1] in rep.notes  # the reciprocal quotient wins
-        assert M5_CONVENTIONS[0] + "," not in rep.notes
+        # the reciprocal quotient wins, and only its records are kept
+        assert "theta3_sq_ratio(q5,q)" in rep.notes
+        assert "theta3_sq_ratio(q,q5)" not in rep.notes
+        assert [rec.label for rec in rep.residuals] == ["r=1", "r=2"]
+        with mp.workdps(40):
+            assert all(v < mpmath.mpf("1e-30") for v in residual_values(rep))
+        # the losing convention M = theta3(q)^2 / theta3(q^5)^2 fails the
+        # series already at q^1
+        t3 = theta_series(1, 0, 10, alternating=False)
+        m5 = t3 ** 2 * invert_unit(rescale(t3, 5) ** 2)
+        m = modulus_series(10)
+        resid = (5 * m5 - 1) ** 5 * (1 - m5) - 256 * m * (1 - m) * m5
+        assert resid.leading() == (1, -8192)
 
     def test_thm3_instance(self):
         rep = verify_entry("thm3_instance", digits=60)
@@ -215,11 +226,9 @@ class TestVerifyAll:
 
 class TestVerifyPath:
     # closed forms checked at every r of the run; thm3_instance uses x-points
-    # and eq45 labels each r with its multiplier convention
     PER_R = [
         eid for eid in catalog_ids()
-        if get_entry(eid).kind == "closed_form"
-        and eid not in ("thm3_instance", "eq45")
+        if get_entry(eid).kind == "closed_form" and eid != "thm3_instance"
     ]
 
     def test_remine_failure_turns_the_entry_to_fail(self, monkeypatch):
@@ -236,8 +245,8 @@ class TestVerifyPath:
         serial = verify_all(digits=60, M=60, jobs=1)
         assert verify_all(digits=60, M=60, jobs=2).to_json() == serial.to_json()
 
-    def test_closed_forms_cover_twelve_entries(self):
-        assert len(self.PER_R) == 12
+    def test_closed_forms_cover_thirteen_entries(self):
+        assert len(self.PER_R) == 13
 
     @pytest.mark.parametrize("eid", PER_R)
     def test_records_follow_the_r_list(self, eid):

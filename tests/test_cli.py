@@ -110,6 +110,14 @@ class TestEval:
         assert code == 0
         assert out.startswith("0.0235733")
 
+    @pytest.mark.parametrize("x", ["5/4", "0"])
+    def test_sn_outside_the_unit_interval_is_usage_error(self, capsys, x):
+        # the message names S_n's argument, not the inverse modulus it calls
+        code, out, err = run(capsys, "eval", "--fn", "Sn", "--n", "2", "--x", x)
+        assert code == 2
+        assert out == ""
+        assert err == "error: S_n(x) needs 0 < x < 1\n"
+
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "k", "--digits", "40")
         assert code == 2
@@ -280,6 +288,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--entry", "eq27", "--rs", "1000,10000")
         assert code == 0
         assert out == "eq27: pass\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--entry", "eq12_s0", "--rs", "300"),
+            ("--entry", "eq12_s1", "--rs", "1000"),
+            ("--entry", "thm2", "--rs", "1000"),
+            ("--entry", "eq45", "--digits", "20"),
+            ("--all", "--digits", "20", "--jobs", "1"),
+        ],
+        ids=["eq12_s0-r300", "eq12_s1-r1000", "thm2-r1000", "eq45-d20", "all-d20"],
+    )
+    def test_one_pass_rule_holds_at_large_r_and_low_digits(self, capsys, argv):
+        # k21 and 2 + k - 2 sqrt(1+k) are taken in forms that do not cancel
+        # as r grows, and at 20 digits no tolerance is looser than 10^-10 of
+        # the terms, so neither end fails a true identity or passes a false
+        # convention
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert ": fail" not in out
 
     def test_report_determinism(self, capsys, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

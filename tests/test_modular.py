@@ -69,7 +69,16 @@ class TestLanden:
     def test_descends_to_quadrupled_argument(self, r):
         k = singular_modulus(r, 60).k
         k4 = singular_modulus(4 * r, 60).k
-        assert abs((landen_k4(k) - k4).value) < tol(60, 15)
+        assert abs((landen_k4(k) - k4).value) < tol(60)
+
+    def test_tiny_modulus_keeps_full_relative_precision(self):
+        # (1 - k')/(1 + k') cancels at k = 1e-20; (k/(1 + k'))^2 does not
+        got = landen_k4(big_real(F(1, 10 ** 20), 60))
+        with mp.workdps(200):
+            k = mpmath.mpf(10) ** -20
+            kp = mpmath.sqrt(1 - k * k)
+            want = (1 - kp) / (1 + kp)
+            assert abs(got.value - want) < mpmath.mpf(10) ** -60 * want
 
 
 class TestSingularChain:
@@ -80,6 +89,13 @@ class TestSingularChain:
         assert abs((ch.k21 - k4).value) < tol(60)
         for val in (ch.k11, ch.k12, ch.k21, ch.k22):
             assert 0 < val.value < 1
+
+    def test_k21_is_the_modulus_at_four_times_r(self):
+        # the paper's (2 - k11^2 - 2 k12)/k11^2 cancels as r grows
+        ch = singular_chain(singular_modulus(300, 60))
+        k4 = singular_modulus(1200, 60).k
+        with mp.workdps(80):
+            assert abs((ch.k21 - k4).value) < mpmath.mpf(10) ** -60 * k4.value
 
     def test_chain_internal_relations(self):
         ep = singular_modulus(3, 50)
