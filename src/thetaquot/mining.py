@@ -8,6 +8,11 @@ mod-p solutions one vector at a time, least total degree first, and certify
 each candidate on extra series orders and numerically at high precision.
 Post-validation guards against overfitting the truncation, which
 interpolation-style mining invites.
+
+The elimination mod p packs each row into one int and reduces its fields
+only when they are read.  The series certificate evaluates P(u, v) by Horner
+in u from factors cut to its window, so it costs one product per u-degree
+plus the powers of v.
 """
 
 from __future__ import annotations
@@ -355,33 +360,53 @@ _PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 def _echelon_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Row echelon form mod p with unit pivots: (echelon rows, pivot
     columns).  A column is a pivot when it is independent of the columns
-    before it."""
-    m = [[x % p for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
+    before it.
+
+    Each row below the pivots is one int of ``width``-byte fields, lowest
+    field the current column, and is shifted right by one field per column.
+    A row operation is one big-int ``row += (p - f) * pivot_row`` with the
+    pivot row reduced, and fields are reduced mod p only when read (delayed
+    reduction, Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).  A field starts
+    below p and gains less than p^2 per operation, at most once per pivot,
+    so it stays below nrows * p^2 and never carries into the next.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    width = (2 * p.bit_length() + nrows.bit_length() + 2 + 7) // 8
+    bits = 8 * width
+    mask = (1 << bits) - 1
+
+    def pack(vals: list[int]) -> int:
+        fields = b"".join(x.to_bytes(width, "little") for x in vals)
+        return int.from_bytes(fields, "little")
+
+    # the rows below the pivots, in the order the swaps leave them
+    m = [pack([x % p for x in row]) for row in rows]
+    ech: list[list[int]] = []
     pivots: list[int] = []
     for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
+        if not m:
             break
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
+        fs = [(row & mask) % p for row in m]
+        piv = next((r for r, f in enumerate(fs) if f), None)
         if piv is None:
+            m = [row >> bits for row in m]
             continue
-        inv = pow(m[piv][col], -1, p)
-        prow = [x * inv % p for x in m[piv]]
-        m[piv] = m[rank]
-        m[rank] = prow
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for cix in range(col, ncols):
-                    row[cix] = (row[cix] - f * prow[cix]) % p
+        raw = m[piv].to_bytes((ncols - col) * width, "little")
+        inv = pow(fs[piv], -1, p)
+        vals = [
+            int.from_bytes(raw[at : at + width], "little") * inv % p
+            for at in range(0, len(raw), width)
+        ]
+        ech.append([0] * col + vals)
+        prow = pack(vals)
+        # the pivot row trades places with the first row, then leaves
+        m[piv], fs[piv] = m[0], fs[0]
+        m = [
+            (row + (p - f) * prow if f else row) >> bits
+            for row, f in zip(m[1:], fs[1:])
+        ]
         pivots.append(col)
-    return m[: len(pivots)], pivots
+    return ech, pivots
 
 
 def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
@@ -508,37 +533,74 @@ class MinedRelation:
         return cls.from_json_obj(json.loads(text))
 
 
+def _horner_residual(
+    poly: BivarIntPoly,
+    u: PuiseuxSeries,
+    v: PuiseuxSeries,
+    through_rows: int,
+) -> tuple[PuiseuxSeries, Fraction]:
+    """(P(u, v) cut at E, b): b, the base, is the least leading exponent of
+    the relation's monomials u^i v^j, and E = floor(b) + ``through_rows``.
+
+    P is evaluated by Horner in u: H_d = Q_d and H_i = H_(i+1) u + Q_i, with
+    Q_i = sum_j c_ij v^j from one table of v powers, so one product per
+    u-degree.  u and v are cut R = E - b above their leading exponents, so
+    v^j is known R above its leading exponent j val(v).  Let L_i be the
+    least (i' - i) val(u) + j val(v) over the monomials u^i' v^j of P with
+    i' >= i: no term of H_i lies below L_i, L_0 = b, and L_i is the lesser
+    of L_(i+1) + val(u) and the least j val(v) in Q_i, through which plus R
+    Q_i is known.  If H_(i+1) is known through L_(i+1) + R, its product
+    with u is known through L_(i+1) + val(u) + R (the product bound of
+    ``PuiseuxSeries.__mul__``: the unknown part of either factor times the
+    other's lowest term), so H_i is known through L_i + R.  By induction
+    P = H_0 is known through b + R = E, as from the uncut factors.  Raises
+    InsufficientTruncation when it is not, because u or v is known less
+    than R above its leading exponent.
+    """
+    vu, vv = (None if w.is_zero() else w.leading()[0] for w in (u, v))
+    # a monomial with a factor that has no known nonzero term has no
+    # leading exponent
+    leads = [
+        i * (vu or 0) + j * (vv or 0)
+        for i, j, _ in poly.terms
+        if (i == 0 or vu is not None) and (j == 0 or vv is not None)
+    ]
+    if not leads:
+        raise MiningError("relation evaluates on identically zero products")
+    base_exp = min(leads)
+    top = math.floor(base_exp) + through_rows
+    reach = top - base_exp
+    u, v = (w if w.is_zero() else w.truncate(w.leading()[0] + reach) for w in (u, v))
+    v_pows = _power_table(v, max(j for _, j, _ in poly.terms))
+    q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) + 1)]
+    for i, j, c in poly.terms:
+        q[i] = q[i] + v_pows[j] * c
+    residual = q[-1]
+    for q_i in reversed(q[:-1]):
+        residual = residual * u + q_i
+    need = top * residual.denom
+    if residual.hi is not None and residual.hi < need:
+        raise InsufficientTruncation(
+            f"residual known to grid order {residual.hi} < required {need}",
+            required_grid_order=need,
+        )
+    return residual.truncate(top), base_exp
+
+
 def _series_vanishes(
     poly: BivarIntPoly,
     u: PuiseuxSeries,
     v: PuiseuxSeries,
     through_rows: int,
 ) -> tuple[bool, int]:
-    """Check P(u, v) = 0 on the first ``through_rows`` grid rows from the
-    global monomial minimum.  Returns (ok, first_bad_or_checked)."""
-    table = MonomialTable(u, v, poly.max_single_degree)
-    residual = PuiseuxSeries.zero()
-    # base: the least exponent any monomial of the relation can reach
-    base_exp = None
-    for i, j, c in poly.terms:
-        prod = table.product(i, j)
-        residual = residual + prod * c
-        if prod.nums:
-            e = Fraction(min(prod.nums), prod.denom)
-            if base_exp is None or e < base_exp:
-                base_exp = e
-    if base_exp is None:
-        raise MiningError("relation evaluates on identically zero products")
-    base = math.floor(base_exp * residual.denom)
-    top = base + through_rows
-    if residual.hi is not None and residual.hi < top:
-        raise InsufficientTruncation(
-            f"residual known to grid order {residual.hi} < required {top}",
-            required_grid_order=top,
-        )
-    bad = [k for k in residual.nums if k < top]
-    if bad:
-        return False, min(bad) - base
+    """Check that P(u, v) has no nonzero coefficient below the exponent
+    floor(b) + ``through_rows``, b the least leading exponent of its
+    monomials (``_horner_residual``).  Returns (True, through_rows), or
+    (False, k) with k the grid row above b of the first nonzero
+    coefficient, on the grid of the residual below that exponent."""
+    residual, base_exp = _horner_residual(poly, u, v, through_rows)
+    if residual.nums:
+        return False, min(residual.nums) - math.floor(base_exp * residual.denom)
     return True, through_rows
 
 

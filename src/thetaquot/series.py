@@ -343,16 +343,19 @@ class PuiseuxSeries:
             raise TypeError("series powers must be integers")
         if n < 0:
             return invert_unit(self) ** (-n)
-        result = PuiseuxSeries.constant(1)
+        if n == 0:
+            return PuiseuxSeries.constant(1)
+        # binary powering that starts from the lowest set bit:
+        # floor(log2 n) squarings and popcount(n) - 1 further products
+        result = None
         base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

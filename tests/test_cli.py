@@ -249,6 +249,17 @@ class TestMine:
         assert code == 2
         assert err == "error: qscale must be positive\n"
 
+    def test_identically_zero_quotient_is_usage_error(self, capsys):
+        # A(4, 4; q) is identically zero, so the kernel's candidates are
+        # monomials in u alone and every product of the relation vanishes
+        code, out, err = run(
+            capsys, "mine", "--a", "4", "--p", "4", "--power", "12", "--v", "m",
+            "--max-degree", "3", "--order", "70",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: relation evaluates on identically zero products\n"
+
     def test_rows_below_floor_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",

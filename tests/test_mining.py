@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaquot import mining
@@ -125,6 +125,63 @@ def planted_kernel_matrices(draw):
     return [
         [sum(c[i][k] * b[k][j] for k in range(rank)) for j in range(ncols)]
         for i in range(nrows)
+    ]
+
+
+def echelon_mod_p_lists(rows, p):
+    """Reference echelon form mod p on lists of ints, one field operation at
+    a time: the same pivot choice, row swaps and unit pivots as
+    ``mining._echelon_mod_p``."""
+    m = [[x % p for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        inv = pow(m[piv][col], -1, p)
+        prow = [x * inv % p for x in m[piv]]
+        m[piv] = m[rank]
+        m[rank] = prow
+        for r in range(rank + 1, nrows):
+            f = m[r][col]
+            if f:
+                row = m[r]
+                for cix in range(col, ncols):
+                    row[cix] = (row[cix] - f * prow[cix]) % p
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+@st.composite
+def elimination_matrices(draw):
+    """1-12 by 1-12 integer matrices (so 1 x n, n x 1, tall and wide) with
+    entries up to 2^200 in absolute value, multiples of the first two
+    primes among them, zero rows and columns, and planted rank deficiency."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    top = 1 << draw(st.sampled_from([1, 8, 61, 62, 89, 90, 200]))
+    entry = st.one_of(
+        st.integers(-top, top),
+        st.sampled_from([(1 << 61) - 1, -2 * ((1 << 89) - 1)]),
+    )
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, min(nrows, ncols)))
+        b = [[draw(entry) // max(rank, 1) for _ in range(ncols)] for _ in range(rank)]
+        c = [[draw(st.integers(-1, 1)) for _ in range(rank)] for _ in range(nrows)]
+        m = [
+            [sum(c[i][k] * b[k][j] for k in range(rank)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(m)
     ]
 
 
@@ -252,6 +309,16 @@ class TestExactNullspace:
         matrix = [[p, 2 * p, 1]]
         assert exact_nullspace(matrix) == bareiss_nullspace(matrix)
         assert exact_nullspace(matrix) == [[2, -1, 0], [1, 0, -p]]
+
+    @pytest.mark.parametrize("e", [61, 89, 521])
+    @settings(max_examples=60, deadline=None)
+    @given(elimination_matrices())
+    @example([[0, 0, 0]])
+    @example([[5], [0], [-7]])
+    @example([[3, 6, 9], [1, 2, 3], [0, 0, 0], [2, 4, 6]])
+    def test_packed_elimination_matches_the_list_oracle(self, e, matrix):
+        p = (1 << e) - 1
+        assert mining._echelon_mod_p(matrix, p) == echelon_mod_p_lists(matrix, p)
 
     def test_lucas_lehmer_rejects_composites(self):
         assert [e for e in (3, 5, 7, 11, 13, 23, 29, 31) if lucas_lehmer(e)] == [
@@ -554,6 +621,16 @@ class TestValidate:
         assert again.poly == rel.poly
         assert len(again.numeric_checks) == 2
 
+    def test_residual_window_does_not_shrink_with_the_grid(self):
+        # u - v = q^40 + q^(201/2) from base exponent 1: the term on the
+        # finer grid, past the window, must not narrow the window to rows of
+        # half a unit, which would end it below q^40
+        poly = BivarIntPoly.normalized([(1, 0, 1), (0, 1, -1)])
+        v = PuiseuxSeries.from_pairs([(1, 1), (2, -3)], order=200)
+        for tail in ([(40, 1), (F(201, 2), 1)], [(40, 1)]):
+            u = v + PuiseuxSeries.from_pairs(tail)
+            assert mining._series_vanishes(poly, u, v, 60) == (False, 39)
+
     def test_validate_without_bindings_needs_series(self):
         rel = MinedRelation(poly=REL_14, degree=2, validated_grid_order=19)
         with pytest.raises(ValidationFailed, match="no series"):
@@ -671,7 +748,18 @@ class TestKnownThrough:
                             st.integers(-4, 4).filter(bool), min_size=1)
         )
         poly = BivarIntPoly.normalized([(i, j, c) for (i, j), c in terms.items()])
-        mining._series_vanishes(poly, u, v, n)
+        # on its window the Horner residual is the sum of the monomial
+        # products at full length, and the verdict is read from it
+        residual, base = mining._horner_residual(poly, u, v, n)
+        top = math.floor(base) + n
+        full = sum(
+            (u ** i * v ** j * c for i, j, c in poly.terms), PuiseuxSeries.zero()
+        )
+        assert residual.knowledge_order() == top
+        assert full.knowledge_order() is None or full.knowledge_order() >= top
+        assert (residual - full).truncate(top).is_zero()
+        ok, _ = mining._series_vanishes(poly, u, v, n)
+        assert ok == full.truncate(top).is_zero()
         # a residual that vanishes collapses to the integer grid
         square = BivarIntPoly.normalized([(2, 0, 1), (0, 1, -1)])
         assert mining._series_vanishes(square, u, u * u, n)[0]

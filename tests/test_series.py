@@ -128,6 +128,26 @@ class TestRingOps:
         u = series([(0, 2), (1, 1)], order=8)
         assert (u ** -2).agrees_with(invert_unit(u) ** 2)
 
+    @pytest.mark.parametrize(
+        "n, products", [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3), (12, 4)]
+    )
+    def test_power_pays_only_the_binary_products(self, monkeypatch, n, products):
+        # floor(log2 n) squarings and popcount(n) - 1 further products
+        t = series([(0, 1), (F(1, 2), -2), (3, 5)], order=20)
+        want = PuiseuxSeries.constant(1)
+        for _ in range(n):
+            want = want * t
+        calls = []
+        real_mul = PuiseuxSeries.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return real_mul(self, other)
+
+        monkeypatch.setattr(PuiseuxSeries, "__mul__", counting)
+        assert t ** n == want
+        assert len(calls) == products
+
     def test_negative_power_of_non_unit_raises(self):
         with pytest.raises(ValueError):
             series([], order=5) ** -1
