@@ -36,6 +36,7 @@ from .numeric import (
     nome_from_r,
     real_eval_series,
     singular_modulus,
+    singular_point,
     theta_sum,
 )
 from .mining import (

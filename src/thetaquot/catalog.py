@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -43,7 +42,7 @@ from .numeric import (
     pi_at,
     real_eval_series,
     residual_str,
-    singular_modulus,
+    singular_point,
     theta_sum,
     tolerance,
 )
@@ -189,14 +188,14 @@ def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
 
 
 def _even_shift(s: int, r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
     return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
 
 
 def _odd_shift(s: int, r, digits):
     m = 2 * s + 1
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     ch = singular_chain(ep)
     lhs = theta_sum(1, m, ep.q, digits, alternating=False)
     return lhs, (
@@ -209,7 +208,7 @@ def _odd_shift(s: int, r, digits):
 
 
 def _eta8(r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     lhs = eval_eta(1, ep.q, digits) ** 8
     return lhs, (
         big_real(2, digits) ** Fraction(8, 3)
@@ -222,7 +221,7 @@ def _eta8(r, digits):
 
 
 def _a14_24(corrected: bool, r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
     ksq = ep.k ** 2
     num = (1 - ksq) ** 2 if corrected else 1 - ksq
@@ -230,7 +229,7 @@ def _a14_24(corrected: bool, r, digits):
 
 
 def _thm1(r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     lhs = eval_theta(2, 1, ep.q, digits)
     inner = 4 * (1 - ep.k ** 2) / ep.k
     rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
@@ -238,14 +237,14 @@ def _thm1(r, digits):
 
 
 def _eq18(r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     k = ep.k
     lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
     return lhs, (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
 
 
 def _thm2(r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     k = ep.k
     lhs = eval_theta(2, Fraction(3, 2), ep.q, digits)
     # 2 + k - 2 sqrt(1+k) = (sqrt(1+k) - 1)^2 = (k / (1 + sqrt(1+k)))^2, a
@@ -288,7 +287,7 @@ _EQ45_M = {(1, 5): "theta3_sq_ratio(q,q5)", (5, 1): "theta3_sq_ratio(q5,q)"}
 
 
 def _eq45(i: int, j: int, r, digits):
-    ep = singular_modulus(r, digits)
+    ep = singular_point(r, digits)
     t3 = {s: theta_sum(1, 0, ep.q ** s, digits, alternating=False) for s in (1, 5)}
     m5 = (t3[i] / t3[j]) ** 2
     m = ep.k ** 2
@@ -803,6 +802,9 @@ def verify_all(
     rs = tuple(Fraction(r) for r in r_list)
     verify = partial(verify_entry_with_fallback, digits=digits, M=M, r_list=rs)
     if jobs > 1:
+        # imported here: the pool's modules cost a serial run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = tuple(pool.map(verify, _ORDER))
     else:

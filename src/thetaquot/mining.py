@@ -39,7 +39,7 @@ from .series import (
     sqrt_series,
 )
 from . import numeric
-from .numeric import BigReal, eval_A, eval_eta5, nome_from_r, singular_modulus
+from .numeric import BigReal, eval_A, eval_eta5, nome_from_r, singular_point
 
 __all__ = [
     "BivarIntPoly",
@@ -211,17 +211,17 @@ V_BINDINGS = {
     "m": VBinding(
         "m",
         lambda order: modulus_series(order),
-        lambda r, digits: singular_modulus(r, digits).k ** 2,
+        lambda r, digits: singular_point(r, digits).k ** 2,
     ),
     "sqrt_m": VBinding(
         "k",
         lambda order: sqrt_series(modulus_series(order + 1)),
-        lambda r, digits: singular_modulus(r, digits).k,
+        lambda r, digits: singular_point(r, digits).k,
     ),
     "m_q2_squared": VBinding(
         "m2sq",
         lambda order: rescale(modulus_series(order / 2 + 1), 2) ** 2,
-        lambda r, digits: singular_modulus(4 * r, digits).k ** 4,
+        lambda r, digits: singular_point(4 * r, digits).k ** 4,
     ),
     "eta5_q4_pow5": VBinding(
         "eta5q4p5",
@@ -261,7 +261,8 @@ def _power_table(u: PuiseuxSeries, s: int) -> list[PuiseuxSeries]:
 
 class MonomialTable:
     """Power tables of u and v through degree ``s_max``, and the monomials
-    u^i v^j built from them once, on first use."""
+    u^i v^j built from them once, on first use (u^i v^0 and u^0 v^j are
+    the tables' own entries)."""
 
     def __init__(self, u: PuiseuxSeries, v: PuiseuxSeries, s_max: int):
         self.u_pows = _power_table(u, s_max)
@@ -291,6 +292,10 @@ class MonomialTable:
         return cls(cut(u), cut(v), s_max)
 
     def product(self, i: int, j: int) -> PuiseuxSeries:
+        if j == 0:  # a product with the exact 1 is the other factor
+            return self.u_pows[i]
+        if i == 0:
+            return self.v_pows[j]
         key = (i, j)
         if key not in self._products:
             self._products[key] = self.u_pows[i] * self.v_pows[j]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
@@ -24,7 +25,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .series import PuiseuxSeries, ThetaSpec
+from .series import PuiseuxSeries, Rat, ThetaSpec
 
 GUARD = 15
 MIN_DIGITS = 20
@@ -42,6 +43,7 @@ __all__ = [
     "ellipk",
     "last_agm_iterations",
     "singular_modulus",
+    "singular_point",
     "inverse_modulus",
     "nome_from_r",
     "theta_sum",
@@ -307,7 +309,14 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     """Singular modulus k_r = theta2^2 / theta3^2 at q = e^(-pi sqrt r), with
     theta3 = theta_sum(1, 0) and theta2^2 = sqrt(q) theta_sum(1, 1)^2 (both
     non-alternating), certified by K(k')/K(k) = agm(1, k')/agm(1, k) = sqrt r.
-    A k within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``."""
+    A k within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``.
+
+    Every call computes the point afresh.  Callers that ask for the same
+    rational r many times in one run (the catalog's closed forms and the
+    miner's modulus bindings) share points through ``singular_point``.  The
+    callers that ask once per point (``eval --fn k``, and ``s_n``, whose r
+    is irrational) call this directly: a memo would save them nothing, and
+    this function stays uncached so that its timings show the kernel."""
     wd = digits + GUARD
     q = nome_from_r(r, digits)
     theta2 = theta_sum(1, 1, q, alternating=False)
@@ -327,6 +336,23 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
                 f"residual {mpmath.nstr(resid, 5)}"
             )
     return EvalPoint(r=r, q=q, k=BigReal(kv, digits), kprime=BigReal(kpv, digits))
+
+
+POINT_CACHE_SIZE = 32  # distinct (r, digits) points kept by singular_point
+
+
+@lru_cache(maxsize=POINT_CACHE_SIZE)
+def _cached_point(r: Fraction, digits: int) -> EvalPoint:
+    return singular_modulus(r, digits)
+
+
+def singular_point(r: Rat | str, digits: int) -> EvalPoint:
+    """The ``EvalPoint`` of ``singular_modulus(Fraction(r), digits)``, shared:
+    the first request for a (Fraction(r), digits) computes it and the last
+    ``POINT_CACHE_SIZE`` points are kept.  A point's values do not depend on
+    the ambient precision, so a shared point equals a fresh one field by
+    field; a request that raises is not kept."""
+    return _cached_point(Fraction(r), digits)
 
 
 def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:

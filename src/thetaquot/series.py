@@ -101,7 +101,7 @@ def _int_product(
     """Integer coefficients of the product of two sparse integer series below
     grid index ``hi``, by Kronecker substitution: both factors are packed on
     the gcd stride of their index offsets into one big int each and
-    multiplied once."""
+    multiplied once.  A square (``a is b``) is packed once."""
     if not a or not b:
         return {}
     va, vb = min(a), min(b)
@@ -120,7 +120,8 @@ def _int_product(
         + 1
     )
     width = (bits + 7) // 8
-    prod = _pack(a, va, stride, na, width) * _pack(b, vb, stride, nb, width)
+    pa = _pack(a, va, stride, na, width)
+    prod = pa * pa if a is b else pa * _pack(b, vb, stride, nb, width)
     # adding half a field to each of the low ``count`` fields makes them
     # all non-negative, so they read back as unsigned bytes; higher fields
     # only absorb borrows and are cut off
@@ -333,6 +334,8 @@ class PuiseuxSeries:
             # above the bound cannot contribute
             a = {k: c for k, c in a.items() if k < hi - lb}
             b = {k: c for k, c in b.items() if k < hi - la}
+        if other is self:
+            b = a  # one trimmed dict for both factors: a square packs once
         scale = self.scale * other.scale
         return PuiseuxSeries._make(n, _int_product(a, b, hi), scale, hi)
 

@@ -63,21 +63,54 @@ def test_module_attribute_exists(module, name):
     assert callable(getattr(mod, name))
 
 
+def _modules_after_importing_the_catalog() -> set[str]:
+    """sys.modules of a fresh interpreter that imported thetaquot.catalog."""
+    src = Path(importlib.import_module("thetaquot").__file__).parent.parent
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    script = "import sys, thetaquot.catalog; print(*sys.modules)"
+    return set(
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+    )
+
+
 def test_importing_the_catalog_loads_every_module_the_benchmark_reads():
     # the benchmark imports thetaquot.catalog alone and then reads six
     # modules from sys.modules; recognize is loaded only by the package's
     # re-exports, so a leaner thetaquot/__init__.py must still load it
-    src = Path(importlib.import_module("thetaquot").__file__).parent.parent
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, thetaquot.catalog; print(*sys.modules)"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
+    loaded = _modules_after_importing_the_catalog()
     read = ("series", "numeric", "mining", "recognize", "modular", "catalog")
-    assert {f"thetaquot.{name}" for name in read} <= set(loaded)
+    assert {f"thetaquot.{name}" for name in read} <= loaded
+
+
+def test_importing_the_catalog_leaves_the_process_pool_unloaded():
+    # only verify_all with jobs > 1 uses the pool; its modules would add to
+    # every launch's start-up time, which the benchmark measures
+    loaded = _modules_after_importing_the_catalog()
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_singular_modulus_is_not_memoized(monkeypatch):
+    # the benchmark's moduli job times the kernel, so every call must run
+    # its two theta sums
+    numeric = importlib.import_module("thetaquot.numeric")
+    theta_sum = numeric.theta_sum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return theta_sum(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "theta_sum", counting)
+    first = numeric.singular_modulus(2, 60)
+    second = numeric.singular_modulus(2, 60)
+    assert calls == [(1, 1), (1, 0)] * 2
+    assert first is not second and first.k == second.k
 
 
 def test_entry_kinds_name_the_tracer_spans():

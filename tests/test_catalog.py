@@ -1,13 +1,14 @@
 """Catalog verification: entry outcomes, the errata pair, re-mining
 fallbacks, convention determination, and report structure."""
 
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from thetaquot import catalog
+from thetaquot import catalog, numeric
 from thetaquot.catalog import (
     catalog_ids,
     get_entry,
@@ -222,6 +223,34 @@ class TestVerifyAll:
     def test_determinism(self, report):
         again = verify_all(digits=60, M=150, r_list=(1, 2, 3), jobs=1)
         assert again.to_json() == report.to_json()
+
+    def test_one_modulus_computation_per_point(self, report, monkeypatch):
+        # every closed form and modulus binding at one (r, digits) shares
+        # one point; s_n, whose r is irrational, calls the kernel itself
+        kernel = numeric.singular_modulus
+        seen = []
+
+        def counting(r, digits):
+            seen.append((r, digits))
+            return kernel(r, digits)
+
+        # at every binding of the kernel, as the benchmark's tracer wraps it
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("thetaquot"):
+                if getattr(mod, "singular_modulus", None) is kernel:
+                    monkeypatch.setattr(mod, "singular_modulus", counting)
+        numeric._cached_point.cache_clear()
+        try:
+            again = verify_all()
+        finally:
+            numeric._cached_point.cache_clear()
+        assert again.to_json() == report.to_json()
+        points = [(r, digits) for r, digits in seen if isinstance(r, Fraction)]
+        assert len(points) == len(set(points))
+        # r = 1, 2, 3, and 4r for the m_q2_squared binding's k_4r
+        assert set(points) == {(Fraction(r), 60) for r in (1, 2, 3, 4, 8, 12)}
+        # the rest are s_n's, one at each of thm3_instance's three x-points
+        assert len(seen) - len(points) == 3
 
 
 class TestVerifyPath:

@@ -367,6 +367,28 @@ class TestBuildCoeffMatrix:
         assert base == 0
         assert all(not any(row) for row in m[1:])
 
+    @pytest.mark.parametrize(
+        "u",
+        [
+            PuiseuxSeries.from_pairs([(F(-1, 2), 3), (1, F(-2, 5))], order=7),
+            PuiseuxSeries.from_pairs([], order=F(5, 3)),
+            PuiseuxSeries.constant(F(7, 2)),
+        ],
+    )
+    def test_unit_monomials_are_the_power_tables(self, u):
+        # u^i v^0 and u^0 v^j are read from the power tables: the same
+        # series, field by field, as the product with the exact 1
+        v = modulus_series(6)
+        table = mining.MonomialTable(u, v, 2)
+        one = PuiseuxSeries.constant(1)
+        for i, j in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]:
+            got, want = table.product(i, j), table.u_pows[i] * table.v_pows[j]
+            assert (got.denom, got.nums, got.scale, got.hi) == (
+                want.denom, want.nums, want.scale, want.hi
+            )
+        assert table.product(2, 0) is table.u_pows[2]
+        assert table.product(0, 0) == one
+
     def test_rows_start_at_most_negative_exponent(self):
         u = PuiseuxSeries.from_pairs([(-1, 1), (0, 1)], order=20)
         m, cols, base, denom = build_coeff_matrix(u, modulus_series(20), 2, 8)

@@ -39,8 +39,11 @@ from thetaquot.numeric import (
     real_eval_series,
     residual_str,
     singular_modulus,
+    singular_point,
     theta_sum,
 )
+from thetaquot import numeric
+from thetaquot.numeric import POINT_CACHE_SIZE, CertificationError
 
 
 def mp_tol(digits, guard=10):
@@ -234,6 +237,79 @@ class TestSingularModulus:
     def test_nonpositive_r_rejected(self):
         with pytest.raises(ValueError):
             singular_modulus(0, 50)
+
+
+def same_point(a, b):
+    """Field by field, with each BigReal's digits as well as its value."""
+    return a.r == b.r and all(
+        (x.value, x.digits) == (y.value, y.digits)
+        for x, y in ((a.q, b.q), (a.k, b.k), (a.kprime, b.kprime))
+    )
+
+
+@pytest.fixture
+def cold_points():
+    """An empty memo before and after the test, so no test sees another's
+    points (or a stand-in kernel's results)."""
+    numeric._cached_point.cache_clear()
+    yield
+    numeric._cached_point.cache_clear()
+
+
+def counting_kernel(monkeypatch, kernel=None):
+    """Route the memo's requests through a counter; returns the list of
+    (r, digits) it was asked for."""
+    kernel = kernel or numeric.singular_modulus
+    seen = []
+
+    def counting(r, digits):
+        seen.append((r, digits))
+        return kernel(r, digits)
+
+    monkeypatch.setattr(numeric, "singular_modulus", counting)
+    return seen
+
+
+@pytest.mark.usefixtures("cold_points")
+class TestSingularPoint:
+    def test_one_shared_point_per_rational(self, monkeypatch):
+        seen = counting_kernel(monkeypatch)
+        ep = singular_point(1, 60)
+        assert singular_point(F(1), 60) is ep
+        assert singular_point("1", 60) is ep
+        assert seen == [(F(1), 60)]
+        assert type(ep.r) is F
+        assert same_point(ep, singular_modulus(1, 60))
+        assert singular_point(1, 61) is not ep
+
+    def test_independent_of_the_ambient_precision(self):
+        with mp.workdps(15):
+            low = singular_point(F(7, 3), 60)
+        numeric._cached_point.cache_clear()
+        with mp.workdps(500):
+            high = singular_point(F(7, 3), 60)
+        assert low is not high
+        assert same_point(low, high)
+        assert same_point(low, singular_modulus(F(7, 3), 60))
+
+    def test_a_failed_request_is_not_kept(self, monkeypatch):
+        seen = counting_kernel(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(CertificationError):
+                singular_point(F(1, 1000), 60)
+        assert seen == [(F(1, 1000), 60)] * 2
+        assert numeric._cached_point.cache_info().currsize == 0
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        # a stand-in kernel: the bound is about entries, not their values
+        seen = counting_kernel(monkeypatch, lambda r, digits: object())
+        for r in range(1, POINT_CACHE_SIZE + 6):
+            singular_point(r, 60)
+            assert numeric._cached_point.cache_info().currsize <= POINT_CACHE_SIZE
+        assert numeric._cached_point.cache_info().currsize == POINT_CACHE_SIZE
+        singular_point(POINT_CACHE_SIZE + 5, 60)  # the newest stays
+        singular_point(1, 60)  # the oldest was evicted
+        assert len(seen) == POINT_CACHE_SIZE + 6
 
 
 class TestInverseModulus:

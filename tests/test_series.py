@@ -476,6 +476,17 @@ class TestKroneckerProduct:
         assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
         assert got.relative_order() >= min(x.relative_order(), y.relative_order())
 
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands())
+    def test_square_matches_the_general_product(self, x):
+        # x * x packs one factor and squares it; a copy of x is another
+        # object, so x * copy takes the general path
+        copy = PuiseuxSeries._make(x.denom, dict(x.nums), x.scale, x.hi)
+        got, want = x * x, x * copy
+        assert (got.denom, got.nums, got.scale, got.hi) == (
+            want.denom, want.nums, want.scale, want.hi
+        )
+
     def test_theta_quotient_on_the_1_96_grid(self):
         # q^delta * theta on the 1/96 grid times a series in q^(1/2)
         spec = ThetaSpec(F(1, 2), 4)
