@@ -16,6 +16,7 @@ from .series import (
     exp_series,
     h5_series,
     invert_unit,
+    k_series,
     modulus_series,
     nome_sqrt_exp_form,
     rescale,

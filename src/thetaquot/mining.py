@@ -34,9 +34,9 @@ from .series import (
     ThetaSpec,
     common_known_order,
     eta5_series,
+    k_series,
     modulus_series,
     rescale,
-    sqrt_series,
 )
 from . import numeric
 from .numeric import BigReal, eval_A, eval_eta5, nome_from_r, singular_point
@@ -215,7 +215,7 @@ V_BINDINGS = {
     ),
     "sqrt_m": VBinding(
         "k",
-        lambda order: sqrt_series(modulus_series(order + 1)),
+        lambda order: k_series(order + 1),
         lambda r, digits: singular_point(r, digits).k,
     ),
     "m_q2_squared": VBinding(

@@ -520,9 +520,10 @@ def eval_h5(x: BigReal, digits: int | None = None) -> BigReal:
 
 def eval_eta5(x: BigReal, digits: int | None = None) -> BigReal:
     """Positive root of y^2 + (1 + h5(x)) y - 1 = 0, written with the
-    radical (-1 - h5 + sqrt(5 + 2 h5 + h5^2)) / 2."""
+    rationalized radical 2 / (1 + h5 + sqrt(5 + 2 h5 + h5^2)): h5 > 0 on
+    (0, 1), so nothing cancels, even where h5 ~ x^(-1/5) is large."""
     h = eval_h5(x, digits)
-    return ((5 + 2 * h + h * h).sqrt() - 1 - h) / 2
+    return 2 / (1 + h + (5 + 2 * h + h * h).sqrt())
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ __all__ = [
     "A_series",
     "A_series_product",
     "modulus_series",
+    "k_series",
     "nome_sqrt_exp_form",
     "h5_series",
     "eta5_series",
@@ -759,6 +760,19 @@ def modulus_series(order: Rat) -> PuiseuxSeries:
     return PuiseuxSeries.monomial(1, 1) * (t2 ** 4 * invert_unit(t3 ** 4))
 
 
+def k_series(order: Rat) -> PuiseuxSeries:
+    """Elliptic modulus k(q) = sqrt(m(q)) as an exact q-series, without a
+    root: q^(1/2) theta_series(1, 1)^2 / theta_series(1, 0)^2 (both
+    non-alternating), that is theta2^2 / theta3^2.  It equals
+    sqrt_series(modulus_series(order)) term for term and bound for bound:
+    4 q^(1/2) - 16 q^(3/2) + 56 q^(5/2) - ...
+    """
+    t2 = theta_series(1, 1, order, alternating=False)
+    t3 = theta_series(1, 0, order, alternating=False)
+    half = PuiseuxSeries.monomial(1, Fraction(1, 2))
+    return half * (t2 ** 2 * invert_unit(t3 ** 2))
+
+
 def nome_sqrt_exp_form(order: Rat) -> PuiseuxSeries:
     """The expansion 4 q^(1/2) exp(-4 sum_{n>=1} q^n sum_{d|n} (-1)^(d+n/d)/d),
     an alternative route to sqrt of the squared modulus."""
@@ -785,9 +799,20 @@ def h5_series(order: Rat) -> PuiseuxSeries:
 
 
 def eta5_series(order: Rat) -> PuiseuxSeries:
-    """The quadratic-root combination (-1 - h5 + sqrt(5 + 2 h5 + h5^2)) / 2."""
-    order = Fraction(order)
-    h = h5_series(order + Fraction(2, 5))
-    disc = 5 + 2 * h + h * h
-    root = sqrt_series(disc)
-    return (root - 1 - h) * Fraction(1, 2)
+    """The positive root R of y^2 + (1 + h5) y - 1 = 0, known below
+    ceil(5 order)/5 + 2/5 (where the radical (-1 - h5 + sqrt(5 + 2 h5 +
+    h5^2)) / 2 from h5_series(order + 2/5) is known).
+
+    Ramanujan's 1/R - 1 - R = eta(tau/5)/eta(5 tau) = h5 makes R the
+    Rogers-Ramanujan continued fraction
+    q^(1/5) prod_{n>=1} (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3))),
+    which is A(1,5;q) / A(2,5;q): delta(1,5) - delta(2,5) = 1/60 + 11/60 =
+    1/5.  So it takes two product forms and one inversion, and no root.
+    """
+    top = Fraction(math.ceil(5 * Fraction(order)) + 2, 5)
+    # factors known n past their leading terms give a quotient known below
+    # n + 1/5
+    n = math.ceil(top - Fraction(1, 5))
+    num = A_series_product(ThetaSpec(1, 5), n)
+    den = A_series_product(ThetaSpec(2, 5), n)
+    return (num * invert_unit(den)).truncate(top)

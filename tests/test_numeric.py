@@ -505,6 +505,24 @@ class TestDirectEvaluation:
         assert abs((e_num - e_ser.value).value) < mp_tol(50, 15)
 
 
+class TestEta5:
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_rogers_ramanujan_quotient(self, r, power):
+        # eta5 = A(1,5)/A(2,5), the Rogers-Ramanujan continued fraction
+        x = nome_from_r(r, 60) ** power
+        want = eval_A(ThetaSpec(1, 5), x) / eval_A(ThetaSpec(2, 5), x)
+        assert abs((eval_eta5(x) - want).value) < mp_tol(60) * want.value
+
+    @pytest.mark.parametrize("exp10", [60, 100])
+    def test_small_nome_does_not_cancel(self, exp10):
+        # eta5(q) = q^(1/5) (1 - q + ...) and q is below 10^-30 here; the
+        # unrationalized radical lost 7 and 24 of the 30 digits
+        got = eval_eta5(big_real(F(1, 10 ** exp10), 30)).value
+        with mp.workdps(40):
+            assert abs(got * mpmath.mpf(10) ** (exp10 // 5) - 1) < mp_tol(30, 2)
+
+
 class TestRealEvalSeries:
     def test_modulus_series_matches_singular_modulus(self):
         ep = singular_modulus(1, 60)

@@ -20,6 +20,7 @@ from thetaquot.series import (
     exp_series,
     h5_series,
     invert_unit,
+    k_series,
     modulus_series,
     nome_sqrt_exp_form,
     rescale,
@@ -879,11 +880,13 @@ class TestH5Eta5:
         assert h.leading() == (F(-1, 5), F(1))
 
     def test_eta5_quadratic_contract(self):
-        h = h5_series(5)
-        e = eta5_series(5)
-        resid = e * e + (1 + h) * e - 1
-        assert resid.is_zero()
-        assert resid.knowledge_order() >= 4
+        # 126 is the size of the eta5 job in the expand benchmark
+        for order in (5, 126):
+            h = h5_series(order)
+            e = eta5_series(order)
+            resid = e * e + (1 + h) * e - 1
+            assert resid.is_zero()
+            assert resid.knowledge_order() >= order
 
     def test_eta5_rescale_power_is_integral(self):
         v = rescale(eta5_series(6), 4) ** 5
@@ -892,6 +895,62 @@ class TestH5Eta5:
 
     def test_eta5_leading(self):
         assert eta5_series(3).leading() == (F(1, 5), F(1))
+
+
+def radical_eta5(order):
+    """Oracle: eta5 as the root of its quadratic, (-1 - h5 + sqrt(5 + 2 h5 +
+    h5^2)) / 2, with h5 known below order + 2/5."""
+    h = h5_series(F(order) + F(2, 5))
+    return (sqrt_series(5 + 2 * h + h * h) - 1 - h) * F(1, 2)
+
+
+def fields(s):
+    return (s.denom, s.nums, s.scale, s.hi)
+
+
+class TestRootFreeConstructions:
+    """eta5 as A(1,5)/A(2,5) and k as q^(1/2) theta2^2/theta3^2 give the
+    very series their square-root forms give."""
+
+    ETA5_ORDERS = (
+        [F(k, 5) for k in range(1, 61)]
+        + [F(k, 3) for k in range(1, 31)]
+        + [F(k, 7) for k in range(1, 15)]
+        + [F(76), F(125), F(126), F(300)]
+    )
+
+    @pytest.mark.parametrize("order", ETA5_ORDERS, ids=str)
+    def test_eta5_equals_radical(self, order):
+        assert fields(eta5_series(order)) == fields(radical_eta5(order))
+
+    @pytest.mark.parametrize(
+        "order", [F(j, 4) for j in range(1, 81)] + [F(76), F(126), F(301)], ids=str
+    )
+    def test_k_equals_root_of_modulus(self, order):
+        want = sqrt_series(modulus_series(order))
+        assert fields(k_series(order)) == fields(want)
+
+    @pytest.mark.parametrize("order", [F(5), F(69), F(119), F(150)], ids=str)
+    def test_sqrt_m_binding_equals_root_of_modulus(self, order):
+        from thetaquot.mining import V_BINDINGS
+
+        got = V_BINDINGS["sqrt_m"].series(order)
+        assert fields(got) == fields(sqrt_series(modulus_series(order + 1)))
+
+    def test_no_square_root_or_h5_taken(self, monkeypatch):
+        import thetaquot.mining as mining_module
+        import thetaquot.series as series_module
+        from thetaquot.mining import V_BINDINGS
+
+        def boom(*args, **kwargs):
+            raise AssertionError("root-free construction called it")
+
+        monkeypatch.setattr(series_module, "sqrt_series", boom)
+        monkeypatch.setattr(series_module, "h5_series", boom)
+        monkeypatch.setattr(mining_module, "sqrt_series", boom, raising=False)
+        assert eta5_series(126).leading() == (F(1, 5), F(1))
+        assert V_BINDINGS["sqrt_m"].series(F(60)).leading() == (F(1, 2), F(4))
+        assert V_BINDINGS["eta5_q4_pow5"].series(F(40)).leading() == (F(4), F(1))
 
 
 class TestSerialization:
