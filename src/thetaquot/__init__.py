@@ -32,7 +32,6 @@ from .numeric import (
     eval_eta,
     eval_eta5,
     eval_h5,
-    eval_theta,
     inverse_modulus,
     nome_from_r,
     real_eval_series,
@@ -49,15 +48,13 @@ from .mining import (
     mine,
     validate,
 )
-from .recognize import IntPoly, NotFound, recognize, recognize_rational
+from .recognize import IntPoly, NotFound, recognize
 from .modular import (
-    SingularChain,
     check_theorem3_instance,
     landen_k4,
     p2_A14,
     q_A14,
     s_n,
-    singular_chain,
 )
 from .catalog import remine_entry, verify_all, verify_entry
 

@@ -37,7 +37,6 @@ from .numeric import (
     ellipk,
     eval_A,
     eval_eta,
-    eval_theta,
     nome_from_r,
     pi_at,
     real_eval_series,
@@ -46,7 +45,7 @@ from .numeric import (
     theta_sum,
     tolerance,
 )
-from .modular import check_theorem3_instance, singular_chain
+from .modular import check_theorem3_instance, landen_k4
 from .mining import (
     ABinding,
     BivarIntPoly,
@@ -196,14 +195,19 @@ def _even_shift(s: int, r, digits):
 def _odd_shift(s: int, r, digits):
     m = 2 * s + 1
     ep = singular_point(r, digits)
-    ch = singular_chain(ep)
+    # the paper's k11 = k_r, k12 = k'_r, k21 = k_4r and k22 = k'_4r; its
+    # k21 = (2 - k11^2 - 2 k12)/k11^2 is the Landen descent of k11, taken
+    # from landen_k4, whose form has no cancellation as k11 -> 0
+    k11, k12 = ep.k, ep.kprime
+    k21 = landen_k4(k11)
+    k22 = (1 - k21 ** 2).sqrt()
     lhs = theta_sum(1, m, ep.q, digits, alternating=False)
     return lhs, (
         big_real(2, digits) ** Fraction(5, 6)
         * ep.q ** Fraction(-m * m, 4)
-        * (ch.k11 * ch.k12 * ch.k21) ** Fraction(1, 6)
-        / ch.k22 ** Fraction(1, 3)
-        * (ellipk(ch.k11) / pi_at(digits)).sqrt()
+        * (k11 * k12 * k21) ** Fraction(1, 6)
+        / k22 ** Fraction(1, 3)
+        * (ellipk(k11) / pi_at(digits)).sqrt()
     )
 
 
@@ -230,7 +234,7 @@ def _a14_24(corrected: bool, r, digits):
 
 def _thm1(r, digits):
     ep = singular_point(r, digits)
-    lhs = eval_theta(2, 1, ep.q, digits)
+    lhs = theta_sum(2, 1, ep.q, digits)
     inner = 4 * (1 - ep.k ** 2) / ep.k
     rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
     return lhs, rhs
@@ -246,7 +250,7 @@ def _eq18(r, digits):
 def _thm2(r, digits):
     ep = singular_point(r, digits)
     k = ep.k
-    lhs = eval_theta(2, Fraction(3, 2), ep.q, digits)
+    lhs = theta_sum(2, Fraction(3, 2), ep.q, digits)
     # 2 + k - 2 sqrt(1+k) = (sqrt(1+k) - 1)^2 = (k / (1 + sqrt(1+k)))^2, a
     # form that does not cancel as k -> 0
     inner = (
@@ -793,20 +797,9 @@ def verify_all(
     digits: int = 60,
     M: int = 150,
     r_list: Sequence[Fraction | int] = (1, 2, 3),
-    jobs: int = 1,
 ) -> Report:
-    """Verify every catalog entry; failing polynomial entries get a
-    re-mined replacement attached.  ``jobs > 1`` fans the entries out to a
-    bounded pool of worker processes (the precision state of the float
-    backend is process-global, so threads are not used)."""
+    """Verify every catalog entry in turn; failing polynomial entries get a
+    re-mined replacement attached."""
     rs = tuple(Fraction(r) for r in r_list)
-    verify = partial(verify_entry_with_fallback, digits=digits, M=M, r_list=rs)
-    if jobs > 1:
-        # imported here: the pool's modules cost a serial run's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(verify, _ORDER))
-    else:
-        entries = tuple(map(verify, _ORDER))
+    entries = tuple(verify_entry_with_fallback(eid, digits, M, rs) for eid in _ORDER)
     return Report(digits=digits, order=M, r_list=rs, entries=entries)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,12 +30,12 @@ from .numeric import (
     ellipk,
     eval_A,
     eval_eta,
-    eval_theta,
     eval_eta5,
     eval_h5,
     inverse_modulus,
     nome_from_r,
     singular_modulus,
+    theta_sum,
 )
 from .series import (
     A_series,
@@ -51,6 +50,7 @@ from .series import (
 )
 
 MIN_ORDER = 40
+MAX_DIGITS = 5000
 
 
 class UsageError(Exception):
@@ -84,7 +84,6 @@ def _nome(args, digits: int) -> BigReal:
 
 def _cmd_eval(args) -> int:
     digits = args.digits
-    _require(digits >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
     fn = args.fn
     if fn == "K":
         _require(args.x is not None, "eval --fn K needs --x (the modulus)")
@@ -100,7 +99,7 @@ def _cmd_eval(args) -> int:
         value = eval_eta(scale, _nome(args, digits), digits)
     elif fn == "theta":
         _require(args.a is not None and args.b is not None, "theta needs --a and --b")
-        value = eval_theta(
+        value = theta_sum(
             parse_rational(args.a), parse_rational(args.b), _nome(args, digits), digits
         )
     elif fn == "A":
@@ -158,23 +157,20 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    digits = args.digits
-    _require(digits >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
     _require(args.order >= MIN_ORDER, f"--order must be at least {MIN_ORDER}")
     _require(args.max_degree >= 1, "--max-degree must be at least 1")
     spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
     qscale = parse_rational(args.qscale) if args.qscale else Fraction(1)
     binding = mining.ABinding(spec, args.power, qscale)
-    vname = next(n for n, b in mining.V_BINDINGS.items() if b.token == args.v)
-    u, v = mining.build_binding_series(binding, vname, Fraction(args.order))
+    u, v = mining.build_binding_series(binding, args.v, Fraction(args.order))
     rel = mining.mine(
         u,
         v,
         args.max_degree,
         None,
         u_binding=binding,
-        v_binding=vname,
-        digits=digits,
+        v_binding=args.v,
+        digits=args.digits,
     )
     print(f"relation: {rel.poly}")
     print(f"degree: {rel.degree}; series rows certified: {rel.validated_grid_order}")
@@ -190,16 +186,14 @@ def _cmd_mine(args) -> int:
 
 def _cmd_recognize(args) -> int:
     digits = args.digits
-    _require(digits >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
     if args.value is not None:
         with mp.workdps(digits + GUARD):
             x = BigReal(mpmath.mpf(args.value), digits)
         _require(mpmath.isfinite(x.value), "--value must be a finite real number")
     else:
         _require(
-            args.expr == "A" and args.a is not None and args.p is not None
-            and args.power is not None and args.r is not None,
-            "recognize needs --value or --expr A with --a --p --power --r",
+            None not in (args.a, args.p, args.power, args.r),
+            "recognize needs --value or --a --p --power --r",
         )
         spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
         q = nome_from_r(parse_rational(args.r), digits)
@@ -216,14 +210,11 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_verify(args) -> int:
     digits = args.digits
-    _require(digits >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
     _require(args.order >= MIN_ORDER, f"--order must be at least {MIN_ORDER}")
     rs = tuple(parse_rational(tok) for tok in args.rs.split(","))
     _require(all(r > 0 for r in rs), "all r values must be positive")
-    _require(args.jobs is None or args.jobs >= 1, "--jobs must be at least 1")
     if args.all:
-        jobs = args.jobs or min(4, os.cpu_count() or 1)
-        report = catalog.verify_all(digits=digits, M=args.order, r_list=rs, jobs=jobs)
+        report = catalog.verify_all(digits=digits, M=args.order, r_list=rs)
         entries = report.entries
     else:
         entry_report = catalog.verify_entry_with_fallback(
@@ -288,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--p", required=True)
     p_mine.add_argument("--power", type=int, required=True)
     p_mine.add_argument("--qscale", help="nome scale of u (default 1)")
-    tokens = sorted(b.token for b in mining.V_BINDINGS.values())
-    p_mine.add_argument("--v", required=True, choices=tokens)
+    p_mine.add_argument("--v", required=True, choices=sorted(mining.V_BINDINGS))
     p_mine.add_argument("--max-degree", type=int, required=True)
     p_mine.add_argument("--order", type=int, default=150)
     p_mine.add_argument("--digits", type=int, default=60)
@@ -299,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recognize", help="find a small integer polynomial "
                            "vanishing at a real value")
     p_rec.add_argument("--value", help="decimal literal to recognize")
-    p_rec.add_argument("--expr", choices=["A"])
     p_rec.add_argument("--a")
     p_rec.add_argument("--p")
     p_rec.add_argument("--power", type=int)
@@ -316,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--order", type=int, default=150)
     p_ver.add_argument("--rs", default="1,2,3", help="comma-separated r values")
     p_ver.add_argument("--report", help="write the JSON report to this file")
-    p_ver.add_argument("--jobs", type=int, help="worker processes for --all")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -328,6 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if "digits" in args:  # eval, mine, recognize and verify
+            d = args.digits
+            _require(d >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
+            _require(d <= MAX_DIGITS, f"--digits must be at most {MAX_DIGITS}")
         return args.func(args)
     except (
         UsageError, ValueError, KeyError, OSError, mining.MiningError,

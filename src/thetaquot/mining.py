@@ -198,33 +198,29 @@ class ABinding:
 
 @dataclass(frozen=True)
 class VBinding:
-    """What v means: its ``--v`` token on the command line, its series
-    known below a given order, and its value at q = e^(-pi sqrt(r))."""
+    """What v means: its series known below a given order, and its value
+    at q = e^(-pi sqrt(r))."""
 
-    token: str
     series: Callable[[Fraction], PuiseuxSeries]
     numeric: Callable[[Fraction, int], BigReal]
 
 
-# keyed by the name relation files carry in their "v" field
+# keyed by the one name of each binding: `mine --v` takes it, and relation
+# files carry it in their "v" field
 V_BINDINGS = {
     "m": VBinding(
-        "m",
         lambda order: modulus_series(order),
         lambda r, digits: singular_point(r, digits).k ** 2,
     ),
     "sqrt_m": VBinding(
-        "k",
         lambda order: k_series(order + 1),
         lambda r, digits: singular_point(r, digits).k,
     ),
     "m_q2_squared": VBinding(
-        "m2sq",
         lambda order: rescale(modulus_series(order / 2 + 1), 2) ** 2,
         lambda r, digits: singular_point(4 * r, digits).k ** 4,
     ),
     "eta5_q4_pow5": VBinding(
-        "eta5q4p5",
         lambda order: rescale(eta5_series(order / 4 + 1), 4) ** 5,
         lambda r, digits: eval_eta5(nome_from_r(r, digits) ** 4, digits) ** 5,
     ),

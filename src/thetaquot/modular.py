@@ -9,42 +9,17 @@ live in (0, 1) or on the positive axis throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import BigReal, EvalPoint, big_real, inverse_modulus, singular_modulus
+from .numeric import BigReal, big_real, inverse_modulus, singular_modulus
 
 __all__ = [
-    "SingularChain",
-    "singular_chain",
     "s_n",
     "landen_k4",
     "p2_A14",
     "q_A14",
     "check_theorem3_instance",
 ]
-
-
-@dataclass(frozen=True)
-class SingularChain:
-    """The constants of the odd-shift theta evaluation: k11 = k_r,
-    k12 = k'_r, k21 = k_4r and k22 = k'_4r = sqrt(1 - k21^2)."""
-
-    k11: BigReal
-    k12: BigReal
-    k21: BigReal
-    k22: BigReal
-
-
-def singular_chain(point: EvalPoint) -> SingularChain:
-    """The chain at ``point``.  The paper's k21 = (2 - k11^2 - 2 k12)/k11^2
-    equals (1 - k12)/(1 + k12), the Landen descent of k11, and is taken from
-    ``landen_k4``, whose form has no cancellation as k11 -> 0."""
-    k11 = point.k
-    k12 = point.kprime
-    k21 = landen_k4(k11)
-    k22 = (1 - k21 ** 2).sqrt()
-    return SingularChain(k11=k11, k12=k12, k21=k21, k22=k22)
 
 
 def s_n(x: BigReal, n: int, digits: int | None = None) -> BigReal:

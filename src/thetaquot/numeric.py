@@ -9,8 +9,7 @@ Most kernels set that precision on mpmath's context.  The two hot loops do
 not: ``theta_sum``'s walk and ``agm`` run on Python ints in fixed point,
 with their bit counts passed explicitly.  The context is process-global,
 so the functions here are still not safe to call concurrently from
-threads.  Run independent evaluations in separate processes instead (the
-CLI report runner does).
+threads.  Run independent evaluations in separate processes instead.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "inverse_modulus",
     "nome_from_r",
     "theta_sum",
-    "eval_theta",
     "eval_eta",
     "eval_A",
     "eval_h5",
@@ -469,10 +467,6 @@ def theta_sum(
     total = _fold(up, down, ad, bd, n0, prec, guard + 4)
     with mp.workdps(wd):
         return BigReal(mpf((total, -prec)) * head, digits)
-
-
-def eval_theta(a, b, q: BigReal, digits: int | None = None) -> BigReal:
-    return theta_sum(a, b, q, digits, alternating=True)
 
 
 def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:

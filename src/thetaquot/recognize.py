@@ -6,8 +6,8 @@ lattice basis reduction on the vector (1, x, x^2, ..., x^d) scaled by
 extends the last degree's reduced basis by one row, the state a fresh
 reduction passes through, so the result is unchanged.  Every candidate is
 re-certified at doubled working precision and must keep its coefficients
-well below the information content of the input.  ``recognize_rational``
-is the continued-fraction special case with an explicit denominator bound.
+well below the information content of the input.  A rational is the
+degree-1 case: ``recognize(x, 1)`` returns d*x - n for x = n/d.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mpmath import mp
 
 from .numeric import GUARD, BigReal
 
-__all__ = ["IntPoly", "NotFound", "recognize", "recognize_rational", "lll_reduce"]
+__all__ = ["IntPoly", "NotFound", "recognize", "lll_reduce"]
 
 LLL_DELTA = Fraction(99, 100)
 CERT_EXPONENT = Fraction(6, 10)  # |P(x)| must be below 10^(-0.6*digits)
@@ -213,37 +213,3 @@ def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
     )
     raise NotFound(f"no certified integer polynomial found: {hint}")
 
-
-def recognize_rational(
-    x: BigReal, digits: int | None = None, den_bound: int = 10 ** 9
-) -> Fraction:
-    """Best continued-fraction convergent with denominator <= den_bound,
-    accepted only when it reproduces x to 10^(-digits+guard), guard 5."""
-    if digits is None:
-        digits = x.digits
-    digits = min(digits, x.digits)
-    num, den = mpmath.libmp.to_rational(x.value._mpf_)
-    exact = Fraction(int(num), int(den))
-    # walk the continued fraction of the binary-exact value
-    a0 = math.floor(exact)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
-    frac = exact - a0
-    best = Fraction(p_cur, q_cur)
-    while frac:
-        frac = 1 / frac
-        a = math.floor(frac)
-        frac -= a
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if q_cur > den_bound:
-            break
-        best = Fraction(p_cur, q_cur)
-    with mp.workdps(digits + GUARD):
-        err = abs(x.value - mpmath.mpf(best.numerator) / best.denominator)
-        if err < mpmath.mpf(10) ** (-digits + 5):
-            return best
-    raise NotFound(
-        f"no rational with denominator <= {den_bound} reproduces the value "
-        f"to 10^(-{digits}+5)"
-    )

@@ -188,9 +188,6 @@ class PuiseuxSeries:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("PuiseuxSeries is immutable")
 
-    def __reduce__(self):
-        return (PuiseuxSeries._make, (self.denom, self.nums, self.scale, self.hi))
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -467,9 +464,6 @@ class ThetaSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaSpec is immutable")
-
-    def __reduce__(self):
-        return (ThetaSpec, (self.a, self.p))
 
     def __eq__(self, other):
         return (

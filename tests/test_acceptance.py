@@ -33,12 +33,12 @@ from thetaquot.numeric import (
     big_real,
     eval_A,
     eval_eta,
-    eval_theta,
     nome_from_r,
     real_eval_series,
     singular_modulus,
+    theta_sum,
 )
-from thetaquot.recognize import NotFound, recognize, recognize_rational
+from thetaquot.recognize import NotFound, recognize
 from thetaquot.series import (
     A_series,
     A_series_product,
@@ -94,7 +94,7 @@ def test_c02_quadratic_alternating_sum_evaluation():
     digits = 60
     for r in (1, 2, 3, F(1, 2)):
         ep = singular_modulus(r, digits)
-        lhs = eval_theta(2, 1, ep.q)
+        lhs = theta_sum(2, 1, ep.q)
         inner = 4 * (1 - ep.k ** 2) / ep.k
         rhs = (
             ep.q ** F(1, 24) * eval_eta(4, ep.q) * inner ** F(1, 12)
@@ -102,7 +102,7 @@ def test_c02_quadratic_alternating_sum_evaluation():
         assert abs((lhs - rhs).value) < tol(-50), f"r={r}"
     ep2 = singular_modulus(2, digits)
     inner2 = 4 * (1 - ep2.k ** 2) / ep2.k
-    assert recognize_rational(inner2, 50) == 8
+    assert recognize(inner2, 1, 50).coeffs == (-8, 1)
     report_line(2, "quadratic-exponent evaluation with exact inner factor 8")
 
 
@@ -114,7 +114,7 @@ def test_c03_half_shift_evaluation():
     for r in (1, 2):
         ep = singular_modulus(r, digits)
         k = ep.k
-        lhs = eval_theta(2, F(3, 2), ep.q)
+        lhs = theta_sum(2, F(3, 2), ep.q)
         inner = (
             4 * (1 - k) ** 4 * (2 + k - 2 * (1 + k).sqrt()) ** 12
             / (k ** 13 * (1 + k) ** 2)
@@ -171,7 +171,7 @@ def test_c07_erratum_detection():
     assert mpmath.mpf(corrected.residuals[0].residual) < tol(-50)
     # the 24th power itself is exactly 8 at r = 1
     a24 = eval_A(ThetaSpec(1, 4), nome_from_r(1, 80), 80) ** 24
-    assert recognize_rational(big_real(a24, 60), 60) == 8
+    assert recognize(big_real(a24, 60), 1, 60).coeffs == (-8, 1)
     report_line(7, "erratum detection on the 24th-power evaluation")
 
 
@@ -264,7 +264,7 @@ def test_c09_miner_rediscovery():
 
 def test_c10_recognizer():
     a24 = eval_A(ThetaSpec(1, 4), nome_from_r(1, 80), 80) ** 24
-    assert recognize_rational(big_real(a24, 60), 60) == 8
+    assert recognize(big_real(a24, 60), 1, 60).coeffs == (-8, 1)
     with mp.workdps(110):
         x = BigReal(mpmath.root(2, 6), 80)
         y = BigReal(3 - 2 * mpmath.sqrt(2), 60)
@@ -272,7 +272,7 @@ def test_c10_recognizer():
     assert recognize(x, 6, 80).coeffs == (-2, 0, 0, 0, 0, 0, 1)
     assert recognize(y, 4, 60).coeffs == (1, -6, 1)
     with pytest.raises(NotFound):
-        recognize_rational(p, 60, den_bound=10 ** 6)
+        recognize(p, 1, 60)
     report_line(10, "algebraic recognizer")
 
 

@@ -89,8 +89,8 @@ def test_importing_the_catalog_loads_every_module_the_benchmark_reads():
 
 
 def test_importing_the_catalog_leaves_the_process_pool_unloaded():
-    # only verify_all with jobs > 1 uses the pool; its modules would add to
-    # every launch's start-up time, which the benchmark measures
+    # nothing in the package uses a process pool; importing its modules
+    # would add to every launch's start-up time, which the benchmark measures
     loaded = _modules_after_importing_the_catalog()
     assert "concurrent.futures.process" not in loaded
 

@@ -19,7 +19,7 @@ from thetaquot.catalog import (
 )
 from thetaquot.mining import MiningError, validate
 from thetaquot.numeric import singular_modulus
-from thetaquot.recognize import recognize_rational
+from thetaquot.recognize import recognize
 from thetaquot.series import invert_unit, modulus_series, rescale, theta_series
 
 
@@ -58,7 +58,7 @@ class TestClosedFormEntries:
         # the inner factor 4(1-k^2)/k collapses to the integer 8 at r=2
         ep = singular_modulus(2, 60)
         inner = 4 * (1 - ep.k ** 2) / ep.k
-        assert recognize_rational(inner, 50) == 8
+        assert recognize(inner, 1, 50).coeffs == (-8, 1)
 
     def test_eq13_at_r1(self):
         rep = verify_entry("eq13", digits=60, r_list=(1,))
@@ -177,7 +177,7 @@ class TestRemine:
 
 @pytest.fixture(scope="module")
 def report():
-    return verify_all(digits=60, M=150, r_list=(1, 2, 3), jobs=1)
+    return verify_all(digits=60, M=150, r_list=(1, 2, 3))
 
 
 class TestVerifyAll:
@@ -221,7 +221,7 @@ class TestVerifyAll:
                 assert set(rec) == {"r", "digits", "residual"}
 
     def test_determinism(self, report):
-        again = verify_all(digits=60, M=150, r_list=(1, 2, 3), jobs=1)
+        again = verify_all(digits=60, M=150, r_list=(1, 2, 3))
         assert again.to_json() == report.to_json()
 
     def test_one_modulus_computation_per_point(self, report, monkeypatch):
@@ -269,10 +269,6 @@ class TestVerifyPath:
         assert rep.verdict == "fail"
         assert rep.remined is None
         assert rep.notes.endswith("re-mining failed: boom")
-
-    def test_pool_report_matches_serial(self):
-        serial = verify_all(digits=60, M=60, jobs=1)
-        assert verify_all(digits=60, M=60, jobs=2).to_json() == serial.to_json()
 
     def test_closed_forms_cover_thirteen_entries(self):
         assert len(self.PER_R) == 13

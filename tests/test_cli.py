@@ -307,7 +307,7 @@ class TestVerify:
             ("--entry", "eq12_s1", "--rs", "1000"),
             ("--entry", "thm2", "--rs", "1000"),
             ("--entry", "eq45", "--digits", "20"),
-            ("--all", "--digits", "20", "--jobs", "1"),
+            ("--all", "--digits", "20"),
         ],
         ids=["eq12_s0-r300", "eq12_s1-r1000", "thm2-r1000", "eq45-d20", "all-d20"],
     )
@@ -344,13 +344,6 @@ class TestVerify:
             "error: singular modulus certification failed at r=1/1000: residual "
         )
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_non_positive_jobs_rejected(self, capsys, jobs):
-        code, out, err = run(capsys, "verify", "--all", "--jobs", jobs)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --jobs must be at least 1\n"
-
     def test_bad_rs_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "eq13", "--rs", "-1")
         assert code == 2
@@ -359,8 +352,8 @@ class TestVerify:
 class TestRecognizeCommand:
     def test_quotient_power_is_rational(self, capsys):
         code, out, _ = run(
-            capsys, "recognize", "--expr", "A", "--a", "1", "--p", "4",
-            "--power", "24", "--r", "1", "--digits", "80", "--max-degree", "4",
+            capsys, "recognize", "--a", "1", "--p", "4", "--power", "24",
+            "--r", "1", "--digits", "80", "--max-degree", "4",
         )
         assert code == 0
         assert 'polynomial "x - 8"' in out
@@ -390,3 +383,67 @@ class TestRecognizeCommand:
         )
         assert code == 1
         assert "NotFound" in out
+
+
+class TestNarrowedSurface:
+    """Removed spellings and --digits outside [20, 5000] exit 2 with one
+    error or usage message, no traceback and nothing on stdout."""
+
+    @staticmethod
+    def assert_usage_exit(code, out, err):
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):
+            assert lines[-1].startswith("thetaquot") and ": error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--all", "--jobs", "2"),
+            (
+                "recognize", "--expr", "A", "--a", "1", "--p", "4", "--power",
+                "24", "--r", "1", "--max-degree", "4",
+            ),
+            ("mine", "--v", "k"),
+            ("mine", "--v", "m2sq"),
+            ("mine", "--v", "eta5q4p5"),
+        ],
+        ids=["jobs", "expr", "v-k", "v-m2sq", "v-eta5q4p5"],
+    )
+    def test_removed_spelling_is_a_usage_error(self, capsys, argv):
+        if argv[0] == "mine":
+            argv += ("--a", "1", "--p", "4", "--power", "12", "--max-degree", "3")
+        self.assert_usage_exit(*run(capsys, *argv))
+
+    def test_recognize_without_a_value_names_the_quotient_options(self, capsys):
+        code, out, err = run(capsys, "recognize", "--a", "1", "--max-degree", "2")
+        self.assert_usage_exit(code, out, err)
+        assert err == "error: recognize needs --value or --a --p --power --r\n"
+
+    COMMANDS = {
+        "eval": ("eval", "--fn", "k", "--r", "1"),
+        "mine": (
+            "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
+            "--max-degree", "3",
+        ),
+        "recognize": ("recognize", "--value", "0.5", "--max-degree", "2"),
+        "verify": ("verify", "--all"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            ("19", "at least 20"),
+            ("5001", "at most 5000"),
+            ("1000000000", "at most 5000"),
+        ],
+    )
+    def test_digits_outside_the_bounds(self, capsys, command, digits, message):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--digits", digits)
+        self.assert_usage_exit(code, out, err)
+        assert err == f"error: --digits must be {message}\n"

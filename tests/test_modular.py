@@ -13,7 +13,6 @@ from thetaquot.modular import (
     p2_A14,
     q_A14,
     s_n,
-    singular_chain,
 )
 from thetaquot.numeric import big_real, eval_A, nome_from_r, singular_modulus
 from thetaquot.series import ThetaSpec
@@ -82,26 +81,30 @@ class TestLanden:
 
 
 class TestSingularChain:
+    """The odd-shift evaluation's constants: k11 = k_r, k12 = k'_r,
+    k21 = landen_k4(k11) = k_4r and k22 = sqrt(1 - k21^2) = k'_4r."""
+
     def test_chain_at_r1_reaches_k4(self):
         ep = singular_modulus(1, 60)
-        ch = singular_chain(ep)
+        k21 = landen_k4(ep.k)
+        k22 = (1 - k21 ** 2).sqrt()
         k4 = singular_modulus(4, 60).k
-        assert abs((ch.k21 - k4).value) < tol(60)
-        for val in (ch.k11, ch.k12, ch.k21, ch.k22):
+        assert abs((k21 - k4).value) < tol(60)
+        for val in (ep.k, ep.kprime, k21, k22):
             assert 0 < val.value < 1
 
     def test_k21_is_the_modulus_at_four_times_r(self):
         # the paper's (2 - k11^2 - 2 k12)/k11^2 cancels as r grows
-        ch = singular_chain(singular_modulus(300, 60))
+        k21 = landen_k4(singular_modulus(300, 60).k)
         k4 = singular_modulus(1200, 60).k
         with mp.workdps(80):
-            assert abs((ch.k21 - k4).value) < mpmath.mpf(10) ** -60 * k4.value
+            assert abs((k21 - k4).value) < mpmath.mpf(10) ** -60 * k4.value
 
     def test_chain_internal_relations(self):
         ep = singular_modulus(3, 50)
-        ch = singular_chain(ep)
-        assert abs((ch.k12 - (1 - ch.k11 ** 2).sqrt()).value) < tol(50)
-        assert abs((ch.k22 ** 2 + ch.k21 ** 2 - 1).value) < tol(50)
+        assert abs((ep.kprime - (1 - ep.k ** 2).sqrt()).value) < tol(50)
+        k22 = (1 - landen_k4(ep.k) ** 2).sqrt()
+        assert abs((k22 - singular_modulus(12, 50).kprime).value) < tol(50)
 
 
 class TestP2:

@@ -31,7 +31,6 @@ from thetaquot.numeric import (
     eval_eta,
     eval_eta5,
     eval_h5,
-    eval_theta,
     inverse_modulus,
     last_agm_iterations,
     nome_from_r,
@@ -461,7 +460,7 @@ class TestThetaFold:
 class TestDirectEvaluation:
     def test_theta_2_1_against_brute_force(self):
         q = nome_from_r(1, 60)
-        ours = eval_theta(2, 1, q)
+        ours = theta_sum(2, 1, q)
         ref = brute_theta_value(2, 1, q.value, 90)
         assert abs(ours.value - ref) < mp_tol(60)
         assert ours.nstr(15).startswith("0.95670538873109")
@@ -482,7 +481,7 @@ class TestDirectEvaluation:
 
     def test_nome_domain(self):
         with pytest.raises(ValueError):
-            eval_theta(2, 1, big_real(F(3, 2), 40))
+            theta_sum(2, 1, big_real(F(3, 2), 40))
         with pytest.raises(ValueError):
             eval_eta(1, big_real(F(3, 2), 40))
 
@@ -538,7 +537,7 @@ class TestRealEvalSeries:
     def test_two_path_theta(self):
         q = nome_from_r(2, 50)
         lhs = real_eval_series(theta_series(2, 1, 60), q).value
-        rhs = eval_theta(2, 1, q)
+        rhs = theta_sum(2, 1, q)
         assert abs((lhs - rhs).value) < mp_tol(50)
 
     def test_low_confidence_flagged_for_short_series(self):
@@ -550,7 +549,7 @@ class TestRealEvalSeries:
         digits = 50
         q = nome_from_r(r, digits)
         cases = [
-            (theta_series(2, 1, 70), eval_theta(2, 1, q)),
+            (theta_series(2, 1, 70), theta_sum(2, 1, q)),
             (eta_series(4, 70), eval_eta(4, q)),
             (A_series(ThetaSpec(1, 4), 70), eval_A(ThetaSpec(1, 4), q)),
             (modulus_series(70), singular_modulus(r, digits).k ** 2),

@@ -1,5 +1,5 @@
-"""Algebraic recognition: lattice route, rational route, certification
-guards, and the divisor round-trip property."""
+"""Algebraic recognition: lattice route, rationals as the degree-1 case,
+certification guards, and the divisor round-trip property."""
 
 import importlib
 import random
@@ -17,7 +17,6 @@ from thetaquot.recognize import (
     NotFound,
     lll_reduce,
     recognize,
-    recognize_rational,
 )
 from thetaquot.series import ThetaSpec
 
@@ -322,29 +321,32 @@ def _divmod_poly(num, den):
 
 class TestRecognizeRational:
     def test_half(self):
-        assert recognize_rational(big_real(F(1, 2), 60)) == F(1, 2)
+        assert recognize(big_real(F(1, 2), 60), 1).coeffs == (-1, 2)
 
     def test_a14_24th_power(self):
         a = eval_A(ThetaSpec(1, 4), nome_from_r(1, 80), 80) ** 24
-        assert recognize_rational(big_real(a, 60), 60) == 8
+        assert recognize(big_real(a, 60), 1, 60).coeffs == (-8, 1)
 
     def test_a14_value_is_certified_algebraic(self):
         # the quotient value itself at r = 1 is the real eighth root of 2
         a = eval_A(ThetaSpec(1, 4), nome_from_r(1, 90), 90)
         assert recognize(big_real(a, 90), 8).coeffs == (-2, 0, 0, 0, 0, 0, 0, 0, 1)
 
+    # the certificate caps the coefficients' total bits at 0.3 digits
+    # decimal digits' worth, which bounds the denominator of d*x - n
     def test_pi_small_denominator_rejected(self):
         x = br(lambda: +mpmath.pi, 60)
         with pytest.raises(NotFound):
-            recognize_rational(x, 60, den_bound=10 ** 6)
+            recognize(x, 1, 60)
 
     def test_sqrt2_rejected_at_large_bound(self):
         x = br(lambda: mpmath.sqrt(2), 60)
         with pytest.raises(NotFound):
-            recognize_rational(x, 60, den_bound=10 ** 9)
+            recognize(x, 1, 60)
 
     def test_random_fractions_roundtrip(self):
         rng = random.Random(8844)
         for _ in range(20):
             fr = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
-            assert recognize_rational(big_real(fr, 60)) == fr
+            got = recognize(big_real(fr, 60), 1).coeffs
+            assert got == (-fr.numerator, fr.denominator)
