@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-import mpmath
-
 from .series import (
     A_series,
     A_series_product,
@@ -42,8 +40,8 @@ from .numeric import (
     real_eval_series,
     residual_str,
     singular_point,
+    ten_to,
     theta_sum,
-    tolerance,
 )
 from .modular import check_theorem3_instance, landen_k4
 from .mining import (
@@ -158,12 +156,12 @@ class CatalogEntry:
 def _record(
     data: CheckData, label: str, digits: int, residual, *terms: BigReal
 ) -> None:
-    """Record a residual, passing when it is below ``tolerance(digits)``
+    """Record a residual, passing when it is below 10^(-digits+10)
     times the largest of 1 and the absolute ``terms`` it was summed from.
     This is the catalog's one pass rule for a numeric residual."""
     val = abs(residual.value if isinstance(residual, BigReal) else residual)
-    size = max([mpmath.mpf(1)] + [abs(t.value) for t in terms])
-    ok = bool(val < tolerance(digits) * size)
+    size = max([1] + [abs(t.value) for t in terms])
+    ok = bool(val < ten_to(-digits + 10) * size)
     data.records.append(ResidualRecord(label, digits, residual_str(val, digits), ok))
 
 

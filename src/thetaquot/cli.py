@@ -15,16 +15,12 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
 from . import catalog, mining
 from .recognize import NotFound, recognize as recognize_poly
 from .modular import s_n
 from .numeric import (
     BigReal,
     CertificationError,
-    GUARD,
     MIN_DIGITS,
     big_real,
     ellipk,
@@ -75,10 +71,9 @@ def _nome(args, digits: int) -> BigReal:
         _require(r > 0, "--r must be positive")
         return nome_from_r(r, digits)
     if args.q is not None:
-        with mp.workdps(digits + GUARD):
-            qv = mpmath.mpf(args.q)
-        _require(0 < qv < 1, "--q must lie in (0, 1)")
-        return BigReal(qv, digits)
+        q = big_real(args.q, digits)
+        _require(0 < q < 1, "--q must lie in (0, 1)")
+        return q
     raise UsageError("provide a nome via --r or --q")
 
 
@@ -186,15 +181,13 @@ def _cmd_mine(args) -> int:
 
 def _cmd_recognize(args) -> int:
     digits = args.digits
+    quotient = (args.a, args.p, args.power, args.r)
     if args.value is not None:
-        with mp.workdps(digits + GUARD):
-            x = BigReal(mpmath.mpf(args.value), digits)
-        _require(mpmath.isfinite(x.value), "--value must be a finite real number")
+        _require(quotient == (None,) * 4, "--value excludes --a, --p, --power and --r")
+        x = big_real(args.value, digits)
+        _require(abs(x) < float("inf"), "--value must be a finite real number")
     else:
-        _require(
-            None not in (args.a, args.p, args.power, args.r),
-            "recognize needs --value or --a --p --power --r",
-        )
+        _require(None not in quotient, "recognize needs --value or --a --p --power --r")
         spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
         q = nome_from_r(parse_rational(args.r), digits)
         x = eval_A(spec, q, digits) ** args.power
@@ -256,9 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p")
     p_eval.add_argument("--b")
     p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--r")
+    nome = p_eval.add_mutually_exclusive_group()
+    nome.add_argument("--r")
+    nome.add_argument("--q")
     p_eval.add_argument("--x")
-    p_eval.add_argument("--q")
     p_eval.add_argument("--digits", type=int, default=60)
     p_eval.set_defaults(func=_cmd_eval)
 

@@ -25,9 +25,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-import mpmath
-from mpmath import mp
-
 from .series import (
     A_series,
     PuiseuxSeries,
@@ -630,8 +627,7 @@ def validate(
             f"series residual is nonzero {info} grid rows above the base exponent"
         )
     checks = []
-    with mp.workdps(30):
-        threshold = mpmath.mpf(10) ** (-Fraction(digits, 2))
+    threshold = numeric.ten_to(-Fraction(digits, 2))
     for r in points:
         r = Fraction(r)
         if rel.u_binding is not None and rel.v_binding is not None:
@@ -641,13 +637,12 @@ def validate(
             q = nome_from_r(r, digits)
             uval = numeric.real_eval_series(u, q, digits).value
             vval = numeric.real_eval_series(v, q, digits).value
-        resid = abs(rel.poly.eval_numeric(uval, vval).value)
+        resid = abs(rel.poly.eval_numeric(uval, vval))
         if resid > threshold:
             raise ValidationFailed(
-                f"numeric residual {mpmath.nstr(resid, 5)} at r={r} exceeds "
-                f"10^(-{digits}/2)"
+                f"numeric residual {resid.nstr(5)} at r={r} exceeds 10^(-{digits}/2)"
             )
-        checks.append(NumericCheck(r, digits, numeric.residual_str(resid, digits)))
+        checks.append(NumericCheck(r, digits, numeric.residual_str(resid.value, digits)))
     return replace(
         rel,
         validated_grid_order=rows_needed,
@@ -681,10 +676,6 @@ def mine(
         M = common_known_order(u, v)
         if M is None:
             raise MiningError("both series are exact; specify M explicitly")
-    if M < (s_max + 1) ** 2 + 25:
-        raise MiningError(
-            f"M={M} is below the floor (s_max+1)^2 + 25 = {(s_max + 1) ** 2 + 25}"
-        )
     rank_profile: dict[int, int] = {}
     failures: list[str] = []
     all_rows = {

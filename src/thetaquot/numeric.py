@@ -5,11 +5,13 @@ decimal digits.  Every kernel keeps ``digits + GUARD`` decimal digits of
 working precision and reports at ``digits``; binary operations carry the
 minimum of the operand precisions.
 
-Most kernels set that precision on mpmath's context.  The two hot loops do
-not: ``theta_sum``'s walk and ``agm`` run on Python ints in fixed point,
-with their bit counts passed explicitly.  The context is process-global,
-so the functions here are still not safe to call concurrently from
-threads.  Run independent evaluations in separate processes instead.
+This is the only module that imports mpmath or sets its precision; the
+rest of the package reaches the reals through BigReal and the functions
+here.  Most kernels set that precision on mpmath's context.  The two hot
+loops do not: ``theta_sum``'s walk and ``agm`` run on Python ints in fixed
+point, with their bit counts passed explicitly.  The context is
+process-global, so the functions here are not safe to call concurrently
+from threads.  Run independent evaluations in separate processes instead.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .series import PuiseuxSeries, Rat, ThetaSpec
 
 GUARD = 15
 MIN_DIGITS = 20
+MAX_FIXED_BITS = 2 ** 24  # the widest int made from a real: an AGM argument or a round()
 
 Number = Union[int, Fraction, str, mpf, "BigReal"]
 
@@ -53,7 +56,7 @@ __all__ = [
     "real_eval_series",
     "SeriesEval",
     "residual_str",
-    "tolerance",
+    "ten_to",
 ]
 
 
@@ -129,14 +132,13 @@ class BigReal:
 
     def __pow__(self, e):
         """Principal real power for int or rational exponents."""
-        if isinstance(e, int):
-            with mp.workdps(self._wd()):
-                return BigReal(self.value ** e, self.digits)
-        e = Fraction(e)
-        if self.value < 0:
+        if e < 0 and not self.value:
+            raise ValueError("a negative power of zero")
+        if not isinstance(e, int) and self.value < 0:
             raise ValueError("fractional power of a negative value")
         with mp.workdps(self._wd()):
-            return BigReal(_power(self.value, e), self.digits)
+            v = self.value ** e if isinstance(e, int) else _power(self.value, Fraction(e))
+            return BigReal(v, self.digits)
 
     def sqrt(self) -> "BigReal":
         with mp.workdps(self._wd()):
@@ -168,6 +170,13 @@ class BigReal:
     def __float__(self):
         return float(self.value)
 
+    def __round__(self, ndigits=None) -> int:
+        """The nearest integer, at the working precision (not mpmath's 53 bits)."""
+        if mpmath.mag(self.value) > MAX_FIXED_BITS:
+            raise ValueError(f"{self.nstr(5)} is too large to round to an integer")
+        with mp.workdps(self._wd()):
+            return int(mpmath.nint(self.value))
+
     def nstr(self, n: int | None = None) -> str:
         return mpmath.nstr(self.value, n or self.digits)
 
@@ -186,19 +195,17 @@ def pi_at(digits: int) -> BigReal:
         return BigReal(+mp.pi, digits)
 
 
-def tolerance(digits: int) -> mpf:
-    """10^(-digits+10) as a float at modest precision."""
+def ten_to(e: int | Fraction | float) -> mpf:
+    """10^e at 30 digits: every pass threshold and residual floor."""
     with mp.workdps(30):
-        return mpf(10) ** (-digits + 10)
+        return mpf(10) ** e
 
 
 def residual_str(value, digits: int) -> str:
     """A residual as printed in reports: five significant digits, floored at
     10^(-digits), so that a passing check prints the floor rather than
     rounding noise of the working precision."""
-    with mp.workdps(30):
-        floor = mpf(10) ** (-digits)
-    return mpmath.nstr(max(abs(value), floor), 5)
+    return mpmath.nstr(max(abs(value), ten_to(-digits)), 5)
 
 
 def _power(x: mpf, e: Fraction) -> mpf:
@@ -233,10 +240,13 @@ def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
     of the two.  Every later iterate lies between them, and as the spread
     halves each iteration the low bits it no longer needs are dropped.  It
     stops once |A - B| <= 10^-(wdps-2) max(a0, b0).  The limit is returned
-    exactly, for the caller to round."""
+    exactly, for the caller to round.  A spread past ``MAX_FIXED_BITS`` fails:
+    k_r passes it near r = 5.5e13."""
     if not (a0 > 0 and b0 > 0):
         raise ValueError("the AGM needs positive arguments")
     ea, eb = mpmath.mag(a0), mpmath.mag(b0)
+    if abs(ea - eb) > MAX_FIXED_BITS:
+        raise ValueError(f"a modulus below 2^-{MAX_FIXED_BITS} is out of the AGM's range")
     bits = dps_to_prec(wdps) + AGM_GUARD_BITS
     shift = bits - min(ea, eb)
     a, b = (int(mpmath.ldexp(x, shift)) for x in (a0, b0))  # exact, then floored
@@ -369,11 +379,21 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
         return BigReal(ratio * ratio, digits)
 
 
+MAX_TERMS = 10 ** 6  # the longest walk of a theta sum, each side
+
+
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
-    """A window |n| <= n0 past which every term at q = e^-t is below 10^-wd."""
-    need = wd * math.log(10) / t
-    af, bf = float(a), abs(float(b))
-    return int((bf + math.sqrt(bf * bf + 4 * af * need)) / (2 * af)) + 2
+    """A window |n| <= n0 past which every term at q = e^-t is below 10^-wd:
+    about sqrt(need / a), need = wd ln 10 / t, as |b| <= a.  A window past
+    ``MAX_TERMS``, or a leaving the float range, is a ``ValueError``."""
+    try:
+        need = wd * math.log(10) / t
+        af, bf = float(a), abs(float(b))
+        if need <= af * MAX_TERMS ** 2:
+            return int((bf + math.sqrt(bf * bf + 4 * af * need)) / (2 * af)) + 2
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"theta sum: a ln(1/q) is too small ({MAX_TERMS}+ terms) or a too large")
 
 
 def _walk(ratio: int, step: int, n0: int, prec: int, guard: int) -> tuple[int, int]:
@@ -485,7 +505,10 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
     qv = q.value
     if not (0 < qv < 1):
         raise ValueError("eta evaluation requires 0 < q < 1")
-    cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(qv) * math.log(10)))
+    try:
+        cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(qv) * math.log(10)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("eta with this scale p and nome q leaves the float range") from None
     total = theta_sum(3 * p / 2, -p / 2, q, digits + cancel)
     with mp.workdps(digits + GUARD):
         return BigReal(+total.value, digits)

@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
-from .numeric import GUARD, BigReal
+from .numeric import BigReal, big_real, ten_to
 
 __all__ = ["IntPoly", "NotFound", "recognize", "lll_reduce"]
 
@@ -59,8 +56,9 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_mpf(self, x: mpmath.mpf) -> mpmath.mpf:
-        acc = mpmath.mpf(0)
+    def eval_mpf(self, x):
+        """P(x) by Horner, for an mpf (at the ambient precision) or a BigReal."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -167,10 +165,8 @@ def _certify(poly: IntPoly, x: BigReal, digits: int) -> bool:
     total_bits = sum(abs(c).bit_length() for c in poly.coeffs)
     if total_bits > cap_bits:
         return False
-    with mp.workdps(30):
-        cert_tol = mpmath.mpf(10) ** (-float(CERT_EXPONENT * digits))
-    with mp.workdps(2 * digits + GUARD):
-        return abs(poly.eval_mpf(x.value)) < cert_tol
+    cert_tol = ten_to(-float(CERT_EXPONENT * digits))
+    return abs(poly.eval_mpf(BigReal(x.value, 2 * digits))) < cert_tol
 
 
 def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
@@ -182,17 +178,14 @@ def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
     Within a degree, the reduced vectors are tried by norm.  Raises NotFound
     with a diagnostic naming the exhausted budget.
     """
-    if digits is None:
-        digits = x.digits
-    digits = min(digits, x.digits)
+    digits = x.digits if digits is None else min(digits, x.digits)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     scale = 10 ** digits
-    with mp.workdps(digits + GUARD):
-        powers = [mpmath.mpf(1)]
-        for _ in range(d_max):
-            powers.append(powers[-1] * x.value)
-        cols = [int(mpmath.nint(scale * p)) for p in powers]
+    powers = [big_real(1, digits)]
+    for _ in range(d_max):
+        powers.append(powers[-1] * x)
+    cols = [round(scale * p) for p in powers]
     reduced = [[1, cols[0]]]
     for d in range(1, d_max + 1):
         basis = [row[:d] + [0, row[d]] for row in reduced]

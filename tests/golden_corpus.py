@@ -39,7 +39,8 @@ EVAL_FNS = {
     "eta5": ["--fn", "eta5"],
     "h5": ["--fn", "h5"],
 }
-EVAL_RS = ("1", "2", "3", "1/2")
+EVAL_RS = ("1", "2", "3", "1/2", "300")
+EVAL_QS = ("1/2", "0.1", "1e-20")  # for every function of a nome, so not k
 EVAL_DIGITS = (60, 200)
 EVAL_EXTRA = {
     "Sn n=2 x=0.3": ["--fn", "Sn", "--n", "2", "--x", "0.3", "--digits", "60"],
@@ -105,6 +106,9 @@ def _eval_cases() -> dict[str, list[str]]:
         for r in EVAL_RS:
             for d in EVAL_DIGITS:
                 cases[f"{label} r={r} digits={d}"] = fn + ["--r", r, "--digits", str(d)]
+        for q in EVAL_QS if label != "k" else ():
+            for d in EVAL_DIGITS:
+                cases[f"{label} q={q} digits={d}"] = fn + ["--q", q, "--digits", str(d)]
     cases.update(EVAL_EXTRA)
     return {name: ["eval"] + argv for name, argv in cases.items()}
 

@@ -260,13 +260,14 @@ class TestMine:
         assert out == ""
         assert err == "error: relation evaluates on identically zero products\n"
 
-    def test_rows_below_floor_is_usage_error(self, capsys):
-        code, _, err = run(
-            capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "7", "--order", "40",
-        )
-        assert code == 2
-        assert err.startswith("error: M=82 is below the floor")
+    def test_short_order_mines_what_the_default_order_mines(self, capsys):
+        # mine rebuilds bound series as far as its rows need, so the order
+        # given is only where the search starts
+        job = ["mine", "--a", "1", "--p", "3", "--power", "12", "--v", "m",
+               "--max-degree", "7"]
+        short = run(capsys, *job, "--order", "40")
+        assert short == run(capsys, *job, "--order", "150")
+        assert short[0] == 0
 
 
 class TestVerify:
@@ -423,6 +424,51 @@ class TestNarrowedSurface:
         code, out, err = run(capsys, "recognize", "--a", "1", "--max-degree", "2")
         self.assert_usage_exit(code, out, err)
         assert err == "error: recognize needs --value or --a --p --power --r\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--fn", "theta", "--a", "1e-400", "--b", "0", "--q", "0.5"),
+            ("--fn", "eta", "--p", "1e-400", "--q", "0.5"),
+            ("--fn", "A", "--a", "1", "--p", "1e400", "--q", "0.5"),
+            ("--fn", "k", "--r", "1e400"),
+            ("--fn", "k", "--r", "55000000000000"),
+            ("--fn", "Sn", "--n", "99999999999", "--x", "0.5"),
+        ],
+        ids=["theta-a", "eta-p", "A-p", "k-r-1e400", "k-r-past-agm-bound", "Sn-n"],
+    )
+    def test_input_outside_the_float_or_agm_range(self, capsys, argv):
+        # a and p leave the float range of the theta sum's window; k_r at
+        # r = 5.5e13 lies just below 2^-(2^24), the AGM's bound, and
+        # S_n at n = 99999999999 reaches r = 1e22
+        self.assert_usage_exit(*run(capsys, "eval", *argv))
+
+    @pytest.mark.parametrize(
+        "quotient",
+        [("--a", "4", "--p", "4", "--power", "-1"), ("--a", "6", "--p", "8e8", "--power", "-24")],
+        ids=["zero-to-a-negative-power", "column-past-max-fixed-bits"],
+    )
+    def test_recognize_quotient_out_of_range(self, capsys, quotient):
+        # A(4, 4) is identically zero; A(6, 8e8; q)^-24 at r = 1/3 is about
+        # 10^(1.26e9), whose LLL column would be a 4e9-bit integer
+        argv = ("recognize", *quotient, "--r", "1/3", "--max-degree", "1")
+        self.assert_usage_exit(*run(capsys, *argv))
+
+    def test_eval_takes_one_nome(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "1",
+            "--q", "0.5",
+        )
+        self.assert_usage_exit(code, out, err)
+        assert "argument --q: not allowed with argument --r" in err
+
+    def test_recognize_value_excludes_the_quotient(self, capsys):
+        code, out, err = run(
+            capsys, "recognize", "--value", "2", "--a", "1", "--p", "4",
+            "--power", "24", "--r", "1", "--max-degree", "2",
+        )
+        self.assert_usage_exit(code, out, err)
+        assert err == "error: --value excludes --a, --p, --power and --r\n"
 
     COMMANDS = {
         "eval": ("eval", "--fn", "k", "--r", "1"),

@@ -559,9 +559,12 @@ class TestMine:
         # s = 2: the kernel's one vector, of total degree 3, validates
         assert lifted == [[], [[16, -32, 0, 16, 0, 0, 0, -1, 0]]]
 
-    def test_floor_on_M(self):
-        with pytest.raises(Exception, match="floor"):
-            mine_14(M=30)
+    def test_short_unbound_pair_raises_insufficient_truncation(self):
+        # with no bindings mine cannot rebuild the series, so a pair too
+        # short for the degree-3 rows is refused by build_coeff_matrix
+        u = A_series(ThetaSpec(1, 4), 20) ** 12
+        with pytest.raises(InsufficientTruncation):
+            mine(u, modulus_series(20), 3, None)
 
     def test_stability_under_forty_extra_orders(self):
         base = mine_14(order=62, M=120).poly

@@ -98,6 +98,17 @@ class TestBigReal:
     def test_fraction_power_of_zero(self, e):
         assert (big_real(0, 40) ** e).value == 0
 
+    def test_round_uses_the_working_precision(self):
+        # 10^80 + 1/3 needs 267 bits; mpmath's default 53 would round it to
+        # a multiple of 2^213
+        x = big_real(F(3 * 10 ** 80 + 1, 3), 100)
+        assert round(x) == 10 ** 80
+        assert round(x + F(2, 3)) == 10 ** 80 + 1
+
+    def test_round_refuses_an_integer_past_max_fixed_bits(self):
+        with pytest.raises(ValueError, match="too large to round"):
+            round(BigReal(mpmath.ldexp(1, numeric.MAX_FIXED_BITS + 1), 20))
+
 
 class TestResidualStr:
     def test_noise_prints_the_floor(self):
@@ -205,6 +216,14 @@ class TestAgm:
             agm(1, 0, 40)
         with pytest.raises(ValueError):
             agm(-1, 1, 40)
+
+    def test_arguments_just_past_the_spread_bound_rejected(self):
+        # mag = -MAX_FIXED_BITS - 1; the check runs before the fixed-point
+        # ints of that many bits are made
+        tiny = mpmath.ldexp(1, -numeric.MAX_FIXED_BITS - 2)
+        for args in ((1, tiny), (tiny, 1)):
+            with pytest.raises(ValueError, match="out of the AGM's range"):
+                agm(*args, 40)
 
 
 class TestSingularModulus:
