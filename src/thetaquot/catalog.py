@@ -136,8 +136,7 @@ class RemineSpec:
     u_binding: ABinding
     v_binding: str
     s_max: int
-    q_order: int
-    note: str = ""
+    note: str
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,7 @@ def _check_jtp(entry, digits, M, r_list):
     # the series is cut at q^order = e^(-pi order) below the working precision
     order = math.ceil((digits + GUARD) * math.log(10) / math.pi)
     series_val = real_eval_series(A_series(spec86, order), q, digits)
-    _record(data, "(8,6) two-path r=1", digits, direct - series_val.value, direct)
+    _record(data, "(8,6) two-path r=1", digits, direct - series_val, direct)
     data.series_ok = bool(ok)
     data.series_order = int(min_known)
     data.notes = "theta/eta form vs n>=0 product form for seven parameter pairs"
@@ -600,7 +599,6 @@ def _entries() -> list[CatalogEntry]:
             poly=TABLE1_POLY,
             u_binding=ABinding(ThetaSpec(1, 3), 12),
             v_binding="m",
-            remine=RemineSpec(ABinding(ThetaSpec(1, 3), 12), "m", 7, 220),
         )
     )
     entries.append(
@@ -617,7 +615,6 @@ def _entries() -> list[CatalogEntry]:
                 ABinding(ThetaSpec(8, 6), 6),
                 "sqrt_m",
                 7,
-                120,
                 note="re-mined with u = A(8,6;q)^6 as printed; the result is "
                 "the printed polynomial with all u-exponents halved",
             ),
@@ -633,7 +630,6 @@ def _entries() -> list[CatalogEntry]:
             poly=TABLE3_POLY,
             u_binding=ABinding(ThetaSpec(-1, 6), 6),
             v_binding="sqrt_m",
-            remine=RemineSpec(ABinding(ThetaSpec(-1, 6), 6), "sqrt_m", 6, 120),
         )
     )
     entries.append(
@@ -645,7 +641,6 @@ def _entries() -> list[CatalogEntry]:
             poly=TABLE4_POLY,
             u_binding=ABinding(ThetaSpec(-2, 8), 12),
             v_binding="m_q2_squared",
-            remine=RemineSpec(ABinding(ThetaSpec(-2, 8), 12), "m_q2_squared", 5, 150),
         )
     )
     entries.append(
@@ -662,7 +657,6 @@ def _entries() -> list[CatalogEntry]:
                 ABinding(ThetaSpec(1, 5), 15, Fraction(4)),
                 "eta5_q4_pow5",
                 12,
-                300,
                 note="re-mined with the nome of u aligned to the q^4 argument "
                 "of v; the mined polynomial is the printed one verbatim",
             ),
@@ -747,27 +741,20 @@ def verify_entry(
     )
 
 
-def remine_entry(
-    entry_id: str, digits: int = 60, M: int = 150, s_max: int | None = None
-) -> MinedRelation:
-    """Mine a replacement relation for a polynomial entry, validated by the
-    miner's own contract before being returned."""
+def remine_entry(entry_id: str, digits: int = 60) -> MinedRelation:
+    """Mine a replacement relation for a flagged polynomial entry, validated
+    by the miner's own contract before being returned."""
     entry = get_entry(entry_id)
     if entry.remine is None:
         raise ValueError(f"entry {entry_id!r} has no re-mining recipe")
     spec = entry.remine
-    u, v = build_binding_series(
-        spec.u_binding, spec.v_binding, Fraction(max(spec.q_order, M))
-    )
     return mine(
-        u,
-        v,
-        s_max or spec.s_max,
         None,
+        None,
+        spec.s_max,
         u_binding=spec.u_binding,
         v_binding=spec.v_binding,
         digits=digits,
-        points=(1, 2),
     )
 
 
@@ -777,18 +764,18 @@ def verify_entry_with_fallback(
     M: int = 150,
     r_list: Sequence[Fraction | int] = (1, 2, 3),
 ) -> EntryReport:
-    """verify_entry plus the re-mining fallback for polynomial entries."""
+    """verify_entry plus, for an entry with a re-mining recipe (the flagged
+    tables 2 and 5), a re-mined replacement when it does not pass."""
     report = verify_entry(entry_id, digits, M, r_list)
     recipe = get_entry(entry_id).remine
     if report.verdict == "pass" or recipe is None:
         return report
     lead = report.notes + "; " if report.notes else ""
     try:
-        remined = remine_entry(entry_id, digits, M)
+        remined = remine_entry(entry_id, digits)
     except MiningError as exc:
         return replace(report, verdict="fail", notes=f"{lead}re-mining failed: {exc}")
-    note = recipe.note or "re-mined replacement attached"
-    return replace(report, verdict="flagged", notes=lead + note, remined=remined)
+    return replace(report, verdict="flagged", notes=lead + recipe.note, remined=remined)
 
 
 def verify_all(
@@ -796,8 +783,8 @@ def verify_all(
     M: int = 150,
     r_list: Sequence[Fraction | int] = (1, 2, 3),
 ) -> Report:
-    """Verify every catalog entry in turn; failing polynomial entries get a
-    re-mined replacement attached."""
+    """Verify every catalog entry in turn; flagged entries with a re-mining
+    recipe get a re-mined replacement attached."""
     rs = tuple(Fraction(r) for r in r_list)
     entries = tuple(verify_entry_with_fallback(eid, digits, M, rs) for eid in _ORDER)
     return Report(digits=digits, order=M, r_list=rs, entries=entries)

@@ -152,19 +152,12 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    _require(args.order >= MIN_ORDER, f"--order must be at least {MIN_ORDER}")
     _require(args.max_degree >= 1, "--max-degree must be at least 1")
     spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
     qscale = parse_rational(args.qscale) if args.qscale else Fraction(1)
     binding = mining.ABinding(spec, args.power, qscale)
-    u, v = mining.build_binding_series(binding, args.v, Fraction(args.order))
     rel = mining.mine(
-        u,
-        v,
-        args.max_degree,
-        None,
-        u_binding=binding,
-        v_binding=args.v,
+        None, None, args.max_degree, u_binding=binding, v_binding=args.v,
         digits=args.digits,
     )
     print(f"relation: {rel.poly}")
@@ -275,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--qscale", help="nome scale of u (default 1)")
     p_mine.add_argument("--v", required=True, choices=sorted(mining.V_BINDINGS))
     p_mine.add_argument("--max-degree", type=int, required=True)
-    p_mine.add_argument("--order", type=int, default=150)
     p_mine.add_argument("--digits", type=int, default=60)
     p_mine.add_argument("--out", help="write the relation as JSON to this file")
     p_mine.set_defaults(func=_cmd_mine)

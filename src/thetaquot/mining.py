@@ -602,21 +602,24 @@ def _series_vanishes(
     return True, through_rows
 
 
+EXTRA_ORDERS = 25  # series rows a relation must vanish on past its matrix's
+POINTS = (1, 2)  # the r = 1, 2 at which a relation is checked numerically
+
+
 def validate(
     rel: MinedRelation,
-    extra_orders: int = 25,
-    points: Sequence[Fraction | int] = (1, 2),
     digits: int = 60,
     u: PuiseuxSeries | None = None,
     v: PuiseuxSeries | None = None,
 ) -> MinedRelation:
-    """Re-certify a relation on extra series rows and at numeric points.
+    """Re-certify a relation on ``EXTRA_ORDERS`` extra series rows and at
+    the numeric points ``POINTS``.
 
     Series are built from the bindings when not supplied, once, with
     relative order enough for every checked row.  Raises ValidationFailed
     on the first offending order or point.
     """
-    rows_needed = rel.validated_grid_order + extra_orders
+    rows_needed = rel.validated_grid_order + EXTRA_ORDERS
     if u is None or v is None:
         if rel.u_binding is None or rel.v_binding is None:
             raise ValidationFailed("no series supplied and no bindings to rebuild from")
@@ -628,15 +631,15 @@ def validate(
         )
     checks = []
     threshold = numeric.ten_to(-Fraction(digits, 2))
-    for r in points:
+    for r in POINTS:
         r = Fraction(r)
         if rel.u_binding is not None and rel.v_binding is not None:
             uval = rel.u_binding.numeric(r, digits)
             vval = get_v_binding(rel.v_binding).numeric(r, digits)
         else:
             q = nome_from_r(r, digits)
-            uval = numeric.real_eval_series(u, q, digits).value
-            vval = numeric.real_eval_series(v, q, digits).value
+            uval = numeric.real_eval_series(u, q, digits)
+            vval = numeric.real_eval_series(v, q, digits)
         resid = abs(rel.poly.eval_numeric(uval, vval))
         if resid > threshold:
             raise ValidationFailed(
@@ -651,31 +654,30 @@ def validate(
 
 
 def mine(
-    u: PuiseuxSeries,
-    v: PuiseuxSeries,
+    u: PuiseuxSeries | None,
+    v: PuiseuxSeries | None,
     s_max: int,
     M: int | None = None,
     *,
     u_binding: ABinding | None = None,
     v_binding: str | None = None,
     digits: int = 60,
-    points: Sequence[Fraction | int] = (1, 2),
-    extra_orders: int = 25,
 ) -> MinedRelation:
     """Search degrees s = 1..s_max and return the first kernel relation
     that validates.
 
-    At each s the reduced kernel basis of the coefficient matrix is lifted
-    lazily, in order of total degree, and each total degree's vectors are
-    tried fewest terms first, then in lexicographic order, so the returned
-    polynomial has the least total degree present in the kernel.  One
-    elimination per prime serves every total degree.  MiningNotFound
-    carries each degree's rank over Q.
+    With bindings, u and v may be None: mine builds them itself, as far as
+    its rows need.  At each s the reduced kernel basis of the coefficient
+    matrix is lifted lazily, in order of total degree, and each total
+    degree's vectors are tried fewest terms first, then in lexicographic
+    order, so the returned polynomial has the least total degree present in
+    the kernel.  One elimination per prime serves every total degree.
+    MiningNotFound carries each degree's rank over Q.
     """
-    if M is None:
-        M = common_known_order(u, v)
-        if M is None:
-            raise MiningError("both series are exact; specify M explicitly")
+    bound = u_binding is not None and v_binding is not None
+    if bound and (u is None or v is None):
+        # the row counts need only the leading exponents and the grid
+        u, v = build_binding_series(u_binding, v_binding, Fraction(1))
     rank_profile: dict[int, int] = {}
     failures: list[str] = []
     all_rows = {
@@ -683,15 +685,15 @@ def mine(
     }
     max_rows = max(all_rows.values())
     # every matrix and every validation window fits in max_rows +
-    # extra_orders rows; series known that far relative to their leading
-    # terms cover them all, so short series are rebuilt once up front
-    needed = max_rows + extra_orders
-    if (
-        u_binding is not None
-        and v_binding is not None
-        and min(u.relative_order(), v.relative_order()) < needed
-    ):
+    # EXTRA_ORDERS rows; bound series known less far relative to their
+    # leading terms are built that far, once, before the first matrix
+    needed = max_rows + EXTRA_ORDERS
+    if bound and min(u.relative_order(), v.relative_order()) < needed:
         u, v = build_binding_series(u_binding, v_binding, Fraction(needed))
+    if M is None:
+        M = common_known_order(u, v)
+        if M is None:
+            raise MiningError("both series are exact; specify M explicitly")
     # every degree's matrix reads its monomials from one table, cut to the
     # rows of the largest matrix
     table = MonomialTable.truncated(u, v, s_max, max_rows)
@@ -716,14 +718,7 @@ def mine(
                 v_binding=v_binding,
             )
             try:
-                return validate(
-                    rel,
-                    extra_orders=extra_orders,
-                    points=points,
-                    digits=digits,
-                    u=u,
-                    v=v,
-                )
+                return validate(rel, digits=digits, u=u, v=v)
             except ValidationFailed as exc:
                 # a kernel vector failing certification is an artifact of
                 # the truncation; keep looking

@@ -26,7 +26,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .series import PuiseuxSeries, Rat, ThetaSpec
+from .series import MAX_TERMS, PuiseuxSeries, Rat, ThetaSpec
 
 GUARD = 15
 MIN_DIGITS = 20
@@ -54,7 +54,6 @@ __all__ = [
     "eval_h5",
     "eval_eta5",
     "real_eval_series",
-    "SeriesEval",
     "residual_str",
     "ten_to",
 ]
@@ -379,9 +378,6 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
         return BigReal(ratio * ratio, digits)
 
 
-MAX_TERMS = 10 ** 6  # the longest walk of a theta sum, each side
-
-
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
     """A window |n| <= n0 past which every term at q = e^-t is below 10^-wd:
     about sqrt(need / a), need = wd ln 10 / t, as |b| <= a.  A window past
@@ -479,9 +475,12 @@ def theta_sum(
     guard = (4 * n0).bit_length()  # for the walk's floors; its taper takes 4 more
     prec = math.ceil(wd * math.log2(10)) + guard
     sign = -1 if alternating else 1
-    with mp.workprec(prec):
+    e_head = bd * c - ad * c * c
+    # a power of the root q^(1/d) multiplies its relative error by the
+    # exponent, so the root and its powers take that many more bits
+    with mp.workprec(prec + max(abs(e_head), ad + abs(bd)).bit_length()):
         root = _power(qv, Fraction(1, d))
-        head = sign ** abs(c) * root ** (bd * c - ad * c * c)
+        head = sign ** abs(c) * root ** e_head
         up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
         down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
     total = _fold(up, down, ad, bd, n0, prec, guard + 4)
@@ -543,21 +542,9 @@ def eval_eta5(x: BigReal, digits: int | None = None) -> BigReal:
     return 2 / (1 + h + (5 + 2 * h + h * h).sqrt())
 
 
-@dataclass(frozen=True)
-class SeriesEval:
-    """Numeric value of a truncated series, flagged by a tail heuristic."""
-
-    value: BigReal
-    low_confidence: bool
-
-
-def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) -> SeriesEval:
-    """Evaluate an exact series at a real nome in (0,1).
-
-    The result is flagged low-confidence when the magnitude of the last
-    retained term is not below 10^(-digits); the truncation tail is not
-    otherwise bounded here.
-    """
+def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) -> BigReal:
+    """The sum of an exact series' known terms at a real nome in (0,1); the
+    truncation tail is not bounded here."""
     if digits is None:
         digits = q.digits
     wd = digits + GUARD
@@ -567,18 +554,8 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
     with mp.workdps(wd):
         root = _power(qv, Fraction(1, u.denom))
         total = mpf(0)
-        last = mpf(0)
         for k in sorted(u.nums):
             c = u.nums[k]
             g = math.gcd(c, u.scale)
-            term = mpf(c // g) / (u.scale // g) * root ** k
-            total += term
-            last = term
-        if u.hi is None:
-            tail = mpf(0)
-        elif u.nums:
-            tail = abs(last)
-        else:
-            tail = root ** u.hi
-        low = bool(tail > mpf(10) ** (-digits))
-        return SeriesEval(BigReal(total, digits), low)
+            total += mpf(c // g) / (u.scale // g) * root ** k
+        return BigReal(total, digits)

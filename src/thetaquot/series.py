@@ -28,6 +28,13 @@ from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
 
+# the most terms of a theta sum on each side of its vertex, and of the dense
+# accumulator of a product form
+MAX_TERMS = 10 ** 6
+# the largest packed Kronecker product: the golden corpus and the benchmark
+# jobs pack at most 12,558 bytes (verify --all, 299 fields of 42 bytes)
+MAX_PRODUCT_BYTES = 1 << 26
+
 __all__ = [
     "PuiseuxSeries",
     "common_known_order",
@@ -121,6 +128,8 @@ def _int_product(
         + 1
     )
     width = (bits + 7) // 8
+    if (na + nb - 1) * width > MAX_PRODUCT_BYTES:
+        raise ValueError(f"a series product packs to more than {MAX_PRODUCT_BYTES} bytes")
     pa = _pack(a, va, stride, na, width)
     prod = pa * pa if a is b else pa * _pack(b, vb, stride, nb, width)
     # adding half a field to each of the low ``count`` fields makes them
@@ -482,22 +491,12 @@ class ThetaSpec:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_rel_length(u: PuiseuxSeries, order: Rat | None, what: str) -> int:
-    """Number of relative coefficients available/requested for a unit op."""
-    alpha = min(u.nums)
-    natural = None if u.hi is None else u.hi - alpha
-    if order is None:
-        if natural is None:
-            raise ValueError(
-                f"{what} of an exact series needs an explicit truncation order"
-            )
-        return natural
-    want = _grid_bound(order, u.denom) - alpha
-    if natural is not None:
-        want = min(want, natural)
-    if want < 1:
-        raise ValueError(f"{what}: requested order leaves no terms")
-    return want
+def _rel_length(u: PuiseuxSeries, what: str) -> int:
+    """Number of coefficients known of u above its leading term: the length
+    of a unit operation's result."""
+    if u.hi is None:
+        raise ValueError(f"{what} of an exact series is infinite; truncate it first")
+    return u.hi - min(u.nums)
 
 
 def _newton_lengths(n: int) -> list[int]:
@@ -517,15 +516,12 @@ def _rebound(x: PuiseuxSeries, n: int) -> PuiseuxSeries:
     return PuiseuxSeries._make(1, x.nums, x.scale, n)
 
 
-def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
-    """Multiplicative inverse of a series with nonzero leading coefficient.
-
-    ``order`` (an exponent bound for u itself, not the inverse) is required
-    when u is exact, since the inverse is generally an infinite series.
-    """
+def invert_unit(u: PuiseuxSeries) -> PuiseuxSeries:
+    """Multiplicative inverse of a truncated series with nonzero leading
+    coefficient, known as far above its leading term as u is."""
     if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
-    n_rel = _resolve_rel_length(u, order, "inversion")
+    n_rel = _rel_length(u, "inversion")
     # u over its leading monomial on grid 1, which never coarsens, so the
     # grid indices stay put
     alpha = min(u.nums)
@@ -541,8 +537,9 @@ def invert_unit(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
     return PuiseuxSeries._make(u.denom, nums, b.scale, n_rel - alpha)
 
 
-def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
-    """exp of a series with strictly positive leading exponent."""
+def exp_series(u: PuiseuxSeries) -> PuiseuxSeries:
+    """exp of a series with strictly positive leading exponent, known as
+    far as u is."""
     if not u.nums:
         if u.hi is None:
             return PuiseuxSeries.constant(1)  # exp of the exact zero
@@ -551,16 +548,13 @@ def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
         return PuiseuxSeries(u.denom, {0: Fraction(1)}, u.hi)
     if min(u.nums) <= 0:
         raise ValueError("exp requires a strictly positive leading exponent")
-    if u.hi is None and order is None:
-        raise ValueError("exp of an exact series needs an explicit truncation order")
-    hi = u.hi if order is None else _min_bound(u.hi, _grid_bound(order, u.denom))
-    if hi < 1:
-        raise ValueError("exp target order leaves no computable terms")
-    w = PuiseuxSeries._make(1, u.nums, u.scale, hi)
+    if u.hi is None:
+        raise ValueError("exp of an exact series is infinite; truncate it first")
+    w = PuiseuxSeries._make(1, u.nums, u.scale, u.hi)
     # Newton: when f = exp(w) below m, f + f (w - log f) = exp(w) below 2m,
     # where log f is the integral of f'/f
     f = PuiseuxSeries.constant(1)
-    for n in _newton_lengths(hi):
+    for n in _newton_lengths(u.hi):
         f = _rebound(f, n)
         df = {k - 1: k * c for k, c in f.nums.items()}
         g = PuiseuxSeries._make(1, df, f.scale, n - 1) * invert_unit(f)
@@ -568,7 +562,7 @@ def exp_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
         lcm = math.lcm(*(k + 1 for k in g.nums))
         log_f = {k + 1: c * (lcm // (k + 1)) for k, c in g.nums.items()}
         f = f + f * (w - PuiseuxSeries._make(1, log_f, g.scale * lcm, n))
-    return PuiseuxSeries._make(u.denom, f.nums, f.scale, hi)
+    return PuiseuxSeries._make(u.denom, f.nums, f.scale, u.hi)
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction | None:
@@ -581,8 +575,9 @@ def _fraction_sqrt(c: Fraction) -> Fraction | None:
     return Fraction(pn, pd)
 
 
-def sqrt_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
-    """Square root with principal leading coefficient.
+def sqrt_series(u: PuiseuxSeries) -> PuiseuxSeries:
+    """Square root with principal leading coefficient, known as far above
+    its leading term as u is.
 
     Factors out the leading monomial c*q^alpha, requires c to be the square
     of a rational, and doubles the exponent grid when alpha is odd.
@@ -591,7 +586,7 @@ def sqrt_series(u: PuiseuxSeries, order: Rat | None = None) -> PuiseuxSeries:
         if u.hi is None:
             return PuiseuxSeries.zero()
         raise ValueError("sqrt of a series that is zero to its bound is undetermined")
-    n_rel = _resolve_rel_length(u, order, "sqrt")
+    n_rel = _rel_length(u, "sqrt")
     alpha = min(u.nums)
     c = Fraction(u.nums[alpha], u.scale)
     root = _fraction_sqrt(c)
@@ -651,6 +646,9 @@ def theta_series(
     b = Fraction(b)
     if a <= 0:
         raise ValueError("theta_series requires a > 0")
+    # a n^2 + b n < order within sqrt((order + b^2/(4a))/a) of the vertex
+    if Fraction(order) + b * b / (4 * a) > a * MAX_TERMS ** 2:
+        raise ValueError(f"theta series: more than {MAX_TERMS} terms on a side")
     denom = math.lcm(a.denominator, b.denominator)
     A, B = int(a * denom), int(b * denom)
     hi = _grid_bound(order, denom)
@@ -697,6 +695,9 @@ def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
     """
     order = Fraction(order)
     a, p = spec.a, spec.p
+    # the dense accumulator below spans about order * lcm(den a, den p) points
+    if order * math.lcm(a.denominator, p.denominator) > MAX_TERMS:
+        raise ValueError(f"product form: more than {MAX_TERMS} terms")
     # total non-positive exponent mass shifts the product's valuation down
     total_neg = Fraction(0)
     for base in (a, p - a):

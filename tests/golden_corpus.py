@@ -62,27 +62,27 @@ SERIES_ORDERS = (20, 60)
 MINE_JOBS = {
     "readme A(1,4)^12 m": [
         "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-        "--max-degree", "3", "--order", "70",
+        "--max-degree", "3",
     ],
     "readme A(1,5;q^4)^15 eta5_q4_pow5": [
         "--a", "1", "--p", "5", "--power", "15", "--qscale", "4",
-        "--v", "eta5_q4_pow5", "--max-degree", "12", "--order", "300",
+        "--v", "eta5_q4_pow5", "--max-degree", "12",
     ],
     "table1": [
         "--a", "1", "--p", "3", "--power", "12", "--v", "m",
-        "--max-degree", "7", "--order", "150",
+        "--max-degree", "7",
     ],
     "table2": [
         "--a", "8", "--p", "6", "--power", "3", "--v", "sqrt_m",
-        "--max-degree", "12", "--order", "120",
+        "--max-degree", "12",
     ],
     "table3": [
         "--a=-1", "--p", "6", "--power", "6", "--v", "sqrt_m",
-        "--max-degree", "6", "--order", "120",
+        "--max-degree", "6",
     ],
     "table4": [
         "--a=-2", "--p", "8", "--power", "12", "--v", "m_q2_squared",
-        "--max-degree", "5", "--order", "150",
+        "--max-degree", "5",
     ],
 }
 

@@ -2,6 +2,7 @@
 fallbacks, convention determination, and report structure."""
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -171,7 +172,7 @@ class TestRemine:
 
     def test_remined_relation_revalidates(self):
         rel = remine_entry("table2", digits=60)
-        again = validate(rel, extra_orders=25, points=(1, 2), digits=60)
+        again = validate(rel, digits=60)
         assert again.poly == rel.poly
 
 
@@ -201,7 +202,7 @@ class TestVerifyAll:
         for eid in ("table2", "table5"):
             remined = by_id[eid].remined
             assert remined is not None
-            again = validate(remined, extra_orders=25, points=(1, 2), digits=60)
+            again = validate(remined, digits=60)
             assert again.poly == remined.poly
 
     def test_table5_remine_recovers_printed_polynomial(self, report):
@@ -269,6 +270,18 @@ class TestVerifyPath:
         assert rep.verdict == "fail"
         assert rep.remined is None
         assert rep.notes.endswith("re-mining failed: boom")
+
+    def test_failing_expected_pass_entry_stays_a_failure(self, monkeypatch):
+        # only the flagged tables 2 and 5 carry re-mining recipes, so a
+        # failing table1 is reported as a failure, with no replacement
+        failing = replace(
+            get_entry("table1"), check=lambda *args: catalog.CheckData(series_ok=False)
+        )
+        monkeypatch.setitem(catalog._CATALOG, "table1", failing)
+        rep = verify_entry_with_fallback("table1", 60, 60, (1,))
+        assert rep.verdict == "fail"
+        assert rep.remined is None
+        assert catalog.Report(60, 60, (Fraction(1),), (rep,)).failures() == ["table1"]
 
     def test_closed_forms_cover_thirteen_entries(self):
         assert len(self.PER_R) == 13

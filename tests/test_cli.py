@@ -2,6 +2,7 @@
 trips, and byte-level determinism of the JSON outputs."""
 
 import json
+import signal
 
 import mpmath
 import pytest
@@ -66,6 +67,18 @@ class TestEval:
         )
         assert code == 0
         assert out == want
+
+    @pytest.mark.parametrize("b", ["1e-30", "1e-400"])
+    def test_theta_on_a_fine_grid_keeps_every_digit(self, capsys, b):
+        # the walk runs on powers near d = 10^30 or 10^400 of q^(1/d); the
+        # value at 60 digits is the value at 2 * 60 + 20 digits, rounded
+        argv = ["eval", "--fn", "theta", "--a", "1", "--b", b, "--q", "0.5"]
+        code, out, _ = run(capsys, *argv, "--digits", "60")
+        _, wide, _ = run(capsys, *argv, "--digits", "140")
+        assert code == 0
+        with mpmath.workdps(200):
+            assert out == mpmath.nstr(mpmath.mpf(wide), 60) + "\n"
+        assert out == "0.121124208002580502460849293181867505809858246820960597233901\n"
 
     def test_quotient_value(self, capsys):
         code, out, _ = run(
@@ -212,7 +225,7 @@ class TestMine:
         path = tmp_path / "rel.json"
         code, out, _ = run(
             capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "3", "--order", "70", "--digits", "60",
+            "--max-degree", "3", "--digits", "60",
             "--out", str(path),
         )
         assert code == 0
@@ -225,17 +238,22 @@ class TestMine:
         assert rel.v_binding == "m"
         assert rel.u_binding.power == 12
 
-    def test_order_floor(self, capsys):
-        code, _, err = run(
+    def test_order_is_not_an_option(self, capsys):
+        # mine builds its series as far as its rows need
+        code, out, err = run(
             capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "3", "--order", "20",
+            "--max-degree", "3", "--order", "150",
         )
         assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ") and "unrecognized arguments: --order" in err
+        assert main(["mine", "--help"]) == 0
+        assert "--order" not in capsys.readouterr().out
 
     def test_no_relation_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "1", "--order", "40",
+            "--max-degree", "1",
         )
         assert code == 2
         assert err.startswith("error: no certified integer relation of degree <= 1")
@@ -244,7 +262,7 @@ class TestMine:
     def test_non_positive_qscale_is_usage_error(self, capsys, qscale):
         code, _, err = run(
             capsys, "mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "3", "--order", "70", "--qscale", qscale,
+            "--max-degree", "3", "--qscale", qscale,
         )
         assert code == 2
         assert err == "error: qscale must be positive\n"
@@ -254,20 +272,47 @@ class TestMine:
         # monomials in u alone and every product of the relation vanishes
         code, out, err = run(
             capsys, "mine", "--a", "4", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "3", "--order", "70",
+            "--max-degree", "3",
         )
         assert code == 2
         assert out == ""
         assert err == "error: relation evaluates on identically zero products\n"
 
-    def test_short_order_mines_what_the_default_order_mines(self, capsys):
-        # mine rebuilds bound series as far as its rows need, so the order
-        # given is only where the search starts
-        job = ["mine", "--a", "1", "--p", "3", "--power", "12", "--v", "m",
-               "--max-degree", "7"]
-        short = run(capsys, *job, "--order", "40")
-        assert short == run(capsys, *job, "--order", "150")
-        assert short[0] == 0
+
+class TookTooLong(Exception):
+    """Not an error the CLI reports, so it ends the test as a failure."""
+
+
+class TestRangeGuards:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--fn", "A", "--a", "1e-400", "--p", "4", "--order", "10"],
+            ["series", "--fn", "A", "--a", "1", "--p", "1e-400", "--order", "10"],
+            ["series", "--fn", "theta", "--a", "1e-400", "--b", "0", "--order", "10"],
+            ["series", "--fn", "theta", "--a", "1", "--b", "1e400", "--order", "10"],
+            ["series", "--fn", "eta", "--p", "1e-400", "--order", "10"],
+            ["mine", "--a", "1e-400", "--p", "4", "--power", "12", "--v", "m",
+             "--max-degree", "2"],
+            ["mine", "--a", "1", "--p", "1e-400", "--power", "12", "--v", "m",
+             "--max-degree", "2"],
+        ],
+    )
+    def test_a_series_past_the_limits_is_a_usage_error(self, capsys, argv):
+        # a theta series with more than MAX_TERMS terms a side, or a product
+        # past MAX_PRODUCT_BYTES, is refused at once
+        def stop(*args):
+            raise TookTooLong(argv)
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestVerify:

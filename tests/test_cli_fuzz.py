@@ -10,8 +10,12 @@ direct sums slow down as q nears 1), digits <= 80, series orders <= 40,
 r = 10^400, and ``--n`` <= 10^3.
 ``eval`` and ``recognize`` draw a, b and p with decimal exponents up to
 +-400, skipping -299..-3, where q^a or q^p lies so near 1 that the sums
-take up to 10^6 terms: in range, but slow.  ``series`` and ``mine`` expand
-exact series, whose length grows with 1/a, so they draw small rationals.
+take up to 10^6 terms: in range, but slow.  ``series`` draws a, b, p and
+``--scale`` as small rationals or in the same way, skipping the same band,
+where a theta series below q^40 has up to 10^6 terms a side.  ``mine``
+draws a, p and ``--qscale`` as small rationals or with decimal exponents
+of 300..400 either way, skipping -299..299: there the grid or the leading
+exponent of u makes its rows, and so its series, up to 10^6 terms long.
 """
 
 import io
@@ -43,6 +47,7 @@ WIDE = sometimes(
     decimal(st.integers(1, 9), st.integers(-400, -300) | st.integers(-2, 400)),
     st.sampled_from(["0", "-2", "-3/2", "x"]),
 )
+EXTREME = decimal(st.integers(1, 9), st.integers(-400, -300) | st.integers(300, 400))
 SMALL = sometimes(st.sampled_from(["1", "2", "3", "1/2", "3/2", "5"]), st.sampled_from(["0", "-1", "x"]))
 PERIOD = sometimes(st.sampled_from(["4", "3", "5", "6", "8"]), st.sampled_from(["0", "-1", "x"]))
 NOME = sometimes(
@@ -115,7 +120,7 @@ def test_eval(fn, opts, nome):
 @given(
     st.sampled_from(["eta", "theta", "m", "A", "h5", "eta5"]),
     st.integers(-1, 40),
-    options(a=SMALL, b=SMALL, p=SMALL, scale=SMALL),
+    options(a=SMALL | WIDE, b=SMALL | WIDE, p=SMALL | WIDE, scale=SMALL | WIDE),
 )
 def test_series(fn, order, opts):
     check(["series", f"--fn={fn}", f"--order={order}"] + opts)
@@ -123,13 +128,14 @@ def test_series(fn, order, opts):
 
 @FUZZ
 @given(
-    SMALL, PERIOD, st.integers(-2, 13), sometimes(st.sampled_from(sorted(V_BINDINGS)), st.just("k")),
-    DEGREE, ORDER, options(qscale=SMALL, digits=DIGITS),
+    SMALL | EXTREME, PERIOD | EXTREME, st.integers(-2, 13),
+    sometimes(st.sampled_from(sorted(V_BINDINGS)), st.just("k")),
+    DEGREE, options(qscale=SMALL | EXTREME, digits=DIGITS),
 )
-def test_mine(a, p, power, v, degree, order, opts):
+def test_mine(a, p, power, v, degree, opts):
     check([
         "mine", f"--a={a}", f"--p={p}", f"--power={power}", f"--v={v}",
-        f"--max-degree={degree}", f"--order={order}",
+        f"--max-degree={degree}",
     ] + opts)
 
 

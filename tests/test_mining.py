@@ -476,7 +476,7 @@ class TestMine:
             u_binding=ABinding(ThetaSpec(1, 4), 12), v_binding="m",
         )
         with pytest.raises(ValidationFailed):
-            validate(rel, extra_orders=10, points=(1,), digits=40, u=u, v=v)
+            validate(rel, digits=40, u=u, v=v)
 
     def test_rediscovers_table4_relation(self):
         u = A_series(ThetaSpec(-2, 8), 90) ** 12
@@ -507,6 +507,44 @@ class TestMine:
         assert rel.poly == REL_M1_6
         assert events[0] == "build_binding_series"
         assert events.count("build_binding_series") == 1
+
+    def test_unbuilt_pair_is_built_once_before_the_first_matrix(self, monkeypatch):
+        # with bindings and no series, mine reads the leading exponents from
+        # a one-order build, then builds u and v once, as far as its largest
+        # matrix and validation window reach
+        events = []
+
+        def build(*args):
+            events.append(("build", args[2]))
+            return real_build(*args)
+
+        def matrix(*args):
+            events.append("matrix")
+            return real_matrix(*args)
+
+        real_build, real_matrix = mining.build_binding_series, mining.build_coeff_matrix
+        monkeypatch.setattr(mining, "build_binding_series", build)
+        monkeypatch.setattr(mining, "build_coeff_matrix", matrix)
+        rel = mine(
+            None, None, 5, u_binding=ABinding(ThetaSpec(-1, 6), 6), v_binding="sqrt_m"
+        )
+        assert rel.poly == REL_M1_6
+        builds = [e for e in events if e != "matrix"]
+        assert events.index("matrix") == len(builds) == 2
+        assert builds[0] == ("build", 1)
+        assert rel.validated_grid_order <= builds[1][1]
+
+    def test_bound_pair_that_reaches_the_rows_is_not_rebuilt(self, monkeypatch):
+        # the benchmark's mine jobs pass series built at order 150
+        binding = ABinding(ThetaSpec(-2, 8), 12)
+        u, v = build_binding_series(binding, "m_q2_squared", F(150))
+
+        def build(*args):
+            raise AssertionError("mine built series it was given")
+
+        monkeypatch.setattr(mining, "build_binding_series", build)
+        rel = mine(u, v, 5, None, u_binding=binding, v_binding="m_q2_squared")
+        assert rel.poly == REL_M2_8
 
     def test_no_degree_one_relation_for_1_4(self):
         with pytest.raises(MiningNotFound) as exc:
@@ -636,13 +674,13 @@ class TestValidate:
         u = A_series(ThetaSpec(1, 4), 62) ** 12
         v = modulus_series(62)
         with pytest.raises(ValidationFailed, match="series residual"):
-            validate(bad, extra_orders=25, points=(1,), digits=40, u=u, v=v)
+            validate(bad, digits=40, u=u, v=v)
 
     def test_revalidation_of_returned_relation(self):
         # soundness: every returned relation passes validate again with
         # extra orders and two numeric points
         rel = mine_14()
-        again = validate(rel, extra_orders=25, points=(1, 2), digits=60)
+        again = validate(rel, digits=60)
         assert again.poly == rel.poly
         assert len(again.numeric_checks) == 2
 
@@ -659,7 +697,7 @@ class TestValidate:
     def test_validate_without_bindings_needs_series(self):
         rel = MinedRelation(poly=REL_14, degree=2, validated_grid_order=19)
         with pytest.raises(ValidationFailed, match="no series"):
-            validate(rel, extra_orders=5, points=(1,), digits=40)
+            validate(rel, digits=40)
 
     def test_validate_fallback_numeric_via_series(self):
         # without bindings the numeric certification falls back to

@@ -27,7 +27,7 @@ from thetaquot.series import (
     sqrt_series,
     theta_series,
 )
-from thetaquot.series import _resolve_rel_length
+from thetaquot.series import _rel_length
 
 
 def series(pairs, order=None):
@@ -178,11 +178,11 @@ def schoolbook_product(x, y):
     return PuiseuxSeries(n, out, hi)
 
 
-def _dense_relative(u, order, what):
+def _dense_relative(u, what):
     """Leading grid index, relative length and the first coefficients
     relative to the leading term."""
     alpha = min(u.coeffs)
-    n_rel = _resolve_rel_length(u, order, what)
+    n_rel = _rel_length(u, what)
     a = [F(0)] * n_rel
     for k, c in u.coeffs.items():
         if k - alpha < n_rel:
@@ -190,9 +190,9 @@ def _dense_relative(u, order, what):
     return alpha, n_rel, a
 
 
-def schoolbook_inverse(u, order=None):
+def schoolbook_inverse(u):
     """Reference inverse: the recurrence b_m = -sum a_j b_(m-j) / a_0."""
-    alpha, n_rel, a = _dense_relative(u, order, "inversion")
+    alpha, n_rel, a = _dense_relative(u, "inversion")
     b = [F(0)] * n_rel
     b[0] = 1 / a[0]
     for m in range(1, n_rel):
@@ -201,9 +201,9 @@ def schoolbook_inverse(u, order=None):
     return PuiseuxSeries(u.denom, coeffs, n_rel - alpha)
 
 
-def schoolbook_sqrt(u, order=None):
+def schoolbook_sqrt(u):
     """Reference square root: g^2 = a/c solved term by term, scaled by sqrt(c)."""
-    alpha, n_rel, a = _dense_relative(u, order, "sqrt")
+    alpha, n_rel, a = _dense_relative(u, "sqrt")
     c = a[0]
     root = F(math.isqrt(abs(c.numerator)), math.isqrt(c.denominator))
     if c < 0 or root * root != c:
@@ -217,7 +217,7 @@ def schoolbook_sqrt(u, order=None):
     return PuiseuxSeries(2 * u.denom, coeffs, 2 * n_rel + alpha)
 
 
-def schoolbook_exp(u, order=None):
+def schoolbook_exp(u):
     """Reference exp: the recurrence m f_m = sum_j j w_j f_(m-j) from f' = u' f."""
     if not u.coeffs:
         if u.hi is None:
@@ -227,13 +227,9 @@ def schoolbook_exp(u, order=None):
         return PuiseuxSeries(u.denom, {0: F(1)}, u.hi)
     if min(u.coeffs) <= 0:
         raise ValueError("exp requires a strictly positive leading exponent")
-    if u.hi is None and order is None:
-        raise ValueError("exp of an exact series needs an explicit truncation order")
-    n = -((-F(order) * u.denom) // 1) if order is not None else u.hi
-    if u.hi is not None:
-        n = min(n, u.hi)
-    if n < 1:
-        raise ValueError("exp target order leaves no computable terms")
+    if u.hi is None:
+        raise ValueError("exp of an exact series is infinite; truncate it first")
+    n = u.hi
     w = [F(0)] * n
     for k, c in u.coeffs.items():
         if 0 < k < n:
@@ -357,8 +353,8 @@ def outcome(fn, *args):
 def unit_operands(draw):
     """A series on the 1, 1/2, 1/5 or 1/96 grid with a nonzero, possibly
     non-square leading coefficient, a possibly negative valuation and
-    strided rational terms, with the order argument of a unit operation:
-    exact with an order, or truncated with or without one."""
+    strided rational terms, truncated or (one draw in ten, which a unit
+    operation refuses) exact."""
     denom = draw(st.sampled_from([1, 2, 5, 96]))
     lead = draw(st.integers(-3 * denom, 3 * denom))
     stride = draw(st.sampled_from([1, 2, 3, denom]))
@@ -367,19 +363,15 @@ def unit_operands(draw):
     offsets = draw(st.lists(st.integers(1, 30), max_size=12))
     coeffs = {lead + stride * j: draw(coeff) for j in offsets}
     coeffs[lead] = c0
-    order = F(lead + draw(st.integers(-2, 70)), denom)
-    if draw(st.booleans()):
-        return PuiseuxSeries(denom, coeffs, None), order
-    u = PuiseuxSeries(denom, coeffs, lead + draw(st.integers(1, 70)))
-    return u, draw(st.sampled_from([None, order]))
+    hi = None if draw(st.integers(0, 9)) == 0 else lead + draw(st.integers(1, 70))
+    return PuiseuxSeries(denom, coeffs, hi)
 
 
 @st.composite
 def exp_operands(draw):
     """A series on the 1, 1/2, 1/5 or 1/96 grid with a (mostly) positive
-    valuation and strided rational terms, exact or truncated, with an order
-    argument that may be None, may leave no terms, or may be omitted for an
-    exact series."""
+    valuation and strided rational terms, exact or truncated, possibly
+    with no known term."""
     denom = draw(st.sampled_from([1, 2, 5, 96]))
     lead = draw(st.integers(-1, 3 * denom))
     stride = draw(st.sampled_from([1, 2, 3, denom]))
@@ -387,9 +379,8 @@ def exp_operands(draw):
     offsets = draw(st.lists(st.integers(1, 30), max_size=12))
     coeffs = {lead + stride * j: draw(coeff) for j in offsets}
     coeffs[lead] = draw(coeff)
-    order = draw(st.sampled_from([None, F(draw(st.integers(-2, 70)), denom)]))
     hi = draw(st.sampled_from([None, lead + draw(st.integers(-lead, 70))]))
-    return PuiseuxSeries(denom, coeffs, hi), order
+    return PuiseuxSeries(denom, coeffs, hi)
 
 
 @st.composite
@@ -502,11 +493,11 @@ class TestKroneckerProduct:
 
 class TestInvertUnit:
     def test_geometric_series(self):
-        inv = invert_unit(series([(0, 1), (1, -1)]), order=8)
+        inv = invert_unit(series([(0, 1), (1, -1)], order=8))
         assert inv.terms() == [(F(k), F(1)) for k in range(8)]
 
     def test_monomial(self):
-        inv = invert_unit(PuiseuxSeries.monomial(2, 1), order=4)
+        inv = invert_unit(PuiseuxSeries.monomial(2, 1).truncate(4))
         assert inv.leading() == (F(-1), F(1, 2))
 
     def test_eta4_inverse_against_long_division(self):
@@ -529,9 +520,8 @@ class TestInvertUnit:
 
     @settings(max_examples=200, deadline=None)
     @given(unit_operands())
-    def test_matches_schoolbook(self, operand):
-        u, order = operand
-        assert outcome(invert_unit, u, order) == outcome(schoolbook_inverse, u, order)
+    def test_matches_schoolbook(self, u):
+        assert outcome(invert_unit, u) == outcome(schoolbook_inverse, u)
 
     def test_random_units_multiply_to_one(self):
         rng = random.Random(7177)
@@ -546,7 +536,7 @@ class TestInvertUnit:
 
 class TestExpSeries:
     def test_exponential_coefficients(self):
-        e = exp_series(PuiseuxSeries.monomial(1, 1), order=5)
+        e = exp_series(PuiseuxSeries.monomial(1, 1).truncate(5))
         assert e.terms() == [
             (F(0), F(1)),
             (F(1), F(1)),
@@ -556,7 +546,7 @@ class TestExpSeries:
         ]
 
     def test_exp_of_zero(self):
-        assert exp_series(PuiseuxSeries.zero(), order=6) == PuiseuxSeries.constant(1)
+        assert exp_series(PuiseuxSeries.zero()) == PuiseuxSeries.constant(1)
 
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError):
@@ -577,18 +567,17 @@ class TestExpSeries:
 
     @settings(max_examples=200, deadline=None)
     @given(exp_operands())
-    def test_matches_schoolbook(self, operand):
-        u, order = operand
-        assert outcome(exp_series, u, order) == outcome(schoolbook_exp, u, order)
+    def test_matches_schoolbook(self, u):
+        assert outcome(exp_series, u) == outcome(schoolbook_exp, u)
 
 
 class TestSqrtSeries:
     def test_perfect_square(self):
-        s = sqrt_series(series([(0, 1), (1, 2), (2, 1)]), order=6)
+        s = sqrt_series(series([(0, 1), (1, 2), (2, 1)], order=6))
         assert s.agrees_with(series([(0, 1), (1, 1)]), through=5)
 
     def test_monomial(self):
-        s = sqrt_series(PuiseuxSeries.monomial(16, 1), order=4)
+        s = sqrt_series(PuiseuxSeries.monomial(16, 1).truncate(4))
         assert s.leading() == (F(1, 2), F(4))
 
     def test_non_square_leading_coefficient_rejected(self):
@@ -612,17 +601,15 @@ class TestSqrtSeries:
 
     @settings(max_examples=200, deadline=None)
     @given(unit_operands())
-    def test_matches_schoolbook(self, operand):
-        u, order = operand
-        assert outcome(sqrt_series, u, order) == outcome(schoolbook_sqrt, u, order)
+    def test_matches_schoolbook(self, u):
+        assert outcome(sqrt_series, u) == outcome(schoolbook_sqrt, u)
 
     @settings(max_examples=100, deadline=None)
     @given(unit_operands(), st.sampled_from([F(1), F(4, 9), F(1, 16)]))
-    def test_square_matches_schoolbook(self, operand, c):
+    def test_square_matches_schoolbook(self, u, c):
         # every square leading coefficient, and squares of units
-        u, order = operand
         w = u * u * c
-        assert outcome(sqrt_series, w, order) == outcome(schoolbook_sqrt, w, order)
+        assert outcome(sqrt_series, w) == outcome(schoolbook_sqrt, w)
 
 
 class TestRescale:
