@@ -52,7 +52,7 @@ from .mining import (
     build_binding_series,
     get_v_binding,
     mine,
-    _series_vanishes,
+    _first_nonzero,
 )
 
 __all__ = [
@@ -423,8 +423,8 @@ def _check_poly_relation(entry, digits, M, r_list):
     data = CheckData()
     # series residual through M grid rows above the base monomial exponent
     u, v = build_binding_series(entry.u_binding, entry.v_binding, Fraction(M))
-    ok, _ = _series_vanishes(entry.poly, u, v, M)
-    data.series_ok = bool(ok)
+    ok = _first_nonzero(entry.poly, u, v, M) is None
+    data.series_ok = ok
     data.series_order = M if ok else None
     if not ok:
         data.notes = "series residual is nonzero within the checked window"

@@ -1,29 +1,34 @@
 """Bivariate integer relation mining between exact q-series.
 
 Given two truncated series u(q), v(q), find an integer-coefficient
-polynomial P with P(u, v) = O(q^M): build the matrix whose columns are the
-integer coefficient vectors of the monomials u^i v^j on the common
-exponent grid, ordered by total degree, lift its reduced kernel basis from
-mod-p solutions one vector at a time, least total degree first, and certify
-each candidate on extra series orders and numerically at high precision.
-Post-validation guards against overfitting the truncation, which
-interpolation-style mining invites.
+polynomial P with P(u, v) = O(q^M): take the coefficient matrix of the
+monomials u^i v^j on the common exponent grid, ordered by total degree,
+lift its reduced kernel basis from mod-p solutions, least total degree
+first, and certify each candidate on extra series orders and numerically at
+high precision.  Post-validation guards against overfitting the truncation,
+which interpolation-style mining invites.
 
-The elimination mod p packs each row into one int and reduces its fields
-only when they are read.  The series certificate evaluates P(u, v) by Horner
-in u from factors cut to its window, so it costs one product per u-degree
-plus the powers of v.
+The matrix exists only mod p (the modular method, von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 5): ``MonomialTable`` reduces u and v once mod
+a Mersenne prime p = 2^e - 1, keeps every monomial as one packed int of
+fixed-width fields and folds a product's fields back below 2^(e+1) at once,
+and ``build_coeff_matrix`` cuts each degree's rows out of it in the packed
+form the elimination takes, which reduces a field mod p only when it reads
+it.  A lift is checked by rational reconstruction's denominator and then by
+the series certificate, which evaluates P(u, v) exactly by Horner in u from
+factors cut to its window (one product per u-degree plus the powers of v):
+a residual nonzero on the matrix rows means a bad lift, and the search
+climbs to the next prime.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .series import (
     A_series,
@@ -77,7 +82,12 @@ class MiningNotFound(MiningError):
 
 
 class ValidationFailed(MiningError):
-    pass
+    """A candidate failed certification; ``exponent`` is that of the first
+    nonzero coefficient of its series residual, when that is what failed."""
+
+    def __init__(self, message: str, exponent: Fraction | None = None):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +251,7 @@ def build_binding_series(
 
 
 # ---------------------------------------------------------------------------
-# coefficient matrix and exact nullspace
+# coefficient matrices mod p and the exact nullspace
 # ---------------------------------------------------------------------------
 
 
@@ -252,47 +262,128 @@ def _power_table(u: PuiseuxSeries, s: int) -> list[PuiseuxSeries]:
     return pows[: s + 1]
 
 
+# Mersenne primes 2^e - 1, e running through a prefix of OEIS A000043 from
+# 61: the ladder of primes that the kernel is solved mod, one at a time
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497,
+)
+_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+
+
+def _field_bytes(p: int, n: int) -> int:
+    """Bytes per packed field mod p = 2^e - 1, for n fields or rows: the
+    2e + bitlen(n) + 2 bits hold a sum of n products of two values below
+    2^(e+1), and a field of an elimination on n rows (``_echelon_mod_p``)."""
+    return (2 * p.bit_length() + n.bit_length() + 2 + 7) // 8
+
+
 class MonomialTable:
-    """Power tables of u and v through degree ``s_max``, and the monomials
-    u^i v^j built from them once, on first use (u^i v^0 and u^0 v^j are
-    the tables' own entries)."""
+    """The monomials u^i v^j mod a prime p = 2^e - 1 of the ladder, through
+    ``rows`` grid rows above their leading exponents, each one packed int of
+    ``width``-byte fields: field k holds the coefficient at grid index lead
+    + k ``stride``, mod p but not always below p.  ``stride`` is the gcd of
+    the offsets of the terms of u and v from their leading ones on the
+    common grid, so every monomial's terms lie on its fields.
 
-    def __init__(self, u: PuiseuxSeries, v: PuiseuxSeries, s_max: int):
-        self.u_pows = _power_table(u, s_max)
-        self.v_pows = _power_table(v, s_max)
-        self._products: dict[tuple[int, int], PuiseuxSeries] = {}
+    u and v are reduced once, numerator times scale^-1 mod p, so p must not
+    divide a scale.  A power or a product is one big-int multiply of packed
+    factors, cut to the fields it is known through; its fields then come
+    back below 2^(e+1) all at once by the Mersenne fold x = (x & p) +
+    (x >> e), through per-field masks, twice.  Powers and products are built
+    on first use, so only as far as the degrees asked for.
 
-    @classmethod
-    def truncated(
-        cls, u: PuiseuxSeries, v: PuiseuxSeries, s_max: int, rows: int
-    ) -> "MonomialTable":
-        """Tables whose monomials agree with those of u and v through
-        ``rows`` common-grid rows above every coefficient matrix's base.
+    Over Q the leading coefficient of a product is the product of its
+    factors', so u^i v^j leads at i lead(u) + j lead(v), and it is known as
+    many rows above that as its least known factor, as
+    ``PuiseuxSeries.__mul__`` bounds it.  A factor with no known nonzero
+    term is zero through its bound, which counts as its lead.
+    """
 
-        Each factor keeps ``rows`` rows above its own valuation: a monomial
-        whose valuation lies above the base needs fewer, and the base is at
-        most that valuation.  A factor whose kept terms would lie on a
-        coarser grid stays whole, so the matrix grid does not change.
-        """
-        n = u.denom * v.denom // gcd(u.denom, v.denom)
+    def __init__(self, u: PuiseuxSeries, v: PuiseuxSeries, rows: int, p: int):
+        self.p = p
+        self.rows = rows
+        self.denom = math.lcm(u.denom, v.denom)
+        self.stride = 0
+        for w in (u, v):
+            if w.nums:
+                lead = min(w.nums)
+                spacing = gcd(*(k - lead for k in w.nums))
+                self.stride = gcd(self.stride, spacing * (self.denom // w.denom))
+        self.stride = self.stride or 1
+        self.width = _field_bytes(p, rows)
+        ones = int.from_bytes(
+            (b"\x01" + bytes(self.width - 1)) * self._fields(rows), "little"
+        )
+        self._low = p * ones
+        self._high = ((1 << 8 * self.width - p.bit_length()) - 1) * ones
+        (lu, ku, xu), (lv, kv, xv) = self._reduce(u), self._reduce(v)
+        self._leads, self._known = (lu, lv), (ku, kv)
+        self._nonzero = (bool(u.nums), bool(v.nums))
+        self._pows = ([1, xu], [1, xv])
+        self._products: dict[tuple[int, int], int] = {}
 
-        def cut(w: PuiseuxSeries) -> PuiseuxSeries:
-            if w.is_zero():
-                return w
-            short = w.truncate(w.leading()[0] + Fraction(rows, n))
-            return short if short.denom == w.denom else w
+    def _fields(self, known: int) -> int:
+        """The fields that hold ``known`` grid rows."""
+        return -(-known // self.stride)
 
-        return cls(cut(u), cut(v), s_max)
+    def _reduce(self, w: PuiseuxSeries) -> tuple[int, int, int]:
+        """(lead, grid rows known, packed fields) of one factor."""
+        f = self.denom // w.denom
+        if not w.nums:
+            return (0, self.rows, 0) if w.hi is None else (w.hi * f, 0, 0)
+        lead = min(w.nums) * f
+        known = self.rows if w.hi is None else min(self.rows, w.hi * f - lead)
+        inv, width = pow(w.scale, -1, self.p), self.width
+        fields = bytearray(self._fields(known) * width)
+        for k, c in w.nums.items():
+            at = k * f - lead
+            if at < known:
+                at //= self.stride
+                fields[at * width : (at + 1) * width] = (c * inv % self.p).to_bytes(
+                    width, "little"
+                )
+        return lead, known, int.from_bytes(fields, "little")
 
-    def product(self, i: int, j: int) -> PuiseuxSeries:
+    def _times(self, x: int, y: int, known: int) -> int:
+        x = x * y & ((1 << 8 * self.width * self._fields(known)) - 1)
+        e = self.p.bit_length()
+        for _ in range(2):
+            x = (x & self._low) + ((x >> e) & self._high)
+        return x
+
+    def _power(self, which: int, i: int) -> int:
+        pows, known = self._pows[which], self._known[which]
+        while len(pows) <= i:
+            pows.append(self._times(pows[-1], pows[1], known))
+        return pows[i]
+
+    def monomial(self, i: int, j: int) -> tuple[int, int, int]:
+        """(lead, grid rows known, packed fields) of u^i v^j."""
+        (lu, lv), (ku, kv) = self._leads, self._known
+        lead = i * lu + j * lv
         if j == 0:  # a product with the exact 1 is the other factor
-            return self.u_pows[i]
+            return lead, ku if i else self.rows, self._power(0, i)
         if i == 0:
-            return self.v_pows[j]
-        key = (i, j)
-        if key not in self._products:
-            self._products[key] = self.u_pows[i] * self.v_pows[j]
-        return self._products[key]
+            return lead, kv, self._power(1, j)
+        if (i, j) not in self._products:
+            self._products[i, j] = self._times(
+                self._power(0, i), self._power(1, j), min(ku, kv)
+            )
+        return lead, min(ku, kv), self._products[i, j]
+
+    def base(self, s: int) -> int:
+        """The least leading grid index of the nonzero u^i v^j, 0 <= i, j <= s."""
+        (lu, lv), (nu, nv) = self._leads, self._nonzero
+        return min(
+            i * lu + j * lv
+            for i in ((0, s) if nu else (0,))
+            for j in ((0, s) if nv else (0,))
+        )
+
+
+def _columns(s: int) -> list[tuple[int, int]]:
+    return sorted(((i, j) for i in range(s + 1) for j in range(s + 1)), key=sum)
 
 
 def build_coeff_matrix(
@@ -301,84 +392,74 @@ def build_coeff_matrix(
     s: int,
     rows: int,
     table: MonomialTable | None = None,
-) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
-    """Integer matrix of coefficients of u^i v^j (0 <= i, j <= s) on the
-    common grid.
+) -> tuple[list[int], list[tuple[int, int]], int, int]:
+    """Coefficients of u^i v^j (0 <= i, j <= s) on the common grid, mod the
+    prime of ``table``, one packed int per row.
 
-    Returns (matrix, columns, base_index, grid_denom): one column per (i, j)
+    Returns (rows, columns, base_index, grid_denom): one column per (i, j)
     ordered by total degree i + j and lexicographically within a degree, so
     that a reduced kernel vector has the total degree of its free column;
-    one row per grid exponent starting at the global minimum ``base_index``.
-    Every column is put over the lcm of the products' scales, so each row is
-    an integer multiple of the coefficient row, with the same kernel.
-    Raises InsufficientTruncation when any product is not known through the
-    last requested row.  ``table`` supplies the monomials of u and v, built
-    for some degree >= s; by default they are built here.
+    one row per grid exponent starting at the least leading index
+    ``base_index``, each in the form ``_echelon_mod_p`` takes (fields of
+    ``table.width`` bytes, lowest field the first column), cut out of the
+    table's packed monomials as byte slices.  Raises InsufficientTruncation
+    when any monomial is not known through the last requested row.
+    ``table`` holds the monomials for at least ``rows`` rows; by default it
+    is built here, mod the first prime of the ladder that divides neither
+    scale.
     """
     if table is None:
-        table = MonomialTable(u, v, s)
-    cols = sorted(((i, j) for i in range(s + 1) for j in range(s + 1)), key=sum)
-    products = {(i, j): table.product(i, j) for i, j in cols}
-    denom = math.lcm(*(prod.denom for prod in products.values()))
-    los = []
-    for prod in products.values():
-        if prod.nums:
-            los.append(min(prod.nums) * (denom // prod.denom))
-    if not los:
-        raise MiningError("all monomial products vanish; nothing to interpolate")
-    base = min(los)
+        p = next(p for p in _PRIMES if u.scale % p and v.scale % p)
+        table = MonomialTable(u, v, rows, p)
+    cols = _columns(s)
+    base = table.base(s)
     top = base + rows
-    for (i, j), prod in products.items():
-        f = denom // prod.denom
-        hi = None if prod.hi is None else prod.hi * f
-        if hi is not None and hi < top:
+    g, width = table.stride, table.width
+    step = len(cols) * width
+    cells = bytearray(rows * step)  # the rows' bytes, one after another
+    for c, (i, j) in enumerate(cols):
+        lead, known, x = table.monomial(i, j)
+        if lead + known < top:
             raise InsufficientTruncation(
-                f"u^{i} v^{j} is known to grid order {hi} on the 1/{denom} grid "
-                f"but rows through {top} are required",
+                f"u^{i} v^{j} is known to grid order {lead + known} on the "
+                f"1/{table.denom} grid but rows through {top} are required",
                 required_grid_order=top,
             )
-    scale = math.lcm(*(prod.scale for prod in products.values()))
-    rebased = {}
-    for key, prod in products.items():
-        f, m = denom // prod.denom, scale // prod.scale
-        rebased[key] = {k * f: c * m for k, c in prod.nums.items()}
-    matrix = [[rebased[c].get(e, 0) for c in cols] for e in range(base, top)]
-    return matrix, cols, base, denom
+        off = lead - base
+        if x and off < rows:
+            # field k lands in row off + k g: one strided byte slice per
+            # byte of a field
+            n = -(-(rows - off) // g)
+            raw = (x & ((1 << 8 * width * n) - 1)).to_bytes(n * width, "little")
+            for t in range(width):
+                cells[off * step + c * width + t :: g * step] = raw[t::width]
+    matrix = [
+        int.from_bytes(cells[at : at + step], "little") for at in range(0, len(cells), step)
+    ]
+    return matrix, cols, base, table.denom
 
 
-# Mersenne primes 2^e - 1, e running through a prefix of OEIS A000043 from
-# 61: the ladder of primes that exact_nullspace tries, one at a time
-_MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
-    11213, 19937, 21701, 23209, 44497,
-)
-_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+def _echelon_mod_p(
+    rows: list[int], ncols: int, width: int, p: int
+) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form mod p = 2^e - 1 with unit pivots: (echelon rows,
+    pivot columns).  A column is a pivot when it is independent of the
+    columns before it.
 
-
-def _echelon_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form mod p with unit pivots: (echelon rows, pivot
-    columns).  A column is a pivot when it is independent of the columns
-    before it.
-
-    Each row below the pivots is one int of ``width``-byte fields, lowest
-    field the current column, and is shifted right by one field per column.
-    A row operation is one big-int ``row += (p - f) * pivot_row`` with the
-    pivot row reduced, and fields are reduced mod p only when read (delayed
-    reduction, Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).  A field starts
-    below p and gains less than p^2 per operation, at most once per pivot,
-    so it stays below nrows * p^2 and never carries into the next.
+    Each row is one int of ``width``-byte fields, lowest field the first
+    column, every field below 2^(e+1): rows from ``build_coeff_matrix``
+    come so, with no repacking.  A row below the pivots is shifted right by
+    one field per column.  A row operation is one big-int ``row += (p - f) *
+    pivot_row`` with the pivot row reduced, and fields are reduced mod p only
+    when read (delayed reduction, Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
+    A field gains less than p^2 per operation, at most once per pivot, so
+    with ``width`` from ``_field_bytes`` for at least as many rows it stays
+    below 2^(e+1) + nrows p^2 and never carries into the next.
     """
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    width = (2 * p.bit_length() + nrows.bit_length() + 2 + 7) // 8
     bits = 8 * width
     mask = (1 << bits) - 1
-
-    def pack(vals: list[int]) -> int:
-        fields = b"".join(x.to_bytes(width, "little") for x in vals)
-        return int.from_bytes(fields, "little")
-
     # the rows below the pivots, in the order the swaps leave them
-    m = [pack([x % p for x in row]) for row in rows]
+    m = list(rows)
     ech: list[list[int]] = []
     pivots: list[int] = []
     for col in range(ncols):
@@ -396,7 +477,7 @@ def _echelon_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list
             for at in range(0, len(raw), width)
         ]
         ech.append([0] * col + vals)
-        prow = pack(vals)
+        prow = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in vals), "little")
         # the pivot row trades places with the first row, then leaves
         m[piv], fs[piv] = m[0], fs[0]
         m = [
@@ -412,8 +493,7 @@ def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
     algorithm stopped at the first remainder n <= bound: when 2 bound^2 < p
     and a fraction with |n|, d <= bound exists, it is this one (rational
     reconstruction, von zur Gathen & Gerhard, Modern Computer Algebra,
-    5.10).  Otherwise d may exceed bound; the caller's exact check rejects
-    such a lift."""
+    5.10).  Otherwise d may exceed bound, and the lift is a failed one."""
     r0, r1, s0, s1 = p, a, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -421,58 +501,107 @@ def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _kernel_basis(matrix: list[list[int]]) -> Iterator[list[int]]:
-    """The reduced basis of the right kernel of an integer matrix (1 at one
-    free column, 0 at the other free columns and past it), one vector at a
-    time in free-column order, scaled to coprime integers with its first
-    nonzero entry positive (Cohen, GTM 138, Alg. 2.3.1).
+class _ReducedKernel:
+    """The reduced basis of the right kernel of a matrix over Q (1 at one
+    free column, 0 at the other free columns and past it; Cohen, GTM 138,
+    Alg. 2.3.1), solved mod one prime of the ladder at a time.
 
-    Each vector is solved mod p, lifted by rational reconstruction and
-    checked over the integers.  A checked vector makes its free column
-    dependent over Q, and a column independent mod p is independent over Q,
-    so the free columns through the last checked vector are those over Q.
-    When a lift fails, the next prime whose free columns begin with those
-    already yielded resumes after them.
+    ``matrices`` yields (p, rows, width) for successive primes: the matrix
+    mod p as ``_echelon_mod_p`` takes it.  It is read lazily, one prime per
+    climb.  ``lift(end)`` solves the vectors at the free columns below
+    ``end`` past those accepted, and lifts each by rational reconstruction,
+    scaled to coprime integers with its first nonzero entry positive.  A
+    lift whose denominator is above the reconstruction bound has failed, and
+    the kernel climbs at once; the caller checks the others exactly, then
+    calls ``accept(end)`` when all are exact and ``climb()`` when one is
+    not.
+
+    An exact vector makes its free column dependent over Q, and a column
+    independent mod p is independent over Q, so the free columns through the
+    last accepted vector are those over Q, and an exact vector is the
+    reduced vector at its column whatever the prime.  A climb goes to the
+    next prime whose free columns begin with those accepted, and resumes
+    after them.
     """
-    if not matrix:
-        return
-    ncols = len(matrix[0])
-    done: list[int] = []  # the free columns of the vectors yielded so far
-    for p in _PRIMES:
-        ech, pivots = _echelon_mod_p(matrix, p)
-        free = sorted(set(range(ncols)) - set(pivots))
-        if free[: len(done)] != done:
-            continue
+
+    def __init__(self, matrices: Iterable[tuple[int, list[int], int]], ncols: int):
+        self.ncols = ncols
+        self.done: list[int] = []  # the free columns of the accepted vectors
+        self._matrices = iter(matrices)
+        self.climb()
+
+    def climb(self) -> None:
+        for p, rows, width in self._matrices:
+            ech, pivots = _echelon_mod_p(rows, self.ncols, width, p)
+            free = sorted(set(range(self.ncols)) - set(pivots))
+            if free[: len(self.done)] == self.done:
+                self.p, self._ech, self._pivots, self._free = p, ech, pivots, free
+                return
+        raise MiningError(
+            "exact kernel not found: its entries are too large for rational "
+            f"reconstruction mod 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+        )
+
+    def _pending(self, end: int) -> list[int]:
+        return [fc for fc in self._free[len(self.done) :] if fc < end]
+
+    def lift(self, end: int) -> list[list[int]]:
+        while True:
+            vecs = []
+            for fc in self._pending(end):
+                vec = self._lift(fc)
+                if vec is None:
+                    break
+                vecs.append(vec)
+            else:
+                return vecs
+            self.climb()
+
+    def accept(self, end: int) -> None:
+        self.done += self._pending(end)
+
+    def _lift(self, fc: int) -> list[int] | None:
+        p = self.p
+        # back-substitution leaves every pivot column past fc at 0
+        x = [0] * self.ncols
+        x[fc] = 1
+        for row, pc in zip(reversed(self._ech), reversed(self._pivots)):
+            if pc < fc:
+                x[pc] = -sum(row[c] * x[c] for c in range(pc + 1, fc + 1)) % p
         bound = math.isqrt(p // 2)
-        for fc in free[len(done) :]:
-            # back-substitution leaves every pivot column past fc at 0
-            x = [0] * ncols
-            x[fc] = 1
-            for row, pc in zip(reversed(ech), reversed(pivots)):
-                if pc < fc:
-                    x[pc] = -sum(row[c] * x[c] for c in range(pc + 1, fc + 1)) % p
-            fracs = [_rational_mod_p(val, p, bound) for val in x]
-            den = math.lcm(*(d for _, d in fracs))
-            vec = [n * (den // d) for n, d in fracs]
-            support = [c for c in range(fc + 1) if vec[c]]
-            if any(sum(row[c] * vec[c] for c in support) for row in matrix):
-                break
-            g = gcd(*vec) if vec[support[0]] > 0 else -gcd(*vec)
-            done.append(fc)
-            yield [val // g for val in vec]
-        else:
-            return
-    raise MiningError(
-        "exact kernel not found: its entries are too large for rational "
-        f"reconstruction mod 2^{_MERSENNE_EXPONENTS[-1]} - 1"
-    )
+        fracs = [_rational_mod_p(val, p, bound) for val in x]
+        if any(d > bound for _, d in fracs):
+            return None
+        den = math.lcm(*(d for _, d in fracs))
+        vec = [n * (den // d) for n, d in fracs]
+        g = gcd(*vec) if next(val for val in vec if val) > 0 else -gcd(*vec)
+        return [val // g for val in vec]
+
+
+def _pack_rows(matrix: list[list[int]], p: int) -> tuple[list[int], int]:
+    """An integer matrix mod p as ``_echelon_mod_p`` takes it, and its
+    field bytes."""
+    width = _field_bytes(p, len(matrix))
+    rows = [
+        int.from_bytes(b"".join((x % p).to_bytes(width, "little") for x in row), "little")
+        for row in matrix
+    ]
+    return rows, width
 
 
 def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the right kernel of an integer matrix: the reduced basis,
     each vector scaled to coprime integers with its first nonzero entry
-    positive."""
-    return list(_kernel_basis(matrix))
+    positive, each lift checked over the integers (``_ReducedKernel``)."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    kernel = _ReducedKernel(((p, *_pack_rows(matrix, p)) for p in _PRIMES), ncols)
+    while True:
+        basis = kernel.lift(ncols)
+        if not any(sum(a * x for a, x in zip(row, vec)) for vec in basis for row in matrix):
+            return basis
+        kernel.climb()
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +714,22 @@ def _horner_residual(
     return residual.truncate(top), base_exp
 
 
-def _series_vanishes(
+def _first_nonzero(
     poly: BivarIntPoly,
     u: PuiseuxSeries,
     v: PuiseuxSeries,
     through_rows: int,
-) -> tuple[bool, int]:
-    """Check that P(u, v) has no nonzero coefficient below the exponent
-    floor(b) + ``through_rows``, b the least leading exponent of its
-    monomials (``_horner_residual``).  Returns (True, through_rows), or
-    (False, k) with k the grid row above b of the first nonzero
-    coefficient, on the grid of the residual below that exponent."""
+) -> tuple[int, Fraction] | None:
+    """The first nonzero coefficient of P(u, v) below the exponent floor(b)
+    + ``through_rows``, b the least leading exponent of its monomials
+    (``_horner_residual``): None when there is none, else (k, e) with e its
+    exponent and k its grid row above b, on the grid of the residual below
+    that exponent."""
     residual, base_exp = _horner_residual(poly, u, v, through_rows)
-    if residual.nums:
-        return False, min(residual.nums) - math.floor(base_exp * residual.denom)
-    return True, through_rows
+    if not residual.nums:
+        return None
+    lead = min(residual.nums)
+    return lead - math.floor(base_exp * residual.denom), Fraction(lead, residual.denom)
 
 
 EXTRA_ORDERS = 25  # series rows a relation must vanish on past its matrix's
@@ -624,10 +754,11 @@ def validate(
         if rel.u_binding is None or rel.v_binding is None:
             raise ValidationFailed("no series supplied and no bindings to rebuild from")
         u, v = build_binding_series(rel.u_binding, rel.v_binding, Fraction(rows_needed))
-    ok, info = _series_vanishes(rel.poly, u, v, rows_needed)
-    if not ok:
+    first = _first_nonzero(rel.poly, u, v, rows_needed)
+    if first is not None:
         raise ValidationFailed(
-            f"series residual is nonzero {info} grid rows above the base exponent"
+            f"series residual is nonzero {first[0]} grid rows above the base exponent",
+            exponent=first[1],
         )
     checks = []
     threshold = numeric.ten_to(-Fraction(digits, 2))
@@ -672,7 +803,16 @@ def mine(
     degree's vectors are tried fewest terms first, then in lexicographic
     order, so the returned polynomial has the least total degree present in
     the kernel.  One elimination per prime serves every total degree.
-    MiningNotFound carries each degree's rank over Q.
+
+    The matrix is built mod the first prime of the ladder; the next prime's
+    tables are built only when a lift fails.  ``validate``'s series residual
+    is the exact check of a lift, so a candidate costs no evaluation beyond
+    its certificate: a residual nonzero on the matrix rows means the vector
+    is not in the kernel over Q, and the degree climbs.  The first candidate
+    that validates is returned without checking the lifts tried after it,
+    so where two relations share the least total degree, a bad lift after
+    the returned one could hide one that sorts before it.  MiningNotFound
+    carries each degree's rank over Q.
     """
     bound = u_binding is not None and v_binding is not None
     if bound and (u is None or v is None):
@@ -694,36 +834,61 @@ def mine(
         M = common_known_order(u, v)
         if M is None:
             raise MiningError("both series are exact; specify M explicitly")
-    # every degree's matrix reads its monomials from one table, cut to the
-    # rows of the largest matrix
-    table = MonomialTable.truncated(u, v, s_max, max_rows)
+    # a prime that divides a scale cannot invert it
+    primes = [p for p in _PRIMES if u.scale % p and v.scale % p]
+    tables: dict[int, MonomialTable] = {}
+
+    def matrices(s: int, rows: int) -> Iterator[tuple[int, list[int], int]]:
+        # each prime's table is built on first use: the first prime's serves
+        # every degree, so it is cut to the rows of the largest matrix; a
+        # prime climbed to serves only the degrees that climb, so it is cut
+        # to theirs, and rebuilt when a later one needs more
+        for p in primes:
+            need = max_rows if p == primes[0] else rows
+            if p not in tables or tables[p].rows < need:
+                tables[p] = MonomialTable(u, v, need, p)
+            yield p, build_coeff_matrix(u, v, s, rows, tables[p])[0], tables[p].width
+
     for s, rows in all_rows.items():
-        int_rows, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
-        polys = (
-            BivarIntPoly.normalized([(i, j, c) for (i, j), c in zip(cols, vec)])
-            for vec in _kernel_basis(int_rows)
-        )
-        candidates = itertools.chain.from_iterable(
-            sorted(group, key=lambda p: (p.term_count(), p.terms))
-            for _, group in itertools.groupby(polys, key=lambda p: p.total_degree)
-        )
-        nullity = 0
-        for poly in candidates:
-            nullity += 1
-            rel = MinedRelation(
-                poly=poly,
-                degree=s,
-                validated_grid_order=rows,
-                u_binding=u_binding,
-                v_binding=v_binding,
-            )
-            try:
-                return validate(rel, digits=digits, u=u, v=v)
-            except ValidationFailed as exc:
-                # a kernel vector failing certification is an artifact of
-                # the truncation; keep looking
-                failures.append(f"s={s}: {poly} rejected ({exc})")
-        rank_profile[s] = len(cols) - nullity
+        cols = _columns(s)
+        kernel = _ReducedKernel(matrices(s, rows), len(cols))
+        # a lift is exact when P(u, v) vanishes on the matrix rows, the grid
+        # rows below this exponent
+        top = Fraction(tables[kernel.p].base(s) + rows, tables[kernel.p].denom)
+        # the reduced basis in order of total degree: each total degree's
+        # vectors are lifted together and tried fewest terms first
+        for end in [sum(1 for c in cols if sum(c) <= d) for d in range(2 * s + 1)]:
+            while True:
+                polys = sorted(
+                    (
+                        BivarIntPoly.normalized([(i, j, c) for (i, j), c in zip(cols, vec)])
+                        for vec in kernel.lift(end)
+                    ),
+                    key=lambda p: (p.term_count(), p.terms),
+                )
+                rejected = []
+                for poly in polys:
+                    rel = MinedRelation(
+                        poly=poly,
+                        degree=s,
+                        validated_grid_order=rows,
+                        u_binding=u_binding,
+                        v_binding=v_binding,
+                    )
+                    try:
+                        return validate(rel, digits=digits, u=u, v=v)
+                    except ValidationFailed as exc:
+                        if exc.exponent is not None and exc.exponent < top:
+                            break  # not a kernel vector over Q: a bad lift
+                        # a kernel vector failing certification is an
+                        # artifact of the truncation; keep looking
+                        rejected.append(f"s={s}: {poly} rejected ({exc})")
+                else:
+                    kernel.accept(end)
+                    failures += rejected
+                    break
+                kernel.climb()
+        rank_profile[s] = len(cols) - len(kernel.done)
     msg = f"no certified integer relation of degree <= {s_max} through grid order {M}"
     if failures:
         msg += "; rejected candidates: " + " | ".join(failures[:4])

@@ -210,14 +210,18 @@ def residual_str(value, digits: int) -> str:
 def _power(x: mpf, e: Fraction) -> mpf:
     """x^e for x >= 0 as an integer power of x^(1/den e), with no log or exp.
     A Newton step mends ``mpmath.root``, 1e-766 off at n = 55 and 815 digits;
-    an integer e needs neither."""
+    an integer e needs neither.  The step's y^n and the power multiply a
+    relative error by n and by the numerator, so both run with the
+    exponent's bit length in extra bits, as ``theta_sum`` takes its root."""
     if e.denominator == 1:
         return x ** e.numerator
     n = e.denominator
-    y = mpmath.root(x, n)
-    if y:
-        y += y * (x / y ** n - 1) / n
-    return y ** e.numerator
+    with mp.workprec(mp.prec + max(abs(e.numerator), n).bit_length()):
+        y = mpmath.root(x, n)
+        if y:
+            y += y * (x / y ** n - 1) / n
+        y = y ** e.numerator
+    return +y
 
 
 def _neg_log(x: mpf) -> float:
@@ -437,6 +441,7 @@ def theta_sum(
     q: BigReal,
     digits: int | None = None,
     alternating: bool = True,
+    cancel: int = 0,
 ) -> BigReal:
     """Bilateral sum of (+-1)^n q^(a n^2 + b n), with no log or exp.
 
@@ -454,14 +459,19 @@ def theta_sum(
     bits of ``prec`` hold near 2^-ceil(wd log2 10).  The taper adds < 2^-g u
     to each product, and < 3 2^-g u of ratio error per step, which reaches
     the m-th term as < 3m 2^-g u; with g = (4 n0).bit_length() + 4 that is
-    < 1/16 u a step, n0/8 u in all."""
+    < 1/16 u a step, n0/8 u in all.
+
+    The budget is in units of the largest term, so a sum that cancels below
+    it loses digits.  ``cancel`` is how many the caller expects it to lose;
+    they are added to the working precision.  A sum that loses more than
+    that plus half the guard digits (near an odd b/a, or a nome near 1) is
+    summed again with the digits it lost added."""
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0:
         raise ValueError("theta evaluation requires a > 0")
     if digits is None:
         digits = q.digits
-    wd = digits + GUARD
     qv = q.value
     if not (0 < qv < 1):
         raise ValueError("theta evaluation requires 0 < q < 1")
@@ -471,19 +481,26 @@ def theta_sum(
     d = math.lcm(a.denominator, b.denominator)
     # |bd| <= ad, and bd = +-ad only when b/a is odd, so never alternating
     ad, bd = int(a * d), int((b + 2 * a * c) * d)
-    n0 = _term_count(a, b + 2 * a * c, _neg_log(qv), wd)
-    guard = (4 * n0).bit_length()  # for the walk's floors; its taper takes 4 more
-    prec = math.ceil(wd * math.log2(10)) + guard
     sign = -1 if alternating else 1
     e_head = bd * c - ad * c * c
-    # a power of the root q^(1/d) multiplies its relative error by the
-    # exponent, so the root and its powers take that many more bits
-    with mp.workprec(prec + max(abs(e_head), ad + abs(bd)).bit_length()):
-        root = _power(qv, Fraction(1, d))
-        head = sign ** abs(c) * root ** e_head
-        up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
-        down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
-    total = _fold(up, down, ad, bd, n0, prec, guard + 4)
+    while True:
+        wd = digits + GUARD + cancel
+        n0 = _term_count(a, b + 2 * a * c, _neg_log(qv), wd)
+        guard = (4 * n0).bit_length()  # for the walk's floors; its taper takes 4 more
+        prec = math.ceil(wd * math.log2(10)) + guard
+        # a power of the root q^(1/d) multiplies its relative error by the
+        # exponent, so the root and its powers take that many more bits
+        with mp.workprec(prec + max(abs(e_head), ad + abs(bd)).bit_length()):
+            root = _power(qv, Fraction(1, d))
+            head = sign ** abs(c) * root ** e_head
+            up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
+            down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
+        total = _fold(up, down, ad, bd, n0, prec, guard + 4)
+        # the digits the sum lost below its largest term, 2^prec
+        lost = math.floor((prec - abs(total).bit_length()) * math.log10(2))
+        if wd - lost >= digits + GUARD // 2:
+            break
+        cancel = lost
     with mp.workdps(wd):
         return BigReal(mpf((total, -prec)) * head, digits)
 
@@ -508,7 +525,7 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
         cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(qv) * math.log(10)))
     except (OverflowError, ZeroDivisionError):
         raise ValueError("eta with this scale p and nome q leaves the float range") from None
-    total = theta_sum(3 * p / 2, -p / 2, q, digits + cancel)
+    total = theta_sum(3 * p / 2, -p / 2, q, digits, cancel=cancel)
     with mp.workdps(digits + GUARD):
         return BigReal(+total.value, digits)
 

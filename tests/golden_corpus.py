@@ -84,6 +84,13 @@ MINE_JOBS = {
         "--a=-2", "--p", "8", "--power", "12", "--v", "m_q2_squared",
         "--max-degree", "5",
     ],
+    # two searches that find nothing and exit 2
+    "not found A(1,3)^12 m max-degree 3": [
+        "--a", "1", "--p", "3", "--power", "12", "--v", "m", "--max-degree", "3",
+    ],
+    "not found A(1,5)^3 m max-degree 4": [
+        "--a", "1", "--p", "5", "--power", "3", "--v", "m", "--max-degree", "4",
+    ],
 }
 
 RECOGNIZE_JOBS = {

@@ -43,6 +43,17 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.5707963267948966")
 
+    def test_quotient_with_a_tiny_a(self, capsys):
+        # the 140-digit value rounded to 60 digits: q^delta's exponent has a
+        # 204-bit denominator, and the theta sum, at b/a = 1 - 5e-31, sits 30
+        # digits below its largest term
+        code, out, _ = run(
+            capsys, "eval", "--fn", "A", "--a", "1e-30", "--p", "4", "--q", "0.5",
+            "--digits", "60",
+        )
+        assert code == 0
+        assert out == "4.79511349799342204523412527659626027246599785323328483038247e-31\n"
+
     def test_inverse_modulus_of_tiny_x(self, capsys):
         # the 200-digit AGM value (agm(1, x')/agm(1, x))^2 at x = 10^-40,
         # rounded to 60 digits

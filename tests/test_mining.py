@@ -50,7 +50,10 @@ REL_M1_6 = BivarIntPoly.normalized(
 )
 
 
-def rank_mod_p(rows, p=(1 << 61) - 1):
+P61, P89 = (1 << 61) - 1, (1 << 89) - 1
+
+
+def rank_mod_p(rows, p=P61):
     """Reference rank over the prime field: plain Gaussian elimination."""
     m = [[x % p for x in row] for row in rows]
     rank = 0
@@ -282,23 +285,29 @@ class TestExactNullspace:
         # rungs past 2^4423 - 1 take seconds each; they rest on the citation
         assert all(lucas_lehmer(e) for e in exps if e <= 4423)
 
-    def test_lazy_basis_resumes_after_a_climb(self, monkeypatch):
+    def test_lazy_basis_resumes_after_a_climb(self):
         # the second vector's entry 2^40 is past the reconstruction bound
-        # mod 2^61 - 1; the next rung resumes at its free column
+        # mod 2^61 - 1, where it lifts to a small wrong vector that only the
+        # exact check refuses; the next rung resumes at its free column
         matrix = [[1, -1, 0, 0], [0, 0, 2 ** 40, 5]]
         primes = []
 
-        def echelon(rows, p):
-            primes.append(p)
-            return real_echelon(rows, p)
+        def matrices():
+            for p in mining._PRIMES:
+                primes.append(p)
+                yield (p, *mining._pack_rows(matrix, p))
 
-        real_echelon = mining._echelon_mod_p
-        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
-        basis = mining._kernel_basis(matrix)
-        assert next(basis) == [1, 1, 0, 0]
-        assert primes == [(1 << 61) - 1]
-        assert list(basis) == [[0, 0, 5, -(2 ** 40)]]
-        assert primes == [(1 << 61) - 1, (1 << 89) - 1]
+        kernel = mining._ReducedKernel(matrices(), 4)
+        assert kernel.lift(2) == [[1, 1, 0, 0]]
+        kernel.accept(2)
+        assert primes == [P61]
+        (bad,) = kernel.lift(4)
+        assert bad == [0, 0, 10485760, -1]
+        assert any(sum(a * x for a, x in zip(row, bad)) for row in matrix)
+        assert primes == [P61]
+        kernel.climb()
+        assert kernel.lift(4) == [[0, 0, 5, -(2 ** 40)]]
+        assert primes == [P61, P89]
         assert exact_nullspace(matrix) == bareiss_nullspace(matrix)
 
     def test_resume_skips_a_prime_unlucky_on_the_solved_columns(self):
@@ -317,8 +326,19 @@ class TestExactNullspace:
     @example([[5], [0], [-7]])
     @example([[3, 6, 9], [1, 2, 3], [0, 0, 0], [2, 4, 6]])
     def test_packed_elimination_matches_the_list_oracle(self, e, matrix):
+        # rows come packed with fields below 2^(e+1), not always below p: an
+        # odd entry is packed as its residue plus p
         p = (1 << e) - 1
-        assert mining._echelon_mod_p(matrix, p) == echelon_mod_p_lists(matrix, p)
+        width = mining._field_bytes(p, len(matrix))
+        rows = [
+            int.from_bytes(
+                b"".join((x % p + p * (x % 2)).to_bytes(width, "little") for x in row),
+                "little",
+            )
+            for row in matrix
+        ]
+        got = mining._echelon_mod_p(rows, len(matrix[0]), width, p)
+        assert got == echelon_mod_p_lists(matrix, p)
 
     def test_lucas_lehmer_rejects_composites(self):
         assert [e for e in (3, 5, 7, 11, 13, 23, 29, 31) if lucas_lehmer(e)] == [
@@ -343,16 +363,132 @@ def fraction_matrix_kernel(u, v, cols, rows):
     return exact_nullspace(matrix)
 
 
+def reference_coeff_matrix(u, v, s, rows):
+    """The integer coefficient matrix of u^i v^j (0 <= i, j <= s) from exact
+    series products: (matrix, columns, base index, grid denominator,
+    scale), every column put over the lcm ``scale`` of the products'
+    scales, on the lcm of their grids from the least leading index."""
+    cols = sorted(((i, j) for i in range(s + 1) for j in range(s + 1)), key=sum)
+    prods = [u ** i * v ** j for i, j in cols]
+    denom = math.lcm(*(p.denom for p in prods))
+    base = min(min(p.nums) * (denom // p.denom) for p in prods if p.nums)
+    top = base + rows
+    for p in prods:
+        if p.hi is not None and p.hi * (denom // p.denom) < top:
+            raise InsufficientTruncation("short", required_grid_order=top)
+    scale = math.lcm(*(p.scale for p in prods))
+    rebased = [
+        {k * (denom // p.denom): c * (scale // p.scale) for k, c in p.nums.items()}
+        for p in prods
+    ]
+    matrix = [[col.get(e, 0) for col in rebased] for e in range(base, top)]
+    return matrix, cols, base, denom, scale
+
+
+def unpack_rows(rows, ncols, width, p):
+    """Packed rows as lists of fields reduced mod p."""
+    return [
+        [
+            int.from_bytes(raw[at : at + width], "little") % p
+            for at in range(0, ncols * width, width)
+        ]
+        for raw in (row.to_bytes(ncols * width, "little") for row in rows)
+    ]
+
+
+def rows_mod_p(u, v, s, rows, p=P61, table=None):
+    """build_coeff_matrix's rows mod p as lists, with its other results."""
+    if table is None:
+        table = mining.MonomialTable(u, v, rows, p)
+    m, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
+    return unpack_rows(m, len(cols), table.width, p), cols, base, denom
+
+
+def reference_mod_p(u, v, s, rows, p=P61):
+    """The reference matrix over Q, mod p, with its other results."""
+    matrix, cols, base, denom, scale = reference_coeff_matrix(u, v, s, rows)
+    inv = pow(scale, -1, p)
+    return [[x * inv % p for x in row] for row in matrix], cols, base, denom
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(u, v, s, rows): series on grids 1-6 with rational coefficients (so
+    scales other than 1) and a nonzero leading term, negative valuations
+    allowed, terms a multiple of 1-3 grid points apart (so packed on a
+    stride above 1 when the grid is 1), exact or known at least ``rows``
+    past it; 1 <= s <= 3."""
+    s, rows = draw(st.integers(1, 3)), draw(st.integers(1, 14))
+    spacing = draw(st.integers(1, 3))
+
+    def one():
+        denom = draw(st.integers(1, 6))
+        lead = draw(st.integers(-2 * denom, 2 * denom))
+        span = rows * denom + draw(st.integers(0, 2 * denom))
+        coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+        steps = draw(st.lists(st.integers(1, max(span // spacing, 1)), max_size=10))
+        coeffs = {lead + k * spacing: draw(coeff) for k in steps}
+        coeffs[lead] = F(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(2, 12)))
+        hi = None if draw(st.booleans()) else lead + span
+        return PuiseuxSeries(denom, coeffs, hi)
+
+    return one(), one(), s, rows
+
+
 class TestBuildCoeffMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_pairs())
+    # dense factors with scales 7 and 11: every field of every product is
+    # a full sum, which overflows its field unless products are folded twice
+    @example(
+        (
+            PuiseuxSeries(1, {k: F(-(k + 3) ** 5, 7) for k in range(-1, 30)}, 29),
+            PuiseuxSeries(1, {k: F((2 * k + 1) ** 7, 11) for k in range(1, 31)}, 31),
+            3,
+            14,
+        )
+    )
+    def test_rows_mod_p_equal_the_reference_over_q(self, pair):
+        u, v, s, rows = pair
+        for p in (P61, P89):
+            assert rows_mod_p(u, v, s, rows, p) == reference_mod_p(u, v, s, rows, p)
+
+    def test_table1_matrices_form_no_series_product(self, monkeypatch):
+        # the matrices are built mod p from u and v alone: exact series
+        # products are left to the series build and the Horner certificate
+        binding = ABinding(ThetaSpec(1, 3), 12)
+        u, v = build_binding_series(binding, "m", F(150))
+        all_rows = {
+            s: (s + 1) ** 2 + 10 + mining._valuation_spread(u, v, s) for s in range(1, 8)
+        }
+        calls = []
+
+        def counting(self, other):
+            calls.append(other)
+            return real_mul(self, other)
+
+        real_mul = PuiseuxSeries.__mul__
+        monkeypatch.setattr(PuiseuxSeries, "__mul__", counting)
+        table = mining.MonomialTable(u, v, all_rows[7], P61)
+        for s in range(1, 7):
+            build_coeff_matrix(u, v, s, all_rows[s], table)
+        # table-1's search climbs to 2^89 - 1 at s = 6
+        climbed = mining.MonomialTable(u, v, all_rows[6], P89)
+        build_coeff_matrix(u, v, 6, all_rows[6], climbed)
+        assert calls == []
+        u * v
+        assert len(calls) == 1
+
     def test_rational_columns_match_row_scaled_fractions(self):
         # u has halves and v thirds, so u^i v^j has scale 2^i 3^j
         u = PuiseuxSeries.from_pairs([(1, F(1, 2)), (2, 1), (5, -3)], order=40)
         v = u * u * F(4, 3)
-        m, cols, base, denom = build_coeff_matrix(u, v, 2, 19)
+        m, cols, base, denom, _ = reference_coeff_matrix(u, v, 2, 19)
         assert [(u ** i * v ** j).scale for i, j in cols] == [
             2 ** i * 3 ** j for i, j in cols
         ]
         assert all(isinstance(x, int) for row in m for x in row)
+        assert rows_mod_p(u, v, 2, 19) == reference_mod_p(u, v, 2, 19)
         ker = exact_nullspace(m)
         assert ker == fraction_matrix_kernel(u, v, cols, 19)
         relation = BivarIntPoly.normalized([(0, 1, 3), (2, 0, -4)])
@@ -363,9 +499,10 @@ class TestBuildCoeffMatrix:
 
     def test_constant_inputs(self):
         one = PuiseuxSeries.constant(1)
-        m, cols, base, denom = build_coeff_matrix(one, one, 1, 5)
+        m, cols, base, denom = rows_mod_p(one, one, 1, 5)
         assert base == 0
         assert all(not any(row) for row in m[1:])
+        assert m[0] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize(
         "u",
@@ -376,18 +513,33 @@ class TestBuildCoeffMatrix:
         ],
     )
     def test_unit_monomials_are_the_power_tables(self, u):
-        # u^i v^0 and u^0 v^j are read from the power tables: the same
-        # series, field by field, as the product with the exact 1
-        v = modulus_series(6)
-        table = mining.MonomialTable(u, v, 2)
-        one = PuiseuxSeries.constant(1)
+        # u^i v^0 and u^0 v^j are the power tables' own entries: the same
+        # fields, mod p, as the exact products with the exact 1, and known as
+        # far as those
+        # v has even exponents only, so beside the one-term and zero u the
+        # fields hold every second grid row
+        v = rescale(modulus_series(3), 2)
+        table = mining.MonomialTable(u, v, 4, P61)
+        assert table.stride == (1 if len(u.nums) > 1 else 2)
         for i, j in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]:
-            got, want = table.product(i, j), table.u_pows[i] * table.v_pows[j]
-            assert (got.denom, got.nums, got.scale, got.hi) == (
-                want.denom, want.nums, want.scale, want.hi
-            )
-        assert table.product(2, 0) is table.u_pows[2]
-        assert table.product(0, 0) == one
+            lead, known, packed = table.monomial(i, j)
+            want = u ** i * v ** j
+            f = table.denom // want.denom
+            if want.nums:
+                assert lead == min(want.nums) * f
+            if want.hi is not None:
+                assert lead + known <= want.hi * f
+            g = table.stride
+            n = -(-known // g)
+            fields = unpack_rows([packed], n, table.width, P61)[0]
+            inv = pow(want.scale, -1, P61)
+            assert fields == [
+                want.nums.get((lead + k * g) // f, 0) * inv % P61
+                if (lead + k * g) % f == 0 else 0
+                for k in range(n)
+            ]
+        assert not table._products  # no product was formed
+        assert table.monomial(0, 0) == (0, 4, 1)
 
     def test_rows_start_at_most_negative_exponent(self):
         u = PuiseuxSeries.from_pairs([(-1, 1), (0, 1)], order=20)
@@ -398,9 +550,14 @@ class TestBuildCoeffMatrix:
     def test_a14_nine_rows_kernel_is_one_dimensional(self):
         u = A_series(ThetaSpec(1, 4), 30) ** 12
         v = modulus_series(30)
-        m, cols, base, denom = build_coeff_matrix(u, v, 2, 9)
+        m, cols, base, denom, _ = reference_coeff_matrix(u, v, 2, 9)
         ker = exact_nullspace(m)
         assert len(ker) == 1
+        # the rows mod p lift to the same kernel
+        table = mining.MonomialTable(u, v, 9, P61)
+        rows = build_coeff_matrix(u, v, 2, 9, table)[0]
+        kernel = mining._ReducedKernel([(P61, rows, table.width)], len(cols))
+        assert kernel.lift(len(cols)) == ker
         poly = BivarIntPoly.normalized(
             [(i, j, c) for (i, j), c in zip(cols, ker[0])]
         )
@@ -422,9 +579,10 @@ class TestMine:
         assert len(rel.numeric_checks) == 2
 
     def test_shared_tables_build_the_standalone_matrices(self, monkeypatch):
-        # mine builds its power tables once at s_max, cut to the largest
-        # matrix's rows; every degree's matrix must equal the one that
-        # build_coeff_matrix builds from u and v on its own
+        # mine builds one table per prime, cut to the largest matrix's rows,
+        # and powers as far as the degrees reached; every degree's matrix
+        # must equal, mod p, the one that build_coeff_matrix builds from u
+        # and v on its own, and the reference over Q
         standalone = mining.build_coeff_matrix
         calls = []
 
@@ -437,11 +595,12 @@ class TestMine:
         assert mine_14(s_max=2).poly == REL_14
         assert [s for _, _, s, _, _ in calls] == [1, 2]
         (u, v, _, _, table), _ = calls
-        assert len(table.u_pows) == 3 and all(call[4] is table for call in calls)
-        assert table.u_pows[1].hi < u.hi and table.v_pows[1].hi < v.hi
+        assert len(table._pows[0]) == 3 and all(call[4] is table for call in calls)
+        assert table.rows == calls[-1][3] and table.p == P61
         for u, v, s, rows, table in calls:
-            matrix, cols, base, denom = standalone(u, v, s, rows, table)
-            assert (matrix, cols, base, denom) == standalone(u, v, s, rows)
+            got = rows_mod_p(u, v, s, rows, table=table)
+            assert got == rows_mod_p(u, v, s, rows)
+            assert got == reference_mod_p(u, v, s, rows)
 
     def test_rank_profile_matches_rank_of_each_column_subset(self):
         # the columns are ordered by total degree, so for every d the basis
@@ -451,7 +610,8 @@ class TestMine:
         v = rescale(modulus_series(45), 2) ** 2
         for s in (4, 5):
             rows = (s + 1) ** 2 + 10 + mining._valuation_spread(u, v, s)
-            m, cols, _, _ = build_coeff_matrix(u, v, s, rows)
+            m, cols, _, _, _ = reference_coeff_matrix(u, v, s, rows)
+            assert rows_mod_p(u, v, s, rows) == reference_mod_p(u, v, s, rows)
             basis = exact_nullspace(m)
             for d in range(2 * s + 1):
                 n = sum(1 for i, j in cols if i + j <= d)
@@ -554,9 +714,9 @@ class TestMine:
     def test_not_found_reports_the_full_rank_of_each_degree(self, monkeypatch):
         matrices = []
 
-        def recording(*args):
-            matrices.append(real_matrix(*args))
-            return matrices[-1]
+        def recording(u, v, s, rows, table):
+            matrices.append(reference_coeff_matrix(u, v, s, rows)[:2])
+            return real_matrix(u, v, s, rows, table)
 
         def reject(rel, **kwargs):
             raise ValidationFailed("forced")
@@ -569,7 +729,7 @@ class TestMine:
         assert "rejected candidates: s=2: " in str(exc.value)
         assert exc.value.rank_profile == {
             s: len(cols) - len(exact_nullspace(m))
-            for s, (m, cols, _, _) in enumerate(matrices, start=1)
+            for s, (m, cols) in enumerate(matrices, start=1)
         }
 
     def test_full_kernel_solved_only_after_restricted_candidates_fail(
@@ -577,25 +737,77 @@ class TestMine:
     ):
         # one elimination per degree serves every total degree, and only the
         # vectors that mine asks for are lifted
-        eliminations, lifted = [], []
+        eliminations, lifted = [], {}
 
-        def echelon(rows, p):
-            eliminations.append((len(rows[0]), p))
-            return real_echelon(rows, p)
+        def echelon(rows, ncols, width, p):
+            eliminations.append((ncols, p))
+            return real_echelon(rows, ncols, width, p)
 
-        def kernel(matrix):
-            lifted.append([])
-            for vec in real_kernel(matrix):
-                lifted[-1].append(vec)
-                yield vec
+        def lift(kernel, end):
+            vecs = real_lift(kernel, end)
+            lifted.setdefault(kernel.ncols, []).extend(vecs)
+            return vecs
 
-        real_echelon, real_kernel = mining._echelon_mod_p, mining._kernel_basis
+        real_echelon, real_lift = mining._echelon_mod_p, mining._ReducedKernel.lift
         monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
-        monkeypatch.setattr(mining, "_kernel_basis", kernel)
+        monkeypatch.setattr(mining._ReducedKernel, "lift", lift)
         assert mine_14().poly == REL_14
-        assert eliminations == [(4, (1 << 61) - 1), (9, (1 << 61) - 1)]
+        assert eliminations == [(4, P61), (9, P61)]
         # s = 2: the kernel's one vector, of total degree 3, validates
-        assert lifted == [[], [[16, -32, 0, 16, 0, 0, 0, -1, 0]]]
+        assert lifted == {4: [], 9: [[16, -32, 0, 16, 0, 0, 0, -1, 0]]}
+
+    def test_scale_divisible_by_the_first_prime_skips_it(self, monkeypatch):
+        # mod 2^61 - 1 the scale of u / (2^61 - 1) has no inverse, so its
+        # tables start at the next prime, and the relation is REL_14's
+        primes = []
+
+        def echelon(rows, ncols, width, p):
+            primes.append(p)
+            return real_echelon(rows, ncols, width, p)
+
+        real_echelon = mining._echelon_mod_p
+        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        u = A_series(ThetaSpec(1, 4), 62) ** 12
+        v = modulus_series(62)
+        scaled = mine(u * F(1, P61), v, 3, 120).poly
+        assert P61 not in primes and P89 in primes
+        # P(u / p, v) = 0 has the coefficients of REL_14 times p^i
+        assert all(c % P61 ** i == 0 for i, _, c in scaled.terms)
+        back = BivarIntPoly.normalized([(i, j, c // P61 ** i) for i, j, c in scaled.terms])
+        assert back == REL_14
+
+    @pytest.mark.parametrize("c, caught_by", [(3 ** 20, "filter"), (3 ** 23, "residual")])
+    def test_bad_lift_climbs_to_the_next_prime(self, monkeypatch, c, caught_by):
+        # v = c u, so the kernel vector at column u is (0, -1/c, 1), past the
+        # reconstruction bound 2^30 mod 2^61 - 1 and within 2^44 mod
+        # 2^89 - 1.  Mod 2^61 - 1, -1/c reconstructs with a denominator
+        # above the bound for c = 3^20, so the lift fails at once; for
+        # c = 3^23 to a small wrong fraction, whose residual is nonzero on
+        # the matrix rows
+        primes, verdicts = [], []
+
+        def echelon(rows, ncols, width, p):
+            primes.append(p)
+            return real_echelon(rows, ncols, width, p)
+
+        def recording(rel, **kwargs):
+            try:
+                out = real_validate(rel, **kwargs)
+            except ValidationFailed as exc:
+                verdicts.append(exc.exponent)
+                raise
+            verdicts.append("ok")
+            return out
+
+        real_echelon, real_validate = mining._echelon_mod_p, mining.validate
+        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        monkeypatch.setattr(mining, "validate", recording)
+        u = PuiseuxSeries.from_pairs([(1, 1), (3, 1)])
+        rel = mine(u, u * c, 1, 30)
+        assert rel.poly == BivarIntPoly.normalized([(0, 1, 1), (1, 0, -c)])
+        assert primes == [P61, P89]
+        # the residual of the wrong lift is nonzero at q^1, u's leading term
+        assert verdicts == (["ok"] if caught_by == "filter" else [1, "ok"])
 
     def test_short_unbound_pair_raises_insufficient_truncation(self):
         # with no bindings mine cannot rebuild the series, so a pair too
@@ -692,7 +904,7 @@ class TestValidate:
         v = PuiseuxSeries.from_pairs([(1, 1), (2, -3)], order=200)
         for tail in ([(40, 1), (F(201, 2), 1)], [(40, 1)]):
             u = v + PuiseuxSeries.from_pairs(tail)
-            assert mining._series_vanishes(poly, u, v, 60) == (False, 39)
+            assert mining._first_nonzero(poly, u, v, 60) == (39, 40)
 
     def test_validate_without_bindings_needs_series(self):
         rel = MinedRelation(poly=REL_14, degree=2, validated_grid_order=19)
@@ -821,11 +1033,11 @@ class TestKnownThrough:
         assert residual.knowledge_order() == top
         assert full.knowledge_order() is None or full.knowledge_order() >= top
         assert (residual - full).truncate(top).is_zero()
-        ok, _ = mining._series_vanishes(poly, u, v, n)
+        ok = mining._first_nonzero(poly, u, v, n) is None
         assert ok == full.truncate(top).is_zero()
         # a residual that vanishes collapses to the integer grid
         square = BivarIntPoly.normalized([(2, 0, 1), (0, 1, -1)])
-        assert mining._series_vanishes(square, u, u * u, n)[0]
+        assert mining._first_nonzero(square, u, u * u, n) is None
 
     def test_unknown_v_binding(self):
         with pytest.raises(ValueError, match="unknown v binding 'zz'"):

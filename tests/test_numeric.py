@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -83,9 +83,14 @@ class TestBigReal:
     @settings(max_examples=100, deadline=None)
     @given(
         st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
-        st.fractions(min_value=-30, max_value=30, max_denominator=150),
+        st.fractions(min_value=-30, max_value=30, max_denominator=10 ** 40),
         st.integers(20, 1000),
     )
+    # exponents whose bit length the root and the power must carry
+    @example(F(1, 2), F(1, 3) - F(1, 2 * 10 ** 30) + F(1, 8 * 10 ** 60), 60)
+    @example(F(2, 3), F(10 ** 40 + 1, 10 ** 40 - 3), 60)
+    @example(F(7, 5), F(-29 * 10 ** 39 + 7, 10 ** 39 + 1), 60)
+    @example(F(999, 1000), F(10 ** 40 - 1, 10 ** 40), 100)
     def test_fraction_power_equals_exp_log(self, x, e, digits):
         self.assert_power_equals_exp_log(x, e, digits)
 
@@ -736,6 +741,29 @@ class TestThetaSumWindow:
         af, bf = float(a), abs(float(b))
         n0 = int((bf + math.sqrt(bf * bf + 4 * af * float(need))) / (2 * af)) + 2
         assert _term_count(a, b, -float(lq), wd) == n0
+
+
+class TestThetaSumCancellation:
+    # sums far below their largest term: near an odd b/a, where the terms
+    # cancel in pairs, and at nomes near 1.  The value at d digits must be
+    # the value at 2d + 20 digits rounded to d; the far-below values are
+    # those of the Poisson dual (ROADMAP item 1).
+    @pytest.mark.parametrize(
+        "a, b, qtext, far_below",
+        [
+            (2, 2 - F(1, 10 ** 30), "0.5", "e-31"),
+            (1, 0, "0.999", "e-1069"),
+            (2, 1, "0.999", "e-534"),
+            (F(1, 2), F(1, 4), "0.99", "e-212"),
+            (2, 1, "0.99", "e-53"),
+        ],
+        ids=str,
+    )
+    def test_value_survives_doubled_digits(self, a, b, qtext, far_below):
+        got = theta_sum(a, b, big_real(qtext, 60))
+        want = theta_sum(a, b, big_real(qtext, 140))
+        assert got.nstr(60) == want.nstr(60)
+        assert got.nstr(60).endswith(far_below)
 
 
 class TestThetaSumLargestTermFarFromZero:
