@@ -14,10 +14,11 @@ a Mersenne prime p = 2^e - 1, keeps every monomial as one packed int of
 fixed-width fields and folds a product's fields back below 2^(e+1) at once,
 and ``build_coeff_matrix`` cuts each degree's rows out of it in the packed
 form the elimination takes, which reduces a field mod p only when it reads
-it.  A lift is checked by rational reconstruction's denominator and then by
-the series certificate, which evaluates P(u, v) exactly by Horner in u from
-factors cut to its window (one product per u-degree plus the powers of v):
-a residual nonzero on the matrix rows means a bad lift, and the search
+it.  A lift is checked by maximal-quotient rational reconstruction
+(Monagan, ISSAC 2004; reach |n| d < p/(2T)) and then by the series
+certificate, which evaluates P(u, v) exactly by Horner in u from factors
+cut to its window (one product per u-degree plus the powers of v): a
+residual nonzero on the matrix rows means a bad lift, and the search
 climbs to the next prime.
 """
 
@@ -269,6 +270,7 @@ _MERSENNE_EXPONENTS = (
     11213, 19937, 21701, 23209, 44497,
 )
 _PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+QUOTIENT_T = 1 << 24  # T: a rational reconstruction's quotient must exceed it
 
 
 def _field_bytes(p: int, n: int) -> int:
@@ -488,17 +490,23 @@ def _echelon_mod_p(
     return ech, pivots
 
 
-def _rational_mod_p(a: int, p: int, bound: int) -> tuple[int, int]:
-    """n/d with d > 0 and n = a d mod p, from the extended Euclidean
-    algorithm stopped at the first remainder n <= bound: when 2 bound^2 < p
-    and a fraction with |n|, d <= bound exists, it is this one (rational
-    reconstruction, von zur Gathen & Gerhard, Modern Computer Algebra,
-    5.10).  Otherwise d may exceed bound, and the lift is a failed one."""
-    r0, r1, s0, s1 = p, a, 0, 1
-    while r1 > bound:
+def _rational_mod_p(a: int, p: int) -> tuple[int, int] | None:
+    """n/d with d > 0 and n = a d mod p, or None: the candidate r_i/t_i of
+    the extended Euclidean algorithm on (p, a) with the largest quotient
+    r_(i-1) // r_i, if above T (maximal-quotient rational reconstruction,
+    M. Monagan, ISSAC 2004).  Reach |n| d < p/(2T): an n/d with 2 |n| d
+    max(T, |n|, d) < p is a convergent of a/p whose quotient, over
+    p/(|n| d) - 2, beats T and all others (each at most max(|n|, d)).  Two
+    fractions in that reach may share a residue (2^35 = 1/2^26 mod 2^61 - 1);
+    a random residue passes with odds about log2(p)/T."""
+    best, frac = QUOTIENT_T, (None if a else (0, 1))
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 and r0 > best:  # no later quotient exceeds r0
         q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
+        if q > best:
+            best, frac = q, (r1, t1) if t1 > 0 else (-r1, -t1)
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return frac
 
 
 class _ReducedKernel:
@@ -509,12 +517,12 @@ class _ReducedKernel:
     ``matrices`` yields (p, rows, width) for successive primes: the matrix
     mod p as ``_echelon_mod_p`` takes it.  It is read lazily, one prime per
     climb.  ``lift(end)`` solves the vectors at the free columns below
-    ``end`` past those accepted, and lifts each by rational reconstruction,
-    scaled to coprime integers with its first nonzero entry positive.  A
-    lift whose denominator is above the reconstruction bound has failed, and
-    the kernel climbs at once; the caller checks the others exactly, then
-    calls ``accept(end)`` when all are exact and ``climb()`` when one is
-    not.
+    ``end`` past those accepted, and lifts each by rational reconstruction
+    (``_rational_mod_p``: Monagan's, reach |n| d < p/(2T)), scaled to
+    coprime integers with its first nonzero entry positive.  A lift with an
+    entry that has no reconstruction has failed, and the kernel climbs at
+    once; the caller checks the others exactly, then calls ``accept(end)``
+    when all are exact and ``climb()`` when one is not.
 
     An exact vector makes its free column dependent over Q, and a column
     independent mod p is independent over Q, so the free columns through the
@@ -568,9 +576,8 @@ class _ReducedKernel:
         for row, pc in zip(reversed(self._ech), reversed(self._pivots)):
             if pc < fc:
                 x[pc] = -sum(row[c] * x[c] for c in range(pc + 1, fc + 1)) % p
-        bound = math.isqrt(p // 2)
-        fracs = [_rational_mod_p(val, p, bound) for val in x]
-        if any(d > bound for _, d in fracs):
+        fracs = [_rational_mod_p(val, p) for val in x]
+        if None in fracs:
             return None
         den = math.lcm(*(d for _, d in fracs))
         vec = [n * (den // d) for n, d in fracs]

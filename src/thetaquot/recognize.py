@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import BigReal, big_real, ten_to
+from .numeric import MIN_DIGITS, BigReal, big_real, ten_to
 
 __all__ = ["IntPoly", "NotFound", "recognize", "lll_reduce"]
 
@@ -156,17 +156,25 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA) -> list[list
 
 def _certify(poly: IntPoly, x: BigReal, digits: int) -> bool:
     """Re-evaluate at doubled working precision; certify only when the
-    residual is overwhelmingly small and the coefficient vector carries far
-    less information than the input supplied (wide overdetermination
-    margin).  A lattice artifact at the wrong degree has coefficients of
-    roughly digits/(d+2) decimal digits each, so the information cap is on
-    the total bitsize of the vector."""
+    residual is overwhelmingly small, also against the largest term c_i x^i
+    when that is below 1 (a tiny x makes every P(x) = c x tiny), and the
+    coefficient vector carries far less information than the input supplied
+    (wide overdetermination margin).  A lattice artifact at the wrong degree
+    has coefficients of roughly digits/(d+2) decimal digits each, so the
+    information cap is on the total bitsize of the vector."""
     cap_bits = int(COEFF_EXPONENT * digits * 3.321928)
     total_bits = sum(abs(c).bit_length() for c in poly.coeffs)
     if total_bits > cap_bits:
         return False
     cert_tol = ten_to(-float(CERT_EXPONENT * digits))
-    return abs(poly.eval_mpf(BigReal(x.value, 2 * digits))) < cert_tol
+    resid = abs(poly.eval_mpf(BigReal(x.value, 2 * digits)))
+    if not resid < cert_tol:
+        return False
+    if poly.coeffs[0] or resid == 0:
+        return True  # a nonzero constant term is a term of size at least 1
+    low = big_real(x, MIN_DIGITS)  # a term's size needs few digits
+    top = max(abs(c * low ** i) for i, c in enumerate(poly.coeffs))
+    return resid < cert_tol * min(1, top)
 
 
 def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:

@@ -441,6 +441,29 @@ class TestRecognizeCommand:
         assert code == 1
         assert "NotFound" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--value", "1e-40", "--max-degree", "2"),
+            ("--value", "3e-37", "--max-degree", "1"),
+            # the value is 5.5e-76
+            ("--a", "1", "--p", "4", "--power", "-2000", "--r", "1", "--max-degree", "2"),
+        ],
+        ids=["1e-40", "3e-37", "A^-2000"],
+    )
+    def test_a_tiny_value_is_not_certified_as_x(self, capsys, argv):
+        # |x| is below 10^(-0.6 d), but P(x) = x is not small against its
+        # own term x
+        code, out, _ = run(capsys, "recognize", *argv)
+        assert code == 1
+        assert "NotFound" in out
+
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_zero_is_x(self, capsys, degree):
+        code, out, _ = run(capsys, "recognize", "--value", "0", "--max-degree", degree)
+        assert code == 0
+        assert 'polynomial "x"' in out
+
 
 class TestNarrowedSurface:
     """Removed spellings and --digits outside [20, 5000] exit 2 with one

@@ -286,9 +286,10 @@ class TestExactNullspace:
         assert all(lucas_lehmer(e) for e in exps if e <= 4423)
 
     def test_lazy_basis_resumes_after_a_climb(self):
-        # the second vector's entry 2^40 is past the reconstruction bound
-        # mod 2^61 - 1, where it lifts to a small wrong vector that only the
-        # exact check refuses; the next rung resumes at its free column
+        # the second vector's entry -5/2^40 is beyond the reconstruction's
+        # reach mod 2^61 - 1, where -5 * 2^21 / 1 has the larger quotient, so
+        # it lifts to a small wrong vector that only the exact check refuses;
+        # the next rung resumes at its free column
         matrix = [[1, -1, 0, 0], [0, 0, 2 ** 40, 5]]
         primes = []
 
@@ -435,6 +436,67 @@ def scaled_pairs(draw):
     return one(), one(), s, rows
 
 
+RECONSTRUCTION_PRIMES = (P61, P89, (1 << 521) - 1)
+
+
+def reach(p, d):
+    """The largest |n| with 2 |n| d max(T, |n|, d) < p: the fractions over
+    d that ``_rational_mod_p`` must recover."""
+    m = max(mining.QUOTIENT_T, d)
+    n = (p - 1) // (2 * d * m)
+    return math.isqrt((p - 1) // (2 * d)) if n >= m else n
+
+
+@st.composite
+def fractions_in_reach(draw):
+    """(p, n, d): n/d in lowest terms within reach mod p, with sizes drawn
+    log-uniformly so that both ends of the reach are hit."""
+    p = draw(st.sampled_from(RECONSTRUCTION_PRIMES))
+    d = draw(st.integers(1, 1 << draw(st.integers(0, p.bit_length() // 2 - 1))))
+    top = reach(p, d)
+    size = min(top, 1 << draw(st.integers(0, top.bit_length())))
+    n = draw(st.integers(-size, size))
+    g = math.gcd(n, d)
+    return p, n // g, d // g
+
+
+class TestRationalReconstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(RECONSTRUCTION_PRIMES), st.data())
+    def test_every_answer_is_a_reduced_preimage(self, p, data):
+        # residues of fractions of every size, and random ones, which are
+        # mostly refused
+        e = p.bit_length()
+        n = data.draw(st.integers(-(1 << e), 1 << e))
+        d = data.draw(st.integers(1, 1 << data.draw(st.integers(0, e - 1))))
+        a = data.draw(st.sampled_from([n * pow(d, -1, p) % p, n % p]))
+        got = mining._rational_mod_p(a, p)
+        if got is not None:
+            n, d = got
+            assert d > 0 and math.gcd(n, d) == 1 and (n - a * d) % p == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(fractions_in_reach())
+    @example((P61, -reach(P61, 1), 1))
+    @example((P61, 1, reach(P61, 1)))
+    @example((P89, -1, 3 ** 26))
+    def test_fractions_in_reach_come_back(self, case):
+        # every n/d with 2 |n| d max(T, |n|, d) < p, so every one with
+        # 2 |n| d T < p and |n|, d <= T
+        p, n, d = case
+        assert mining._rational_mod_p(n * pow(d, -1, p) % p, p) == (n, d)
+
+    def test_zero_residue_is_zero(self):
+        for p in RECONSTRUCTION_PRIMES:
+            assert mining._rational_mod_p(0, p) == (0, 1)
+
+    def test_the_product_reach_alone_is_ambiguous(self):
+        # 2^35 and 1/2^26 share a residue mod 2^61 - 1, and both have
+        # |n| d < p/(2T) = 2^36; the larger quotient picks 1/2^26
+        assert pow(1 << 26, -1, P61) == 1 << 35
+        assert mining._rational_mod_p(1 << 35, P61) == (1, 1 << 26)
+
+
 class TestBuildCoeffMatrix:
     @settings(max_examples=60, deadline=None)
     @given(scaled_pairs())
@@ -472,7 +534,7 @@ class TestBuildCoeffMatrix:
         table = mining.MonomialTable(u, v, all_rows[7], P61)
         for s in range(1, 7):
             build_coeff_matrix(u, v, s, all_rows[s], table)
-        # table-1's search climbs to 2^89 - 1 at s = 6
+        # nor does a table for a prime climbed to
         climbed = mining.MonomialTable(u, v, all_rows[6], P89)
         build_coeff_matrix(u, v, 6, all_rows[6], climbed)
         assert calls == []
@@ -776,14 +838,16 @@ class TestMine:
         back = BivarIntPoly.normalized([(i, j, c // P61 ** i) for i, j, c in scaled.terms])
         assert back == REL_14
 
-    @pytest.mark.parametrize("c, caught_by", [(3 ** 20, "filter"), (3 ** 23, "residual")])
+    @pytest.mark.parametrize(
+        "c, caught_by", [(3 ** 26, "reconstruction"), (2 ** 40, "residual")]
+    )
     def test_bad_lift_climbs_to_the_next_prime(self, monkeypatch, c, caught_by):
-        # v = c u, so the kernel vector at column u is (0, -1/c, 1), past the
-        # reconstruction bound 2^30 mod 2^61 - 1 and within 2^44 mod
-        # 2^89 - 1.  Mod 2^61 - 1, -1/c reconstructs with a denominator
-        # above the bound for c = 3^20, so the lift fails at once; for
-        # c = 3^23 to a small wrong fraction, whose residual is nonzero on
-        # the matrix rows
+        # v = c u, so the kernel vector at column u is (0, -1/c, 1), beyond
+        # the reach |n| d < p/(2T) = 2^36 mod 2^61 - 1 and within it mod
+        # 2^89 - 1.  Mod 2^61 - 1, no quotient of -1/3^26's Euclidean
+        # algorithm exceeds T, so the lift fails at once; -1/2^40 = -2^21
+        # there, which reconstructs as -2^21/1 (its quotient is near 2^40),
+        # a small wrong fraction whose residual is nonzero on the matrix rows
         primes, verdicts = [], []
 
         def echelon(rows, ncols, width, p):
@@ -807,7 +871,31 @@ class TestMine:
         assert rel.poly == BivarIntPoly.normalized([(0, 1, 1), (1, 0, -c)])
         assert primes == [P61, P89]
         # the residual of the wrong lift is nonzero at q^1, u's leading term
-        assert verdicts == (["ok"] if caught_by == "filter" else [1, "ok"])
+        assert verdicts == (["ok"] if caught_by == "reconstruction" else [1, "ok"])
+
+    def test_table1_is_lifted_from_the_first_prime(self, monkeypatch):
+        # its degree-6 vector has entries up to 2,324,522,934 ~ 2^31.1, in
+        # reach mod 2^61 - 1: every degree is eliminated once, mod 2^61 - 1,
+        # and the one candidate lifted validates
+        eliminations, validated = [], []
+
+        def echelon(rows, ncols, width, p):
+            eliminations.append((ncols, p))
+            return real_echelon(rows, ncols, width, p)
+
+        def recording(rel, **kwargs):
+            validated.append(rel.degree)
+            return real_validate(rel, **kwargs)
+
+        real_echelon, real_validate = mining._echelon_mod_p, mining.validate
+        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        monkeypatch.setattr(mining, "validate", recording)
+        binding = ABinding(ThetaSpec(1, 3), 12)
+        rel = mine(None, None, 7, u_binding=binding, v_binding="m")
+        assert rel.degree == 6 and rel.poly.term_count() == 27
+        assert max(abs(c) for _, _, c in rel.poly.terms) == 2324522934
+        assert eliminations == [((s + 1) ** 2, P61) for s in range(1, 7)]
+        assert validated == [6]
 
     def test_short_unbound_pair_raises_insufficient_truncation(self):
         # with no bindings mine cannot rebuild the series, so a pair too
