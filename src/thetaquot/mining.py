@@ -32,6 +32,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .series import (
+    A_inverse_series,
     A_series,
     PuiseuxSeries,
     ThetaSpec,
@@ -178,8 +179,8 @@ class ABinding:
 
     def series(self, q_order: Fraction) -> PuiseuxSeries:
         inner = Fraction(q_order) / self.qscale
-        base = rescale(A_series(self.spec, inner + 2), self.qscale)
-        return base ** self.power
+        build = A_series if self.power >= 0 else A_inverse_series  # no dense inverse
+        return rescale(build(self.spec, inner + 2), self.qscale) ** abs(self.power)
 
     def numeric(self, r: Fraction, digits: int) -> BigReal:
         q = nome_from_r(r, digits)

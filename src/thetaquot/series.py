@@ -12,9 +12,10 @@ the smallest stored key are known to be zero.
 All arithmetic computes the tightest sound truncation bound for the result
 rather than assuming the operands share one.  A product is computed by
 Kronecker substitution: each factor becomes one big integer and CPython's
-big-int multiply does the convolution.  Inverses, square roots and
-exponentials are Newton iterations on series values, so ``__mul__`` computes
-and cuts every product.
+big-int multiply does the convolution.  Units are inverted by their
+recurrence, at a cost per term, so only sparse theta and eta series are.
+Square roots and exponentials are Newton iterations on series values, whose
+products ``__mul__`` computes and cuts.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "theta_series",
     "A_series",
     "A_series_product",
+    "A_inverse_series",
     "modulus_series",
     "k_series",
     "nome_sqrt_exp_form",
@@ -518,23 +520,33 @@ def _rebound(x: PuiseuxSeries, n: int) -> PuiseuxSeries:
 
 def invert_unit(u: PuiseuxSeries) -> PuiseuxSeries:
     """Multiplicative inverse of a truncated series with nonzero leading
-    coefficient, known as far above its leading term as u is."""
+    coefficient, known as far above its leading term as u is.
+
+    For u = q^alpha (a_0 + a_1 x + ...) / scale, x = q^(s/denom) with s the
+    gcd stride of u's offsets, b_n = -sum_k a_k b_(n-k) / a_0 runs on the
+    integers B_n = c^(n+1) b_n = -sign(a_0) sum_k c^(k-1) a_k B_(n-k), c =
+    |a_0|, with a power of c as the scale.  Each step costs one product per
+    term of u: cheap on a theta or eta series, quadratic on a dense unit.
+    """
     if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
     n_rel = _rel_length(u, "inversion")
-    # u over its leading monomial on grid 1, which never coarsens, so the
-    # grid indices stay put
     alpha = min(u.nums)
-    a = PuiseuxSeries._make(
-        1, {k - alpha: c for k, c in u.nums.items()}, u.scale, n_rel
-    )
-    # Newton: when b = 1/a below m, b + b (1 - a b) = 1/a below 2m
-    b = PuiseuxSeries.constant(Fraction(u.scale, u.nums[alpha]))
-    for n in _newton_lengths(n_rel):
-        b = _rebound(b, n)
-        b = b + b * (1 - a * b)
-    nums = {k - alpha: c for k, c in b.nums.items()}
-    return PuiseuxSeries._make(u.denom, nums, b.scale, n_rel - alpha)
+    c = abs(u.nums[alpha])
+    sign = u.nums[alpha] // c
+    stride = gcd(*(k - alpha for k in u.nums)) or n_rel
+    length = _ceil_div(n_rel, stride)
+    ks = [(k - alpha) // stride for k in sorted(u.nums)[1:]]
+    cs = [sign * u.nums[alpha + j * stride] * c ** (j - 1) for j in ks]
+    b, m, kn, cn = [sign], 0, [], []
+    for n in range(1, length):
+        if m < len(ks) and ks[m] == n:  # kn, cn: the terms a_k with k <= n
+            m += 1
+            kn, cn = ks[:m], cs[:m]
+        b.append(-sum(map(operator.mul, cn, map(b.__getitem__, map(n.__sub__, kn)))))
+    nums = {n * stride - alpha: u.scale * x * c ** (length - 1 - n)
+            for n, x in enumerate(b) if x}
+    return PuiseuxSeries._make(u.denom, nums, c ** length, n_rel - alpha)
 
 
 def exp_series(u: PuiseuxSeries) -> PuiseuxSeries:
@@ -550,18 +562,21 @@ def exp_series(u: PuiseuxSeries) -> PuiseuxSeries:
         raise ValueError("exp requires a strictly positive leading exponent")
     if u.hi is None:
         raise ValueError("exp of an exact series is infinite; truncate it first")
-    w = PuiseuxSeries._make(1, u.nums, u.scale, u.hi)
-    # Newton: when f = exp(w) below m, f + f (w - log f) = exp(w) below 2m,
-    # where log f is the integral of f'/f
-    f = PuiseuxSeries.constant(1)
+    # Newton carrying g = 1/f (Brent, JACM 23, 1976), D = q d/dq: if f = exp(w)
+    # below m, g + g (1 - f g) = 1/f below m, e = (Df - f Dw) g vanishes below
+    # m, and f (1 - D^-1 e) = f (1 + w - log f) is exp(w) below 2m
+    dw = PuiseuxSeries._make(1, {k: k * c for k, c in u.nums.items()}, u.scale, u.hi)
+    f = g = PuiseuxSeries.constant(1)
+    m = 1
     for n in _newton_lengths(u.hi):
+        g = _rebound(g, m)
+        g = g + g * (1 - f * g)
         f = _rebound(f, n)
-        df = {k - 1: k * c for k, c in f.nums.items()}
-        g = PuiseuxSeries._make(1, df, f.scale, n - 1) * invert_unit(f)
-        # integrate g = f'/f over the common denominator of the 1/(k+1)
-        lcm = math.lcm(*(k + 1 for k in g.nums))
-        log_f = {k + 1: c * (lcm // (k + 1)) for k, c in g.nums.items()}
-        f = f + f * (w - PuiseuxSeries._make(1, log_f, g.scale * lcm, n))
+        df = PuiseuxSeries._make(1, {k: k * c for k, c in f.nums.items()}, f.scale, n)
+        e = (df - f * dw) * g
+        lcm = math.lcm(*e.nums)
+        log_fw = {k: c * (lcm // k) for k, c in e.nums.items()}  # log f - w
+        f, m = f - f * PuiseuxSeries._make(1, log_fw, e.scale * lcm, n), n
     return PuiseuxSeries._make(u.denom, f.nums, f.scale, u.hi)
 
 
@@ -592,7 +607,7 @@ def sqrt_series(u: PuiseuxSeries) -> PuiseuxSeries:
     root = _fraction_sqrt(c)
     if root is None:
         raise ValueError(f"leading coefficient {c} is not the square of a rational")
-    # a = u / (c q^alpha) on grid 1, as in invert_unit; c > 0 here
+    # a = u / (c q^alpha) on grid 1, which never coarsens; c > 0 here
     a = PuiseuxSeries._make(
         1, {k - alpha: x for k, x in u.nums.items()}, u.nums[alpha], n_rel
     )
@@ -665,25 +680,30 @@ def theta_series(
 def _theta_min_exponent(a: Fraction, b: Fraction) -> Fraction:
     """min over integers n of a n^2 + b n (a > 0)."""
     vertex = -b / (2 * a)
-    best = None
-    for n in (math.floor(vertex), math.ceil(vertex)):
-        e = a * n * n + b * n
-        if best is None or e < best:
-            best = e
-    return best
+    return min(a * n * n + b * n for n in (math.floor(vertex), math.ceil(vertex)))
+
+
+def _theta_over_eta(spec: ThetaSpec, order: Rat, sign: int) -> PuiseuxSeries:
+    """A(a, p; q)^sign for sign = +-1, known as far above its leading term as
+    A_series(spec, order) is; only a sparse eta or theta series is inverted."""
+    order = Fraction(order)
+    ta, tb = spec.p / 2, spec.p / 2 - spec.a
+    theta = theta_series(ta, tb, order - spec.delta)
+    eta = eta_series(spec.p, order - spec.delta - _theta_min_exponent(ta, tb))
+    num, den = (theta, eta) if sign > 0 else (eta, theta)
+    return PuiseuxSeries.monomial(1, sign * spec.delta) * num * invert_unit(den)
 
 
 def A_series(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
     """Theta quotient q^delta * theta(p/2, p/2 - a; q) / eta(q^p), known
     below exponent ``order``."""
-    order = Fraction(order)
-    p = spec.p
-    ta, tb = p / 2, p / 2 - spec.a
-    t_lo = _theta_min_exponent(ta, tb)
-    theta = theta_series(ta, tb, order - spec.delta)
-    eta_inv = invert_unit(eta_series(p, order - spec.delta - t_lo))
-    pref = PuiseuxSeries.monomial(1, spec.delta)
-    return pref * theta * eta_inv
+    return _theta_over_eta(spec, order, 1)
+
+
+def A_inverse_series(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
+    """1/A = q^(-delta) eta(q^p) / theta(p/2, p/2 - a; q): the series
+    invert_unit(A_series(spec, order)), term for term and bound for bound."""
+    return _theta_over_eta(spec, order, -1)
 
 
 def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
@@ -743,45 +763,38 @@ def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
 
 
 def modulus_series(order: Rat) -> PuiseuxSeries:
-    """Squared elliptic modulus m(q) = k^2 as an exact q-series.
-
-    Built from the classical theta quotient q theta2^4 / theta3^4, with the
-    non-alternating theta_series(1, 1) = 2 sum_{n>=0} q^(n^2+n) standing for
-    q^(-1/4) theta2 and theta_series(1, 0) for theta3.  It has integer
-    coefficients 16q - 128q^2 + 704q^3 - ...
+    """Squared elliptic modulus m(q) = k^2 = q (theta2 / theta3)^4 as an
+    exact q-series: k_series(order) squared, with integer coefficients
+    16q - 128q^2 + 704q^3 - ...
     """
-    t2 = theta_series(1, 1, order, alternating=False)
-    t3 = theta_series(1, 0, order, alternating=False)
-    return PuiseuxSeries.monomial(1, 1) * (t2 ** 4 * invert_unit(t3 ** 4))
+    return k_series(order) ** 2
 
 
 def k_series(order: Rat) -> PuiseuxSeries:
     """Elliptic modulus k(q) = sqrt(m(q)) as an exact q-series, without a
-    root: q^(1/2) theta_series(1, 1)^2 / theta_series(1, 0)^2 (both
-    non-alternating), that is theta2^2 / theta3^2.  It equals
-    sqrt_series(modulus_series(order)) term for term and bound for bound:
-    4 q^(1/2) - 16 q^(3/2) + 56 q^(5/2) - ...
+    root: q^(1/2) (theta_series(1, 1) / theta_series(1, 0))^2, both
+    non-alternating, with theta_series(1, 1) = 2 sum_{n>=0} q^(n^2+n)
+    standing for q^(-1/4) theta2 and theta_series(1, 0) for theta3, the one
+    inverted.  It equals sqrt_series(modulus_series(order)) term for term
+    and bound for bound: 4 q^(1/2) - 16 q^(3/2) + 56 q^(5/2) - ...
     """
     t2 = theta_series(1, 1, order, alternating=False)
     t3 = theta_series(1, 0, order, alternating=False)
-    half = PuiseuxSeries.monomial(1, Fraction(1, 2))
-    return half * (t2 ** 2 * invert_unit(t3 ** 2))
+    return PuiseuxSeries.monomial(1, Fraction(1, 2)) * (t2 * invert_unit(t3)) ** 2
 
 
 def nome_sqrt_exp_form(order: Rat) -> PuiseuxSeries:
     """The expansion 4 q^(1/2) exp(-4 sum_{n>=1} q^n sum_{d|n} (-1)^(d+n/d)/d),
     an alternative route to sqrt of the squared modulus."""
-    order = Fraction(order)
-    n_max = math.ceil(order)
-    coeffs: dict[int, Fraction] = {}
-    for n in range(1, n_max + 1):
-        s = Fraction(0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                s += Fraction((-1) ** (d + n // d), d)
-        if s:
-            coeffs[n] = -4 * s
-    inner = PuiseuxSeries(1, coeffs, _grid_bound(order, 1))
+    n_max = _grid_bound(order, 1)
+    # the inner sum over the common denominator lcm(1, ..., n_max - 1), by a
+    # sieve over the divisors
+    lcm = math.lcm(*range(1, n_max))
+    nums = [0] * n_max
+    for d in range(1, n_max):
+        for n in range(d, n_max, d):
+            nums[n] -= 4 * (-1) ** (d + n // d) * (lcm // d)
+    inner = PuiseuxSeries._make(1, dict(enumerate(nums)), lcm, n_max)
     return PuiseuxSeries.monomial(4, Fraction(1, 2)) * exp_series(inner)
 
 
@@ -802,12 +815,13 @@ def eta5_series(order: Rat) -> PuiseuxSeries:
     Rogers-Ramanujan continued fraction
     q^(1/5) prod_{n>=1} (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3))),
     which is A(1,5;q) / A(2,5;q): delta(1,5) - delta(2,5) = 1/60 + 11/60 =
-    1/5.  So it takes two product forms and one inversion, and no root.
+    1/5.  eta(q^5) cancels from it, which leaves q^(1/5) theta(5/2, 3/2) /
+    theta(5/2, 1/2): two theta series, one inversion, and no root.
     """
     top = Fraction(math.ceil(5 * Fraction(order)) + 2, 5)
     # factors known n past their leading terms give a quotient known below
     # n + 1/5
     n = math.ceil(top - Fraction(1, 5))
-    num = A_series_product(ThetaSpec(1, 5), n)
-    den = A_series_product(ThetaSpec(2, 5), n)
-    return (num * invert_unit(den)).truncate(top)
+    num, den = (theta_series(Fraction(5, 2), Fraction(b, 2), n) for b in (3, 1))
+    pref = PuiseuxSeries.monomial(1, Fraction(1, 5))
+    return (pref * num * invert_unit(den)).truncate(top)

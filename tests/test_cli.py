@@ -289,6 +289,16 @@ class TestMine:
         assert out == ""
         assert err == "error: relation evaluates on identically zero products\n"
 
+    def test_negative_power_of_identically_zero_quotient_is_usage_error(self, capsys):
+        # 1/A(4, 4; q) does not exist: its theta factor is zero to its bound
+        code, out, err = run(
+            capsys, "mine", "--a", "4", "--p", "4", "--power", "-1", "--v", "m",
+            "--max-degree", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot invert a series that is zero to its bound\n"
+
 
 class TookTooLong(Exception):
     """Not an error the CLI reports, so it ends the test as a failure."""

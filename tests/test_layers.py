@@ -1,13 +1,24 @@
-"""One module owns the reals: numeric.py is the only module of the package
+"""Layer contracts.
+
+One module owns the reals: numeric.py is the only module of the package
 that imports mpmath or enters one of its precision contexts.  The others
-reach real numbers through ``BigReal`` and numeric's functions."""
+reach real numbers through ``BigReal`` and numeric's functions.
+
+Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
+grows with the unit's number of terms, so every series the package builds
+hands it a theta or eta series, never a dense one."""
 
 import ast
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import thetaquot
+import thetaquot.series as series_module
+from thetaquot.mining import ABinding
+from thetaquot.series import ThetaSpec
 
 PACKAGE = Path(thetaquot.__file__).parent
 MPMATH_NAMES = {"mpmath", "mp", "mpf"}
@@ -42,3 +53,34 @@ def test_only_numeric_imports_mpmath(path):
         assert uses  # the owner: the scan must see its imports
     else:
         assert uses == [], f"{path.name} reaches mpmath outside numeric.py"
+
+
+def test_only_sparse_units_are_inverted(monkeypatch):
+    handed = []  # (terms, length, inside exp_series) per inversion
+    in_exp = []
+    invert, exp = series_module.invert_unit, series_module.exp_series
+
+    def recording_invert(u):
+        handed.append((len(u.nums), u.hi - min(u.nums), bool(in_exp)))
+        return invert(u)
+
+    def recording_exp(u):
+        in_exp.append(u)
+        try:
+            return exp(u)
+        finally:
+            in_exp.pop()
+
+    monkeypatch.setattr(series_module, "invert_unit", recording_invert)
+    monkeypatch.setattr(series_module, "exp_series", recording_exp)
+    series_module.modulus_series(150)
+    series_module.k_series(150)
+    series_module.A_series(ThetaSpec(1, 3), 150)
+    series_module.h5_series(150)
+    series_module.eta5_series(150)
+    ABinding(ThetaSpec(1, 3), -12).series(Fraction(150))
+    series_module.nome_sqrt_exp_form(101)
+    assert len(handed) >= 6  # one per construction but the exp form
+    for terms, length, inside_exp in handed:
+        assert terms <= 2 * math.sqrt(length) + 2, f"{terms} terms over {length}"
+        assert not inside_exp, "exp_series inverted a unit"

@@ -191,13 +191,17 @@ def _dense_relative(u, what):
 
 
 def schoolbook_inverse(u):
-    """Reference inverse: the recurrence b_m = -sum a_j b_(m-j) / a_0."""
+    """Reference inverse: the recurrence b_m = -sum a_j b_(m-j) / a_0 on
+    Fractions, in a dense list over the gcd stride of u's offsets (the
+    inverse of a series in q^s is one in q^s)."""
     alpha, n_rel, a = _dense_relative(u, "inversion")
-    b = [F(0)] * n_rel
+    s = gcd(*(j for j in range(n_rel) if a[j])) or n_rel
+    a = a[::s]
+    b = [F(0)] * len(a)
     b[0] = 1 / a[0]
-    for m in range(1, n_rel):
+    for m in range(1, len(a)):
         b[m] = -sum((a[j] * b[m - j] for j in range(1, m + 1)), F(0)) / a[0]
-    coeffs = {m - alpha: b[m] for m in range(n_rel)}
+    coeffs = {s * m - alpha: c for m, c in enumerate(b)}
     return PuiseuxSeries(u.denom, coeffs, n_rel - alpha)
 
 
@@ -368,6 +372,28 @@ def unit_operands(draw):
 
 
 @st.composite
+def sparse_units(draw):
+    """A unit like the theta and eta series the package inverts: about
+    sqrt(N) terms on a stride from 1 to 96 of the 1, 1/2, 1/5 or 1/96 grid,
+    N strides long, a leading coefficient n/d with |n| >= 2 and prime d (so
+    neither the leading numerator nor the scale is 1), and integer tail
+    coefficients.  The bound may fall between two strides."""
+    denom = draw(st.sampled_from([1, 2, 5, 96]))
+    lead = draw(st.integers(-3 * denom, 3 * denom))
+    stride = draw(st.integers(1, 96))
+    n = draw(st.integers(1, 100))
+    d = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    num = draw(st.integers(2, 30).filter(lambda x: x % d))
+    offsets = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=math.isqrt(n) + 1))
+    coeffs = {
+        lead + stride * j: F(draw(st.integers(-50, 50).filter(bool))) for j in offsets
+    }
+    coeffs[lead] = F(draw(st.sampled_from([num, -num])), d)
+    hi = lead + stride * (n - 1) + draw(st.integers(1, stride))
+    return PuiseuxSeries(denom, coeffs, hi)
+
+
+@st.composite
 def exp_operands(draw):
     """A series on the 1, 1/2, 1/5 or 1/96 grid with a (mostly) positive
     valuation and strided rational terms, exact or truncated, possibly
@@ -522,6 +548,12 @@ class TestInvertUnit:
     @given(unit_operands())
     def test_matches_schoolbook(self, u):
         assert outcome(invert_unit, u) == outcome(schoolbook_inverse, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_units())
+    def test_sparse_units_match_schoolbook(self, u):
+        assert u.scale != 1 and abs(u.nums[min(u.nums)]) != 1
+        assert fields(invert_unit(u)) == fields(schoolbook_inverse(u))
 
     def test_random_units_multiply_to_one(self):
         rng = random.Random(7177)
@@ -938,6 +970,84 @@ class TestRootFreeConstructions:
         assert eta5_series(126).leading() == (F(1, 5), F(1))
         assert V_BINDINGS["sqrt_m"].series(F(60)).leading() == (F(1, 2), F(4))
         assert V_BINDINGS["eta5_q4_pow5"].series(F(40)).leading() == (F(4), F(1))
+
+
+def fresh_inverse_exp(u):
+    """exp as it was built before the coupled iterate: Newton steps
+    f <- f + f (w - log f) with log f the integral of f' times a fresh
+    schoolbook inverse of f."""
+    w = PuiseuxSeries(1, u.coeffs, u.hi)
+    lengths = []
+    n = u.hi
+    while n > 1:
+        lengths.append(n)
+        n = (n + 1) // 2
+    f = PuiseuxSeries.constant(1)
+    for n in reversed(lengths):
+        f = PuiseuxSeries(1, f.coeffs, n)
+        df = PuiseuxSeries(1, {k - 1: k * c for k, c in f.coeffs.items()}, n - 1)
+        g = df * schoolbook_inverse(f)
+        log_f = PuiseuxSeries(1, {k + 1: c / (k + 1) for k, c in g.coeffs.items()}, n)
+        f = f + f * (w - log_f)
+    return PuiseuxSeries(u.denom, f.coeffs, u.hi)
+
+
+def nome_exp_argument(order):
+    """-4 sum_{n>=1} q^n sum_{d|n} (-1)^(d+n/d)/d below q^ceil(order), by a
+    divisor sieve."""
+    n_max = math.ceil(order)
+    s = [F(0)] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for n in range(d, n_max + 1, d):
+            s[n] += F((-1) ** (d + n // d), d)
+    return PuiseuxSeries(1, {n: -4 * s[n] for n in range(1, n_max + 1)}, n_max)
+
+
+class TestSparseInversions:
+    """Each construction that now inverts only a sparse theta or eta series
+    gives the very series of the formula it replaced, which inverted a dense
+    unit (here through the schoolbook recurrence)."""
+
+    ORDERS = list(range(1, 61)) + [100, 150, F(1, 2), F(31, 2), F(101, 4)]
+
+    @staticmethod
+    def thetas(order):
+        return (
+            theta_series(1, 1, order, alternating=False),
+            theta_series(1, 0, order, alternating=False),
+        )
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_modulus_and_k(self, order):
+        t2, t3 = self.thetas(order)
+        m = PuiseuxSeries.monomial(1, 1) * (t2 ** 4 * schoolbook_inverse(t3 ** 4))
+        k = PuiseuxSeries.monomial(1, F(1, 2)) * (t2 ** 2 * schoolbook_inverse(t3 ** 2))
+        assert fields(modulus_series(order)) == fields(m)
+        assert fields(k_series(order)) == fields(k)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_eta5_as_quotient_of_product_forms(self, order):
+        top = F(math.ceil(5 * F(order)) + 2, 5)
+        n = math.ceil(top - F(1, 5))
+        num = A_series_product(ThetaSpec(1, 5), n)
+        den = A_series_product(ThetaSpec(2, 5), n)
+        want = (num * schoolbook_inverse(den)).truncate(top)
+        assert fields(eta5_series(order)) == fields(want)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_exp_with_a_fresh_inverse_per_step(self, order):
+        u = nome_exp_argument(order)
+        assert fields(exp_series(u)) == fields(fresh_inverse_exp(u))
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_negative_power_of_A(self, order):
+        from thetaquot.mining import ABinding
+
+        for spec, power, qscale in ((ThetaSpec(1, 3), -12, 1), (ThetaSpec(F(1, 2), 4), -3, 2)):
+            got = ABinding(spec, power, F(qscale)).series(F(order))
+            a = A_series(spec, F(order) / qscale + 2)
+            want = schoolbook_inverse(rescale(a, qscale)) ** -power
+            assert fields(got) == fields(want)
 
 
 class TestSerialization:
