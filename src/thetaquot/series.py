@@ -29,11 +29,13 @@ from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
 
-# the most terms of a theta sum on each side of its vertex, and of the dense
+# the most terms of a theta sum on each side of its vertex, and of the
 # accumulator of a product form
 MAX_TERMS = 10 ** 6
-# the largest packed Kronecker product: the golden corpus and the benchmark
-# jobs pack at most 12,558 bytes (verify --all, 299 fields of 42 bytes)
+# the largest packed Kronecker product or product form: the golden corpus and
+# the benchmark jobs pack at most 12,558 bytes (verify --all, 299 fields of 42
+# bytes), the product forms among them at most 2,424 (expand's A(1/2, 2) at
+# order 202, 404 fields of 6 bytes)
 MAX_PRODUCT_BYTES = 1 << 26
 
 __all__ = [
@@ -134,19 +136,30 @@ def _int_product(
         raise ValueError(f"a series product packs to more than {MAX_PRODUCT_BYTES} bytes")
     pa = _pack(a, va, stride, na, width)
     prod = pa * pa if a is b else pa * _pack(b, vb, stride, nb, width)
-    # adding half a field to each of the low ``count`` fields makes them
-    # all non-negative, so they read back as unsigned bytes; higher fields
-    # only absorb borrows and are cut off
+    return _unpack(prod, count, width, base, stride)
+
+
+def _unpack(
+    value: int, count: int, width: int, base: int, stride: int
+) -> dict[int, int]:
+    """The low ``count`` digits of ``value`` in base 2^(8 * width), each read
+    as a signed ``width``-byte number (``value`` is taken modulo
+    2^(8 * width * count)): the nonzero ones, digit m keyed by grid index
+    base + m * stride."""
+    # adding half a field to each field absorbs the borrows of negative
+    # fields, and the xor takes the half off again without a carry, so that
+    # every field holds its own digit as a two's complement number; higher
+    # fields are cut off
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    low = (prod + offset) & ((1 << (8 * width * count)) - 1)
+    low = ((value + offset) & ((1 << (8 * width * count)) - 1)) ^ offset
     raw = low.to_bytes(width * count, "little")
-    out: dict[int, int] = {}
-    for m in range(count):
-        c = int.from_bytes(raw[m * width : (m + 1) * width], "little") - half
-        if c:
-            out[base + m * stride] = c
-    return out
+    keys = range(base, base + count * stride, stride)
+    return {
+        k: c
+        for k, m in zip(keys, range(0, width * count, width))
+        if (c := int.from_bytes(raw[m : m + width], "little", signed=True))
+    }
 
 
 class PuiseuxSeries:
@@ -706,60 +719,96 @@ def A_inverse_series(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
     return _theta_over_eta(spec, order, -1)
 
 
+def _product_plan(spec: ThetaSpec, order: Fraction) -> tuple[int, list[int], int, int]:
+    """The layout of A_series_product(spec, order): the grid (1/N)Z of the
+    exponents it uses, those exponents as grid indices, the number ``count``
+    of coefficients known above its leading term, and the width in bytes of
+    a signed field that holds each of them (0 when count <= 0)."""
+    a, p = spec.a, spec.p
+    L = math.lcm(a.denominator, p.denominator)
+    # the accumulator spans about order * L grid points
+    if order * L > MAX_TERMS:
+        raise ValueError(f"product form: more than {MAX_TERMS} terms")
+    # exponents base + n P on the grid (1/L)Z, n >= 0
+    P = int(p * L)
+    bases = (int(a * L), P - int(a * L))
+    # the non-positive ones, n < -base // P + 1, shift the valuation down by
+    # their sum
+    negs = [-base // P + 1 if base <= 0 else 0 for base in bases]
+    if any(m and base % P == 0 for base, m in zip(bases, negs)):
+        raise ValueError("product form degenerates: a factor exponent is 0")
+    total_neg = sum(m * base + P * m * (m - 1) // 2 for base, m in zip(bases, negs))
+    # the positive ones below L * order - total_neg matter: n < used
+    limit = _ceil_div(L * order.numerator, order.denominator) - total_neg
+    used = [max(m, _ceil_div(limit - base, P)) for base, m in zip(bases, negs)]
+    # the grid is the lcm of the used exponents' denominators
+    g = gcd(L, *(b for b, u in zip(bases, used) if u), *(P for u in used if u > 1))
+    N = L // g
+    count = N * _ceil_div(limit, L)
+    width = 0
+    if count > 0:
+        # ln max|c| <= sqrt(8K/p) + 2 + n_neg (K = count / N) in units of
+        # 2^-32, rounded up, over ln 2 < 1.4426950409, plus a sign bit
+        square = _ceil_div(8 * count * p.denominator << 64, N * p.numerator)
+        root = math.isqrt(square)
+        nats = root + (root * root < square) + (2 + sum(negs) << 32)
+        bits = _ceil_div(nats * 14426950409, 10 ** 10 << 32) + 1
+        width = (bits + 7) // 8
+        if count * width > MAX_PRODUCT_BYTES:
+            raise ValueError(f"product form: packs to more than {MAX_PRODUCT_BYTES} bytes")
+    steps = [(b + n * P) // g for b, u in zip(bases, used) for n in range(u)]
+    return N, steps, count, width
+
+
 def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
     """Product form q^delta * prod_{n>=0} (1-q^(np+a))(1-q^(np+p-a)).
 
     Supports the finitely many non-positive product exponents that occur
     when a <= 0 or a >= p (each such factor is an exact Laurent binomial);
     requires every product exponent to be nonzero.
+
+    A factor with e < 0 is -q^e (1 - q^-e), a sign and a shift, so the rest
+    is prod (1 - q^s) over grid steps s > 0, known at ``count`` grid
+    indices.  It is one integer of ``count`` signed w-bit fields, field k
+    holding the coefficient at index k, and a factor is one shift and one
+    subtract of the whole accumulator.  Every step is arithmetic mod
+    2^(w count), which is a ring, so fields may wrap on the way; only the
+    final coefficients must fit a field.  They do: with K = count/N in
+    exponent units and 0 < x = e^-y < 1, every |c_k| with k < K is at most
+    [q^k] prod (1 + q^|e|) <= x^-K exp(sum x^|e|).  Each progression adds
+    at most 1/(1 - x^p) <= 1 + 1/(yp) to the sum and each negative exponent
+    at most 1, and y = sqrt(2/(pK)) gives
+    ln|c_k| <= 2 sqrt(2K/p) + 2 + n_neg.
     """
     order = Fraction(order)
-    a, p = spec.a, spec.p
-    # the dense accumulator below spans about order * lcm(den a, den p) points
-    if order * math.lcm(a.denominator, p.denominator) > MAX_TERMS:
-        raise ValueError(f"product form: more than {MAX_TERMS} terms")
-    # total non-positive exponent mass shifts the product's valuation down
-    total_neg = Fraction(0)
-    for base in (a, p - a):
-        n = 0
-        while n * p + base <= 0:
-            e = n * p + base
-            if e == 0:
-                raise ValueError("product form degenerates: a factor exponent is 0")
-            total_neg += e
-            n += 1
-    exps: list[Fraction] = []
-    for base in (a, p - a):
-        n = 0
-        while True:
-            e = n * p + base
-            if e > 0 and e >= order - total_neg:
-                break
-            exps.append(e)
-            n += 1
-    # integer coefficients on the grid (1/N)Z, acc[i] at grid index
-    # i + shift, known below grid index hi; a factor with e < 0 is
-    # -q^e (1 - q^-e), a sign and a shift
-    N = math.lcm(*(e.denominator for e in exps))
-    hi = N * math.ceil(order - total_neg)
-    acc = [int(i == 0) for i in range(hi)]
-    shift = 0
-    sign = 1
-    for e in exps:
-        step = int(e * N)
-        if step < 0:
-            sign, shift, step = -sign, shift + step, -step
+    N, steps, count, width = _product_plan(spec, order)
+    # the accumulator's field i is the grid index i + shift, known below hi
+    hi, shift, sign = count, 0, 1
+    for s in steps:
+        if s < 0:
+            sign, shift = -sign, shift + s
             # the leading term +-1 at grid index shift keeps the bound on
             # the product's grid; a series known to be zero below its bound
             # normalises to the integer grid, rounding the bound up
-            hi = hi - step if acc else _ceil_div(hi - step, N) * N
-        # times (1 - q^step): acc[k] -= acc[k - step] for k descending
-        acc[step:] = map(operator.sub, acc[step:], acc[: len(acc) - step])
+            hi = hi + s if count > 0 else _ceil_div(hi + s, N) * N
     D = math.lcm(N, spec.delta.denominator)
     f = D // N
     lead = int(spec.delta * D)
-    coeffs = {(i + shift) * f + lead: sign * c for i, c in enumerate(acc) if c}
-    return PuiseuxSeries(D, coeffs, hi * f + lead)
+    nums: dict[int, int] = {}
+    if count > 0:
+        w = 8 * width
+        top = 1 << w * count
+        mask = top - 1
+        acc = 1
+        for s in map(abs, steps):
+            # acc = (acc - (acc << w s)) mod top, cutting the shifted copy
+            # before the subtraction
+            if s < count:
+                acc -= (acc << w * s) & mask
+                if acc < 0:
+                    acc += top
+        nums = _unpack(sign * acc, count, width, shift * f + lead, f)
+    return PuiseuxSeries._make(D, nums, 1, hi * f + lead)
 
 
 def modulus_series(order: Rat) -> PuiseuxSeries:

@@ -6,7 +6,11 @@ reach real numbers through ``BigReal`` and numeric's functions.
 
 Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
-hands it a theta or eta series, never a dense one."""
+hands it a theta or eta series, never a dense one.
+
+The product form is built on its own: ``A_series_product`` reaches no theta,
+eta or inverse construction and no series product, so comparing it with
+``A_series`` compares two independent constructions."""
 
 import ast
 import math
@@ -17,6 +21,7 @@ import pytest
 
 import thetaquot
 import thetaquot.series as series_module
+from thetaquot.catalog import JTP_PAIRS
 from thetaquot.mining import ABinding
 from thetaquot.series import ThetaSpec
 
@@ -84,3 +89,15 @@ def test_only_sparse_units_are_inverted(monkeypatch):
     for terms, length, inside_exp in handed:
         assert terms <= 2 * math.sqrt(length) + 2, f"{terms} terms over {length}"
         assert not inside_exp, "exp_series inverted a unit"
+
+
+@pytest.mark.parametrize("order", [26, 202])
+def test_product_form_is_independent_of_theta_over_eta(monkeypatch, order):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product form reached the theta/eta side")
+
+    for name in ("theta_series", "eta_series", "invert_unit", "_theta_over_eta"):
+        monkeypatch.setattr(series_module, name, forbidden)
+    monkeypatch.setattr(series_module.PuiseuxSeries, "__mul__", forbidden)
+    for spec in JTP_PAIRS:
+        assert not series_module.A_series_product(spec, order).is_zero()

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaquot.series import (
@@ -27,7 +27,7 @@ from thetaquot.series import (
     sqrt_series,
     theta_series,
 )
-from thetaquot.series import _rel_length
+from thetaquot.series import MAX_PRODUCT_BYTES, _product_plan, _rel_length
 
 
 def series(pairs, order=None):
@@ -770,6 +770,19 @@ class TestThetaSeries:
             assert plain.coeffs == {k: abs(c) for k, c in signed.coeffs.items()}
 
 
+@st.composite
+def packed_product_cases(draw):
+    """(a, p, order) with denominators up to 3, a <= 0 and a >= p among
+    them, at orders up to 400: capped where the reference's about 2 order/p
+    dense products of order * N terms would take over a few milliseconds."""
+    p = draw(st.fractions(min_value=F(1, 3), max_value=8, max_denominator=3))
+    a = draw(st.fractions(min_value=-2 * p - 1, max_value=2 * p + 1, max_denominator=3))
+    n = math.lcm(a.denominator, p.denominator)
+    top = min(400, math.isqrt(int(20000 * p / n)))
+    order = draw(st.fractions(min_value=-2, max_value=top, max_denominator=3))
+    return a, p, order
+
+
 JTP_SPECS = [
     ThetaSpec(1, 4),
     ThetaSpec(1, 3),
@@ -840,6 +853,46 @@ class TestASeries:
         got = A_series_product(spec, order)
         want = binomial_loop_product(spec, order)
         assert (got.denom, got.coeffs, got.hi) == (want.denom, want.coeffs, want.hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(packed_product_cases())
+    @example((F(1), F(4), F(202)))
+    @example((F(1), F(3), F(202)))
+    @example((F(-1), F(6), F(202)))
+    @example((F(-2), F(8), F(202)))
+    @example((F(1), F(5), F(202)))
+    @example((F(1, 2), F(4), F(202)))
+    @example((F(1, 2), F(2), F(202)))
+    def test_packed_product_matches_binomial_loop_to_order_400(self, case):
+        a, p, order = case
+        spec = ThetaSpec(a, p)
+        assert outcome(A_series_product, spec, order) == outcome(
+            binomial_loop_product, spec, order
+        )
+
+    @pytest.mark.parametrize("order", [26, 202, 2000])
+    @pytest.mark.parametrize("spec", JTP_SPECS, ids=lambda s: f"a{s.a}_p{s.p}")
+    def test_product_field_width_is_sound_and_tight(self, spec, order):
+        # every coefficient fits a signed field, and the closed-form bound is
+        # within a factor 2 of the true size, which a width per factor is not
+        w = 8 * _product_plan(spec, F(order))[3]
+        biggest = max(abs(c) for c in A_series_product(spec, order).nums.values())
+        assert biggest < 2 ** (w - 1)
+        assert w <= 2 * (biggest.bit_length() + 1) + 16
+
+    def test_product_field_width_of_half_two(self):
+        # the bound for A(1/2, 2) at order 202 is 45 bits, one 6-byte field;
+        # the largest coefficient has 29 bits
+        N, steps, count, width = _product_plan(ThetaSpec(F(1, 2), 2), F(202))
+        assert (N, len(steps), count, width) == (2, 202, 404, 6)
+        biggest = max(abs(c) for c in A_series_product(ThetaSpec(F(1, 2), 2), 202).nums.values())
+        assert biggest.bit_length() == 29
+
+    def test_product_refuses_a_pack_past_the_limit(self):
+        # inside MAX_TERMS, but 400000 fields of 229 bytes by the bound
+        spec = ThetaSpec(1, 2)
+        with pytest.raises(ValueError, match=f"packs to more than {MAX_PRODUCT_BYTES} bytes"):
+            A_series_product(spec, 400000)
 
     def test_delta_recomputed_matches(self):
         spec = ThetaSpec(F(1, 2), 4)
