@@ -9,17 +9,17 @@ high precision.  Post-validation guards against overfitting the truncation,
 which interpolation-style mining invites.
 
 The matrix exists only mod p (the modular method, von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 5): ``MonomialTable`` reduces u and v once mod
-a Mersenne prime p = 2^e - 1, keeps every monomial as one packed int of
-fixed-width fields and folds a product's fields back below 2^(e+1) at once,
-and ``build_coeff_matrix`` cuts each degree's rows out of it in the packed
-form the elimination takes, which reduces a field mod p only when it reads
-it.  A lift is checked by maximal-quotient rational reconstruction
-(Monagan, ISSAC 2004; reach |n| d < p/(2T)) and then by the series
-certificate, which evaluates P(u, v) exactly by Horner in u from factors
-cut to its window (one product per u-degree plus the powers of v): a
-residual nonzero on the matrix rows means a bad lift, and the search
-climbs to the next prime.
+Modern Computer Algebra, ch. 5), in one packed format of fixed-width fields
+that ``series._pack`` writes and ``series._unpack`` reads.  ``MonomialTable``
+reduces u and v once mod a Mersenne prime p = 2^e - 1, one table per prime
+cut to the largest matrix's rows, ``build_coeff_matrix`` cuts each degree's
+rows out of it, and the elimination reduces a field mod p only when it
+reads it; products and pivot rows come back below 2^(e+1) by one fold.  A
+lift is checked by maximal-quotient rational reconstruction (Monagan, ISSAC
+2004; reach |n| d < p/(2T)) and then by the series certificate, which
+evaluates P(u, v) exactly by Horner in u from factors cut to its window
+(one product per u-degree plus the powers of v): a residual nonzero on the
+matrix rows means a bad lift, and the search climbs to the next prime.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .series import (
     A_series,
     PuiseuxSeries,
     ThetaSpec,
+    _pack,
+    _theta_min_exponent,
+    _unpack,
     common_known_order,
     eta5_series,
     k_series,
@@ -120,10 +123,6 @@ class BivarIntPoly:
         return cls(tuple((i, j, sign * c // content) for i, j, c in items))
 
     @property
-    def total_degree(self) -> int:
-        return max(i + j for i, j, _ in self.terms)
-
-    @property
     def max_single_degree(self) -> int:
         return max(max(i, j) for i, j, _ in self.terms)
 
@@ -178,9 +177,11 @@ class ABinding:
             raise ValueError("qscale must be positive")
 
     def series(self, q_order: Fraction) -> PuiseuxSeries:
-        inner = Fraction(q_order) / self.qscale
+        # built below inner + max(2, lead), A and 1/A are known inner past lead
+        spec, inner = self.spec, Fraction(q_order) / self.qscale
+        lead = spec.delta + _theta_min_exponent(spec.p / 2, spec.p / 2 - spec.a)
         build = A_series if self.power >= 0 else A_inverse_series  # no dense inverse
-        return rescale(build(self.spec, inner + 2), self.qscale) ** abs(self.power)
+        return rescale(build(spec, inner + max(2, lead)), self.qscale) ** abs(self.power)
 
     def numeric(self, r: Fraction, digits: int) -> BigReal:
         q = nome_from_r(r, digits)
@@ -257,13 +258,6 @@ def build_binding_series(
 # ---------------------------------------------------------------------------
 
 
-def _power_table(u: PuiseuxSeries, s: int) -> list[PuiseuxSeries]:
-    pows = [PuiseuxSeries.constant(1), u]
-    for _ in range(2, s + 1):
-        pows.append(pows[-1] * u)
-    return pows[: s + 1]
-
-
 # Mersenne primes 2^e - 1, e running through a prefix of OEIS A000043 from
 # 61: the ladder of primes that the kernel is solved mod, one at a time
 _MERSENNE_EXPONENTS = (
@@ -275,10 +269,27 @@ QUOTIENT_T = 1 << 24  # T: a rational reconstruction's quotient must exceed it
 
 
 def _field_bytes(p: int, n: int) -> int:
-    """Bytes per packed field mod p = 2^e - 1, for n fields or rows: the
-    2e + bitlen(n) + 2 bits hold a sum of n products of two values below
-    2^(e+1), and a field of an elimination on n rows (``_echelon_mod_p``)."""
+    """Bytes per packed field mod p = 2^e - 1, for n fields or rows: 2e +
+    bitlen(n) + 2 bits, which hold a sum of n products of two values below
+    2^(e+1) (``MonomialTable``) and a field of an elimination on n rows,
+    below 2^(e+1) (n p + 1) (``_echelon_mod_p``), and are under 3e bits for
+    n < 2^(e-10)."""
     return (2 * p.bit_length() + n.bit_length() + 2 + 7) // 8
+
+
+def _mersenne_fold(p: int, width: int, count: int) -> Callable[[int], int]:
+    """Every ``width``-byte field x of ``count`` at once, twice, to (x & p) +
+    (x >> e) mod p = 2^e - 1: below 2^e + 2^(8 width - e) after one round,
+    and below 2^e + 2^(8 width - 2e) + 1 <= 2^(e+1) after two if 8 width < 3e."""
+    e = p.bit_length()
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+    low, high = p * ones, ((1 << 8 * width - e) - 1) * ones
+
+    def fold(x: int) -> int:
+        x = (x & low) + ((x >> e) & high)
+        return (x & low) + ((x >> e) & high)
+
+    return fold
 
 
 class MonomialTable:
@@ -290,11 +301,11 @@ class MonomialTable:
     common grid, so every monomial's terms lie on its fields.
 
     u and v are reduced once, numerator times scale^-1 mod p, so p must not
-    divide a scale.  A power or a product is one big-int multiply of packed
-    factors, cut to the fields it is known through; its fields then come
-    back below 2^(e+1) all at once by the Mersenne fold x = (x & p) +
-    (x >> e), through per-field masks, twice.  Powers and products are built
-    on first use, so only as far as the degrees asked for.
+    divide a scale, and packed by ``series._pack``.  A power or a product is
+    one big-int multiply of packed factors, cut to the fields it is known
+    through; its fields then come back below 2^(e+1) all at once by
+    ``_mersenne_fold``.  Powers and products are built on first use, so
+    only as far as the degrees asked for.
 
     Over Q the leading coefficient of a product is the product of its
     factors', so u^i v^j leads at i lead(u) + j lead(v), and it is known as
@@ -315,11 +326,7 @@ class MonomialTable:
                 self.stride = gcd(self.stride, spacing * (self.denom // w.denom))
         self.stride = self.stride or 1
         self.width = _field_bytes(p, rows)
-        ones = int.from_bytes(
-            (b"\x01" + bytes(self.width - 1)) * self._fields(rows), "little"
-        )
-        self._low = p * ones
-        self._high = ((1 << 8 * self.width - p.bit_length()) - 1) * ones
+        self._fold = _mersenne_fold(p, self.width, self._fields(rows))
         (lu, ku, xu), (lv, kv, xv) = self._reduce(u), self._reduce(v)
         self._leads, self._known = (lu, lv), (ku, kv)
         self._nonzero = (bool(u.nums), bool(v.nums))
@@ -337,23 +344,14 @@ class MonomialTable:
             return (0, self.rows, 0) if w.hi is None else (w.hi * f, 0, 0)
         lead = min(w.nums) * f
         known = self.rows if w.hi is None else min(self.rows, w.hi * f - lead)
-        inv, width = pow(w.scale, -1, self.p), self.width
-        fields = bytearray(self._fields(known) * width)
-        for k, c in w.nums.items():
-            at = k * f - lead
-            if at < known:
-                at //= self.stride
-                fields[at * width : (at + 1) * width] = (c * inv % self.p).to_bytes(
-                    width, "little"
-                )
-        return lead, known, int.from_bytes(fields, "little")
+        inv = pow(w.scale, -1, self.p)
+        fields = {
+            at: c * inv % self.p for k, c in w.nums.items() if (at := k * f - lead) < known
+        }
+        return lead, known, _pack(fields, 0, self.stride, self._fields(known), self.width)
 
     def _times(self, x: int, y: int, known: int) -> int:
-        x = x * y & ((1 << 8 * self.width * self._fields(known)) - 1)
-        e = self.p.bit_length()
-        for _ in range(2):
-            x = (x & self._low) + ((x >> e) & self._high)
-        return x
+        return self._fold(x * y & ((1 << 8 * self.width * self._fields(known)) - 1))
 
     def _power(self, which: int, i: int) -> int:
         pows, known = self._pows[which], self._known[which]
@@ -444,26 +442,29 @@ def build_coeff_matrix(
 
 def _echelon_mod_p(
     rows: list[int], ncols: int, width: int, p: int
-) -> tuple[list[list[int]], list[int]]:
+) -> tuple[list[int], list[int]]:
     """Row echelon form mod p = 2^e - 1 with unit pivots: (echelon rows,
     pivot columns).  A column is a pivot when it is independent of the
     columns before it.
 
     Each row is one int of ``width``-byte fields, lowest field the first
-    column, every field below 2^(e+1): rows from ``build_coeff_matrix``
-    come so, with no repacking.  A row below the pivots is shifted right by
-    one field per column.  A row operation is one big-int ``row += (p - f) *
-    pivot_row`` with the pivot row reduced, and fields are reduced mod p only
-    when read (delayed reduction, Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
-    A field gains less than p^2 per operation, at most once per pivot, so
-    with ``width`` from ``_field_bytes`` for at least as many rows it stays
-    below 2^(e+1) + nrows p^2 and never carries into the next.
+    column, every field below 2^(e+1), as ``build_coeff_matrix`` gives it.
+    A row below the pivots is shifted right by one field per column, so an
+    echelon row stays packed from its pivot column on.  A pivot row is
+    normalised to ``fold(fold(row) * inv)`` (``_mersenne_fold``), fields
+    below 2^(e+1), and a row operation is one big-int ``row += (p - f) *
+    pivot_row``; a field is reduced mod p only when read (delayed reduction,
+    Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).  It gains less than p
+    2^(e+1) per operation, at most once per pivot, so on n rows it stays
+    below 2^(e+1) (n p + 1), which a ``width`` from ``_field_bytes`` for at
+    least n rows holds with no carry.
     """
     bits = 8 * width
     mask = (1 << bits) - 1
+    fold = _mersenne_fold(p, width, ncols)
     # the rows below the pivots, in the order the swaps leave them
     m = list(rows)
-    ech: list[list[int]] = []
+    ech: list[int] = []
     pivots: list[int] = []
     for col in range(ncols):
         if not m:
@@ -473,14 +474,8 @@ def _echelon_mod_p(
         if piv is None:
             m = [row >> bits for row in m]
             continue
-        raw = m[piv].to_bytes((ncols - col) * width, "little")
-        inv = pow(fs[piv], -1, p)
-        vals = [
-            int.from_bytes(raw[at : at + width], "little") * inv % p
-            for at in range(0, len(raw), width)
-        ]
-        ech.append([0] * col + vals)
-        prow = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in vals), "little")
+        prow = fold(fold(m[piv]) * pow(fs[piv], -1, p))
+        ech.append(prow)
         # the pivot row trades places with the first row, then leaves
         m[piv], fs[piv] = m[0], fs[0]
         m = [
@@ -544,7 +539,13 @@ class _ReducedKernel:
             ech, pivots = _echelon_mod_p(rows, self.ncols, width, p)
             free = sorted(set(range(self.ncols)) - set(pivots))
             if free[: len(self.done)] == self.done:
-                self.p, self._ech, self._pivots, self._free = p, ech, pivots, free
+                self.p, self._free = p, free
+                # lifts read each echelon row once, through the last free column
+                end = free[-1] + 1 if free else 0
+                self._ech = [
+                    (pc, _unpack(row, end - pc, width, pc, 1))
+                    for row, pc in zip(ech, pivots) if pc < end
+                ]
                 return
         raise MiningError(
             "exact kernel not found: its entries are too large for rational "
@@ -571,12 +572,12 @@ class _ReducedKernel:
 
     def _lift(self, fc: int) -> list[int] | None:
         p = self.p
-        # back-substitution leaves every pivot column past fc at 0
+        # pivot columns past fc stay 0, and x[pc] is 0 until its row sets it
         x = [0] * self.ncols
         x[fc] = 1
-        for row, pc in zip(reversed(self._ech), reversed(self._pivots)):
+        for pc, row in reversed(self._ech):
             if pc < fc:
-                x[pc] = -sum(row[c] * x[c] for c in range(pc + 1, fc + 1)) % p
+                x[pc] = -sum(f * x[c] for c, f in row.items()) % p
         fracs = [_rational_mod_p(val, p) for val in x]
         if None in fracs:
             return None
@@ -590,10 +591,7 @@ def _pack_rows(matrix: list[list[int]], p: int) -> tuple[list[int], int]:
     """An integer matrix mod p as ``_echelon_mod_p`` takes it, and its
     field bytes."""
     width = _field_bytes(p, len(matrix))
-    rows = [
-        int.from_bytes(b"".join((x % p).to_bytes(width, "little") for x in row), "little")
-        for row in matrix
-    ]
+    rows = [_pack({c: x % p for c, x in enumerate(r)}, 0, 1, len(r), width) for r in matrix]
     return rows, width
 
 
@@ -706,7 +704,9 @@ def _horner_residual(
     top = math.floor(base_exp) + through_rows
     reach = top - base_exp
     u, v = (w if w.is_zero() else w.truncate(w.leading()[0] + reach) for w in (u, v))
-    v_pows = _power_table(v, max(j for _, j, _ in poly.terms))
+    v_pows = [PuiseuxSeries.constant(1), v]
+    while len(v_pows) <= max(j for _, j, _ in poly.terms):
+        v_pows.append(v_pows[-1] * v)
     q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) + 1)]
     for i, j, c in poly.terms:
         q[i] = q[i] + v_pows[j] * c
@@ -812,15 +812,16 @@ def mine(
     order, so the returned polynomial has the least total degree present in
     the kernel.  One elimination per prime serves every total degree.
 
-    The matrix is built mod the first prime of the ladder; the next prime's
-    tables are built only when a lift fails.  ``validate``'s series residual
-    is the exact check of a lift, so a candidate costs no evaluation beyond
-    its certificate: a residual nonzero on the matrix rows means the vector
-    is not in the kernel over Q, and the degree climbs.  The first candidate
-    that validates is returned without checking the lifts tried after it,
-    so where two relations share the least total degree, a bad lift after
-    the returned one could hide one that sorts before it.  MiningNotFound
-    carries each degree's rank over Q.
+    The matrix is built mod the first prime of the ladder, the next prime's
+    only when a lift fails; each prime's table is built once, cut to the
+    rows of the largest matrix, and serves every degree.  ``validate``'s
+    series residual is the exact check of a lift, so a candidate costs no
+    evaluation beyond its certificate: a residual nonzero on the matrix rows
+    means the vector is not in the kernel over Q, and the degree climbs.
+    The first candidate that validates is returned without checking the
+    lifts tried after it, so where two relations share the least total
+    degree, a bad lift after the returned one could hide one that sorts
+    before it.  MiningNotFound carries each degree's rank over Q.
     """
     bound = u_binding is not None and v_binding is not None
     if bound and (u is None or v is None):
@@ -847,14 +848,9 @@ def mine(
     tables: dict[int, MonomialTable] = {}
 
     def matrices(s: int, rows: int) -> Iterator[tuple[int, list[int], int]]:
-        # each prime's table is built on first use: the first prime's serves
-        # every degree, so it is cut to the rows of the largest matrix; a
-        # prime climbed to serves only the degrees that climb, so it is cut
-        # to theirs, and rebuilt when a later one needs more
         for p in primes:
-            need = max_rows if p == primes[0] else rows
-            if p not in tables or tables[p].rows < need:
-                tables[p] = MonomialTable(u, v, need, p)
+            if p not in tables:
+                tables[p] = MonomialTable(u, v, max_rows, p)
             yield p, build_coeff_matrix(u, v, s, rows, tables[p])[0], tables[p].width
 
     for s, rows in all_rows.items():
@@ -905,13 +901,11 @@ def mine(
 
 def _valuation_spread(u: PuiseuxSeries, v: PuiseuxSeries, s: int) -> int:
     """Spread, in common-grid units, between the least and greatest leading
-    exponents of the monomials u^i v^j with 0 <= i, j <= s.  Added to the
-    row count so every column keeps a full window of informative rows."""
-    n = u.denom * v.denom // gcd(u.denom, v.denom)
+    exponents of the monomials u^i v^j with 0 <= i, j <= s, the corners i, j
+    in {0, s}: s (|val u| + |val v|).  Added to the row count so every
+    column keeps a full window of informative rows."""
     try:
-        vu = u.leading()[0]
-        vv = v.leading()[0]
+        vu, vv = u.leading()[0], v.leading()[0]
     except ValueError:
         return 0
-    vals = [i * vu + j * vv for i in (0, s) for j in (0, s)]
-    return int((max(vals) - min(vals)) * n)
+    return int(s * (abs(vu) + abs(vv)) * math.lcm(u.denom, v.denom))

@@ -549,6 +549,8 @@ def invert_unit(u: PuiseuxSeries) -> PuiseuxSeries:
     sign = u.nums[alpha] // c
     stride = gcd(*(k - alpha for k in u.nums)) or n_rel
     length = _ceil_div(n_rel, stride)
+    if length > MAX_TERMS:
+        raise ValueError(f"inversion: more than {MAX_TERMS} terms")
     ks = [(k - alpha) // stride for k in sorted(u.nums)[1:]]
     cs = [sign * u.nums[alpha + j * stride] * c ** (j - 1) for j in ks]
     b, m, kn, cn = [sign], 0, [], []

@@ -161,3 +161,39 @@ def test_recognize_calls_lll_once_per_degree(monkeypatch, value, d_max, dims):
     except NotFound:
         assert value == "pi"
     assert seen == dims
+
+
+# the calls perfbench/workloads.py and perfbench/record.py make, by their
+# positional and keyword shapes: a parameter renamed, reordered or made
+# keyword-only must fail here, not in every benchmark job of its kind
+CALL_SHAPES = [
+    ("numeric", "eval_A", ("spec", "q", 400), {}),
+    ("numeric", "eval_eta5", ("q", 500), {}),
+    ("numeric", "eval_h5", ("q", 500), {}),
+    ("recognize", "recognize", ("x", 8, 400), {}),
+    (
+        "mining", "mine", ("u", "v", 7, None),
+        {"u_binding": "binding", "v_binding": "m", "digits": 60},
+    ),
+    ("catalog", "verify_entry", ("table1", 60, 60, (1, 2, 3)), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, args, kwargs", CALL_SHAPES, ids=[name for _, name, _, _ in CALL_SHAPES]
+)
+def test_benchmark_call_shapes_bind(module, name, args, kwargs):
+    fn = getattr(importlib.import_module(f"thetaquot.{module}"), name)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_coeff_matrix_is_one_packed_int_per_row():
+    # the tracer counts mining.matrix_cells as len(result[0]) *
+    # len(result[1]) of build_coeff_matrix: grid rows times monomials
+    from thetaquot.mining import build_coeff_matrix
+    from thetaquot.series import A_series, ThetaSpec, modulus_series
+
+    u, v = A_series(ThetaSpec(1, 4), 30) ** 12, modulus_series(30)
+    matrix, cols = build_coeff_matrix(u, v, 2, 12)[:2]
+    assert len(matrix) == 12 and all(type(row) is int for row in matrix)
+    assert cols == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2)]

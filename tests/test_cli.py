@@ -269,6 +269,17 @@ class TestMine:
         assert code == 2
         assert err.startswith("error: no certified integer relation of degree <= 1")
 
+    def test_large_p_is_built_past_its_leading_exponent(self, capsys):
+        # A(1, 60; q) leads at q^(541/120), so u is built that far past the
+        # order its rows need, or u^2 is zero to its bound
+        code, out, err = run(
+            capsys, "mine", "--a", "1", "--p", "60", "--power", "2", "--v", "m",
+            "--max-degree", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no certified integer relation of degree <= 2")
+
     @pytest.mark.parametrize("qscale", ["0", "-1"])
     def test_non_positive_qscale_is_usage_error(self, capsys, qscale):
         code, _, err = run(
@@ -317,11 +328,16 @@ class TestRangeGuards:
              "--max-degree", "2"],
             ["mine", "--a", "1", "--p", "1e-400", "--power", "12", "--v", "m",
              "--max-degree", "2"],
+            # 1/A(4e-348, 8e381) leads at q^(p/12): its theta factor is
+            # 1 - q^(4e-348) + O(q), 2.5e347 steps of the recurrence
+            ["mine", "--a", "4e-348", "--p", "8e381", "--power", "-1", "--v",
+             "m_q2_squared", "--max-degree", "2"],
         ],
     )
     def test_a_series_past_the_limits_is_a_usage_error(self, capsys, argv):
-        # a theta series with more than MAX_TERMS terms a side, or a product
-        # past MAX_PRODUCT_BYTES, is refused at once
+        # a theta series with more than MAX_TERMS terms a side, an inversion
+        # of more than MAX_TERMS terms, or a product past MAX_PRODUCT_BYTES,
+        # is refused at once
         def stop(*args):
             raise TookTooLong(argv)
 

@@ -159,6 +159,15 @@ def echelon_mod_p_lists(rows, p):
     return m[: len(pivots)], pivots
 
 
+def packed_fields(row, n, width):
+    """The n ``width``-byte fields of a packed row, lowest first; a row
+    that holds more raises OverflowError."""
+    raw = row.to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[at : at + width], "little") for at in range(0, n * width, width)
+    ]
+
+
 @st.composite
 def elimination_matrices(draw):
     """1-12 by 1-12 integer matrices (so 1 x n, n x 1, tall and wide) with
@@ -326,20 +335,51 @@ class TestExactNullspace:
     @example([[0, 0, 0]])
     @example([[5], [0], [-7]])
     @example([[3, 6, 9], [1, 2, 3], [0, 0, 0], [2, 4, 6]])
+    # the largest input: every field at 2^(e+1) - 1, on 31 rows
+    @example([[1] * 5 for _ in range(31)])
     def test_packed_elimination_matches_the_list_oracle(self, e, matrix):
         # rows come packed with fields below 2^(e+1), not always below p: an
-        # odd entry is packed as its residue plus p
+        # odd entry is packed as the largest such field of its residue
         p = (1 << e) - 1
+        top = 1 << e + 1
         width = mining._field_bytes(p, len(matrix))
+        ncols = len(matrix[0])
+
+        def field(x):
+            r = x % p
+            return r + p * ((top - 1 - r) // p) if x % 2 else r
+
         rows = [
             int.from_bytes(
-                b"".join((x % p + p * (x % 2)).to_bytes(width, "little") for x in row),
-                "little",
+                b"".join(field(x).to_bytes(width, "little") for x in row), "little"
             )
             for row in matrix
         ]
-        got = mining._echelon_mod_p(rows, len(matrix[0]), width, p)
-        assert got == echelon_mod_p_lists(matrix, p)
+        ech, pivots = mining._echelon_mod_p(rows, ncols, width, p)
+        # an echelon row is packed from its pivot column on, every field
+        # below 2^(e+1)
+        fields = [packed_fields(row, ncols - pc, width) for row, pc in zip(ech, pivots)]
+        assert all(f < top for row in fields for f in row)
+        got = [[0] * pc + [f % p for f in row] for row, pc in zip(fields, pivots)]
+        assert (got, pivots) == echelon_mod_p_lists(matrix, p)
+
+    @pytest.mark.parametrize("e", [61, 89, 521])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32])
+    def test_fold_of_a_product_of_largest_fields(self, e, n):
+        # n fields at 2^(e+1) - 1, the most a folded field may hold, squared:
+        # the middle field is n (2^(e+1) - 1)^2, which needs every one of
+        # _field_bytes' 2e + bitlen(n) + 2 bits when n + 1 is a power of two
+        # (at n = 31 these are a whole number of bytes for each e here)
+        p = (1 << e) - 1
+        width = mining._field_bytes(p, n)
+        top = (1 << e + 1) - 1
+        x = int.from_bytes(top.to_bytes(width, "little") * n, "little")
+        fold = mining._mersenne_fold(p, width, 2 * n - 1)
+        fields = packed_fields(fold(x * x), 2 * n - 1, width)
+        assert all(f < 2 << e for f in fields)
+        assert [f % p for f in fields] == [
+            min(k + 1, 2 * n - 1 - k) * top * top % p for k in range(2 * n - 1)
+        ]
 
     def test_lucas_lehmer_rejects_composites(self):
         assert [e for e in (3, 5, 7, 11, 13, 23, 29, 31) if lucas_lehmer(e)] == [
@@ -388,13 +428,7 @@ def reference_coeff_matrix(u, v, s, rows):
 
 def unpack_rows(rows, ncols, width, p):
     """Packed rows as lists of fields reduced mod p."""
-    return [
-        [
-            int.from_bytes(raw[at : at + width], "little") % p
-            for at in range(0, ncols * width, width)
-        ]
-        for raw in (row.to_bytes(ncols * width, "little") for row in rows)
-    ]
+    return [[f % p for f in packed_fields(row, ncols, width)] for row in rows]
 
 
 def rows_mod_p(u, v, s, rows, p=P61, table=None):
@@ -1093,12 +1127,35 @@ def known_pairs(draw):
     return one(), one(), n
 
 
+@st.composite
+def a_bindings(draw):
+    """u = A(a, p; q^qscale)^power with p up to 120, a/p not an integer
+    (A(a, p; q) is zero there), a power of either sign and qscale 1, 2 or
+    1/3."""
+    p = draw(st.fractions(min_value=F(1, 4), max_value=120, max_denominator=4))
+    a = draw(
+        st.fractions(min_value=-p, max_value=2 * p, max_denominator=4).filter(
+            lambda a: (a / p).denominator != 1
+        )
+    )
+    power = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return ABinding(ThetaSpec(a, p), power, draw(st.sampled_from([F(1), F(2), F(1, 3)])))
+
+
 class TestKnownThrough:
     @pytest.mark.parametrize("name", list(BINDING_SERIES))
     @settings(max_examples=12, deadline=None)
     @given(order=st.fractions(min_value=1, max_value=45, max_denominator=12))
     def test_bindings_reach_their_relative_order(self, name, order):
         assert BINDING_SERIES[name](order).relative_order() >= order
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_bindings(), st.fractions(min_value=1, max_value=20, max_denominator=6))
+    # A(1, 60; q) leads at q^(541/120), more than 2 orders up
+    @example(ABinding(ThetaSpec(1, 60), 1), F(10))
+    @example(ABinding(ThetaSpec(1, 120), -2, F(1, 3)), F(1))
+    def test_a_bindings_reach_their_relative_order_at_every_p(self, binding, order):
+        assert binding.series(order).relative_order() >= order
 
     @settings(max_examples=150, deadline=None)
     @given(known_pairs(), st.integers(1, 3), st.data())

@@ -27,7 +27,7 @@ from thetaquot.series import (
     sqrt_series,
     theta_series,
 )
-from thetaquot.series import MAX_PRODUCT_BYTES, _product_plan, _rel_length
+from thetaquot.series import MAX_PRODUCT_BYTES, MAX_TERMS, _product_plan, _rel_length
 
 
 def series(pairs, order=None):
@@ -543,6 +543,11 @@ class TestInvertUnit:
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             invert_unit(series([], order=5))
+
+    def test_refuses_more_than_max_terms(self):
+        # 1 + q^(1/10^7) + O(q): 10^7 steps of the recurrence
+        with pytest.raises(ValueError, match=f"inversion: more than {MAX_TERMS} terms"):
+            invert_unit(series([(0, 1), (F(1, 10 ** 7), 1)], order=1))
 
     @settings(max_examples=200, deadline=None)
     @given(unit_operands())
