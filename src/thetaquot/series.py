@@ -12,10 +12,17 @@ the smallest stored key are known to be zero.
 All arithmetic computes the tightest sound truncation bound for the result
 rather than assuming the operands share one.  A product is computed by
 Kronecker substitution: each factor becomes one big integer and CPython's
-big-int multiply does the convolution.  Units are inverted by their
-recurrence, at a cost per term, so only sparse theta and eta series are.
-Square roots and exponentials are Newton iterations on series values, whose
-products ``__mul__`` computes and cuts.
+big-int multiply does the convolution.  ``_pack`` writes the factors'
+coefficients into fixed-width signed fields of that integer and ``_unpack``
+reads the product's back.  Fields of at most 8 bytes go in bulk: each value
+plus half a field sits in an 8-byte machine word, ``width`` strided byte
+copies move all the fields between words and the packed bytes at once,
+and the half offsets come off the whole integer.  Wider fields are written
+and read one by one, which measures faster than splitting each into words.
+Units are inverted, and divided into a numerator, by their recurrence, at a
+cost per term, so only sparse theta and eta series are.  Square roots and
+exponentials are Newton iterations on series values, whose products
+``__mul__`` computes and cuts.
 """
 
 from __future__ import annotations
@@ -23,11 +30,19 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
+
+# fields of at most this many bytes are packed and read through 8-byte
+# machine words, whose byte order must be little-endian; wider fields go one
+# by one, which measures faster than splitting them into words
+_BULK_BYTES = 8 if sys.byteorder == "little" else 0
 
 # the most terms of a theta sum on each side of its vertex, and of the
 # accumulator of a product form
@@ -82,15 +97,39 @@ def _integer_terms(terms: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
     return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
 
 
+def _half_offsets(count: int, width: int) -> tuple[int, int]:
+    """Half a ``width``-byte field, and the int with it in each of ``count``
+    fields."""
+    half = 1 << (8 * width - 1)
+    return half, int.from_bytes(half.to_bytes(width, "little") * count, "little")
+
+
 def _pack(
     terms: Mapping[int, int], base: int, stride: int, count: int, width: int
 ) -> int:
     """Evaluate sum c * x^((k - base) / stride) at x = 2^(8 * width).
 
-    Each coefficient must fit a signed ``width``-byte field; positive and
-    negative coefficients are packed separately so that every field is
-    written with a plain unsigned ``to_bytes``.
+    Each coefficient must fit a signed ``width``-byte field,
+    -2^(8 width - 1) <= c < 2^(8 width - 1); one outside raises
+    ``ValueError``.  Fields of at most 8 bytes hold c plus half a field, so
+    every one is unsigned: they are written into 8-byte words, moved into
+    place with ``width`` strided byte copies, and the half offsets come off
+    the whole int at once.  Wider fields are written one by one, positive
+    and negative coefficients separately, each with a plain unsigned
+    ``to_bytes``.
     """
+    half = 1 << (8 * width - 1)
+    if terms and not (-half <= min(terms.values()) and max(terms.values()) < half):
+        raise ValueError(f"a coefficient does not fit a signed {width}-byte field")
+    if width <= _BULK_BYTES:
+        words = array("Q", (half,)) * count
+        for k, c in terms.items():
+            words[(k - base) // stride] = c + half
+        word_bytes = words.tobytes()
+        fields = bytearray(count * width)
+        for j in range(width):
+            fields[j::width] = word_bytes[j::8]
+        return int.from_bytes(fields, "little") - _half_offsets(count, width)[1]
     pos = bytearray(count * width)
     neg = None
     for k, c in terms.items():
@@ -117,7 +156,7 @@ def _int_product(
     if not a or not b:
         return {}
     va, vb = min(a), min(b)
-    stride = gcd(*(k - va for k in a), *(k - vb for k in b)) or 1
+    stride = gcd(*map(va.__rsub__, a), *map(vb.__rsub__, b)) or 1
     na = (max(a) - va) // stride + 1
     nb = (max(b) - vb) // stride + 1
     base = va + vb
@@ -126,8 +165,8 @@ def _int_product(
         count = min(count, _ceil_div(hi - base, stride))
     # |product coefficient| <= min(#a, #b) * max|a| * max|b| < 2^(bits - 1)
     bits = (
-        max(abs(c) for c in a.values()).bit_length()
-        + max(abs(c) for c in b.values()).bit_length()
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
         + min(len(a), len(b)).bit_length()
         + 1
     )
@@ -147,14 +186,22 @@ def _unpack(
     2^(8 * width * count)): the nonzero ones, digit m keyed by grid index
     base + m * stride."""
     # adding half a field to each field absorbs the borrows of negative
-    # fields, and the xor takes the half off again without a carry, so that
-    # every field holds its own digit as a two's complement number; higher
-    # fields are cut off
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    low = ((value + offset) & ((1 << (8 * width * count)) - 1)) ^ offset
-    raw = low.to_bytes(width * count, "little")
+    # fields, so that every field holds its digit plus half a field as an
+    # unsigned number; higher fields are cut off
+    half, offset = _half_offsets(count, width)
+    low = (value + offset) & ((1 << (8 * width * count)) - 1)
     keys = range(base, base + count * stride, stride)
+    if width <= _BULK_BYTES:
+        # spread the fields into 8-byte words and read them all at once
+        fields = low.to_bytes(width * count, "little")
+        word_bytes = bytearray(8 * count)
+        for j in range(width):
+            word_bytes[j::8] = fields[j::width]
+        digits = list(map(half.__rsub__, memoryview(word_bytes).cast("Q")))
+        return dict(compress(zip(keys, digits), digits))
+    # the xor takes the half off again without a carry, so that every field
+    # holds its own digit as a two's complement number
+    raw = (low ^ offset).to_bytes(width * count, "little")
     return {
         k: c
         for k, m in zip(keys, range(0, width * count, width))
@@ -169,6 +216,11 @@ class PuiseuxSeries:
     canonical: ``nums`` holds nonzero integers below ``hi`` only,
     ``gcd(scale, *nums.values()) == 1`` with ``scale`` positive (1 for the
     zero series), and the grid is the coarsest one carrying every term.
+
+    Series may share one ``nums`` dict (a truncation, a Newton iterate, an
+    operand's own terms): that is safe only because nothing writes into a
+    ``nums`` after construction, so an operation that builds its result in
+    place, as ``__add__`` does, copies it first.
     """
 
     __slots__ = ("denom", "nums", "scale", "hi")
@@ -189,7 +241,8 @@ class PuiseuxSeries:
     def _init(self, denom: int, nums: Mapping[int, int], scale: int, hi: int | None):
         if denom < 1:
             raise ValueError("grid denominator must be >= 1")
-        nums = {k: c for k, c in nums.items() if c and (hi is None or k < hi)}
+        if not all(nums.values()) or (hi is not None and nums and max(nums) >= hi):
+            nums = {k: c for k, c in nums.items() if c and (hi is None or k < hi)}
         if scale != 1:
             g = gcd(scale, *nums.values())
             if g != 1:
@@ -292,7 +345,7 @@ class PuiseuxSeries:
 
     def _rebased(self, denom: int) -> tuple[dict[int, int], int | None]:
         if denom == self.denom:
-            return dict(self.nums), self.hi
+            return self.nums, self.hi
         f = denom // self.denom
         nums = {k * f: c for k, c in self.nums.items()}
         hi = None if self.hi is None else self.hi * f
@@ -311,8 +364,8 @@ class PuiseuxSeries:
         n, a, ha, b, hb = self._common(other)
         scale = math.lcm(self.scale, other.scale)
         fa, fb = scale // self.scale, scale // other.scale
-        if fa != 1:
-            a = {k: c * fa for k, c in a.items()}
+        # a copy: ``a`` may be self's own dict
+        a = {k: c * fa for k, c in a.items()} if fa != 1 else dict(a)
         for k, c in b.items():
             a[k] = a.get(k, 0) + c * fb
         return PuiseuxSeries._make(n, a, scale, _min_bound(ha, hb))
@@ -354,8 +407,10 @@ class PuiseuxSeries:
         if hi is not None:
             # terms that pair with the other factor's lowest term at or
             # above the bound cannot contribute
-            a = {k: c for k, c in a.items() if k < hi - lb}
-            b = {k: c for k, c in b.items() if k < hi - la}
+            if a and max(a) >= hi - lb:
+                a = {k: c for k, c in a.items() if k < hi - lb}
+            if b and max(b) >= hi - la:
+                b = {k: c for k, c in b.items() if k < hi - la}
         if other is self:
             b = a  # one trimmed dict for both factors: a square packs once
         scale = self.scale * other.scale
@@ -533,35 +588,55 @@ def _rebound(x: PuiseuxSeries, n: int) -> PuiseuxSeries:
 
 def invert_unit(u: PuiseuxSeries) -> PuiseuxSeries:
     """Multiplicative inverse of a truncated series with nonzero leading
-    coefficient, known as far above its leading term as u is.
+    coefficient, known as far above its leading term as u is: the quotient
+    of the exact 1 by u."""
+    return _divide(PuiseuxSeries.constant(1), u)
 
-    For u = q^alpha (a_0 + a_1 x + ...) / scale, x = q^(s/denom) with s the
-    gcd stride of u's offsets, b_n = -sum_k a_k b_(n-k) / a_0 runs on the
-    integers B_n = c^(n+1) b_n = -sign(a_0) sum_k c^(k-1) a_k B_(n-k), c =
-    |a_0|, with a power of c as the scale.  Each step costs one product per
-    term of u: cheap on a theta or eta series, quadratic on a dense unit.
+
+def _divide(num: PuiseuxSeries, u: PuiseuxSeries) -> PuiseuxSeries:
+    """num / u for a series num with a nonzero term and a truncated series u
+    with nonzero leading coefficient, known as far above its leading term as
+    both num and u are, as num * invert_unit(u) is.
+
+    On the common grid, with num = q^beta (n_0 + n_1 x + ...) / scale_num,
+    u = q^alpha (a_0 + a_1 x + ...) / scale_u and x = q^(s/denom), s the gcd
+    stride of both's offsets, the quotient's r_n = (n_n - sum_k a_k r_(n-k))
+    / a_0 runs on the integers B_n = c^(n+1) r_n = sign(a_0) c^n n_n -
+    sum_k sign(a_0) c^(k-1) a_k B_(n-k), c = |a_0|, with a power of c in the
+    scale.  Each step costs one product per term of u: cheap on a theta or
+    eta series, quadratic on a dense unit.
     """
     if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
     n_rel = _rel_length(u, "inversion")
-    alpha = min(u.nums)
-    c = abs(u.nums[alpha])
-    sign = u.nums[alpha] // c
-    stride = gcd(*(k - alpha for k in u.nums)) or n_rel
-    length = _ceil_div(n_rel, stride)
+    denom = math.lcm(num.denom, u.denom)
+    fn, fu = denom // num.denom, denom // u.denom
+    alpha, beta = min(u.nums) * fu, min(num.nums) * fn
+    known = n_rel * fu if num.hi is None else min(n_rel * fu, num.hi * fn - beta)
+    offsets = [k * fn - beta for k in num.nums]
+    stride = gcd(*(k * fu - alpha for k in u.nums), *offsets) or known
+    length = _ceil_div(known, stride)
     if length > MAX_TERMS:
         raise ValueError(f"inversion: more than {MAX_TERMS} terms")
-    ks = [(k - alpha) // stride for k in sorted(u.nums)[1:]]
-    cs = [sign * u.nums[alpha + j * stride] * c ** (j - 1) for j in ks]
-    b, m, kn, cn = [sign], 0, [], []
-    for n in range(1, length):
+    a0 = u.nums[min(u.nums)]
+    c = abs(a0)
+    sign = a0 // c
+    units = sorted(u.nums.items())[1:]
+    ks = [(k * fu - alpha) // stride for k, _ in units]
+    cs = [sign * a * c ** (j - 1) for j, (_, a) in zip(ks, units)]
+    top = [0] * length
+    for at, x in zip(offsets, num.nums.values()):
+        if at < known:
+            top[at // stride] = sign * x * c ** (at // stride)
+    b, m, kn, cn = [], 0, [], []
+    for n, t in enumerate(top):
         if m < len(ks) and ks[m] == n:  # kn, cn: the terms a_k with k <= n
             m += 1
             kn, cn = ks[:m], cs[:m]
-        b.append(-sum(map(operator.mul, cn, map(b.__getitem__, map(n.__sub__, kn)))))
-    nums = {n * stride - alpha: u.scale * x * c ** (length - 1 - n)
+        b.append(t - sum(map(operator.mul, cn, map(b.__getitem__, map(n.__sub__, kn)))))
+    nums = {n * stride + beta - alpha: u.scale * x * c ** (length - 1 - n)
             for n, x in enumerate(b) if x}
-    return PuiseuxSeries._make(u.denom, nums, c ** length, n_rel - alpha)
+    return PuiseuxSeries._make(denom, nums, num.scale * c ** length, beta - alpha + known)
 
 
 def exp_series(u: PuiseuxSeries) -> PuiseuxSeries:
@@ -816,7 +891,9 @@ def A_series_product(spec: ThetaSpec, order: Rat) -> PuiseuxSeries:
 def modulus_series(order: Rat) -> PuiseuxSeries:
     """Squared elliptic modulus m(q) = k^2 = q (theta2 / theta3)^4 as an
     exact q-series: k_series(order) squared, with integer coefficients
-    16q - 128q^2 + 704q^3 - ...
+    16q - 128q^2 + 704q^3 - ...  One dense squaring of k measures faster at
+    orders up to a few hundred than dividing q theta2^4 by theta3 four times,
+    which wins from about order 1000.
     """
     return k_series(order) ** 2
 
@@ -825,13 +902,15 @@ def k_series(order: Rat) -> PuiseuxSeries:
     """Elliptic modulus k(q) = sqrt(m(q)) as an exact q-series, without a
     root: q^(1/2) (theta_series(1, 1) / theta_series(1, 0))^2, both
     non-alternating, with theta_series(1, 1) = 2 sum_{n>=0} q^(n^2+n)
-    standing for q^(-1/4) theta2 and theta_series(1, 0) for theta3, the one
-    inverted.  It equals sqrt_series(modulus_series(order)) term for term
-    and bound for bound: 4 q^(1/2) - 16 q^(3/2) + 56 q^(5/2) - ...
+    standing for q^(-1/4) theta2 and theta_series(1, 0) for theta3.  The
+    square of the sparse theta2 series is divided by the sparse theta3
+    twice, so no quotient is squared densely.  It equals
+    sqrt_series(modulus_series(order)) term for term and bound for bound:
+    4 q^(1/2) - 16 q^(3/2) + 56 q^(5/2) - ...
     """
     t2 = theta_series(1, 1, order, alternating=False)
     t3 = theta_series(1, 0, order, alternating=False)
-    return PuiseuxSeries.monomial(1, Fraction(1, 2)) * (t2 * invert_unit(t3)) ** 2
+    return PuiseuxSeries.monomial(1, Fraction(1, 2)) * _divide(_divide(t2 * t2, t3), t3)
 
 
 def nome_sqrt_exp_form(order: Rat) -> PuiseuxSeries:

@@ -61,13 +61,15 @@ def test_only_numeric_imports_mpmath(path):
 
 
 def test_only_sparse_units_are_inverted(monkeypatch):
-    handed = []  # (terms, length, inside exp_series) per inversion
+    # every inversion and division by a unit runs the one recurrence of
+    # _divide; invert_unit is its quotient of 1
+    handed = []  # (terms, length, inside exp_series) per unit
     in_exp = []
-    invert, exp = series_module.invert_unit, series_module.exp_series
+    divide, exp = series_module._divide, series_module.exp_series
 
-    def recording_invert(u):
+    def recording_divide(num, u):
         handed.append((len(u.nums), u.hi - min(u.nums), bool(in_exp)))
-        return invert(u)
+        return divide(num, u)
 
     def recording_exp(u):
         in_exp.append(u)
@@ -76,7 +78,7 @@ def test_only_sparse_units_are_inverted(monkeypatch):
         finally:
             in_exp.pop()
 
-    monkeypatch.setattr(series_module, "invert_unit", recording_invert)
+    monkeypatch.setattr(series_module, "_divide", recording_divide)
     monkeypatch.setattr(series_module, "exp_series", recording_exp)
     series_module.modulus_series(150)
     series_module.k_series(150)

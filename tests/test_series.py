@@ -3,6 +3,7 @@ contracts, and ring properties on seeded random inputs."""
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -27,7 +28,15 @@ from thetaquot.series import (
     sqrt_series,
     theta_series,
 )
-from thetaquot.series import MAX_PRODUCT_BYTES, MAX_TERMS, _product_plan, _rel_length
+from thetaquot.series import (
+    MAX_PRODUCT_BYTES,
+    MAX_TERMS,
+    _divide,
+    _pack,
+    _product_plan,
+    _rel_length,
+    _unpack,
+)
 
 
 def series(pairs, order=None):
@@ -486,6 +495,134 @@ class TestCanonicalForm:
         assert PuiseuxSeries.from_json_obj(x.to_json_obj()) == x
 
 
+def per_field_pack(terms, base, stride, count, width):
+    """Reference packer: every field written with its own ``to_bytes``,
+    positive and negative coefficients into separate byte strings."""
+    pos = bytearray(count * width)
+    neg = bytearray(count * width)
+    for k, c in terms.items():
+        at = (k - base) // stride * width
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def per_field_unpack(value, count, width, base, stride):
+    """Reference reader: half a field added to every field, the xor taking
+    it off again, and each field read with its own signed ``from_bytes``."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    low = ((value + offset) & ((1 << (8 * width * count)) - 1)) ^ offset
+    raw = low.to_bytes(width * count, "little")
+    out = {}
+    for m in range(count):
+        c = int.from_bytes(raw[m * width : (m + 1) * width], "little", signed=True)
+        if c:
+            out[base + m * stride] = c
+    return out
+
+
+@st.composite
+def packed_fields(draw):
+    """(terms, base, stride, count, width, cut): up to 40 fields of 1 to 40
+    bytes on a stride from 1 to 96 above a possibly negative base, with
+    values that include both ends of a signed field and zeros, and a read
+    length ``cut`` that may stop short of the packed length, as a product's
+    bound does."""
+    width = draw(st.integers(1, 40))
+    stride = draw(st.integers(1, 96))
+    base = draw(st.integers(-10_000, 10_000))
+    count = draw(st.integers(1, 40))
+    half = 1 << (8 * width - 1)
+    value = st.one_of(
+        st.sampled_from([-half, half - 1, 0, 1, -1]), st.integers(-half, half - 1)
+    )
+    slots = draw(st.sets(st.integers(0, count - 1)))
+    terms = {base + stride * j: draw(value) for j in slots}
+    return terms, base, stride, count, width, draw(st.integers(1, count))
+
+
+def _ends(width, count):
+    """Fields alternating between both ends of a signed ``width``-byte field."""
+    half = 1 << (8 * width - 1)
+    terms = {-3 + 5 * j: (-half, half - 1)[j % 2] for j in range(count)}
+    return terms, -3, 5, count, width, count - 1
+
+
+class TestPackedFields:
+    """The one packer and the one reader of every Kronecker product, both
+    paths (fields of at most 8 bytes in bulk, wider ones field by field),
+    against the per-field reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_fields())
+    @example(({}, 0, 1, 1, 8, 1))
+    @example(({}, -7, 3, 5, 9, 2))
+    @example(_ends(8, 6))
+    @example(_ends(9, 6))
+    @example(_ends(1, 9))
+    def test_pack_and_read_back(self, case):
+        terms, base, stride, count, width, cut = case
+        packed = _pack(terms, base, stride, count, width)
+        assert packed == per_field_pack(terms, base, stride, count, width)
+        want = {k: c for k, c in terms.items() if c and (k - base) // stride < cut}
+        assert _unpack(packed, cut, width, base, stride) == want
+        assert per_field_unpack(packed, cut, width, base, stride) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 30), st.integers(1, 96),
+        st.integers(-10_000, 10_000), st.data(),
+    )
+    @example(8, 3, 1, 0, None)
+    @example(9, 3, 1, 0, None)
+    def test_read_any_int(self, width, count, stride, base, data):
+        # a product's int: any sign, and bits past the read fields
+        span = 8 * width * count + 20
+        values = [-(1 << span) + 1, (1 << span) - 1, -1, 0]
+        if data is not None:
+            values.append(data.draw(st.integers(-(1 << span), 1 << span)))
+        for value in values:
+            assert _unpack(value, count, width, base, stride) == per_field_unpack(
+                value, count, width, base, stride
+            )
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 17])
+    def test_field_out_of_range_raises(self, width):
+        # -2^(8w-1) <= c < 2^(8w-1) is the contract; a value past it would
+        # wrap into a neighbouring field or lose its high bytes
+        half = 1 << (8 * width - 1)
+        for bad in (half, -half - 1):
+            with pytest.raises(ValueError, match=f"signed {width}-byte field"):
+                _pack({0: 1, 3: bad, 5: -1}, 0, 1, 6, width)
+
+    @pytest.mark.parametrize("width", [1, 5, 8, 9, 17])
+    def test_path_switches_above_8_bytes(self, monkeypatch, width):
+        # fields of at most 8 bytes go through 8-byte words on a
+        # little-endian machine, wider ones field by field
+        import thetaquot.series as series_module
+
+        seen = []
+
+        def recording(name, real):
+            def call(*args):
+                seen.append(name)
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(series_module, "array", recording("pack", series_module.array))
+        monkeypatch.setattr(
+            series_module, "compress", recording("unpack", series_module.compress)
+        )
+        packed = _pack({0: 5, 2: -3}, 0, 1, 3, width)
+        assert _unpack(packed, 3, width, 0, 1) == {0: 5, 2: -3}
+        bulk = width <= 8 and sys.byteorder == "little"
+        assert seen == (["pack", "unpack"] if bulk else [])
+
+
 class TestKroneckerProduct:
     @settings(max_examples=200, deadline=None)
     @given(product_operands(), product_operands())
@@ -559,6 +696,16 @@ class TestInvertUnit:
     def test_sparse_units_match_schoolbook(self, u):
         assert u.scale != 1 and abs(u.nums[min(u.nums)]) != 1
         assert fields(invert_unit(u)) == fields(schoolbook_inverse(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands().filter(lambda x: not x.is_zero()), unit_operands())
+    def test_division_is_the_product_with_the_inverse(self, num, u):
+        assert outcome(_divide, num, u) == outcome(lambda: num * invert_unit(u))
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_operands().filter(lambda x: not x.is_zero()), sparse_units())
+    def test_division_by_sparse_units(self, num, u):
+        assert fields(_divide(num, u)) == fields(num * schoolbook_inverse(u))
 
     def test_random_units_multiply_to_one(self):
         rng = random.Random(7177)
@@ -1083,6 +1230,15 @@ class TestSparseInversions:
         assert fields(modulus_series(order)) == fields(m)
         assert fields(k_series(order)) == fields(k)
 
+    @pytest.mark.parametrize("order", ORDERS + [1000], ids=str)
+    def test_modulus_and_k_by_division(self, order):
+        # k divides theta(1,1)^2 by the sparse theta(1,0) twice; the formula
+        # it replaced multiplied by theta(1,0)'s inverse and squared
+        t2, t3 = self.thetas(order)
+        k = PuiseuxSeries.monomial(1, F(1, 2)) * (t2 * invert_unit(t3)) ** 2
+        assert fields(k_series(order)) == fields(k)
+        assert fields(modulus_series(order)) == fields(k ** 2)
+
     @pytest.mark.parametrize("order", ORDERS, ids=str)
     def test_eta5_as_quotient_of_product_forms(self, order):
         top = F(math.ceil(5 * F(order)) + 2, 5)
@@ -1106,6 +1262,42 @@ class TestSparseInversions:
             a = A_series(spec, F(order) / qscale + 2)
             want = schoolbook_inverse(rescale(a, qscale)) ** -power
             assert fields(got) == fields(want)
+
+
+class TestOperandsUnchanged:
+    """Series share their ``nums`` dicts (a truncation, a Newton iterate,
+    an operand's own terms), so no operation may write into an operand's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_operands(), product_operands(), unit_operands(), exp_operands())
+    def test_no_operation_writes_into_an_operand(self, x, y, u, e):
+        operands = (x, y, u, e)
+        before = [dict(w.nums) for w in operands]
+        for op in (
+            lambda: x + y,
+            lambda: y + x,
+            lambda: x + x,
+            lambda: x - y,
+            lambda: y - x,
+            lambda: x * y,
+            lambda: x * u,
+            lambda: x * x,
+            lambda: x ** 2,
+            lambda: u ** 3,
+            lambda: u ** -2,
+            lambda: x.truncate(F(7, 2)),
+            lambda: rescale(x, F(3, 2)),
+            lambda: invert_unit(u),
+            lambda: _divide(u * u, u),
+            lambda: sqrt_series(u * u),
+            lambda: sqrt_series(u),
+            lambda: exp_series(e),
+        ):
+            try:
+                op()
+            except ValueError:
+                pass  # an exact unit operand, a non-square leading term, ...
+        assert [dict(w.nums) for w in operands] == before
 
 
 class TestSerialization:
