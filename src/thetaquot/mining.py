@@ -130,7 +130,10 @@ class BivarIntPoly:
         return len(self.terms)
 
     def eval_terms(self, u: BigReal, v: BigReal) -> list[BigReal]:
-        return [u ** i * v ** j * c for i, j, c in self.terms]
+        """Each term u^i v^j c, with each power of u and of v raised once."""
+        u_pow = {i: u ** i for i in {i for i, _, _ in self.terms}}
+        v_pow = {j: v ** j for j in {j for _, j, _ in self.terms}}
+        return [u_pow[i] * v_pow[j] * c for i, j, c in self.terms]
 
     def eval_numeric(self, u: BigReal, v: BigReal) -> BigReal:
         terms = self.eval_terms(u, v)

@@ -5,13 +5,16 @@ decimal digits.  Every kernel keeps ``digits + GUARD`` decimal digits of
 working precision and reports at ``digits``; binary operations carry the
 minimum of the operand precisions.
 
-This is the only module that imports mpmath or sets its precision; the
-rest of the package reaches the reals through BigReal and the functions
-here.  Most kernels set that precision on mpmath's context.  The two hot
-loops do not: ``theta_sum``'s walk and ``agm`` run on Python ints in fixed
-point, with their bit counts passed explicitly.  The context is
-process-global, so the functions here are not safe to call concurrently
-from threads.  Run independent evaluations in separate processes instead.
+This is the only module that imports mpmath; the rest of the package
+reaches the reals through BigReal and the functions here.  No function here
+enters an mpmath context or reads its precision: each operation and kernel
+runs at its own explicit bit count, ``dps_to_prec(digits + GUARD)`` unless
+it says otherwise, calling ``mpmath.libmp`` on raw ``_mpf_`` tuples with
+round-to-nearest.  Those are the calls mpmath's context made at that
+precision, so the values are the ones it gave, and they do not depend on
+the ambient ``mp.prec`` or on what other threads set it to.  The two hot
+loops, ``theta_sum``'s walk and ``agm``, run on Python ints in fixed point,
+and square roots on ``math.isqrt``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,41 @@ from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_float,
+    from_int,
+    from_man_exp,
+    from_rational,
+    from_str,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_exp,
+    mpf_frexp,
+    mpf_ge,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_nint,
+    mpf_nthroot,
+    mpf_pi,
+    mpf_pos,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+    to_float,
+    to_int,
+)
 
 from .series import MAX_TERMS, PuiseuxSeries, Rat, ThetaSpec
 
@@ -58,6 +95,9 @@ __all__ = [
     "ten_to",
 ]
 
+RND = round_nearest
+_make_mpf = mp.make_mpf  # wraps a raw tuple as it is, with no rounding
+
 
 class PrecisionError(ValueError):
     pass
@@ -67,15 +107,78 @@ class CertificationError(ArithmeticError):
     """An internal consistency check failed beyond tolerance."""
 
 
-def _to_mpf(x, wdps: int) -> mpf:
+def _prec(digits: int) -> int:
+    """The working bit count of a value reported at ``digits``."""
+    return dps_to_prec(digits + GUARD)
+
+
+def _raw(x, prec: int) -> tuple:
+    """x as a raw ``_mpf_`` tuple: a BigReal or mpf as it is, and an int,
+    Fraction, str or float rounded to ``prec`` bits as ``mpf(x)`` rounds it
+    (a Fraction's numerator first, then the quotient by its denominator)."""
     if isinstance(x, BigReal):
-        return x.value
+        x = x.value
     if isinstance(x, mpf):
+        return x._mpf_
+    if isinstance(x, int):
+        return from_int(x, prec, RND)
+    if isinstance(x, Fraction):
+        return mpf_div(from_int(x.numerator, prec, RND), from_int(x.denominator), prec, RND)
+    if isinstance(x, str):
+        return from_str(x, prec, RND)
+    if isinstance(x, float):
+        return from_float(x, prec, RND)
+    raise TypeError(f"cannot make a real number of {x!r}")
+
+
+def _real(t: tuple, digits: int) -> "BigReal":
+    return BigReal(_make_mpf(t), digits)
+
+
+def _sqrt(x: tuple, prec: int) -> tuple:
+    """The square root of a raw x >= 0, correctly rounded to ``prec`` bits,
+    ties to even: ``mpf_sqrt(x, prec, round_nearest)``, with the integer
+    root taken by ``math.isqrt``.  The shifted mantissa carries at least
+    2 prec + 4 bits, so its root has prec + 2; an inexact root gets a
+    sticky bit below them, which rounding to nearest needs."""
+    sign, man, exp, bc = x
+    if sign:
+        raise ValueError("square root of a negative value")
+    if not man:
         return x
-    with mp.workdps(wdps):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / x.denominator
-        return mpf(x)
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root, shift = (root << 1) | 1, shift + 2
+    return from_man_exp(root, (exp - shift) // 2, prec, RND)
+
+
+def _power(x: tuple, num: int, den: int, prec: int) -> tuple:
+    """x^(num/den) for a raw x >= 0 and num/den in lowest terms, as an
+    integer power of x^(1/den), with no log or exp.  A Newton step mends
+    ``mpf_nthroot``, 1e-766 off at den = 55 and 815 digits; an integer
+    exponent needs neither.  The step's y^den and the power multiply a
+    relative error by den and by num, so both run with the exponent's bit
+    length in extra bits, as ``theta_sum`` takes its root, and the result
+    is rounded to ``prec``."""
+    if den == 1:
+        return mpf_pow_int(x, num, prec, RND)
+    wp = prec + max(abs(num), den).bit_length()
+    y = mpf_nthroot(x, den, wp, RND)
+    if y != fzero:
+        # y += y (x / y^den - 1) / den
+        step = mpf_sub(mpf_div(x, mpf_pow_int(y, den, wp, RND), wp, RND), fone, wp, RND)
+        step = mpf_div(mpf_mul(y, step, wp, RND), from_int(den), wp, RND)
+        y = mpf_add(y, step, wp, RND)
+    return mpf_pos(mpf_pow_int(y, num, wp, RND), prec, RND)
+
+
+def _ten_pow(e: int, prec: int) -> tuple:
+    return mpf_pow_int(from_int(10), e, prec, RND)
 
 
 @dataclass(frozen=True)
@@ -89,45 +192,41 @@ class BigReal:
         if self.digits < MIN_DIGITS:
             raise PrecisionError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
 
-    def _wd(self) -> int:
-        return self.digits + GUARD
-
-    def _bin(self, other, fn) -> "BigReal":
-        if isinstance(other, BigReal):
-            digits = min(self.digits, other.digits)
-        else:
-            digits = self.digits
-        wd = digits + GUARD
-        with mp.workdps(wd):
-            return BigReal(fn(self.value, _to_mpf(other, wd)), digits)
+    def _bin(self, other, op, swap: bool = False) -> "BigReal":
+        digits = min(self.digits, other.digits) if isinstance(other, BigReal) else self.digits
+        prec = _prec(digits)
+        a, b = self.value._mpf_, _raw(other, prec)
+        if swap:
+            a, b = b, a
+        return _real(op(a, b, prec, RND), digits)
 
     def __add__(self, other):
-        return self._bin(other, lambda a, b: a + b)
+        return self._bin(other, mpf_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._bin(other, lambda a, b: a - b)
+        return self._bin(other, mpf_sub)
 
     def __rsub__(self, other):
-        return self._bin(other, lambda a, b: b - a)
+        return self._bin(other, mpf_sub, swap=True)
 
     def __mul__(self, other):
-        return self._bin(other, lambda a, b: a * b)
+        return self._bin(other, mpf_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._bin(other, lambda a, b: a / b)
+        return self._bin(other, mpf_div)
 
     def __rtruediv__(self, other):
-        return self._bin(other, lambda a, b: b / a)
+        return self._bin(other, mpf_div, swap=True)
 
     def __neg__(self):
-        return BigReal(-self.value, self.digits)
+        return _real(mpf_neg(self.value._mpf_), self.digits)
 
     def __abs__(self):
-        return BigReal(abs(self.value), self.digits)
+        return _real(mpf_abs(self.value._mpf_), self.digits)
 
     def __pow__(self, e):
         """Principal real power for int or rational exponents."""
@@ -135,46 +234,46 @@ class BigReal:
             raise ValueError("a negative power of zero")
         if not isinstance(e, int) and self.value < 0:
             raise ValueError("fractional power of a negative value")
-        with mp.workdps(self._wd()):
-            v = self.value ** e if isinstance(e, int) else _power(self.value, Fraction(e))
-            return BigReal(v, self.digits)
+        prec = _prec(self.digits)
+        if isinstance(e, int):
+            return _real(mpf_pow_int(self.value._mpf_, e, prec, RND), self.digits)
+        e = Fraction(e)
+        return _real(_power(self.value._mpf_, e.numerator, e.denominator, prec), self.digits)
 
     def sqrt(self) -> "BigReal":
-        with mp.workdps(self._wd()):
-            return BigReal(mpmath.sqrt(self.value), self.digits)
+        return _real(_sqrt(self.value._mpf_, _prec(self.digits)), self.digits)
 
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, BigReal) else _to_mpf(other, self._wd())
+    def _cmp_raw(self, other) -> tuple:
+        return _raw(other, _prec(self.digits))
 
     def __lt__(self, other):
-        return self.value < self._cmp_value(other)
+        return mpf_lt(self.value._mpf_, self._cmp_raw(other))
 
     def __le__(self, other):
-        return self.value <= self._cmp_value(other)
+        return mpf_le(self.value._mpf_, self._cmp_raw(other))
 
     def __gt__(self, other):
-        return self.value > self._cmp_value(other)
+        return mpf_gt(self.value._mpf_, self._cmp_raw(other))
 
     def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
+        return mpf_ge(self.value._mpf_, self._cmp_raw(other))
 
     def __eq__(self, other):
         if isinstance(other, (BigReal, int, Fraction, mpf, float)):
-            return self.value == self._cmp_value(other)
+            return mpf_eq(self.value._mpf_, self._cmp_raw(other))
         return NotImplemented
 
     def __hash__(self):
         return hash(self.value)
 
     def __float__(self):
-        return float(self.value)
+        return to_float(self.value._mpf_, rnd=RND)
 
     def __round__(self, ndigits=None) -> int:
         """The nearest integer, at the working precision (not mpmath's 53 bits)."""
         if mpmath.mag(self.value) > MAX_FIXED_BITS:
             raise ValueError(f"{self.nstr(5)} is too large to round to an integer")
-        with mp.workdps(self._wd()):
-            return int(mpmath.nint(self.value))
+        return to_int(mpf_nint(self.value._mpf_, _prec(self.digits), RND))
 
     def nstr(self, n: int | None = None) -> str:
         return mpmath.nstr(self.value, n or self.digits)
@@ -186,48 +285,38 @@ class BigReal:
 def big_real(x: Number, digits: int) -> BigReal:
     if isinstance(x, BigReal):
         return BigReal(x.value, min(digits, x.digits))
-    return BigReal(_to_mpf(x, digits + GUARD), digits)
+    return _real(_raw(x, _prec(digits)), digits)
 
 
 def pi_at(digits: int) -> BigReal:
-    with mp.workdps(digits + GUARD):
-        return BigReal(+mp.pi, digits)
+    return _real(mpf_pi(_prec(digits), RND), digits)
 
 
 def ten_to(e: int | Fraction | float) -> mpf:
-    """10^e at 30 digits: every pass threshold and residual floor."""
-    with mp.workdps(30):
-        return mpf(10) ** e
+    """10^e at 30 digits: every pass threshold and residual floor.  A
+    Fraction exponent is first rounded down to 30 digits' bits, as
+    mpmath's conversion of a rational rounds it."""
+    prec = dps_to_prec(30)
+    if isinstance(e, int):
+        return _make_mpf(_ten_pow(e, prec))
+    if isinstance(e, Fraction):
+        t = from_rational(e.numerator, e.denominator, prec)
+    else:
+        t = from_float(e)
+    return _make_mpf(mpf_pow(from_int(10), t, prec, RND))
 
 
-def residual_str(value, digits: int) -> str:
+def residual_str(value: mpf, digits: int) -> str:
     """A residual as printed in reports: five significant digits, floored at
     10^(-digits), so that a passing check prints the floor rather than
     rounding noise of the working precision."""
-    return mpmath.nstr(max(abs(value), ten_to(-digits)), 5)
+    return mpmath.nstr(max(_make_mpf(mpf_abs(value._mpf_)), ten_to(-digits)), 5)
 
 
-def _power(x: mpf, e: Fraction) -> mpf:
-    """x^e for x >= 0 as an integer power of x^(1/den e), with no log or exp.
-    A Newton step mends ``mpmath.root``, 1e-766 off at n = 55 and 815 digits;
-    an integer e needs neither.  The step's y^n and the power multiply a
-    relative error by n and by the numerator, so both run with the
-    exponent's bit length in extra bits, as ``theta_sum`` takes its root."""
-    if e.denominator == 1:
-        return x ** e.numerator
-    n = e.denominator
-    with mp.workprec(mp.prec + max(abs(e.numerator), n).bit_length()):
-        y = mpmath.root(x, n)
-        if y:
-            y += y * (x / y ** n - 1) / n
-        y = y ** e.numerator
-    return +y
-
-
-def _neg_log(x: mpf) -> float:
-    """-ln x in float for 0 < x < 1, even below the float range."""
-    man, exp = mpmath.frexp(x)
-    return -(math.log1p(float(man - 1)) + exp * math.log(2))
+def _neg_log(x: tuple) -> float:
+    """-ln x in float for a raw 0 < x < 1, even below the float range."""
+    man, exp = mpf_frexp(x)
+    return -(math.log1p(to_float(mpf_sub(man, fone, 53, RND), rnd=RND)) + exp * math.log(2))
 
 
 AGM_GUARD_BITS = 8  # three floors an iteration, for up to 80 iterations
@@ -247,12 +336,13 @@ def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
     k_r passes it near r = 5.5e13."""
     if not (a0 > 0 and b0 > 0):
         raise ValueError("the AGM needs positive arguments")
-    ea, eb = mpmath.mag(a0), mpmath.mag(b0)
+    a0, b0 = (from_int(x) if isinstance(x, int) else x._mpf_ for x in (a0, b0))
+    ea, eb = a0[2] + a0[3], b0[2] + b0[3]  # exponent + bit count: the magnitude
     if abs(ea - eb) > MAX_FIXED_BITS:
         raise ValueError(f"a modulus below 2^-{MAX_FIXED_BITS} is out of the AGM's range")
     bits = dps_to_prec(wdps) + AGM_GUARD_BITS
     shift = bits - min(ea, eb)
-    a, b = (int(mpmath.ldexp(x, shift)) for x in (a0, b0))  # exact, then floored
+    a, b = to_fixed(a0, shift), to_fixed(b0, shift)  # exact, then floored
     tol = max(a, b) // 10 ** (wdps - 2)
     count = 0
     while abs(a - b) > tol:
@@ -263,7 +353,13 @@ def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
         count += 1
         if count > 10000:
             raise CertificationError("AGM failed to converge")
-    return mpmath.ldexp(a, -shift), count
+    return _make_mpf(mpf_shift(from_int(a), -shift)), count
+
+
+def _agm_quotient(x: BigReal, y: BigReal) -> BigReal:
+    """agm(1, x) / agm(1, y), at the digits of x and y."""
+    wd = x.digits + GUARD
+    return BigReal(agm(1, x.value, wd)[0], x.digits) / BigReal(agm(1, y.value, wd)[0], y.digits)
 
 
 _last_agm_iterations = 0
@@ -281,29 +377,29 @@ def ellipk(x: Number, digits: int | None = None) -> BigReal:
         digits = x.digits
     if digits is None:
         raise PrecisionError("digits required when x is not a BigReal")
-    wd = digits + GUARD
-    xv = _to_mpf(x, wd)
-    if not isinstance(xv, mpf):
+    if isinstance(x, BigReal) and not isinstance(x.value, mpf):
         raise ValueError("modulus must be real")
-    if xv < 0:
+    prec = _prec(digits)
+    x = _real(_raw(x, prec), digits)
+    if x < 0:
         raise ValueError("modulus must be nonnegative")
-    if xv >= 1:
+    if x >= 1:
         raise ValueError("modulus must be < 1")
-    with mp.workdps(wd):
-        kp = mpmath.sqrt(1 - xv * xv)
-        m_val, iters = agm(mpf(1), kp, wd)
-        _last_agm_iterations = iters
-        return BigReal(+mp.pi / (2 * m_val), digits)
+    kp = (1 - x * x).sqrt()
+    m_val, iters = agm(1, kp.value, digits + GUARD)
+    _last_agm_iterations = iters
+    two_m = mpf_mul_int(m_val._mpf_, 2, prec, RND)
+    return _real(mpf_div(mpf_pi(prec, RND), two_m, prec, RND), digits)
 
 
 def nome_from_r(r: Number, digits: int) -> BigReal:
     """q = exp(-pi sqrt(r)) for r > 0."""
-    wd = digits + GUARD
-    rv = _to_mpf(r, wd)
-    if rv <= 0:
+    prec = _prec(digits)
+    rv = _raw(r, prec)
+    if mpf_le(rv, fzero):
         raise ValueError("r must be positive")
-    with mp.workdps(wd):
-        return BigReal(mpmath.exp(-mp.pi * mpmath.sqrt(rv)), digits)
+    t = mpf_mul(mpf_neg(mpf_pi(prec, RND)), _sqrt(rv, prec), prec, RND)
+    return _real(mpf_exp(t, prec, RND), digits)
 
 
 @dataclass(frozen=True)
@@ -329,24 +425,20 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     is irrational) call this directly: a memo would save them nothing, and
     this function stays uncached so that its timings show the kernel."""
     wd = digits + GUARD
+    prec = _prec(digits)
     q = nome_from_r(r, digits)
     theta2 = theta_sum(1, 1, q, alternating=False)
     theta3 = theta_sum(1, 0, q, alternating=False)
-    with mp.workdps(wd):
-        kv = mpmath.sqrt(q.value) * (theta2.value / theta3.value) ** 2
-        if 1 - kv < mpf(10) ** (-wd):
-            raise ValueError(
-                f"singular modulus k_r rounds to 1 at r={r} with {digits} digits"
-            )
-        kpv = mpmath.sqrt(1 - kv * kv)
-        ratio = agm(1, kpv, wd)[0] / agm(1, kv, wd)[0]
-        resid = abs(ratio - mpmath.sqrt(_to_mpf(r, wd)))
-        if resid > mpf(10) ** (-digits + 5):
-            raise CertificationError(
-                f"singular modulus certification failed at r={r}: "
-                f"residual {mpmath.nstr(resid, 5)}"
-            )
-    return EvalPoint(r=r, q=q, k=BigReal(kv, digits), kprime=BigReal(kpv, digits))
+    k = q.sqrt() * (theta2 / theta3) ** 2
+    if 1 - k < _make_mpf(_ten_pow(-wd, prec)):
+        raise ValueError(f"singular modulus k_r rounds to 1 at r={r} with {digits} digits")
+    kprime = (1 - k * k).sqrt()
+    resid = abs(_agm_quotient(kprime, k) - _real(_raw(r, prec), digits).sqrt())
+    if resid > _make_mpf(_ten_pow(-digits + 5, prec)):
+        raise CertificationError(
+            f"singular modulus certification failed at r={r}: residual {resid.nstr(5)}"
+        )
+    return EvalPoint(r=r, q=q, k=k, kprime=kprime)
 
 
 POINT_CACHE_SIZE = 32  # distinct (r, digits) points kept by singular_point
@@ -373,13 +465,11 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
         digits = x.digits
     if digits is None:
         raise PrecisionError("digits required when x is not a BigReal")
-    wd = digits + GUARD
-    xv = _to_mpf(x, wd)
-    if not (0 < xv < 1):
+    x = _real(_raw(x, _prec(digits)), digits)
+    if not (0 < x < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
-    with mp.workdps(wd):
-        ratio = agm(1, mpmath.sqrt(1 - xv * xv), wd)[0] / agm(1, xv, wd)[0]
-        return BigReal(ratio * ratio, digits)
+    ratio = _agm_quotient((1 - x * x).sqrt(), x)
+    return ratio * ratio
 
 
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
@@ -449,9 +539,9 @@ def theta_sum(
     (+-1)^c q^(a c^2 + b c) times a walk out from its largest term m = 0 over
     |m| <= n0, past which every term is below the working tolerance.  Each
     term is the last one times a ratio <= 1, and each ratio the last one times
-    q^(2a), all integer powers of q^(1/lcm(den a, den b)).  The walk runs in
-    Python-int fixed point at ``prec`` bits (see ``_walk``), one side only
-    when the other mirrors it (see ``_fold``).
+    q^(2a), all integer powers of q^(1/D), D = lcm(den a, den b).  The walk
+    runs in Python-int fixed point at ``prec`` bits (see ``_walk``), one side
+    only when the other mirrors it (see ``_fold``).
 
     Error budget, in units u = 2^-prec of the largest term.  Each step
     floors a term and a ratio, < 1 u each, which later factors <= 1 carry on
@@ -472,37 +562,46 @@ def theta_sum(
         raise ValueError("theta evaluation requires a > 0")
     if digits is None:
         digits = q.digits
-    qv = q.value
-    if not (0 < qv < 1):
+    if not (0 < q.value < 1):
         raise ValueError("theta evaluation requires 0 < q < 1")
-    if alternating and (b / a).denominator == 1 and (b / a).numerator % 2:
-        return BigReal(mpf(0), digits)  # terms n, -b/a - n cancel in pairs
-    c = round(-b / (2 * a))
-    d = math.lcm(a.denominator, b.denominator)
-    # |bd| <= ad, and bd = +-ad only when b/a is odd, so never alternating
-    ad, bd = int(a * d), int((b + 2 * a * c) * d)
+    qv = q.value._mpf_
+    # the exponents on the grid q^(1/D): a n^2 + b n = (A n^2 + B n) / D
+    D = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    if alternating and B % A == 0 and (B // A) % 2:
+        return _real(fzero, digits)  # terms n, -b/a - n cancel in pairs
+    c, rem = divmod(-B, 2 * A)
+    c += rem > A or (rem == A and c % 2)  # -B / 2A rounded half to even
+    # the vertex's exponent (b + 2 a c) D; |bd| <= A, and bd = +-A only when
+    # b/a is odd, so never alternating
+    bd = B + 2 * A * c
+    e_head = bd * c - A * c * c
+    negate_head = alternating and c % 2
     sign = -1 if alternating else 1
-    e_head = bd * c - ad * c * c
+    t = _neg_log(qv)
+    b_vertex = Fraction(bd, D)
     while True:
         wd = digits + GUARD + cancel
-        n0 = _term_count(a, b + 2 * a * c, _neg_log(qv), wd)
+        n0 = _term_count(a, b_vertex, t, wd)
         guard = (4 * n0).bit_length()  # for the walk's floors; its taper takes 4 more
         prec = math.ceil(wd * math.log2(10)) + guard
-        # a power of the root q^(1/d) multiplies its relative error by the
+        # a power of the root q^(1/D) multiplies its relative error by the
         # exponent, so the root and its powers take that many more bits
-        with mp.workprec(prec + max(abs(e_head), ad + abs(bd)).bit_length()):
-            root = _power(qv, Fraction(1, d))
-            head = sign ** abs(c) * root ** e_head
-            up = sign * int(mpmath.ldexp(root ** (ad + bd), prec))
-            down = sign * int(mpmath.ldexp(root ** (ad - bd), prec))
-        total = _fold(up, down, ad, bd, n0, prec, guard + 4)
+        wp = prec + max(abs(e_head), A + abs(bd)).bit_length()
+        root = _power(qv, 1, D, wp)
+        head = mpf_pow_int(root, e_head, wp, RND)
+        if negate_head:
+            head = mpf_neg(head)
+        up = sign * to_fixed(mpf_pow_int(root, A + bd, wp, RND), prec)
+        down = sign * to_fixed(mpf_pow_int(root, A - bd, wp, RND), prec)
+        total = _fold(up, down, A, bd, n0, prec, guard + 4)
         # the digits the sum lost below its largest term, 2^prec
         lost = math.floor((prec - abs(total).bit_length()) * math.log10(2))
         if wd - lost >= digits + GUARD // 2:
             break
         cancel = lost
-    with mp.workdps(wd):
-        return BigReal(mpf((total, -prec)) * head, digits)
+    out = dps_to_prec(wd)
+    return _real(mpf_mul(from_man_exp(total, -prec, out, RND), head, out, RND), digits)
 
 
 def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
@@ -518,16 +617,14 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
         raise ValueError("eta scale must be positive")
     if digits is None:
         digits = q.digits
-    qv = q.value
-    if not (0 < qv < 1):
+    if not (0 < q.value < 1):
         raise ValueError("eta evaluation requires 0 < q < 1")
     try:
-        cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(qv) * math.log(10)))
+        cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(q.value._mpf_) * math.log(10)))
     except (OverflowError, ZeroDivisionError):
         raise ValueError("eta with this scale p and nome q leaves the float range") from None
     total = theta_sum(3 * p / 2, -p / 2, q, digits, cancel=cancel)
-    with mp.workdps(digits + GUARD):
-        return BigReal(+total.value, digits)
+    return _real(mpf_pos(total.value._mpf_, _prec(digits), RND), digits)
 
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
@@ -539,8 +636,11 @@ def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
     if th.value == 0:
         return th
     et = eval_eta(spec.p, q, digits)
-    with mp.workdps(digits + GUARD):
-        return BigReal(_power(q.value, spec.delta) * th.value / et.value, digits)
+    prec = _prec(digits)
+    d = spec.delta
+    head = _power(q.value._mpf_, d.numerator, d.denominator, prec)
+    value = mpf_div(mpf_mul(head, th.value._mpf_, prec, RND), et.value._mpf_, prec, RND)
+    return _real(value, digits)
 
 
 def eval_h5(x: BigReal, digits: int | None = None) -> BigReal:
@@ -564,15 +664,13 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
     truncation tail is not bounded here."""
     if digits is None:
         digits = q.digits
-    wd = digits + GUARD
-    qv = q.value
-    if not (0 < qv < 1):
+    if not (0 < q.value < 1):
         raise ValueError("series evaluation requires 0 < q < 1")
-    with mp.workdps(wd):
-        root = _power(qv, Fraction(1, u.denom))
-        total = mpf(0)
-        for k in sorted(u.nums):
-            c = u.nums[k]
-            g = math.gcd(c, u.scale)
-            total += mpf(c // g) / (u.scale // g) * root ** k
-        return BigReal(total, digits)
+    prec = _prec(digits)
+    root = _power(q.value._mpf_, 1, u.denom, prec)
+    total = fzero
+    for k in sorted(u.nums):
+        coeff = _raw(Fraction(u.nums[k], u.scale), prec)
+        term = mpf_mul(coeff, mpf_pow_int(root, k, prec, RND), prec, RND)
+        total = mpf_add(total, term, prec, RND)
+    return _real(total, digits)

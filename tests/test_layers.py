@@ -1,8 +1,10 @@
 """Layer contracts.
 
 One module owns the reals: numeric.py is the only module of the package
-that imports mpmath or enters one of its precision contexts.  The others
-reach real numbers through ``BigReal`` and numeric's functions.
+that imports mpmath, and the others reach real numbers through ``BigReal``
+and numeric's functions.  No module enters one of mpmath's precision
+contexts or reads its ambient precision: numeric.py runs every operation
+at its own explicit bit count.
 
 Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
@@ -28,36 +30,67 @@ from thetaquot.series import ThetaSpec
 PACKAGE = Path(thetaquot.__file__).parent
 MPMATH_NAMES = {"mpmath", "mp", "mpf"}
 CONTEXTS = {"workdps", "workprec", "extradps", "extraprec"}
+AMBIENT = {"prec", "dps", "pi"}  # read from mp: the ambient precision, or pi at it
+CONTEXT_OWNERS = {"mp", "mpmath", "mpmath.mp"}
 
 
-def mpmath_uses(path: Path) -> list[str]:
-    """Each import of mpmath (or of its names through another module) and
-    each precision context, as ``line: source``."""
+def scan(path: Path) -> tuple[list[str], list[str]]:
+    """Each import of mpmath (or of its names through another module), and
+    each precision context or read of the ambient precision, as
+    ``line: source``."""
     tree = ast.parse(path.read_text(), str(path))
-    uses = []
+    imports, contexts = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(a.name.split(".")[0] == "mpmath" for a in node.names)
+            hit, uses = any(a.name.split(".")[0] == "mpmath" for a in node.names), imports
         elif isinstance(node, ast.ImportFrom):
             hit = (node.module or "").split(".")[0] == "mpmath" or any(
                 a.name in MPMATH_NAMES for a in node.names
             )
+            uses = imports
         elif isinstance(node, ast.Attribute):
-            hit = node.attr in CONTEXTS
+            hit = node.attr in CONTEXTS or (
+                node.attr in AMBIENT and ast.unparse(node.value) in CONTEXT_OWNERS
+            )
+            uses = contexts
         else:
             continue
         if hit:
             uses.append(f"{node.lineno}: {ast.unparse(node)}")
-    return uses
+    return imports, contexts
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_numeric_imports_mpmath(path):
-    uses = mpmath_uses(path)
+    imports = scan(path)[0]
     if path.name == "numeric.py":
-        assert uses  # the owner: the scan must see its imports
+        assert imports  # the owner: the scan must see its imports
     else:
-        assert uses == [], f"{path.name} reaches mpmath outside numeric.py"
+        assert imports == [], f"{path.name} reaches mpmath outside numeric.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_enters_an_mpmath_context(path):
+    assert scan(path)[1] == [], f"{path.name} depends on mpmath's ambient precision"
+
+
+def test_the_context_scan_sees_contexts_and_ambient_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "with mp.workdps(30):\n    x = mp.pi\n"
+        "with mpmath.workprec(mp.prec + 10):\n    y = mpmath.mp.dps\n"
+        "z = mpmath.libmp.mpf_pi(53)\n"
+    )
+    assert sorted(scan(probe)[1]) == [
+        "1: mp.workdps",
+        "2: mp.pi",
+        "3: mp.prec",
+        "3: mpmath.workprec",
+        "4: mpmath.mp.dps",
+    ]
 
 
 def test_only_sparse_units_are_inverted(monkeypatch):
