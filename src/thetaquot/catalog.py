@@ -153,14 +153,17 @@ class CatalogEntry:
 
 
 def _record(
-    data: CheckData, label: str, digits: int, residual, *terms: BigReal
+    data: CheckData, label: str, digits: int, residual: BigReal, *terms: BigReal
 ) -> None:
     """Record a residual, passing when it is below 10^(-digits+10)
     times the largest of 1 and the absolute ``terms`` it was summed from.
-    This is the catalog's one pass rule for a numeric residual."""
-    val = abs(residual.value if isinstance(residual, BigReal) else residual)
-    size = max([1] + [abs(t.value) for t in terms])
-    ok = bool(val < ten_to(-digits + 10) * size)
+    This is the catalog's one pass rule for a numeric residual.  It runs on
+    BigReals, so no step rounds to mpmath's ambient precision: the absolute
+    values are exact, the threshold is the product at ``ten_to``'s 30
+    digits, and the comparison is exact."""
+    val = abs(residual)
+    size = max([1] + [abs(t) for t in terms])
+    ok = val < size * ten_to(-digits + 10)
     data.records.append(ResidualRecord(label, digits, residual_str(val, digits), ok))
 
 

@@ -175,9 +175,9 @@ def _cmd_mine(args) -> int:
 def _cmd_recognize(args) -> int:
     digits = args.digits
     quotient = (args.a, args.p, args.power, args.r)
-    if args.value is not None:
+    if args.literal is not None:
         _require(quotient == (None,) * 4, "--value excludes --a, --p, --power and --r")
-        x = big_real(args.value, digits)
+        x = big_real(args.literal, digits)
         _require(abs(x) < float("inf"), "--value must be a finite real number")
     else:
         _require(None not in quotient, "recognize needs --value or --a --p --power --r")
@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recognize", help="find a small integer polynomial "
                            "vanishing at a real value")
-    p_rec.add_argument("--value", help="decimal literal to recognize")
+    p_rec.add_argument(
+        "--value", dest="literal", metavar="VALUE", help="decimal literal to recognize"
+    )
     p_rec.add_argument("--a")
     p_rec.add_argument("--p")
     p_rec.add_argument("--power", type=int)

@@ -14,11 +14,17 @@ that ``series._pack`` writes and ``series._unpack`` reads.  ``MonomialTable``
 reduces u and v once mod a Mersenne prime p = 2^e - 1, one table per prime
 cut to the largest matrix's rows, ``build_coeff_matrix`` cuts each degree's
 rows out of it, and the elimination reduces a field mod p only when it
-reads it; products and pivot rows come back below 2^(e+1) by one fold.  A
-lift is checked by maximal-quotient rational reconstruction (Monagan, ISSAC
-2004; reach |n| d < p/(2T)) and then by the series certificate, which
-evaluates P(u, v) exactly by Horner in u from factors cut to its window
-(one product per u-degree plus the powers of v): a residual nonzero on the
+reads it; products and pivot rows come back below 2^(e+1) by one fold.
+
+The terms of every monomial lie on its lead plus multiples of the table's
+stride g, so each matrix is block diagonal over the classes mod g; the
+miner builds and eliminates each class's block on its own, rows and
+columns packed tightly, and a column visits only the rows of its class.
+A lift is checked by maximal-quotient rational reconstruction (Monagan,
+ISSAC 2004; reach |n| d < p/(2T)) and then by the series certificate,
+which evaluates P(u, v) exactly as P'(u^a, v^b), a and b the gcds of its
+u- and v-exponents, by Horner in u^a from factors cut to its window (one
+product per u^a-degree plus the powers of v^b): a residual nonzero on the
 matrix rows means a bad lift, and the search climbs to the next prime.
 """
 
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -362,19 +369,29 @@ class MonomialTable:
             pows.append(self._times(pows[-1], pows[1], known))
         return pows[i]
 
-    def monomial(self, i: int, j: int) -> tuple[int, int, int]:
-        """(lead, grid rows known, packed fields) of u^i v^j."""
+    def span(self, i: int, j: int) -> tuple[int, int]:
+        """(lead, grid rows known) of u^i v^j."""
         (lu, lv), (ku, kv) = self._leads, self._known
-        lead = i * lu + j * lv
-        if j == 0:  # a product with the exact 1 is the other factor
-            return lead, ku if i else self.rows, self._power(0, i)
+        # a product with the exact 1 is the other factor
+        known = (ku if i else self.rows) if j == 0 else kv if i == 0 else min(ku, kv)
+        return i * lu + j * lv, known
+
+    def fields(self, i: int, j: int) -> int:
+        """The packed fields of u^i v^j."""
+        if j == 0:
+            return self._power(0, i)
         if i == 0:
-            return lead, kv, self._power(1, j)
+            return self._power(1, j)
         if (i, j) not in self._products:
-            self._products[i, j] = self._times(
-                self._power(0, i), self._power(1, j), min(ku, kv)
-            )
-        return lead, min(ku, kv), self._products[i, j]
+            known = min(self._known)
+            self._products[i, j] = self._times(self._power(0, i), self._power(1, j), known)
+        return self._products[i, j]
+
+    def residues(self, s: int) -> list[int]:
+        """The classes mod ``stride`` of the leading indices of the u^i v^j,
+        0 <= i, j <= s: one block of the coefficient matrix each."""
+        (lu, lv), g = self._leads, self.stride
+        return sorted({(i * lu + j * lv) % g for i in range(s + 1) for j in range(s + 1)})
 
     def base(self, s: int) -> int:
         """The least leading grid index of the nonzero u^i v^j, 0 <= i, j <= s."""
@@ -396,6 +413,7 @@ def build_coeff_matrix(
     s: int,
     rows: int,
     table: MonomialTable | None = None,
+    residue: int | None = None,
 ) -> tuple[list[int], list[tuple[int, int]], int, int]:
     """Coefficients of u^i v^j (0 <= i, j <= s) on the common grid, mod the
     prime of ``table``, one packed int per row.
@@ -411,6 +429,13 @@ def build_coeff_matrix(
     ``table`` holds the monomials for at least ``rows`` rows; by default it
     is built here, mod the first prime of the ladder that divides neither
     scale.
+
+    The terms of u^i v^j lie on its lead plus multiples of the table's
+    stride g, so the matrix is block diagonal by class mod g: a column is
+    nonzero only on the rows of its lead's class.  With ``residue`` r the
+    result is the block of class r alone: the rows at the grid indices
+    congruent to r mod g, from the first at or above the base, and the
+    columns (in the same order) whose leads are congruent to r.
     """
     if table is None:
         p = next(p for p in _PRIMES if u.scale % p and v.scale % p)
@@ -418,29 +443,33 @@ def build_coeff_matrix(
     cols = _columns(s)
     base = table.base(s)
     top = base + rows
-    g, width = table.stride, table.width
-    step = len(cols) * width
-    cells = bytearray(rows * step)  # the rows' bytes, one after another
-    for c, (i, j) in enumerate(cols):
-        lead, known, x = table.monomial(i, j)
+    spans = [table.span(i, j) for i, j in cols]
+    for (i, j), (lead, known) in zip(cols, spans):
         if lead + known < top:
             raise InsufficientTruncation(
                 f"u^{i} v^{j} is known to grid order {lead + known} on the "
                 f"1/{table.denom} grid but rows through {top} are required",
                 required_grid_order=top,
             )
-        off = lead - base
-        if x and off < rows:
-            # field k lands in row off + k g: one strided byte slice per
-            # byte of a field
-            n = -(-(rows - off) // g)
+    g, width = table.stride, table.width
+    # the rows kept are first + k h below top, so field k of a kept column,
+    # at grid index lead + k g, lands k g/h rows below its lead's row
+    first, h = (base, 1) if residue is None else (base + (residue - base) % g, g)
+    nrows = len(range(first, top, h))
+    block = [(c, lead) for c, (lead, _) in zip(cols, spans) if (lead - first) % h == 0]
+    step = len(block) * width
+    cells = bytearray(nrows * step)  # the rows' bytes, one after another
+    for c, ((i, j), lead) in enumerate(block):
+        x = table.fields(i, j)
+        off = (lead - first) // h
+        if x and off < nrows:
+            # one strided byte slice per byte of a field
+            n = -(-(nrows - off) * h // g)
             raw = (x & ((1 << 8 * width * n) - 1)).to_bytes(n * width, "little")
             for t in range(width):
-                cells[off * step + c * width + t :: g * step] = raw[t::width]
-    matrix = [
-        int.from_bytes(cells[at : at + step], "little") for at in range(0, len(cells), step)
-    ]
-    return matrix, cols, base, table.denom
+                cells[off * step + c * width + t :: g // h * step] = raw[t::width]
+    matrix = [int.from_bytes(cells[k * step : (k + 1) * step], "little") for k in range(nrows)]
+    return matrix, [c for c, _ in block], base, table.denom
 
 
 def _echelon_mod_p(
@@ -448,7 +477,9 @@ def _echelon_mod_p(
 ) -> tuple[list[int], list[int]]:
     """Row echelon form mod p = 2^e - 1 with unit pivots: (echelon rows,
     pivot columns).  A column is a pivot when it is independent of the
-    columns before it.
+    columns before it.  The miner calls it once per block of its
+    coefficient matrix (``build_coeff_matrix``'s ``residue``), so a column
+    visits only the rows of its own class.
 
     Each row is one int of ``width``-byte fields, lowest field the first
     column, every field below 2^(e+1), as ``build_coeff_matrix`` gives it.
@@ -513,15 +544,24 @@ class _ReducedKernel:
     free column, 0 at the other free columns and past it; Cohen, GTM 138,
     Alg. 2.3.1), solved mod one prime of the ladder at a time.
 
-    ``matrices`` yields (p, rows, width) for successive primes: the matrix
-    mod p as ``_echelon_mod_p`` takes it.  It is read lazily, one prime per
-    climb.  ``lift(end)`` solves the vectors at the free columns below
-    ``end`` past those accepted, and lifts each by rational reconstruction
-    (``_rational_mod_p``: Monagan's, reach |n| d < p/(2T)), scaled to
-    coprime integers with its first nonzero entry positive.  A lift with an
-    entry that has no reconstruction has failed, and the kernel climbs at
-    once; the caller checks the others exactly, then calls ``accept(end)``
-    when all are exact and ``climb()`` when one is not.
+    ``matrices`` yields (p, blocks, width) for successive primes: the matrix
+    mod p as (columns, rows) blocks, each ``rows`` in the form
+    ``_echelon_mod_p`` takes over the ascending global ``columns``, every
+    column in one block and no row nonzero outside its block's columns.  A
+    plain list of rows is the one block of every column.  It is read
+    lazily, one prime per climb.  ``lift(end)`` solves the vectors at the
+    free columns below ``end`` past those accepted, and lifts each by
+    rational reconstruction (``_rational_mod_p``: Monagan's, reach |n| d <
+    p/(2T)), scaled to coprime integers with its first nonzero entry
+    positive.  A lift with an entry that has no reconstruction has failed,
+    and the kernel climbs at once; the caller checks the others exactly,
+    then calls ``accept(end)`` when all are exact and ``climb()`` when one
+    is not.
+
+    Each block is eliminated on its own and the pivots merged by global
+    column.  A column is independent of the columns before it exactly when
+    it is of those in its block, and its reduced vector lies in its block,
+    so pivots and vectors are those of the whole matrix.
 
     An exact vector makes its free column dependent over Q, and a column
     independent mod p is independent over Q, so the free columns through the
@@ -531,23 +571,32 @@ class _ReducedKernel:
     after them.
     """
 
-    def __init__(self, matrices: Iterable[tuple[int, list[int], int]], ncols: int):
+    def __init__(self, matrices: Iterable[tuple[int, list, int]], ncols: int):
         self.ncols = ncols
         self.done: list[int] = []  # the free columns of the accepted vectors
         self._matrices = iter(matrices)
         self.climb()
 
     def climb(self) -> None:
-        for p, rows, width in self._matrices:
-            ech, pivots = _echelon_mod_p(rows, self.ncols, width, p)
-            free = sorted(set(range(self.ncols)) - set(pivots))
+        for p, blocks, width in self._matrices:
+            if blocks and isinstance(blocks[0], int):
+                blocks = [(range(self.ncols), blocks)]
+            # (block columns, local pivot column, echelon row)
+            ech = []
+            for columns, rows in blocks:
+                echelon, pivots = _echelon_mod_p(rows, len(columns), width, p)
+                ech += [(columns, pc, row) for row, pc in zip(echelon, pivots)]
+            pivots = {columns[pc] for columns, pc, _ in ech}
+            free = [c for c in range(self.ncols) if c not in pivots]
             if free[: len(self.done)] == self.done:
                 self.p, self._free = p, free
-                # lifts read each echelon row once, through the last free column
+                # lifts read each echelon row once, through the last free
+                # column; its fields stay keyed by their block's columns
                 end = free[-1] + 1 if free else 0
                 self._ech = [
-                    (pc, _unpack(row, end - pc, width, pc, 1))
-                    for row, pc in zip(ech, pivots) if pc < end
+                    (columns, columns[pc], _unpack(row, stop - pc, width, pc, 1))
+                    for columns, pc, row in ech
+                    if pc < (stop := bisect_left(columns, end))
                 ]
                 return
         raise MiningError(
@@ -573,15 +622,21 @@ class _ReducedKernel:
     def accept(self, end: int) -> None:
         self.done += self._pending(end)
 
-    def _lift(self, fc: int) -> list[int] | None:
+    def _solve(self, fc: int) -> list[int]:
+        """The reduced vector at free column ``fc``, mod p."""
         p = self.p
-        # pivot columns past fc stay 0, and x[pc] is 0 until its row sets it
+        # pivot columns past fc stay 0, and x[pc] is 0 until its row sets it;
+        # each block's rows are read back from its last pivot, and the
+        # blocks share no column
         x = [0] * self.ncols
         x[fc] = 1
-        for pc, row in reversed(self._ech):
+        for columns, pc, row in reversed(self._ech):
             if pc < fc:
-                x[pc] = -sum(f * x[c] for c, f in row.items()) % p
-        fracs = [_rational_mod_p(val, p) for val in x]
+                x[pc] = -sum(f * x[columns[k]] for k, f in row.items()) % p
+        return x
+
+    def _lift(self, fc: int) -> list[int] | None:
+        fracs = [_rational_mod_p(val, self.p) for val in self._solve(fc)]
         if None in fracs:
             return None
         den = math.lcm(*(d for _, d in fracs))
@@ -678,18 +733,20 @@ def _horner_residual(
     """(P(u, v) cut at E, b): b, the base, is the least leading exponent of
     the relation's monomials u^i v^j, and E = floor(b) + ``through_rows``.
 
-    P is evaluated by Horner in u: H_d = Q_d and H_i = H_(i+1) u + Q_i, with
-    Q_i = sum_j c_ij v^j from one table of v powers, so one product per
-    u-degree.  u and v are cut R = E - b above their leading exponents, so
-    v^j is known R above its leading exponent j val(v).  Let L_i be the
-    least (i' - i) val(u) + j val(v) over the monomials u^i' v^j of P with
-    i' >= i: no term of H_i lies below L_i, L_0 = b, and L_i is the lesser
-    of L_(i+1) + val(u) and the least j val(v) in Q_i, through which plus R
-    Q_i is known.  If H_(i+1) is known through L_(i+1) + R, its product
-    with u is known through L_(i+1) + val(u) + R (the product bound of
+    P is evaluated as P'(U, V) = P(u, v) with U = u^a and V = v^b, a and b
+    the gcds of the relation's u- and v-exponents (1 for a gcd of 0), by
+    Horner in U: H_d = Q_d and H_i = H_(i+1) U + Q_i, with Q_i = sum_j
+    c_ij V^j from one table of V powers, so one product per U-degree.  u
+    and v are cut R = E - b above their leading exponents, so U, V and V^j
+    are known R above their leading exponents (the product bound of
     ``PuiseuxSeries.__mul__``: the unknown part of either factor times the
-    other's lowest term), so H_i is known through L_i + R.  By induction
-    P = H_0 is known through b + R = E, as from the uncut factors.  Raises
+    other's lowest term).  Let L_i be the least (i' - i) val(U) + j val(V)
+    over the monomials U^i' V^j of P' with i' >= i: no term of H_i lies
+    below L_i, L_0 = b, and L_i is the lesser of L_(i+1) + val(U) and the
+    least j val(V) in Q_i, through which plus R Q_i is known.  If H_(i+1)
+    is known through L_(i+1) + R, its product with U is known through
+    L_(i+1) + val(U) + R, so H_i is known through L_i + R.  By induction P
+    = H_0 is known through b + R = E, as from the uncut factors.  Raises
     InsufficientTruncation when it is not, because u or v is known less
     than R above its leading exponent.
     """
@@ -707,12 +764,15 @@ def _horner_residual(
     top = math.floor(base_exp) + through_rows
     reach = top - base_exp
     u, v = (w if w.is_zero() else w.truncate(w.leading()[0] + reach) for w in (u, v))
+    a = gcd(*(i for i, _, _ in poly.terms)) or 1
+    b = gcd(*(j for _, j, _ in poly.terms)) or 1
+    u, v = u ** a, v ** b
     v_pows = [PuiseuxSeries.constant(1), v]
-    while len(v_pows) <= max(j for _, j, _ in poly.terms):
+    while len(v_pows) <= max(j for _, j, _ in poly.terms) // b:
         v_pows.append(v_pows[-1] * v)
-    q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) + 1)]
+    q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) // a + 1)]
     for i, j, c in poly.terms:
-        q[i] = q[i] + v_pows[j] * c
+        q[i // a] = q[i // a] + v_pows[j // b] * c
     residual = q[-1]
     for q_i in reversed(q[:-1]):
         residual = residual * u + q_i
@@ -787,7 +847,7 @@ def validate(
             raise ValidationFailed(
                 f"numeric residual {resid.nstr(5)} at r={r} exceeds 10^(-{digits}/2)"
             )
-        checks.append(NumericCheck(r, digits, numeric.residual_str(resid.value, digits)))
+        checks.append(NumericCheck(r, digits, numeric.residual_str(resid, digits)))
     return replace(
         rel,
         validated_grid_order=rows_needed,
@@ -813,7 +873,8 @@ def mine(
     matrix is lifted lazily, in order of total degree, and each total
     degree's vectors are tried fewest terms first, then in lexicographic
     order, so the returned polynomial has the least total degree present in
-    the kernel.  One elimination per prime serves every total degree.
+    the kernel.  One elimination per prime serves every total degree, one
+    block of the matrix at a time (``build_coeff_matrix``'s ``residue``).
 
     The matrix is built mod the first prime of the ladder, the next prime's
     only when a lift fails; each prime's table is built once, cut to the
@@ -821,10 +882,10 @@ def mine(
     series residual is the exact check of a lift, so a candidate costs no
     evaluation beyond its certificate: a residual nonzero on the matrix rows
     means the vector is not in the kernel over Q, and the degree climbs.
-    The first candidate that validates is returned without checking the
-    lifts tried after it, so where two relations share the least total
-    degree, a bad lift after the returned one could hide one that sorts
-    before it.  MiningNotFound carries each degree's rank over Q.
+    Once a candidate validates, the lifts after it of the same total degree
+    are checked on the matrix rows too: a bad lift among them could hide a
+    relation that sorts before it, so the degree climbs as well.
+    MiningNotFound carries each degree's rank over Q.
     """
     bound = u_binding is not None and v_binding is not None
     if bound and (u is None or v is None):
@@ -850,11 +911,22 @@ def mine(
     primes = [p for p in _PRIMES if u.scale % p and v.scale % p]
     tables: dict[int, MonomialTable] = {}
 
-    def matrices(s: int, rows: int) -> Iterator[tuple[int, list[int], int]]:
+    def nonzero_below(poly: BivarIntPoly, rows: int, top: Fraction) -> bool:
+        """Whether P(u, v) is nonzero on the matrix rows, below ``top``."""
+        first = _first_nonzero(poly, u, v, rows)
+        return first is not None and first[1] < top
+
+    def matrices(s: int, rows: int) -> Iterator[tuple[int, list, int]]:
+        index = {c: k for k, c in enumerate(_columns(s))}
         for p in primes:
             if p not in tables:
                 tables[p] = MonomialTable(u, v, max_rows, p)
-            yield p, build_coeff_matrix(u, v, s, rows, tables[p])[0], tables[p].width
+            table = tables[p]
+            blocks = []
+            for r in table.residues(s):
+                block, block_cols = build_coeff_matrix(u, v, s, rows, table, r)[:2]
+                blocks.append(([index[c] for c in block_cols], block))
+            yield p, blocks, table.width
 
     for s, rows in all_rows.items():
         cols = _columns(s)
@@ -874,7 +946,7 @@ def mine(
                     key=lambda p: (p.term_count(), p.terms),
                 )
                 rejected = []
-                for poly in polys:
+                for k, poly in enumerate(polys):
                     rel = MinedRelation(
                         poly=poly,
                         degree=s,
@@ -883,13 +955,19 @@ def mine(
                         v_binding=v_binding,
                     )
                     try:
-                        return validate(rel, digits=digits, u=u, v=v)
+                        found = validate(rel, digits=digits, u=u, v=v)
                     except ValidationFailed as exc:
                         if exc.exponent is not None and exc.exponent < top:
                             break  # not a kernel vector over Q: a bad lift
                         # a kernel vector failing certification is an
                         # artifact of the truncation; keep looking
                         rejected.append(f"s={s}: {poly} rejected ({exc})")
+                        continue
+                    # a bad lift after it may hide a relation that sorts
+                    # before it
+                    if not any(nonzero_below(later, rows, top) for later in polys[k + 1 :]):
+                        return found
+                    break
                 else:
                     kernel.accept(end)
                     failures += rejected

@@ -28,7 +28,7 @@ def s_n(x: BigReal, n: int, digits: int | None = None) -> BigReal:
         raise ValueError("n must be a positive integer")
     if digits is None:
         digits = x.digits
-    if not (0 < x.value < 1):
+    if not (0 < x < 1):
         raise ValueError("S_n(x) needs 0 < x < 1")
     r = inverse_modulus(x, digits)
     return singular_modulus(n * n * r, digits).k
@@ -69,7 +69,7 @@ def check_theorem3_instance(x: BigReal, digits: int | None = None) -> BigReal:
     if digits is None:
         digits = x.digits
     x = big_real(x, digits)
-    if not (0 < x.value < 1):
+    if not (0 < x < 1):
         raise ValueError("argument must lie in (0, 1)")
     lhs = q_A14(s_n(x, 2, digits))
     rhs = p2_A14(q_A14(x))

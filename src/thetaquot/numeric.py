@@ -278,6 +278,10 @@ class BigReal:
     def nstr(self, n: int | None = None) -> str:
         return mpmath.nstr(self.value, n or self.digits)
 
+    def with_digits(self, digits: int) -> "BigReal":
+        """The same value, with later operations at ``digits``."""
+        return BigReal(self.value, digits)
+
     def __repr__(self):
         return f"BigReal({mpmath.nstr(self.value, min(self.digits, 25))}, digits={self.digits})"
 
@@ -292,25 +296,25 @@ def pi_at(digits: int) -> BigReal:
     return _real(mpf_pi(_prec(digits), RND), digits)
 
 
-def ten_to(e: int | Fraction | float) -> mpf:
+def ten_to(e: int | Fraction | float) -> BigReal:
     """10^e at 30 digits: every pass threshold and residual floor.  A
     Fraction exponent is first rounded down to 30 digits' bits, as
     mpmath's conversion of a rational rounds it."""
     prec = dps_to_prec(30)
     if isinstance(e, int):
-        return _make_mpf(_ten_pow(e, prec))
+        return _real(_ten_pow(e, prec), 30)
     if isinstance(e, Fraction):
         t = from_rational(e.numerator, e.denominator, prec)
     else:
         t = from_float(e)
-    return _make_mpf(mpf_pow(from_int(10), t, prec, RND))
+    return _real(mpf_pow(from_int(10), t, prec, RND), 30)
 
 
-def residual_str(value: mpf, digits: int) -> str:
+def residual_str(value: BigReal, digits: int) -> str:
     """A residual as printed in reports: five significant digits, floored at
     10^(-digits), so that a passing check prints the floor rather than
     rounding noise of the working precision."""
-    return mpmath.nstr(max(_make_mpf(mpf_abs(value._mpf_)), ten_to(-digits)), 5)
+    return max(abs(value), ten_to(-digits)).nstr(5)
 
 
 def _neg_log(x: tuple) -> float:

@@ -167,7 +167,7 @@ def _certify(poly: IntPoly, x: BigReal, digits: int) -> bool:
     if total_bits > cap_bits:
         return False
     cert_tol = ten_to(-float(CERT_EXPONENT * digits))
-    resid = abs(poly.eval_mpf(BigReal(x.value, 2 * digits)))
+    resid = abs(poly.eval_mpf(x.with_digits(2 * digits)))
     if not resid < cert_tol:
         return False
     if poly.coeffs[0] or resid == 0:

@@ -197,6 +197,32 @@ def elimination_matrices(draw):
     ]
 
 
+@st.composite
+def block_diagonal_matrices(draw):
+    """(g, leads, matrix): fields mod 2^61 - 1 on 0-16 grid rows and 1-12
+    columns, g in 1..5, column c nonzero only on the rows t = leads[c] mod
+    g, as the coefficient matrix of a table of stride g is; some columns
+    zero or a combination of earlier columns of their class, so ranks fall
+    short."""
+    p = P61
+    g, nrows = draw(st.integers(1, 5)), draw(st.integers(0, 16))
+    leads = draw(st.lists(st.integers(0, 8), min_size=1, max_size=12))
+    field = st.one_of(st.just(0), st.integers(1, p - 1))
+    columns = []
+    for c, lead in enumerate(leads):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        same = [k for k in range(c) if (leads[k] - lead) % g == 0]
+        if kind == "combination" and same:
+            coefs = [draw(field) for _ in same]
+            col = [sum(a * columns[k][t] for a, k in zip(coefs, same)) % p for t in range(nrows)]
+        elif kind == "zero":
+            col = [0] * nrows
+        else:
+            col = [draw(field) if t >= lead and (t - lead) % g == 0 else 0 for t in range(nrows)]
+        columns.append(col)
+    return g, leads, [[col[t] for col in columns] for t in range(nrows)]
+
+
 # OEIS A000043: the exponents e of the Mersenne primes 2^e - 1
 A000043 = (
     2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
@@ -363,6 +389,37 @@ class TestExactNullspace:
         got = [[0] * pc + [f % p for f in row] for row, pc in zip(fields, pivots)]
         assert (got, pivots) == echelon_mod_p_lists(matrix, p)
 
+    @settings(max_examples=150, deadline=None)
+    @given(block_diagonal_matrices())
+    # no rows; one class with every column; a class with no rows
+    @example((3, [0, 1, 2], []))
+    @example((1, [0, 0], [[1, 2], [2, 4]]))
+    @example((5, [0, 4], [[1, 0], [0, 0], [3, 0]]))
+    def test_block_elimination_matches_one_block(self, case):
+        # each class's block eliminated on its own, pivots merged by global
+        # column: the same free columns and the same reduced vectors mod p
+        # as one elimination of the whole matrix
+        g, leads, matrix = case
+        p, ncols = P61, len(leads)
+        width = mining._field_bytes(p, max(len(matrix), 1))
+
+        def pack(fields):
+            return int.from_bytes(b"".join(f.to_bytes(width, "little") for f in fields), "little")
+
+        blocks = []
+        for r in sorted({lead % g for lead in leads}):
+            columns = [c for c, lead in enumerate(leads) if lead % g == r]
+            rows = [pack([row[c] for c in columns]) for t, row in enumerate(matrix) if t % g == r]
+            blocks.append((columns, rows))
+        whole = mining._ReducedKernel([(p, [pack(row) for row in matrix], width)], ncols)
+        split = mining._ReducedKernel([(p, blocks, width)], ncols)
+        pivots = echelon_mod_p_lists(matrix, p)[1]
+        assert split._free == whole._free == [c for c in range(ncols) if c not in pivots]
+        for fc in whole._free:
+            x = split._solve(fc)
+            assert x == whole._solve(fc)
+            assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in matrix)
+
     @pytest.mark.parametrize("e", [61, 89, 521])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32])
     def test_fold_of_a_product_of_largest_fields(self, e, n):
@@ -431,11 +488,11 @@ def unpack_rows(rows, ncols, width, p):
     return [[f % p for f in packed_fields(row, ncols, width)] for row in rows]
 
 
-def rows_mod_p(u, v, s, rows, p=P61, table=None):
+def rows_mod_p(u, v, s, rows, p=P61, table=None, residue=None):
     """build_coeff_matrix's rows mod p as lists, with its other results."""
     if table is None:
         table = mining.MonomialTable(u, v, rows, p)
-    m, cols, base, denom = build_coeff_matrix(u, v, s, rows, table)
+    m, cols, base, denom = build_coeff_matrix(u, v, s, rows, table, residue)
     return unpack_rows(m, len(cols), table.width, p), cols, base, denom
 
 
@@ -547,7 +604,31 @@ class TestBuildCoeffMatrix:
     def test_rows_mod_p_equal_the_reference_over_q(self, pair):
         u, v, s, rows = pair
         for p in (P61, P89):
-            assert rows_mod_p(u, v, s, rows, p) == reference_mod_p(u, v, s, rows, p)
+            want, cols, base, denom = reference_mod_p(u, v, s, rows, p)
+            assert rows_mod_p(u, v, s, rows, p) == (want, cols, base, denom)
+            # block by block: a column is nonzero only on the rows of its
+            # lead's class mod the stride, and each class's block is the
+            # reference cut to those rows and columns
+            table = mining.MonomialTable(u, v, rows, p)
+            g = table.stride
+            leads = [table.span(i, j)[0] for i, j in cols]
+            assert all(
+                x == 0
+                for k, row in enumerate(want)
+                for x, lead in zip(row, leads)
+                if (base + k - lead) % g
+            )
+            residues = table.residues(s)
+            assert residues == sorted({lead % g for lead in leads})
+            for r in residues:
+                block = [c for c, lead in zip(cols, leads) if lead % g == r]
+                kept = [row for k, row in enumerate(want) if (base + k - r) % g == 0]
+                assert rows_mod_p(u, v, s, rows, p, table, r) == (
+                    [[row[cols.index(c)] for c in block] for row in kept],
+                    block,
+                    base,
+                    denom,
+                )
 
     def test_table1_matrices_form_no_series_product(self, monkeypatch):
         # the matrices are built mod p from u and v alone: exact series
@@ -618,7 +699,7 @@ class TestBuildCoeffMatrix:
         table = mining.MonomialTable(u, v, 4, P61)
         assert table.stride == (1 if len(u.nums) > 1 else 2)
         for i, j in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]:
-            lead, known, packed = table.monomial(i, j)
+            (lead, known), packed = table.span(i, j), table.fields(i, j)
             want = u ** i * v ** j
             f = table.denom // want.denom
             if want.nums:
@@ -635,7 +716,7 @@ class TestBuildCoeffMatrix:
                 for k in range(n)
             ]
         assert not table._products  # no product was formed
-        assert table.monomial(0, 0) == (0, 4, 1)
+        assert (table.span(0, 0), table.fields(0, 0)) == ((0, 4), 1)
 
     def test_rows_start_at_most_negative_exponent(self):
         u = PuiseuxSeries.from_pairs([(-1, 1), (0, 1)], order=20)
@@ -667,6 +748,25 @@ class TestBuildCoeffMatrix:
         assert exc.value.required_grid_order > 0
 
 
+def record_eliminations(monkeypatch):
+    """A list that gets (columns, p) for each prime a ``_ReducedKernel``
+    eliminates its matrix mod, once per prime whatever its number of
+    blocks."""
+    eliminations = []
+    real_init = mining._ReducedKernel.__init__
+
+    def init(kernel, matrices, ncols):
+        def recorded():
+            for item in matrices:
+                eliminations.append((ncols, item[0]))
+                yield item
+
+        real_init(kernel, recorded(), ncols)
+
+    monkeypatch.setattr(mining._ReducedKernel, "__init__", init)
+    return eliminations
+
+
 class TestMine:
     def test_rediscovers_corrected_1_4_relation(self):
         rel = mine_14()
@@ -682,9 +782,11 @@ class TestMine:
         standalone = mining.build_coeff_matrix
         calls = []
 
-        def recording(u, v, s, rows, table=None):
-            calls.append((u, v, s, rows, table))
-            return standalone(u, v, s, rows, table)
+        def recording(u, v, s, rows, table=None, residue=None):
+            # one record per degree, whatever its number of blocks
+            if not calls or calls[-1][2] != s:
+                calls.append((u, v, s, rows, table))
+            return standalone(u, v, s, rows, table, residue)
 
         monkeypatch.setattr(mining, "build_coeff_matrix", recording)
         # at s_max = 2 the s = 2 matrix is the largest, so the cut is tight
@@ -808,11 +910,11 @@ class TestMine:
         assert exc.value.rank_profile.get(1) == 4  # full column rank at s=1
 
     def test_not_found_reports_the_full_rank_of_each_degree(self, monkeypatch):
-        matrices = []
+        matrices = {}  # by degree, whatever its number of blocks
 
-        def recording(u, v, s, rows, table):
-            matrices.append(reference_coeff_matrix(u, v, s, rows)[:2])
-            return real_matrix(u, v, s, rows, table)
+        def recording(u, v, s, rows, table, residue=None):
+            matrices[s] = reference_coeff_matrix(u, v, s, rows)[:2]
+            return real_matrix(u, v, s, rows, table, residue)
 
         def reject(rel, **kwargs):
             raise ValidationFailed("forced")
@@ -824,8 +926,7 @@ class TestMine:
             mine_14(s_max=3)
         assert "rejected candidates: s=2: " in str(exc.value)
         assert exc.value.rank_profile == {
-            s: len(cols) - len(exact_nullspace(m))
-            for s, (m, cols) in enumerate(matrices, start=1)
+            s: len(cols) - len(exact_nullspace(m)) for s, (m, cols) in matrices.items()
         }
 
     def test_full_kernel_solved_only_after_restricted_candidates_fail(
@@ -833,19 +934,14 @@ class TestMine:
     ):
         # one elimination per degree serves every total degree, and only the
         # vectors that mine asks for are lifted
-        eliminations, lifted = [], {}
-
-        def echelon(rows, ncols, width, p):
-            eliminations.append((ncols, p))
-            return real_echelon(rows, ncols, width, p)
+        eliminations, lifted = record_eliminations(monkeypatch), {}
 
         def lift(kernel, end):
             vecs = real_lift(kernel, end)
             lifted.setdefault(kernel.ncols, []).extend(vecs)
             return vecs
 
-        real_echelon, real_lift = mining._echelon_mod_p, mining._ReducedKernel.lift
-        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        real_lift = mining._ReducedKernel.lift
         monkeypatch.setattr(mining._ReducedKernel, "lift", lift)
         assert mine_14().poly == REL_14
         assert eliminations == [(4, P61), (9, P61)]
@@ -855,17 +951,11 @@ class TestMine:
     def test_scale_divisible_by_the_first_prime_skips_it(self, monkeypatch):
         # mod 2^61 - 1 the scale of u / (2^61 - 1) has no inverse, so its
         # tables start at the next prime, and the relation is REL_14's
-        primes = []
-
-        def echelon(rows, ncols, width, p):
-            primes.append(p)
-            return real_echelon(rows, ncols, width, p)
-
-        real_echelon = mining._echelon_mod_p
-        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        eliminations = record_eliminations(monkeypatch)
         u = A_series(ThetaSpec(1, 4), 62) ** 12
         v = modulus_series(62)
         scaled = mine(u * F(1, P61), v, 3, 120).poly
+        primes = [p for _, p in eliminations]
         assert P61 not in primes and P89 in primes
         # P(u / p, v) = 0 has the coefficients of REL_14 times p^i
         assert all(c % P61 ** i == 0 for i, _, c in scaled.terms)
@@ -882,11 +972,7 @@ class TestMine:
         # algorithm exceeds T, so the lift fails at once; -1/2^40 = -2^21
         # there, which reconstructs as -2^21/1 (its quotient is near 2^40),
         # a small wrong fraction whose residual is nonzero on the matrix rows
-        primes, verdicts = [], []
-
-        def echelon(rows, ncols, width, p):
-            primes.append(p)
-            return real_echelon(rows, ncols, width, p)
+        eliminations, verdicts = record_eliminations(monkeypatch), []
 
         def recording(rel, **kwargs):
             try:
@@ -897,32 +983,39 @@ class TestMine:
             verdicts.append("ok")
             return out
 
-        real_echelon, real_validate = mining._echelon_mod_p, mining.validate
-        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        real_validate = mining.validate
         monkeypatch.setattr(mining, "validate", recording)
         u = PuiseuxSeries.from_pairs([(1, 1), (3, 1)])
         rel = mine(u, u * c, 1, 30)
         assert rel.poly == BivarIntPoly.normalized([(0, 1, 1), (1, 0, -c)])
-        assert primes == [P61, P89]
+        assert [p for _, p in eliminations] == [P61, P89]
         # the residual of the wrong lift is nonzero at q^1, u's leading term
         assert verdicts == (["ok"] if caught_by == "reconstruction" else [1, "ok"])
+
+    def test_a_bad_lift_after_the_validated_candidate_climbs(self, monkeypatch):
+        # u = 2^-40 and v = 5 have two relations of total degree 1: 2^40 u -
+        # 1, which sorts first, and v - 5.  Mod 2^61 - 1 the entry -2^-40 of
+        # u's vector is -2^21, which reconstructs as -2^21/1, and the bad
+        # lift u - 2^21 sorts after v - 5, which validates.  The bad lift is
+        # found on the matrix rows, and the degree climbs to 2^89 - 1, where
+        # both vectors lift exactly
+        eliminations = record_eliminations(monkeypatch)
+        u, v = PuiseuxSeries.constant(F(1, 2 ** 40)), PuiseuxSeries.constant(5)
+        rel = mine(u, v, 1, 10)
+        assert rel.poly == BivarIntPoly.normalized([(1, 0, 2 ** 40), (0, 0, -1)])
+        assert [p for _, p in eliminations] == [P61, P89]
 
     def test_table1_is_lifted_from_the_first_prime(self, monkeypatch):
         # its degree-6 vector has entries up to 2,324,522,934 ~ 2^31.1, in
         # reach mod 2^61 - 1: every degree is eliminated once, mod 2^61 - 1,
         # and the one candidate lifted validates
-        eliminations, validated = [], []
-
-        def echelon(rows, ncols, width, p):
-            eliminations.append((ncols, p))
-            return real_echelon(rows, ncols, width, p)
+        eliminations, validated = record_eliminations(monkeypatch), []
 
         def recording(rel, **kwargs):
             validated.append(rel.degree)
             return real_validate(rel, **kwargs)
 
-        real_echelon, real_validate = mining._echelon_mod_p, mining.validate
-        monkeypatch.setattr(mining, "_echelon_mod_p", echelon)
+        real_validate = mining.validate
         monkeypatch.setattr(mining, "validate", recording)
         binding = ABinding(ThetaSpec(1, 3), 12)
         rel = mine(None, None, 7, u_binding=binding, v_binding="m")
@@ -1107,6 +1200,45 @@ BINDING_SERIES = {
 }
 
 
+def plain_first_nonzero(poly, u, v, through_rows):
+    """Reference for ``mining._first_nonzero``: P(u, v) by plain Horner in
+    u, one product per u-degree, from u and v cut as the certificate cuts
+    them, with the certificate's knowledge check."""
+    vu, vv = u.leading()[0], v.leading()[0]
+    base = min(i * vu + j * vv for i, j, _ in poly.terms)
+    top = math.floor(base) + through_rows
+    u, v = (w.truncate(w.leading()[0] + top - base) for w in (u, v))
+    q = [PuiseuxSeries.zero() for _ in range(poly.max_single_degree + 1)]
+    for i, j, c in poly.terms:
+        q[i] = q[i] + v ** j * c
+    residual = q[-1]
+    for q_i in reversed(q[:-1]):
+        residual = residual * u + q_i
+    need = top * residual.denom
+    if residual.hi is not None and residual.hi < need:
+        raise InsufficientTruncation("short", required_grid_order=need)
+    residual = residual.truncate(top)
+    if not residual.nums:
+        return None
+    lead = min(residual.nums)
+    return lead - math.floor(base * residual.denom), F(lead, residual.denom)
+
+
+@st.composite
+def strided_relations(draw):
+    """Relations whose u-exponents are multiples of a and v-exponents
+    multiples of b, a and b in 1..3, each at most 3 times that; or in u
+    alone or v alone, where the other gcd is 0."""
+    shape = draw(st.sampled_from(["both", "u only", "v only"]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    i = st.integers(0, 0 if shape == "v only" else 3).map(lambda k: a * k)
+    j = st.integers(0, 0 if shape == "u only" else 3).map(lambda k: b * k)
+    terms = draw(
+        st.dictionaries(st.tuples(i, j), st.integers(-4, 4).filter(bool), min_size=1)
+    )
+    return BivarIntPoly.normalized([(i, j, c) for (i, j), c in terms.items()])
+
+
 @st.composite
 def known_pairs(draw):
     """(u, v, n): series on the 1, 1/2, 1/3 or 1/5 grid with a nonzero
@@ -1183,6 +1315,39 @@ class TestKnownThrough:
         # a residual that vanishes collapses to the integer grid
         square = BivarIntPoly.normalized([(2, 0, 1), (0, 1, -1)])
         assert mining._first_nonzero(square, u, u * u, n) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(known_pairs(), strided_relations(), st.integers(0, 3))
+    # all exponents even, with a residual that vanishes and one that does not
+    @example(
+        (PuiseuxSeries(1, {1: 1, 2: -3}, None), PuiseuxSeries(1, {1: 1, 2: -3}, 9), 4),
+        BivarIntPoly.normalized([(2, 0, 1), (0, 2, -1)]),
+        0,
+    )
+    @example(
+        (PuiseuxSeries(1, {1: 1, 2: -3}, None), PuiseuxSeries(2, {-1: 2, 3: 1}, 9), 4),
+        BivarIntPoly.normalized([(0, 0, 1), (2, 2, -1), (4, 0, 3)]),
+        0,
+    )
+    # u alone, past the rows u is known for
+    @example(
+        (PuiseuxSeries(3, {2: 1, 5: 1}, 20), PuiseuxSeries(1, {0: 1}, None), 5),
+        BivarIntPoly.normalized([(3, 0, 1), (6, 0, -2)]),
+        2,
+    )
+    def test_powers_of_u_and_v_give_the_plain_horner_verdict(self, pair, poly, extra):
+        # the certificate evaluates P(u, v) as P'(u^a, v^b); its first
+        # nonzero coefficient and its InsufficientTruncation must be those
+        # of plain Horner in u, also past the rows the pair is known for
+        u, v, n = pair
+
+        def verdict(first_nonzero):
+            try:
+                return first_nonzero(poly, u, v, n + extra)
+            except InsufficientTruncation as exc:
+                return "short", exc.required_grid_order
+
+        assert verdict(mining._first_nonzero) == verdict(plain_first_nonzero)
 
     def test_unknown_v_binding(self):
         with pytest.raises(ValueError, match="unknown v binding 'zz'"):

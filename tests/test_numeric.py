@@ -119,16 +119,16 @@ class TestResidualStr:
     def test_noise_prints_the_floor(self):
         with mp.workdps(75):
             noise = mpmath.mpf("2.7636e-76")
-        assert residual_str(noise, 60) == "1.0e-60"
-        assert residual_str(mpmath.mpf(0), 60) == "1.0e-60"
-        assert residual_str(mpmath.mpf(0), 200) == "1.0e-200"
+        assert residual_str(BigReal(noise, 60), 60) == "1.0e-60"
+        assert residual_str(big_real(0, 60), 60) == "1.0e-60"
+        assert residual_str(big_real(0, 200), 200) == "1.0e-200"
 
     def test_above_the_floor_prints_five_digits(self):
-        assert residual_str(mpmath.mpf("-1.87564321e10"), 60) == "1.8756e+10"
-        assert residual_str(mpmath.mpf("1.9e-5"), 60) == "1.9e-5"
+        assert residual_str(BigReal(mpmath.mpf("-1.87564321e10"), 60), 60) == "1.8756e+10"
+        assert residual_str(BigReal(mpmath.mpf("1.9e-5"), 60), 60) == "1.9e-5"
         with mp.workdps(75):
             just_above = mpmath.mpf("1.23456e-60")
-        assert residual_str(just_above, 60) == "1.2346e-60"
+        assert residual_str(BigReal(just_above, 60), 60) == "1.2346e-60"
 
 
 class TestEllipk:

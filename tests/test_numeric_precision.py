@@ -17,6 +17,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_sqrt, round_nearest
 
 from thetaquot import numeric
+from thetaquot.catalog import catalog_ids, verify_entry
+from thetaquot.mining import ABinding, BivarIntPoly, MinedRelation, validate
 from thetaquot.numeric import (
     GUARD,
     BigReal,
@@ -36,6 +38,7 @@ from thetaquot.numeric import (
     ten_to,
     theta_sum,
 )
+from thetaquot.recognize import recognize
 from thetaquot.series import A_series, PuiseuxSeries, ThetaSpec
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ class TestBitIdentityWithTheContext:
         with mp.workdps(digits + GUARD):
             assert raw(pi_at(digits)) == (+mp.pi)._mpf_
         with mp.workdps(30):
-            assert ten_to(e)._mpf_ == (mpf(10) ** e)._mpf_
+            assert ten_to(e).value._mpf_ == (mpf(10) ** e)._mpf_
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -394,6 +397,29 @@ class TestNoAmbientPrecision:
         want = self.raws(self.values())
         with mp.workprec(ambient):
             got = self.raws(self.values())
+        assert got == want
+
+    @staticmethod
+    def reports():
+        rel = MinedRelation(
+            poly=BivarIntPoly.normalized([(0, 0, 16), (0, 1, -32), (0, 2, 16), (2, 1, -1)]),
+            degree=2,
+            validated_grid_order=19,
+            u_binding=ABinding(ThetaSpec(1, 4), 12),
+            v_binding="m",
+        )
+        return {
+            "verify_entry": [verify_entry(eid, 60, 60).to_json_obj() for eid in catalog_ids()],
+            "validate": validate(rel, digits=60).to_json_obj(),
+            "recognize": str(recognize(singular_modulus(3, 60).k, 4)),
+        }
+
+    @pytest.mark.parametrize("ambient", [10, 20000])
+    def test_same_reports_at_any_ambient_precision(self, ambient):
+        # every catalog entry, a relation's certificate and a recognition
+        want = self.reports()
+        with mp.workprec(ambient):
+            got = self.reports()
         assert got == want
 
 
