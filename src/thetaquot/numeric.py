@@ -1,67 +1,33 @@
-"""Arbitrary-precision real evaluation.
+"""Arbitrary-precision real evaluation on Python integers.
 
-BigReal wraps an mpmath float together with its working precision in
-decimal digits.  Every kernel keeps ``digits + GUARD`` decimal digits of
-working precision and reports at ``digits``; binary operations carry the
-minimum of the operand precisions.
+A BigReal is m 2^e, an odd integer mantissa m (or zero) and a binary
+exponent e, with its precision in decimal digits.  Every kernel keeps
+``digits + GUARD`` decimal digits of working precision and reports at
+``digits``; binary operations carry the minimum of the operand precisions.
 
-This is the only module that imports mpmath; the rest of the package
-reaches the reals through BigReal and the functions here.  No function here
-enters an mpmath context or reads its precision: each operation and kernel
-runs at its own explicit bit count, ``dps_to_prec(digits + GUARD)`` unless
-it says otherwise, calling ``mpmath.libmp`` on raw ``_mpf_`` tuples with
-round-to-nearest.  Those are the calls mpmath's context made at that
-precision, so the values are the ones it gave, and they do not depend on
-the ambient ``mp.prec`` or on what other threads set it to.  The two hot
-loops, ``theta_sum``'s walk and ``agm``, run on Python ints in fixed point,
-and square roots on ``math.isqrt``.
+Each operation and kernel runs at its own explicit bit count, that of
+``digits + GUARD`` unless it says otherwise, and rounds to nearest, ties to
+even.  Addition, multiplication, division, integer powers, square roots and
+the parsing of ints, rationals, strings and floats are ports of mpmath's
+libmp algorithms, so they give the bits it gave at the same bit count, and
+``nstr`` prints what ``mpmath.nstr`` printed.  n-th roots, pi and the
+nome's exp are correctly rounded: Newton's steps, Brent-Salamin's AGM and a
+Taylor series each run with guard bits and a bound on their error, widened
+until the rounding is decided (Ziv's strategy; Brent & Zimmermann, Modern
+Computer Arithmetic, ch. 3-4).  The two hot loops, ``theta_sum``'s walk and
+``agm``, run in Python-int fixed point.  No module of the package imports
+mpmath: ``BigReal.value`` alone does, on first use, for callers that want
+an ``mpf``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Union
-
-import mpmath
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    from_float,
-    from_int,
-    from_man_exp,
-    from_rational,
-    from_str,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_eq,
-    mpf_exp,
-    mpf_frexp,
-    mpf_ge,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_nint,
-    mpf_nthroot,
-    mpf_pi,
-    mpf_pos,
-    mpf_pow,
-    mpf_pow_int,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
-    to_float,
-    to_int,
-)
 
 from .series import MAX_TERMS, PuiseuxSeries, Rat, ThetaSpec
 
@@ -69,34 +35,17 @@ GUARD = 15
 MIN_DIGITS = 20
 MAX_FIXED_BITS = 2 ** 24  # the widest int made from a real: an AGM argument or a round()
 
-Number = Union[int, Fraction, str, mpf, "BigReal"]
+Number = Union[int, Fraction, str, "BigReal"]
 
 __all__ = [
-    "BigReal",
-    "EvalPoint",
-    "GUARD",
-    "MIN_DIGITS",
-    "big_real",
-    "pi_at",
-    "agm",
-    "ellipk",
-    "last_agm_iterations",
-    "singular_modulus",
-    "singular_point",
-    "inverse_modulus",
-    "nome_from_r",
-    "theta_sum",
-    "eval_eta",
-    "eval_A",
-    "eval_h5",
-    "eval_eta5",
-    "real_eval_series",
-    "residual_str",
-    "ten_to",
+    "BigReal", "EvalPoint", "GUARD", "MIN_DIGITS", "big_real", "pi_at", "agm", "ellipk",
+    "last_agm_iterations", "singular_modulus", "singular_point", "inverse_modulus",
+    "nome_from_r", "theta_sum", "eval_eta", "eval_A", "eval_h5", "eval_eta5",
+    "real_eval_series", "residual_str", "ten_to",
 ]
 
-RND = round_nearest
-_make_mpf = mp.make_mpf  # wraps a raw tuple as it is, with no rounding
+NEAREST, DOWN, UP = 0, 1, 2  # to nearest (ties to even), or in magnitude down or up
+LOG2_10 = math.log(10, 2)  # the float mpmath's printer sizes its digits with
 
 
 class PrecisionError(ValueError):
@@ -107,207 +56,545 @@ class CertificationError(ArithmeticError):
     """An internal consistency check failed beyond tolerance."""
 
 
-def _prec(digits: int) -> int:
-    """The working bit count of a value reported at ``digits``."""
-    return dps_to_prec(digits + GUARD)
+def _bits(dps: int) -> int:
+    """The bit count of ``dps`` decimal digits (mpmath's dps_to_prec)."""
+    return max(1, int(round((dps + 1) * 3.3219280948873626)))
 
 
-def _raw(x, prec: int) -> tuple:
-    """x as a raw ``_mpf_`` tuple: a BigReal or mpf as it is, and an int,
-    Fraction, str or float rounded to ``prec`` bits as ``mpf(x)`` rounds it
-    (a Fraction's numerator first, then the quotient by its denominator)."""
-    if isinstance(x, BigReal):
-        x = x.value
-    if isinstance(x, mpf):
-        return x._mpf_
-    if isinstance(x, int):
-        return from_int(x, prec, RND)
-    if isinstance(x, Fraction):
-        return mpf_div(from_int(x.numerator, prec, RND), from_int(x.denominator), prec, RND)
-    if isinstance(x, str):
-        return from_str(x, prec, RND)
-    if isinstance(x, float):
-        return from_float(x, prec, RND)
-    raise TypeError(f"cannot make a real number of {x!r}")
+def _round(man: int, exp: int, prec: int, rnd: int = NEAREST) -> tuple[int, int]:
+    """man 2^exp rounded to prec bits and stripped of trailing zero bits
+    (mpmath's normalize)."""
+    if not man:
+        return 0, 0
+    m = -man if man < 0 else man
+    n = m.bit_length() - prec
+    if n > 0:
+        if rnd == NEAREST:
+            t = m >> (n - 1)
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
+        else:
+            m = m >> n if rnd == DOWN else -(-m >> n)
+        exp += n
+    z = (m & -m).bit_length() - 1
+    return (m >> z if man > 0 else -(m >> z)), exp + z
 
 
-def _real(t: tuple, digits: int) -> "BigReal":
-    return BigReal(_make_mpf(t), digits)
+def _fixed(man: int, exp: int, prec: int) -> int:
+    """floor(man 2^(exp + prec)): a fixed-point int at prec bits."""
+    s = exp + prec
+    return man << s if s >= 0 else man >> -s
 
 
-def _sqrt(x: tuple, prec: int) -> tuple:
-    """The square root of a raw x >= 0, correctly rounded to ``prec`` bits,
-    ties to even: ``mpf_sqrt(x, prec, round_nearest)``, with the integer
-    root taken by ``math.isqrt``.  The shifted mantissa carries at least
-    2 prec + 4 bits, so its root has prec + 2; an inexact root gets a
-    sticky bit below them, which rounding to nearest needs."""
-    sign, man, exp, bc = x
-    if sign:
+def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """a + b rounded to prec bits as mpf_add rounds it: exactly, except
+    that a b more than 100 exponents and prec + 4 bits below a stands in
+    as one unit just below a's shifted bits."""
+    if not am or not bm:
+        return _round(am or bm, ae if am else be, prec)
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    if ae - be > 100 and ae + am.bit_length() - be - bm.bit_length() > prec + 4:
+        return _round((am << prec + 4) + (1 if bm > 0 else -1), ae - prec - 4, prec)
+    return _round((am << ae - be) + bm, be, prec)
+
+
+def _div(am: int, ae: int, bm: int, be: int, prec: int, rnd: int = NEAREST) -> tuple[int, int]:
+    """a / b rounded to prec bits: the quotient's top prec + 5 bits (at
+    least) and a sticky bit for a remainder, as mpf_div forms it."""
+    if not bm:
+        raise ZeroDivisionError("division by zero")
+    if not am:
+        return 0, 0
+    extra = max(prec - am.bit_length() + bm.bit_length() + 5, 5)
+    q, r = divmod(abs(am) << extra, abs(bm))
+    if r:
+        q, extra = (q << 1) | 1, extra + 1
+    return _round(q if (am < 0) == (bm < 0) else -q, ae - be - extra, prec, rnd)
+
+
+def _cut(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    d = m.bit_length() - prec
+    if d <= 0:
+        return m, e
+    return (-(-m >> d) if up else m >> d), e + d
+
+
+def _pow_int(man: int, exp: int, n: int, prec: int, rnd: int = NEAREST) -> tuple[int, int]:
+    """(man 2^exp)^n rounded to prec bits with mpf_pow_int's bits.  A
+    negative power is 1 over the power at prec + 5 bits, rounded the other
+    way; a square or a power under 1,000 bits is exact before its rounding,
+    and any other is binary powering with each product cut to
+    prec + 4 bitlen(n) + 4 bits (up when rounding up, else down)."""
+    if n < 0:
+        if n == -1:
+            return _div(1, 0, man, exp, prec, rnd)
+        return _div(1, 0, *_pow_int(man, exp, -n, prec + 5, rnd and 3 - rnd), prec, rnd)
+    if n < 2:
+        return _round(man, exp, prec, rnd) if n else (1, 0)
+    m, sign = abs(man), -1 if man < 0 and n & 1 else 1
+    if m == 1:
+        return sign, exp * n
+    if n == 2 or m.bit_length() * n < 1000:
+        return _round(sign * m ** n, exp * n, prec, rnd)
+    wp, up = prec + 4 * n.bit_length() + 4, rnd == UP
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = _cut(pm * m, pe + exp, wp, up)
+            n -= 1
+            if not n:
+                return _round(sign * pm, pe, prec, rnd)
+        m, exp = _cut(m * m, exp + exp, wp, up)
+        n >>= 1
+
+
+def _ten_pow(e: int, prec: int, rnd: int = NEAREST) -> tuple[int, int]:
+    return _pow_int(5, 1, e, prec, rnd)
+
+
+def _sqrt(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """The square root of man 2^exp >= 0 as mpf_sqrt rounds it, correctly:
+    ``math.isqrt`` of the mantissa shifted to 2 prec + 4 bits or more, with
+    a sticky bit below an inexact root's prec + 2 bits."""
+    if man < 0:
         raise ValueError("square root of a negative value")
     if not man:
-        return x
+        return 0, 0
     if exp & 1:
-        exp, man, bc = exp - 1, man << 1, bc + 1
-    shift = max(4, 2 * prec - bc + 4)
+        exp, man = exp - 1, man << 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
     shift += shift & 1
     man <<= shift
     root = math.isqrt(man)
     if root * root != man:
         root, shift = (root << 1) | 1, shift + 2
-    return from_man_exp(root, (exp - shift) // 2, prec, RND)
+    return _round(root, (exp - shift) // 2, prec)
 
 
-def _power(x: tuple, num: int, den: int, prec: int) -> tuple:
-    """x^(num/den) for a raw x >= 0 and num/den in lowest terms, as an
-    integer power of x^(1/den), with no log or exp.  A Newton step mends
-    ``mpf_nthroot``, 1e-766 off at den = 55 and 815 digits; an integer
-    exponent needs neither.  The step's y^den and the power multiply a
-    relative error by den and by num, so both run with the exponent's bit
-    length in extra bits, as ``theta_sum`` takes its root, and the result
-    is rounded to ``prec``."""
+def _ziv(approx, prec: int, guard: int) -> tuple[int, int]:
+    """The value that ``approx(w)`` brackets, within err 2^e of m 2^e
+    (m > err), rounded to nearest at prec bits: w = prec + guard, with the
+    guard doubled until both ends of the bracket round alike.  Past 4 prec
+    guard bits the value is taken to be the midpoint that the bracket
+    straddles, which only an exact root can be, and rounded to even."""
+    while True:
+        m, e, err = approx(prec + guard)
+        lo = _round(m - err, e, prec)
+        if lo == _round(m + err, e, prec):
+            return lo
+        if guard > 4 * prec:
+            return _round(*_round(m, e, prec + 1), prec)
+        guard *= 2
+
+
+def _root(man: int, exp: int, n: int, prec: int) -> tuple[int, int]:
+    """(man 2^exp)^(1/n) for man > 0 and n >= 2, correctly rounded to prec
+    bits, by Newton's step y += y (x / y^n - 1) / n on an int mantissa.
+
+    A relative error d comes out of a step as about (n - 1) d^2 / 2, so the
+    bits c of n d double each step, which runs at c + bitlen(n) + 4 bits.
+    The start 2^F e^t, F the integer nearest z = log2(x) / n and
+    t = (z - F) ln 2, carries the float error of log2 x: n d stays below
+    2^(bitlen(1 + |log2 x|) - 48)."""
+    bc = man.bit_length()
+    lg = math.log2((man >> max(bc - 64, 0)) / 2.0 ** min(bc, 64)) + (exp + bc)
+    nb, P = n.bit_length(), n.bit_length() + 64
+    z = (int(lg * 2.0 ** 64) << nb) // n  # 2^P log2(x) / n
+    F = (z + (1 << P - 1)) >> P
+    t = (z - (F << P)) * _logs(P)[0] >> P
+    start, term, k = 1 << P, 1 << P, 0
+    while term:
+        k += 1
+        term = (term * t >> P) // k
+        start += term
+    c0 = 48 - int(abs(lg) + 1).bit_length()
+    if c0 < 8:
+        raise ValueError("a root of a value beyond 2^(+-2^39) is out of range")
+
+    def approx(w):
+        y, f, c = start, F - P, c0
+        goal = max(w - nb, 0) + 2  # n d below 2^-goal leaves d below 2^-(w + 1)
+        while True:
+            c = min(2 * c - 2, goal)
+            p = c + nb + 4
+            s = p - y.bit_length()
+            y, f = (y << s if s >= 0 else y >> -s), f - s
+            pm, pe = _pow_int(y, f, n, p)
+            s = exp - pe + p  # x / y^n in fixed point at p bits
+            q = (man << s) // pm if s >= 0 else man // (pm << -s)
+            y += y * (q - (1 << p)) // (n << p)
+            if c == goal:
+                return y, f, 64
+
+    return _ziv(approx, prec, 20)
+
+
+def _power(man: int, exp: int, num: int, den: int, prec: int) -> tuple[int, int]:
+    """x^(num/den) for x = man 2^exp >= 0 and num/den in lowest terms: an
+    integer power of the correctly rounded root, both with the exponent's
+    bit length in extra bits (the power multiplies the root's relative
+    error by num), rounded to prec."""
     if den == 1:
-        return mpf_pow_int(x, num, prec, RND)
+        return _pow_int(man, exp, num, prec)
+    if not man:
+        return 0, 0
     wp = prec + max(abs(num), den).bit_length()
-    y = mpf_nthroot(x, den, wp, RND)
-    if y != fzero:
-        # y += y (x / y^den - 1) / den
-        step = mpf_sub(mpf_div(x, mpf_pow_int(y, den, wp, RND), wp, RND), fone, wp, RND)
-        step = mpf_div(mpf_mul(y, step, wp, RND), from_int(den), wp, RND)
-        y = mpf_add(y, step, wp, RND)
-    return mpf_pos(mpf_pow_int(y, num, wp, RND), prec, RND)
+    return _round(*_pow_int(*_root(man, exp, den, wp), num, wp), prec)
 
 
-def _ten_pow(e: int, prec: int) -> tuple:
-    return mpf_pow_int(from_int(10), e, prec, RND)
+def _exp(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """e^x for x = man 2^exp, correctly rounded to prec bits.
+
+    As in mpmath's exp, y = |x| / 2^s, with s the magnitude of x plus
+    R = sqrt(prec) / 4, gives cosh y by its even Taylor terms in fixed point,
+    U terms to one full multiply (the baby steps of Paterson-Stockmeyer),
+    and e^(+-y) = cosh y +- sqrt(cosh^2 y - 1), which is squared s times,
+    each square cut to the working bits.  The error bound counts the floors
+    of the sum, grows by 1/y through the root and doubles with every
+    square."""
+    mag = exp + man.bit_length()
+
+    def approx(w):
+        R = math.isqrt(w) // 4
+        s, amp = max(mag + R, 0), max(R, -mag) + 1  # 2^amp > 1/y
+        W = w + s + amp + 16
+        y = _fixed(abs(man), exp - s, W)
+        y2 = y * y >> W
+        U = 6
+        pw = [1 << W, y2]
+        for _ in range(U - 1):
+            pw.append(pw[-1] * y2 >> W)
+        sums, a, k = [0] * U, 1 << W, 0
+        while a:
+            for i in range(U):
+                sums[i] += a
+                k += 2
+                a //= (k - 1) * k
+            a = a * pw[U] >> W
+        c = sum(t * p for t, p in zip(sums, pw)) >> W
+        sh = math.isqrt(c * c - (1 << 2 * W))
+        v, e = c - sh if man < 0 else c + sh, -W
+        for _ in range(s):
+            v, e = _cut(v * v, e + e, W, False)
+        return v, e, (3 * k * (U + 2) + 3 * U * U + 16) << s + amp
+
+    return _ziv(approx, prec, 20)
 
 
-@dataclass(frozen=True)
-class BigReal:
-    """Arbitrary-precision real with explicit decimal working precision."""
+@lru_cache(maxsize=16)
+def _pi(prec: int) -> tuple[int, int]:
+    """pi correctly rounded to prec bits: Brent-Salamin, the AGM of 1 and
+    1/sqrt 2 with Legendre's sum t, pi = (a + b)^2 / (4 t) (Salamin, Math.
+    Comp. 30, 1976), in fixed point.  Its k-th term enters t with weight
+    2^k, so the error bound doubles with each iteration."""
 
-    value: mpf
-    digits: int
+    def approx(w):
+        one = 1 << w
+        a, b, t, k = one, math.isqrt(one << w - 1), one >> 2, 0
+        while True:
+            c = (a + b) >> 1
+            b = math.isqrt(a * b)
+            term = (a - c) ** 2 << k >> w
+            t, a, k = t - term, c, k + 1
+            if not term:
+                return (a + b) ** 2 // t, -w - 2, 1 << k + 8
 
-    def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise PrecisionError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
+    return _ziv(approx, prec, 40)
 
-    def _bin(self, other, op, swap: bool = False) -> "BigReal":
-        digits = min(self.digits, other.digits) if isinstance(other, BigReal) else self.digits
-        prec = _prec(digits)
-        a, b = self.value._mpf_, _raw(other, prec)
+
+@lru_cache(maxsize=64)
+def _logs(bits: int) -> tuple[int, int]:
+    """floor(2^bits ln 2) and floor(2^bits ln 10), from 2 atanh(1/3) and
+    3 ln 2 + 2 atanh(1/9) with 32 guard bits."""
+    w = bits + 32
+
+    def atanh_inv(k):  # 2^w atanh(1/k)
+        total, p, j = 0, (1 << w) // k, 1
+        while p:
+            total, p, j = total + p // j, p // (k * k), j + 2
+        return total
+
+    ln2 = 2 * atanh_inv(3)
+    return ln2 >> 32, (3 * ln2 + 2 * atanh_inv(9)) >> 32
+
+
+def _parse_str(text: str, prec: int) -> tuple[int, int]:
+    """A decimal literal or "num/den" rounded to prec bits as from_str
+    rounds it: exactly (an int, or the quotient by a power of ten) up to 400
+    decimal places, past them as the mantissa times the power of ten, both
+    cut to prec + 10 bits."""
+    s = text.lower().strip()
+    if "/" in s:
+        p, q = (int(t.rstrip("l")) for t in s.split("/"))
+        if not q:
+            raise ValueError(f"{text!r} has a zero denominator")
+        return _div(p, 0, q, 0, prec)
+    s = s.rstrip("l")
+    float(s)  # the syntax of a float literal, or ValueError
+    s, _, e = s.partition("e")
+    e = int(e or 0)
+    a, dot, b = s.partition(".")
+    if dot:
+        b = b.rstrip("0")
+        s, e = a + b, e - len(b)
+    man = int(s)
+    if abs(e) > 400:
+        mm, me = _round(man, 0, prec + 10, DOWN)
+        tm, te = _ten_pow(e, prec + 10, DOWN)
+        return _round(mm * tm, me + te, prec)
+    if e >= 0:
+        return _round(man * 10 ** e, 0, prec)
+    return _div(man, 0, 10 ** -e, 0, prec)
+
+
+def _parse(x, prec: int) -> tuple[int, int]:
+    """x as (man, exp): a BigReal's or an mpf's bits as they are, and an
+    int, Fraction, str or float rounded to prec bits as mpmath rounds it (a
+    Fraction's numerator first, then the quotient)."""
+    if isinstance(x, BigReal):
+        return x.man, x.exp
+    if isinstance(x, int):
+        return _round(x, 0, prec)
+    if isinstance(x, Fraction):
+        return _div(*_round(x.numerator, 0, prec), x.denominator, 0, prec)
+    if isinstance(x, str):
+        return _parse_str(x, prec)
+    if isinstance(x, float) and math.isfinite(x):
+        m, e = math.frexp(x)
+        return _round(int(m * 2 ** 53), e - 53, prec)
+    raw = getattr(x, "_mpf_", None)
+    if raw is None or not raw[1] and raw[2]:
+        raise ValueError(f"a BigReal is a finite real number, not {x!r}")
+    return (-raw[1] if raw[0] else raw[1]), raw[2]
+
+
+def _numeral(n: int, size: int) -> str:
+    """str(n) as mpmath's numeral writes it, in halves past 250 digits
+    (which keeps every str() under Python's limit of 4,300 digits)."""
+    if not n or size < 250:
+        return str(n)
+    half = size // 2 + (size & 1)
+    a, b = divmod(n, 10 ** half)
+    return _numeral(a, half) + _numeral(b, half).rjust(half, "0")
+
+
+def _to_str(man: int, exp: int, dps: int) -> str:
+    """man 2^exp to dps significant digits as mpmath's to_str prints it
+    with its defaults: the leading dps + 3 digits, truncated, are rounded
+    half up at dps, and written in fixed point when the decimal exponent
+    lies strictly between min(-(dps // 3), -5) and dps.  A value beyond
+    2^+-3500 is first divided by 10^b, b = trunc(exp log10 2), with ln 2 and
+    ln 10 at bitlen(exp) + 5 bits, and both steps cut down."""
+    if not man:
+        return "0.0"
+    sign, m = ("-", -man) if man < 0 else ("", man)
+    bitprec = int((dps + 3) * LOG2_10) + 10
+    expo = 0
+    if abs(exp + m.bit_length()) > 3500:
+        ln2, ln10 = _logs(abs(exp).bit_length() + 5)
+        expo = abs(exp) * ln2 // (ln10 & -4) * (1 if exp > 0 else -1)
+        m, exp = _div(m, exp, *_ten_pow(expo, bitprec, DOWN), bitprec, DOWN)
+    fixprec = max(bitprec - exp - m.bit_length(), 0)
+    fixdps = int(fixprec / LOG2_10 + 0.5)
+    digits = _numeral(_fixed(m, exp, fixprec) * 10 ** fixdps >> fixprec, dps + 3)
+    expo += len(digits) - fixdps - 1
+    head = digits[:dps]
+    if len(digits) > dps and digits[dps] in "56789":
+        stem = head.rstrip("9")
+        if stem:
+            head = stem[:-1] + str(int(stem[-1]) + 1) + "0" * (dps - len(stem))
+        else:
+            head, expo = "1" + "0" * (dps - 1), expo + 1
+    split = 1
+    if min(-(dps // 3), -5) < expo < dps:
+        head, split, expo = ("0" * -expo + head, 1, 0) if expo < 0 else (head, expo + 1, 0)
+    text = (head[:split] + "." + head[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    if not expo:
+        return sign + text
+    return f"{sign}{text}e{'+' if expo > 0 else ''}{expo}"
+
+
+def _compare(am: int, ae: int, bm: int, be: int) -> int:
+    """The sign of a - b: that of am - bm unless both have one sign."""
+    if (am > 0) != (bm > 0) or not am or not bm:
+        return (am > bm) - (am < bm)
+    ma, mb = ae + am.bit_length(), be + bm.bit_length()
+    if ma != mb:
+        return 1 if (ma > mb) == (am > 0) else -1
+    diff = (am << ae - be) - bm if ae > be else am - (bm << be - ae)
+    return (diff > 0) - (diff < 0)
+
+
+def _binary(kernel, swap: bool = False):
+    """A BigReal operator: kernel(a, b, prec), a = self and b = other (or
+    the swap), at the smaller digits of the two; another number is first
+    rounded to self's bits."""
+
+    def op(self, other):
+        if type(other) is BigReal:
+            bm, be, at = other.man, other.exp, other if other.digits < self.digits else self
+        else:
+            (bm, be), at = _parse(other, self.prec), self
         if swap:
-            a, b = b, a
-        return _real(op(a, b, prec, RND), digits)
+            return _real(*kernel(bm, be, self.man, self.exp, at.prec), at.digits, at.prec)
+        return _real(*kernel(self.man, self.exp, bm, be, at.prec), at.digits, at.prec)
 
-    def __add__(self, other):
-        return self._bin(other, mpf_add)
+    return op
 
-    __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._bin(other, mpf_sub)
+def _compares(test):
+    return lambda self, other: test(self._cmp(other), 0)
 
-    def __rsub__(self, other):
-        return self._bin(other, mpf_sub, swap=True)
 
-    def __mul__(self, other):
-        return self._bin(other, mpf_mul)
+class BigReal:
+    """A real number man 2^exp (man odd, or zero) at ``digits`` decimal
+    digits, whose operations run at ``prec`` bits, those of digits + GUARD."""
 
-    __rmul__ = __mul__
+    __slots__ = ("man", "exp", "digits", "prec")
 
-    def __truediv__(self, other):
-        return self._bin(other, mpf_div)
+    def __init__(self, x, digits: int):
+        """x at ``digits``: a BigReal's or an mpf's bits as they are, or an
+        int, Fraction, str or float rounded to the working bits.  A complex,
+        infinite or nan value raises ``ValueError``."""
+        if digits < MIN_DIGITS:
+            raise PrecisionError(f"digits must be >= {MIN_DIGITS}, got {digits}")
+        self.digits, self.prec = digits, _bits(digits + GUARD)
+        self.man, self.exp = _parse(x, self.prec)
 
-    def __rtruediv__(self, other):
-        return self._bin(other, mpf_div, swap=True)
+    __add__ = __radd__ = _binary(_add)
+    __sub__ = _binary(lambda am, ae, bm, be, prec: _add(am, ae, -bm, be, prec))
+    __rsub__ = _binary(lambda am, ae, bm, be, prec: _add(am, ae, -bm, be, prec), swap=True)
+    __mul__ = __rmul__ = _binary(lambda am, ae, bm, be, prec: _round(am * bm, ae + be, prec))
+    __truediv__, __rtruediv__ = _binary(_div), _binary(_div, swap=True)
 
     def __neg__(self):
-        return _real(mpf_neg(self.value._mpf_), self.digits)
+        return _real(-self.man, self.exp, self.digits, self.prec)
 
     def __abs__(self):
-        return _real(mpf_abs(self.value._mpf_), self.digits)
+        return _real(abs(self.man), self.exp, self.digits, self.prec)
 
     def __pow__(self, e):
         """Principal real power for int or rational exponents."""
-        if e < 0 and not self.value:
+        if e < 0 and not self.man:
             raise ValueError("a negative power of zero")
-        if not isinstance(e, int) and self.value < 0:
-            raise ValueError("fractional power of a negative value")
-        prec = _prec(self.digits)
         if isinstance(e, int):
-            return _real(mpf_pow_int(self.value._mpf_, e, prec, RND), self.digits)
+            return _real(*_pow_int(self.man, self.exp, e, self.prec), self.digits, self.prec)
+        if self.man < 0:
+            raise ValueError("fractional power of a negative value")
         e = Fraction(e)
-        return _real(_power(self.value._mpf_, e.numerator, e.denominator, prec), self.digits)
+        power = _power(self.man, self.exp, e.numerator, e.denominator, self.prec)
+        return _real(*power, self.digits, self.prec)
 
     def sqrt(self) -> "BigReal":
-        return _real(_sqrt(self.value._mpf_, _prec(self.digits)), self.digits)
+        return _real(*_sqrt(self.man, self.exp, self.prec), self.digits, self.prec)
 
-    def _cmp_raw(self, other) -> tuple:
-        return _raw(other, _prec(self.digits))
+    def _cmp(self, other):
+        """The sign of self - other, other rounded to self's bits.  An
+        infinite or nan float gives -other, which compares with 0 as the
+        difference would."""
+        if type(other) is float and not math.isfinite(other):
+            return -other
+        m, e = (other.man, other.exp) if type(other) is BigReal else _parse(other, self.prec)
+        return _compare(self.man, self.exp, m, e)
 
-    def __lt__(self, other):
-        return mpf_lt(self.value._mpf_, self._cmp_raw(other))
-
-    def __le__(self, other):
-        return mpf_le(self.value._mpf_, self._cmp_raw(other))
-
-    def __gt__(self, other):
-        return mpf_gt(self.value._mpf_, self._cmp_raw(other))
-
-    def __ge__(self, other):
-        return mpf_ge(self.value._mpf_, self._cmp_raw(other))
+    __lt__, __le__ = _compares(operator.lt), _compares(operator.le)
+    __gt__, __ge__ = _compares(operator.gt), _compares(operator.ge)
 
     def __eq__(self, other):
-        if isinstance(other, (BigReal, int, Fraction, mpf, float)):
-            return mpf_eq(self.value._mpf_, self._cmp_raw(other))
+        if isinstance(other, (BigReal, int, Fraction, float)) or hasattr(other, "_mpf_"):
+            return self._cmp(other) == 0
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return to_float(self.value._mpf_, rnd=RND)
+    __hash__ = None  # mutable
 
     def __round__(self, ndigits=None) -> int:
-        """The nearest integer, at the working precision (not mpmath's 53 bits)."""
-        if mpmath.mag(self.value) > MAX_FIXED_BITS:
+        """The nearest integer, ties to even, rounded to the working bits
+        (mpmath's nint at this precision, not at its 53 bits)."""
+        m, e = self.man, self.exp
+        if m and e + m.bit_length() > MAX_FIXED_BITS:
             raise ValueError(f"{self.nstr(5)} is too large to round to an integer")
-        return to_int(mpf_nint(self.value._mpf_, _prec(self.digits), RND))
+        if e + m.bit_length() < 0:  # below 1/2
+            return 0
+        if e < 0:
+            m, r = divmod(m, 1 << -e)
+            m += 2 * r > 1 << -e or (2 * r == 1 << -e and m & 1)
+            e = 0
+        m, e = _round(m, e, self.prec)
+        return m << e
 
     def nstr(self, n: int | None = None) -> str:
-        return mpmath.nstr(self.value, n or self.digits)
+        """The value to n significant digits (default: its digits), byte for
+        byte as ``mpmath.nstr`` prints it."""
+        return _to_str(self.man, self.exp, n or self.digits)
 
     def with_digits(self, digits: int) -> "BigReal":
         """The same value, with later operations at ``digits``."""
-        return BigReal(self.value, digits)
+        return BigReal(self, digits)
+
+    @property
+    def value(self):
+        """The value as an mpmath ``mpf`` with these bits, for callers that
+        want one; the package's only import of mpmath, made on first use."""
+        import mpmath
+
+        m = abs(self.man)
+        return mpmath.mp.make_mpf((int(self.man < 0), m, self.exp, m.bit_length()))
 
     def __repr__(self):
-        return f"BigReal({mpmath.nstr(self.value, min(self.digits, 25))}, digits={self.digits})"
+        return f"BigReal({self.nstr(min(self.digits, 25))}, digits={self.digits})"
+
+
+_new = object.__new__
+
+
+def _real(man: int, exp: int, digits: int, prec: int) -> BigReal:
+    """A BigReal of a normalized (man, exp), with no checks."""
+    x = _new(BigReal)
+    x.man, x.exp, x.digits, x.prec = man, exp, digits, prec
+    return x
 
 
 def big_real(x: Number, digits: int) -> BigReal:
+    """x as a BigReal: at the smaller of its digits and ``digits`` if it is
+    one, else as ``BigReal(x, digits)`` makes it.  The strings "inf",
+    "-inf" and "nan" give that float, which compares as its value does, so
+    a caller's range check refuses it."""
     if isinstance(x, BigReal):
-        return BigReal(x.value, min(digits, x.digits))
-    return _real(_raw(x, _prec(digits)), digits)
+        return BigReal(x, min(digits, x.digits))
+    if isinstance(x, str) and x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
+        return float(x)
+    return BigReal(x, digits)
 
 
 def pi_at(digits: int) -> BigReal:
-    return _real(mpf_pi(_prec(digits), RND), digits)
+    prec = _bits(digits + GUARD)
+    return _real(*_pi(prec), digits, prec)
 
 
-def ten_to(e: int | Fraction | float) -> BigReal:
-    """10^e at 30 digits: every pass threshold and residual floor.  A
-    Fraction exponent is first rounded down to 30 digits' bits, as
-    mpmath's conversion of a rational rounds it."""
-    prec = dps_to_prec(30)
-    if isinstance(e, int):
-        return _real(_ten_pow(e, prec), 30)
-    if isinstance(e, Fraction):
-        t = from_rational(e.numerator, e.denominator, prec)
-    else:
-        t = from_float(e)
-    return _real(mpf_pow(from_int(10), t, prec, RND), 30)
+def _ten(e: int, digits: int) -> BigReal:
+    """10^e at the working bits of ``digits``."""
+    prec = _bits(digits + GUARD)
+    return _real(*_ten_pow(e, prec), digits, prec)
+
+
+def ten_to(e: int | Fraction) -> BigReal:
+    """10^e at 30 digits' bits: every pass threshold and residual floor.
+    An integer power has mpf_pow_int's bits; a fractional one,
+    10^(n + r/d) with 0 < r < d, is correctly rounded: the d-th root of 10,
+    to the r-th power, times 10^n."""
+    prec, e = _bits(30), Fraction(e)
+    if e.denominator == 1:
+        return _real(*_ten_pow(e.numerator, prec), 30, _bits(30 + GUARD))
+    n, r = divmod(e.numerator, e.denominator)
+
+    def approx(w):  # each factor within 2^-(w + 3) of its value
+        wr = w + r.bit_length() + 4
+        pm, pe = _pow_int(*_root(10, 0, e.denominator, wr), r, wr)
+        tm, te = _ten_pow(n, wr)
+        return pm * tm, pe + te, (pm * tm >> w + 1) + 1
+
+    return _real(*_ziv(approx, prec, 20), 30, _bits(30 + GUARD))
 
 
 def residual_str(value: BigReal, digits: int) -> str:
@@ -317,18 +604,22 @@ def residual_str(value: BigReal, digits: int) -> str:
     return max(abs(value), ten_to(-digits)).nstr(5)
 
 
-def _neg_log(x: tuple) -> float:
-    """-ln x in float for a raw 0 < x < 1, even below the float range."""
-    man, exp = mpf_frexp(x)
-    return -(math.log1p(to_float(mpf_sub(man, fone, 53, RND), rnd=RND)) + exp * math.log(2))
+def _neg_log(man: int, exp: int) -> float:
+    """-ln x in float for 0 < x = man 2^exp < 1, even below the float
+    range: x = f 2^b with f in [1/2, 1), as -(log1p(f - 1) + b ln 2), with
+    f - 1 rounded to 53 bits."""
+    bc = man.bit_length()
+    f = math.ldexp(*_round(man - (1 << bc), -bc, 53))
+    return -(math.log1p(f) + (exp + bc) * math.log(2))
 
 
 AGM_GUARD_BITS = 8  # three floors an iteration, for up to 80 iterations
 
 
-def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
-    """Arithmetic-geometric mean of a0, b0 > 0 at ``wdps`` decimal digits;
-    returns the limit and the iteration count (quadratic convergence).
+def agm(a0, b0, wdps: int) -> tuple[BigReal, int]:
+    """Arithmetic-geometric mean of a0, b0 > 0 (ints, BigReals or mpfs) at
+    ``wdps`` decimal digits; returns the limit and the iteration count
+    (quadratic convergence).
 
     The iteration runs on Python ints, A, B = (A + B) >> 1, isqrt(A B), in
     fixed point: the smaller operand gets wdps digits' bits plus
@@ -336,17 +627,17 @@ def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
     of the two.  Every later iterate lies between them, and as the spread
     halves each iteration the low bits it no longer needs are dropped.  It
     stops once |A - B| <= 10^-(wdps-2) max(a0, b0).  The limit is returned
-    exactly, for the caller to round.  A spread past ``MAX_FIXED_BITS`` fails:
-    k_r passes it near r = 5.5e13."""
-    if not (a0 > 0 and b0 > 0):
+    exactly, at wdps - GUARD digits, for the caller to round.  A spread past
+    ``MAX_FIXED_BITS`` fails: k_r passes it near r = 5.5e13."""
+    bits = _bits(wdps) + AGM_GUARD_BITS
+    (am, ae), (bm, be) = _parse(a0, bits), _parse(b0, bits)
+    if not (am > 0 and bm > 0):
         raise ValueError("the AGM needs positive arguments")
-    a0, b0 = (from_int(x) if isinstance(x, int) else x._mpf_ for x in (a0, b0))
-    ea, eb = a0[2] + a0[3], b0[2] + b0[3]  # exponent + bit count: the magnitude
+    ea, eb = ae + am.bit_length(), be + bm.bit_length()  # the magnitudes
     if abs(ea - eb) > MAX_FIXED_BITS:
         raise ValueError(f"a modulus below 2^-{MAX_FIXED_BITS} is out of the AGM's range")
-    bits = dps_to_prec(wdps) + AGM_GUARD_BITS
     shift = bits - min(ea, eb)
-    a, b = to_fixed(a0, shift), to_fixed(b0, shift)  # exact, then floored
+    a, b = _fixed(am, ae, shift), _fixed(bm, be, shift)  # exact, then floored
     tol = max(a, b) // 10 ** (wdps - 2)
     count = 0
     while abs(a - b) > tol:
@@ -357,13 +648,14 @@ def agm(a0: int | mpf, b0: int | mpf, wdps: int) -> tuple[mpf, int]:
         count += 1
         if count > 10000:
             raise CertificationError("AGM failed to converge")
-    return _make_mpf(mpf_shift(from_int(a), -shift)), count
+    digits = max(wdps - GUARD, MIN_DIGITS)
+    return _real(*_round(a, -shift, a.bit_length()), digits, _bits(digits + GUARD)), count
 
 
 def _agm_quotient(x: BigReal, y: BigReal) -> BigReal:
     """agm(1, x) / agm(1, y), at the digits of x and y."""
     wd = x.digits + GUARD
-    return BigReal(agm(1, x.value, wd)[0], x.digits) / BigReal(agm(1, y.value, wd)[0], y.digits)
+    return agm(1, x, wd)[0].with_digits(x.digits) / agm(1, y, wd)[0].with_digits(y.digits)
 
 
 _last_agm_iterations = 0
@@ -381,29 +673,27 @@ def ellipk(x: Number, digits: int | None = None) -> BigReal:
         digits = x.digits
     if digits is None:
         raise PrecisionError("digits required when x is not a BigReal")
-    if isinstance(x, BigReal) and not isinstance(x.value, mpf):
-        raise ValueError("modulus must be real")
-    prec = _prec(digits)
-    x = _real(_raw(x, prec), digits)
+    x = BigReal(x, digits)
     if x < 0:
         raise ValueError("modulus must be nonnegative")
     if x >= 1:
         raise ValueError("modulus must be < 1")
     kp = (1 - x * x).sqrt()
-    m_val, iters = agm(1, kp.value, digits + GUARD)
+    m_val, iters = agm(1, kp, digits + GUARD)
     _last_agm_iterations = iters
-    two_m = mpf_mul_int(m_val._mpf_, 2, prec, RND)
-    return _real(mpf_div(mpf_pi(prec, RND), two_m, prec, RND), digits)
+    prec = x.prec
+    two_m = _round(m_val.man, m_val.exp + 1, prec)
+    return _real(*_div(*_pi(prec), *two_m, prec), digits, prec)
 
 
 def nome_from_r(r: Number, digits: int) -> BigReal:
     """q = exp(-pi sqrt(r)) for r > 0."""
-    prec = _prec(digits)
-    rv = _raw(r, prec)
-    if mpf_le(rv, fzero):
+    prec = _bits(digits + GUARD)
+    rm, re_ = _parse(r, prec)
+    if rm <= 0:
         raise ValueError("r must be positive")
-    t = mpf_mul(mpf_neg(mpf_pi(prec, RND)), _sqrt(rv, prec), prec, RND)
-    return _real(mpf_exp(t, prec, RND), digits)
+    (pm, pe), (sm, se) = _pi(prec), _sqrt(rm, re_, prec)
+    return _real(*_exp(*_round(-pm * sm, pe + se, prec), prec), digits, prec)
 
 
 @dataclass(frozen=True)
@@ -428,17 +718,15 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     callers that ask once per point (``eval --fn k``, and ``s_n``, whose r
     is irrational) call this directly: a memo would save them nothing, and
     this function stays uncached so that its timings show the kernel."""
-    wd = digits + GUARD
-    prec = _prec(digits)
     q = nome_from_r(r, digits)
     theta2 = theta_sum(1, 1, q, alternating=False)
     theta3 = theta_sum(1, 0, q, alternating=False)
     k = q.sqrt() * (theta2 / theta3) ** 2
-    if 1 - k < _make_mpf(_ten_pow(-wd, prec)):
+    if 1 - k < _ten(-digits - GUARD, digits):
         raise ValueError(f"singular modulus k_r rounds to 1 at r={r} with {digits} digits")
     kprime = (1 - k * k).sqrt()
-    resid = abs(_agm_quotient(kprime, k) - _real(_raw(r, prec), digits).sqrt())
-    if resid > _make_mpf(_ten_pow(-digits + 5, prec)):
+    resid = abs(_agm_quotient(kprime, k) - BigReal(r, digits).sqrt())
+    if resid > _ten(-digits + 5, digits):
         raise CertificationError(
             f"singular modulus certification failed at r={r}: residual {resid.nstr(5)}"
         )
@@ -456,8 +744,8 @@ def _cached_point(r: Fraction, digits: int) -> EvalPoint:
 def singular_point(r: Rat | str, digits: int) -> EvalPoint:
     """The ``EvalPoint`` of ``singular_modulus(Fraction(r), digits)``, shared:
     the first request for a (Fraction(r), digits) computes it and the last
-    ``POINT_CACHE_SIZE`` points are kept.  A point's values do not depend on
-    the ambient precision, so a shared point equals a fresh one field by
+    ``POINT_CACHE_SIZE`` points are kept.  A point's values depend on
+    (r, digits) alone, so a shared point equals a fresh one field by
     field; a request that raises is not kept."""
     return _cached_point(Fraction(r), digits)
 
@@ -469,12 +757,11 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
         digits = x.digits
     if digits is None:
         raise PrecisionError("digits required when x is not a BigReal")
-    x = _real(_raw(x, _prec(digits)), digits)
+    x = BigReal(x, digits)
     if not (0 < x < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
     ratio = _agm_quotient((1 - x * x).sqrt(), x)
     return ratio * ratio
-
 
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
     """A window |n| <= n0 past which every term at q = e^-t is below 10^-wd:
@@ -566,14 +853,13 @@ def theta_sum(
         raise ValueError("theta evaluation requires a > 0")
     if digits is None:
         digits = q.digits
-    if not (0 < q.value < 1):
+    if not (q.man > 0 and q < 1):
         raise ValueError("theta evaluation requires 0 < q < 1")
-    qv = q.value._mpf_
     # the exponents on the grid q^(1/D): a n^2 + b n = (A n^2 + B n) / D
     D = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
     if alternating and B % A == 0 and (B // A) % 2:
-        return _real(fzero, digits)  # terms n, -b/a - n cancel in pairs
+        return _real(0, 0, digits, _bits(digits + GUARD))  # terms n, -b/a - n cancel in pairs
     c, rem = divmod(-B, 2 * A)
     c += rem > A or (rem == A and c % 2)  # -B / 2A rounded half to even
     # the vertex's exponent (b + 2 a c) D; |bd| <= A, and bd = +-A only when
@@ -582,7 +868,7 @@ def theta_sum(
     e_head = bd * c - A * c * c
     negate_head = alternating and c % 2
     sign = -1 if alternating else 1
-    t = _neg_log(qv)
+    t = _neg_log(q.man, q.exp)
     b_vertex = Fraction(bd, D)
     while True:
         wd = digits + GUARD + cancel
@@ -592,20 +878,20 @@ def theta_sum(
         # a power of the root q^(1/D) multiplies its relative error by the
         # exponent, so the root and its powers take that many more bits
         wp = prec + max(abs(e_head), A + abs(bd)).bit_length()
-        root = _power(qv, 1, D, wp)
-        head = mpf_pow_int(root, e_head, wp, RND)
-        if negate_head:
-            head = mpf_neg(head)
-        up = sign * to_fixed(mpf_pow_int(root, A + bd, wp, RND), prec)
-        down = sign * to_fixed(mpf_pow_int(root, A - bd, wp, RND), prec)
+        root = _power(q.man, q.exp, 1, D, wp)
+        hm, he = _pow_int(*root, e_head, wp)
+        up = sign * _fixed(*_pow_int(*root, A + bd, wp), prec)
+        down = sign * _fixed(*_pow_int(*root, A - bd, wp), prec)
         total = _fold(up, down, A, bd, n0, prec, guard + 4)
         # the digits the sum lost below its largest term, 2^prec
         lost = math.floor((prec - abs(total).bit_length()) * math.log10(2))
         if wd - lost >= digits + GUARD // 2:
             break
         cancel = lost
-    out = dps_to_prec(wd)
-    return _real(mpf_mul(from_man_exp(total, -prec, out, RND), head, out, RND), digits)
+    out = _bits(wd)
+    tm, te = _round(total, -prec, out)
+    value = _round(-tm * hm if negate_head else tm * hm, te + he, out)
+    return _real(*value, digits, _bits(digits + GUARD))
 
 
 def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
@@ -621,14 +907,15 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
         raise ValueError("eta scale must be positive")
     if digits is None:
         digits = q.digits
-    if not (0 < q.value < 1):
+    if not (q.man > 0 and q < 1):
         raise ValueError("eta evaluation requires 0 < q < 1")
     try:
-        cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(q.value._mpf_) * math.log(10)))
+        cancel = math.ceil(math.pi ** 2 / (6 * float(p) * _neg_log(q.man, q.exp) * math.log(10)))
     except (OverflowError, ZeroDivisionError):
         raise ValueError("eta with this scale p and nome q leaves the float range") from None
     total = theta_sum(3 * p / 2, -p / 2, q, digits, cancel=cancel)
-    return _real(mpf_pos(total.value._mpf_, _prec(digits), RND), digits)
+    prec = _bits(digits + GUARD)
+    return _real(*_round(total.man, total.exp, prec), digits, prec)
 
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
@@ -637,14 +924,14 @@ def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
     if digits is None:
         digits = q.digits
     th = theta_sum(spec.p / 2, spec.p / 2 - spec.a, q, digits)
-    if th.value == 0:
+    if not th.man:
         return th
     et = eval_eta(spec.p, q, digits)
-    prec = _prec(digits)
+    prec = _bits(digits + GUARD)
     d = spec.delta
-    head = _power(q.value._mpf_, d.numerator, d.denominator, prec)
-    value = mpf_div(mpf_mul(head, th.value._mpf_, prec, RND), et.value._mpf_, prec, RND)
-    return _real(value, digits)
+    hm, he = _power(q.man, q.exp, d.numerator, d.denominator, prec)
+    vm, ve = _round(hm * th.man, he + th.exp, prec)
+    return _real(*_div(vm, ve, et.man, et.exp, prec), digits, prec)
 
 
 def eval_h5(x: BigReal, digits: int | None = None) -> BigReal:
@@ -668,13 +955,13 @@ def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) ->
     truncation tail is not bounded here."""
     if digits is None:
         digits = q.digits
-    if not (0 < q.value < 1):
+    if not (q.man > 0 and q < 1):
         raise ValueError("series evaluation requires 0 < q < 1")
-    prec = _prec(digits)
-    root = _power(q.value._mpf_, 1, u.denom, prec)
-    total = fzero
+    prec = _bits(digits + GUARD)
+    root = _power(q.man, q.exp, 1, u.denom, prec)
+    tm, te = 0, 0
     for k in sorted(u.nums):
-        coeff = _raw(Fraction(u.nums[k], u.scale), prec)
-        term = mpf_mul(coeff, mpf_pow_int(root, k, prec, RND), prec, RND)
-        total = mpf_add(total, term, prec, RND)
-    return _real(total, digits)
+        cm, ce = _parse(Fraction(u.nums[k], u.scale), prec)
+        pm, pe = _pow_int(*root, k, prec)
+        tm, te = _add(tm, te, *_round(cm * pm, ce + pe, prec), prec)
+    return _real(tm, te, digits, prec)

@@ -191,6 +191,18 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ("inf", "--q must lie in (0, 1)"),
+            ("nan", "--q must lie in (0, 1)"),
+            ("1/0", "'1/0' has a zero denominator"),
+        ],
+    )
+    def test_nome_that_is_no_real_number_is_usage_error(self, capsys, q, message):
+        code, out, err = run(capsys, "eval", "--fn", "eta", "--q", q)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSeries:
     def test_modulus_text(self, capsys):
@@ -449,7 +461,7 @@ class TestRecognizeCommand:
         assert code == 0
         assert 'polynomial "2*x - 1"' in out
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "+INF"])
     def test_non_finite_value_is_usage_error(self, capsys, value):
         code, out, err = run(
             capsys, "recognize", f"--value={value}", "--max-degree", "2",

@@ -1,10 +1,11 @@
 """Layer contracts.
 
-One module owns the reals: numeric.py is the only module of the package
-that imports mpmath or reads ``BigReal.value``, and the others reach real
-numbers through ``BigReal``'s operators and numeric's functions.  No module enters one of mpmath's precision
-contexts or reads its ambient precision: numeric.py runs every operation
-at its own explicit bit count.
+No module imports mpmath, except numeric.py inside the ``BigReal.value``
+accessor, which hands tests and the benchmark an ``mpf``; no module reads
+that accessor, and no launch of the CLI loads mpmath.  The reals are
+numeric.py's own integer type, reached through ``BigReal``'s operators and
+numeric's functions, and no module enters one of mpmath's precision
+contexts or reads its ambient precision.
 
 Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
@@ -19,6 +20,9 @@ eta or inverse construction and no series product, so comparing it with
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
@@ -68,13 +72,59 @@ def scan(path: Path) -> tuple[list[str], list[str]]:
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
+def accessor_lines(path: Path) -> set[int]:
+    """The lines of every function named ``value``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "value"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_numeric_imports_mpmath(path):
     imports = scan(path)[0]
     if path.name == "numeric.py":
-        assert imports  # the owner: the scan must see its imports
+        assert imports  # the accessor's: the scan must see it
+        inside = accessor_lines(path)
+        outside = [i for i in imports if int(i.split(":")[0]) not in inside]
+        assert outside == [], "numeric.py imports mpmath outside BigReal.value"
     else:
         assert imports == [], f"{path.name} reaches mpmath outside numeric.py"
+
+
+# the CLI jobs a launch must run without loading mpmath: the README's
+# recognize and mine jobs among them
+LAUNCH_JOBS = [
+    ["eval", "--fn", "k", "--r", "2"],
+    ["series", "--fn", "m", "--order", "20"],
+    ["verify", "--entry", "table4"],
+    ["recognize", "--value", "0.17157287525380990239662255210", "--max-degree", "4",
+     "--digits", "28"],
+    ["mine", "--a", "1", "--p", "4", "--power", "12", "--v", "m", "--max-degree", "3",
+     "--out", "rel.json"],
+]
+LAUNCH = """
+import sys
+import thetaquot.cli as cli
+assert "mpmath" not in sys.modules, "import thetaquot.cli loaded mpmath"
+for argv in {jobs!r}:
+    assert cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, f"{{argv}} loaded mpmath"
+"""
+
+
+def test_no_launch_loads_mpmath(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + sys.path)
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH.format(jobs=LAUNCH_JOBS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rel.json").exists()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -94,14 +144,11 @@ def value_reads(path: Path) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_numeric_reads_a_real_value(path):
-    # BigReal.value is numeric's own representation (an mpf): the other
-    # modules reach a real through BigReal's operators and numeric's
-    # functions, so a report cannot inherit mpmath's ambient precision
-    reads = value_reads(path)
-    if path.name == "numeric.py":
-        assert reads  # the owner: the scan must see its reads
-    else:
-        assert reads == [], f"{path.name} reads a value outside numeric.py"
+    # BigReal.value is an mpf for tests and the benchmark: every module
+    # reaches a real through BigReal's operators and numeric's functions,
+    # and numeric's kernels through the mantissa and exponent, so no report
+    # can inherit mpmath's ambient precision and no run imports mpmath
+    assert value_reads(path) == [], f"{path.name} reads BigReal.value"
 
 
 def test_the_context_scan_sees_contexts_and_ambient_reads(tmp_path):
@@ -118,6 +165,10 @@ def test_the_context_scan_sees_contexts_and_ambient_reads(tmp_path):
         "3: mpmath.workprec",
         "4: mpmath.mp.dps",
     ]
+    assert value_reads(probe) == []
+    probe.write_text("class R:\n    def value(self):\n        import mpmath\n\ny = R().value\n")
+    assert value_reads(probe) == ["5: R().value"]
+    assert accessor_lines(probe) == {2, 3} and scan(probe)[0] == ["3: import mpmath"]
 
 
 def test_only_sparse_units_are_inverted(monkeypatch):

@@ -1,10 +1,14 @@
 """Every BigReal operation and numeric kernel at its own explicit precision.
 
-numeric.py calls mpmath.libmp at each kernel's own bit count and enters no
-mpmath context.  Its values must be the ones mpmath's context gives for the
-same formulas, bit for bit, and must not depend on the ambient precision.
+numeric.py runs each operation and kernel at its own bit count on Python
+ints.  Its values must be the ones mpmath's context gives for the same
+formulas, bit for bit, and must not depend on mpmath's ambient precision.
 The oracles here are those formulas, evaluated inside ``mp.workdps`` and
-``mp.workprec`` as the context-based kernels did."""
+``mp.workprec``.  Three kernels are correctly rounded where mpmath is not
+always: n-th roots, pi and exp (the nome), and so 10^e at a fractional e.
+For them the oracle is mpmath's value where that is correctly rounded, and
+mpmath's value at twice the bits, rounded, where it is not
+(``rounded_twice``)."""
 
 import math
 from fractions import Fraction as F
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_sqrt, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pos, mpf_sqrt, round_nearest
 
 from thetaquot import numeric
 from thetaquot.catalog import catalog_ids, verify_entry
@@ -56,18 +60,42 @@ def ctx_mpf(x, wd):
         return mpf(x)
 
 
+def rounded_twice(f, prec, first=None):
+    """f() at prec bits as mpmath gives it (or ``first``), unless f() at
+    twice the bits, rounded to prec, differs: then mpmath's value at prec
+    was not correctly rounded, and the doubled one is the oracle."""
+    if first is None:
+        with mp.workprec(prec):
+            first = f()
+    with mp.workprec(2 * prec):
+        doubled = mp.make_mpf(mpf_pos(f()._mpf_, prec, round_nearest))
+    return first if doubled == first else doubled
+
+
+def ctx_root(x, n):
+    """mpmath's root with one Newton step, at the context's precision."""
+    y = mpmath.root(x, n)
+    if y:
+        y += y * (x / y ** n - 1) / n
+    return y
+
+
 def ctx_power(x, e):
-    """x^e at the context's precision: a root, one Newton step, a power."""
+    """x^e at the context's precision: a root, correctly rounded (see
+    ``rounded_twice``), and a power."""
     e = F(e)
     if e.denominator == 1:
         return x ** e.numerator
     n = e.denominator
-    with mp.workprec(mp.prec + max(abs(e.numerator), n).bit_length()):
-        y = mpmath.root(x, n)
-        if y:
-            y += y * (x / y ** n - 1) / n
+    wp = mp.prec + max(abs(e.numerator), n).bit_length()
+    y = rounded_twice(lambda: ctx_root(x, n), wp)
+    with mp.workprec(wp):
         y = y ** e.numerator
     return +y
+
+
+def ctx_pi(prec):
+    return rounded_twice(lambda: +mp.pi, prec)
 
 
 def ctx_neg_log(x):
@@ -139,7 +167,8 @@ def ctx_nome(r, digits):
     wd = digits + GUARD
     rv = ctx_mpf(r, wd)
     with mp.workdps(wd):
-        return mpmath.exp(-mp.pi * mpmath.sqrt(rv))
+        t = -ctx_pi(mp.prec) * mpmath.sqrt(rv)
+        return rounded_twice(lambda: mpmath.exp(t), mp.prec)
 
 
 def ctx_singular_modulus(r, digits):
@@ -158,7 +187,7 @@ def ctx_ellipk(x, digits):
     xv = ctx_mpf(x, wd)
     with mp.workdps(wd):
         kp = mpmath.sqrt(1 - xv * xv)
-        return +mp.pi / (2 * ctx_agm(mpf(1), kp, wd))
+        return ctx_pi(mp.prec) / (2 * ctx_agm(mpf(1), kp, wd))
 
 
 def ctx_inverse_modulus(x, digits):
@@ -260,14 +289,19 @@ class TestBitIdentityWithTheContext:
     @given(
         DIGITS,
         st.integers(-2000, 40)
-        | st.fractions(min_value=-2000, max_value=0, max_denominator=10 ** 6)
-        | st.floats(-1200, 0),
+        | st.fractions(min_value=-2000, max_value=0, max_denominator=10 ** 6),
     )
+    @example(20, F(-3, 5) * 60)  # recognize's certificate threshold
+    @example(20, F(-61, 2))  # the miner's numeric threshold at 61 digits
     def test_constants(self, digits, e):
-        with mp.workdps(digits + GUARD):
-            assert raw(pi_at(digits)) == (+mp.pi)._mpf_
+        assert raw(pi_at(digits)) == ctx_pi(dps_to_prec(digits + GUARD))._mpf_
         with mp.workdps(30):
-            assert ten_to(e).value._mpf_ == (mpf(10) ** e)._mpf_
+            want = mpf(10) ** e
+        if isinstance(e, F) and e.denominator > 1:
+            want = rounded_twice(
+                lambda: mpf(10) ** (mpf(e.numerator) / e.denominator), dps_to_prec(30), want
+            )
+        assert ten_to(e).value._mpf_ == want._mpf_
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -345,6 +379,52 @@ class TestBitIdentityWithTheContext:
         assert raw(real_eval_series(u, q)) == ctx_real_eval_series(u, q.value, digits)._mpf_
 
 
+class TestCorrectlyRounded:
+    """The kernels that are correctly rounded, against mpmath at three times
+    the bits and 64 more, rounded once: n-th roots of any order, exp at
+    any magnitude, and pi.  Every bound their Ziv loops rely on is tested
+    through this."""
+
+    @staticmethod
+    def rounded(v, prec):
+        return mpf_pos(v._mpf_, prec, round_nearest)[1:3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 2 ** 4000),
+        st.integers(-6000, 2000),
+        st.integers(2, 60) | st.integers(2, 10 ** 40),
+        st.integers(20, 2500),
+    )
+    @example(1, -2, 5, 100)  # (1/4)^(1/5)
+    @example(3 ** 5, 10, 5, 200)  # (12^5)^(1/5) = 12, exactly
+    def test_root(self, man, exp, n, prec):
+        with mp.workprec(3 * prec + 64 + n.bit_length()):
+            x = mp.make_mpf(from_man_exp(man, exp))
+            want = mpmath.exp(mpmath.log(x) / n)
+        got = numeric._root(*numeric._round(man, exp, man.bit_length()), n, prec)
+        assert got == self.rounded(want, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3000), st.integers(-60, 14), st.booleans(), st.integers(20, 3000),
+        st.randoms(use_true_random=False),
+    )
+    def test_exp(self, bits, mag, negative, prec, rnd):
+        man = rnd.getrandbits(bits) | 1 << bits - 1 | 1
+        man = -man if negative else man
+        with mp.workprec(3 * prec + 64):
+            want = mpmath.exp(mp.make_mpf(from_man_exp(man, mag - bits)))
+        assert numeric._exp(man, mag - bits, prec) == self.rounded(want, prec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7000))
+    def test_pi(self, prec):
+        with mp.workprec(3 * prec + 64):
+            want = +mp.pi
+        assert numeric._pi(prec) == self.rounded(want, prec)
+
+
 class TestSqrt:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -358,7 +438,9 @@ class TestSqrt:
     @example(2 ** 200 + 1, -7, 100, True)
     def test_equals_mpf_sqrt(self, man, exp, prec, square):
         x = from_man_exp(man * man if square else man, exp)
-        assert numeric._sqrt(x, prec) == mpf_sqrt(x, prec, round_nearest)
+        _, xman, xexp, _ = x
+        _, root, rexp, _ = mpf_sqrt(x, prec, round_nearest)
+        assert numeric._sqrt(xman, xexp, prec) == (root, rexp)
 
     def test_negative_raises(self):
         with pytest.raises(ValueError, match="negative"):
