@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
 
 from .series import (
     A_series,
@@ -32,7 +31,6 @@ from .numeric import (
     GUARD,
     BigReal,
     big_real,
-    ellipk,
     eval_A,
     eval_eta,
     nome_from_r,
@@ -54,6 +52,7 @@ from .mining import (
     mine,
     _first_nonzero,
 )
+from .values import Value, replace
 
 __all__ = [
     "CatalogEntry",
@@ -68,24 +67,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
+class ResidualRecord(Value):
     label: str
     digits: int
     residual: str
     passed: bool
 
 
-@dataclass
-class CheckData:
-    records: list[ResidualRecord] = field(default_factory=list)
+class CheckData(Value):
+    """The one mutable value class; ``records`` starts as a fresh list."""
+
+    records: list[ResidualRecord]
     series_order: int | None = None
     series_ok: bool = True
     notes: str = ""
 
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
 
-@dataclass(frozen=True)
-class EntryReport:
+    def __init__(self, records: list[ResidualRecord] | None = None, *args, **kwargs):
+        super().__init__([] if records is None else records, *args, **kwargs)
+
+
+class EntryReport(Value):
     id: str
     verdict: str  # pass | fail | flagged
     residuals: tuple[ResidualRecord, ...]
@@ -107,8 +111,7 @@ class EntryReport:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     digits: int
     order: int
     r_list: tuple[Fraction, ...]
@@ -131,16 +134,14 @@ class Report:
         return [e.id for e in self.entries if e.verdict == "fail"]
 
 
-@dataclass(frozen=True)
-class RemineSpec:
+class RemineSpec(Value):
     u_binding: ABinding
     v_binding: str
     s_max: int
     note: str
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     id: str
     kind: str  # closed_form | poly_relation | series_identity
     statement: str
@@ -189,7 +190,7 @@ def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
 def _even_shift(s: int, r, digits):
     ep = singular_point(r, digits)
     lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
-    return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
+    return lhs, ep.q ** (-s * s) * (2 * ep.K / pi_at(digits)).sqrt()
 
 
 def _odd_shift(s: int, r, digits):
@@ -207,7 +208,7 @@ def _odd_shift(s: int, r, digits):
         * ep.q ** Fraction(-m * m, 4)
         * (k11 * k12 * k21) ** Fraction(1, 6)
         / k22 ** Fraction(1, 3)
-        * (ellipk(k11) / pi_at(digits)).sqrt()
+        * (ep.K / pi_at(digits)).sqrt()
     )
 
 
@@ -220,7 +221,7 @@ def _eta8(r, digits):
         * ep.q ** Fraction(-1, 3)
         * ep.k ** Fraction(2, 3)
         * ep.kprime ** Fraction(8, 3)
-        * ellipk(ep.k) ** 4
+        * ep.K ** 4
     )
 
 

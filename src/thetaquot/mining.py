@@ -33,10 +33,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .series import (
     A_inverse_series,
@@ -54,6 +53,7 @@ from .series import (
 )
 from . import numeric
 from .numeric import BigReal, eval_A, eval_eta5, nome_from_r, singular_point
+from .values import Value, replace
 
 __all__ = [
     "BivarIntPoly",
@@ -107,8 +107,7 @@ class ValidationFailed(MiningError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BivarIntPoly:
+class BivarIntPoly(Value):
     """P(u, v) = sum c * u^i v^j with coprime integer coefficients and the
     lexicographically first term positive."""
 
@@ -174,15 +173,15 @@ class BivarIntPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ABinding:
+class ABinding(Value):
     """u = A(a, p; q^qscale)^power."""
 
     spec: ThetaSpec
     power: int
     qscale: Fraction = Fraction(1)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.qscale <= 0:
             raise ValueError("qscale must be positive")
 
@@ -216,8 +215,7 @@ class ABinding:
         )
 
 
-@dataclass(frozen=True)
-class VBinding:
+class VBinding(Value):
     """What v means: its series known below a given order, and its value
     at q = e^(-pi sqrt(r))."""
 
@@ -673,15 +671,13 @@ def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericCheck:
+class NumericCheck(Value):
     r: Fraction
     digits: int
     residual: str
 
 
-@dataclass(frozen=True)
-class MinedRelation:
+class MinedRelation(Value):
     poly: BivarIntPoly
     degree: int
     validated_grid_order: int

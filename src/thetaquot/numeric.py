@@ -8,11 +8,12 @@ exponent e, with its precision in decimal digits.  Every kernel keeps
 Each operation and kernel runs at its own explicit bit count, that of
 ``digits + GUARD`` unless it says otherwise, and rounds to nearest, ties to
 even.  Addition, multiplication, division, integer powers, square roots and
-the parsing of ints, rationals, strings and floats are ports of mpmath's
-libmp algorithms, so they give the bits it gave at the same bit count, and
-``nstr`` prints what ``mpmath.nstr`` printed.  n-th roots, pi and the
-nome's exp are correctly rounded: Newton's steps, Brent-Salamin's AGM and a
-Taylor series each run with guard bits and a bound on their error, widened
+the parsing of ints, rationals, floats and decimal strings up to 400 places
+are ports of mpmath's libmp algorithms, so they give the bits it gave at
+the same bit count, and ``nstr`` prints what ``mpmath.nstr`` printed.
+n-th roots, pi, the nome's exp and decimal strings past 400 places are
+correctly rounded: Newton's steps, Brent-Salamin's AGM, a Taylor series and
+a power of ten each run with guard bits and a bound on their error, widened
 until the rounding is decided (Ziv's strategy; Brent & Zimmermann, Modern
 Computer Arithmetic, ch. 3-4).  The two hot loops, ``theta_sum``'s walk and
 ``agm``, run in Python-int fixed point.  No module of the package imports
@@ -24,18 +25,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from typing import Union
 
 from .series import MAX_TERMS, PuiseuxSeries, Rat, ThetaSpec
 
 GUARD = 15
 MIN_DIGITS = 20
 MAX_FIXED_BITS = 2 ** 24  # the widest int made from a real: an AGM argument or a round()
-
-Number = Union[int, Fraction, str, "BigReal"]
 
 __all__ = [
     "BigReal", "EvalPoint", "GUARD", "MIN_DIGITS", "big_real", "pi_at", "agm", "ellipk",
@@ -319,10 +317,10 @@ def _logs(bits: int) -> tuple[int, int]:
 
 
 def _parse_str(text: str, prec: int) -> tuple[int, int]:
-    """A decimal literal or "num/den" rounded to prec bits as from_str
-    rounds it: exactly (an int, or the quotient by a power of ten) up to 400
-    decimal places, past them as the mantissa times the power of ten, both
-    cut to prec + 10 bits."""
+    """A decimal literal or "num/den" correctly rounded to prec bits: up to
+    400 decimal places exactly (an int, or the quotient by a power of ten),
+    as from_str rounds it, and past them by Ziv's loop on the mantissa times
+    10^e at w bits, rounded down, which is within a relative 2^(2 - w)."""
     s = text.lower().strip()
     if "/" in s:
         p, q = (int(t.rstrip("l")) for t in s.split("/"))
@@ -338,10 +336,18 @@ def _parse_str(text: str, prec: int) -> tuple[int, int]:
         b = b.rstrip("0")
         s, e = a + b, e - len(b)
     man = int(s)
+    if not man:
+        return 0, 0
     if abs(e) > 400:
-        mm, me = _round(man, 0, prec + 10, DOWN)
-        tm, te = _ten_pow(e, prec + 10, DOWN)
-        return _round(mm * tm, me + te, prec)
+
+        def approx(w):  # m of w bits or more, so that err shrinks with w
+            tm, te = _ten_pow(e, w, DOWN)
+            m = man * tm
+            shift = max(w - m.bit_length(), 0)
+            m <<= shift
+            return m, te - shift, (abs(m) >> w - 3) + 1
+
+        return _ziv(approx, prec, 20)
     if e >= 0:
         return _round(man * 10 ** e, 0, prec)
     return _div(man, 0, 10 ** -e, 0, prec)
@@ -545,6 +551,8 @@ class BigReal:
         return f"BigReal({self.nstr(min(self.digits, 25))}, digits={self.digits})"
 
 
+Number = int | Fraction | str | BigReal
+
 _new = object.__new__
 
 
@@ -652,10 +660,15 @@ def agm(a0, b0, wdps: int) -> tuple[BigReal, int]:
     return _real(*_round(a, -shift, a.bit_length()), digits, _bits(digits + GUARD)), count
 
 
-def _agm_quotient(x: BigReal, y: BigReal) -> BigReal:
-    """agm(1, x) / agm(1, y), at the digits of x and y."""
-    wd = x.digits + GUARD
-    return agm(1, x, wd)[0].with_digits(x.digits) / agm(1, y, wd)[0].with_digits(y.digits)
+def _agm1(x: BigReal) -> BigReal:
+    """agm(1, x) at the digits of x."""
+    return agm(1, x, x.digits + GUARD)[0].with_digits(x.digits)
+
+
+def _quarter_period(m: BigReal) -> BigReal:
+    """K = pi / (2 m) from m = agm(1, k'), at m's digits and bits."""
+    two_m = _round(m.man, m.exp + 1, m.prec)
+    return _real(*_div(*_pi(m.prec), *two_m, m.prec), m.digits, m.prec)
 
 
 _last_agm_iterations = 0
@@ -678,12 +691,8 @@ def ellipk(x: Number, digits: int | None = None) -> BigReal:
         raise ValueError("modulus must be nonnegative")
     if x >= 1:
         raise ValueError("modulus must be < 1")
-    kp = (1 - x * x).sqrt()
-    m_val, iters = agm(1, kp, digits + GUARD)
-    _last_agm_iterations = iters
-    prec = x.prec
-    two_m = _round(m_val.man, m_val.exp + 1, prec)
-    return _real(*_div(*_pi(prec), *two_m, prec), digits, prec)
+    m_val, _last_agm_iterations = agm(1, (1 - x * x).sqrt(), digits + GUARD)
+    return _quarter_period(m_val)
 
 
 def nome_from_r(r: Number, digits: int) -> BigReal:
@@ -696,20 +705,18 @@ def nome_from_r(r: Number, digits: int) -> BigReal:
     return _real(*_exp(*_round(-pm * sm, pe + se, prec), prec), digits, prec)
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A singular argument: r, its nome q, the modulus k and k'."""
-
-    r: object
-    q: BigReal
-    k: BigReal
-    kprime: BigReal
+EvalPoint = namedtuple("EvalPoint", "r q k kprime K")
+EvalPoint.__doc__ = """A singular argument: r, its nome q, the modulus k, k' and
+K(k).  A tuple, so that code that walks tuples (perfbench's fingerprint of
+an output) reaches every field's bits."""
 
 
 def singular_modulus(r: Number, digits: int) -> EvalPoint:
     """Singular modulus k_r = theta2^2 / theta3^2 at q = e^(-pi sqrt r), with
     theta3 = theta_sum(1, 0) and theta2^2 = sqrt(q) theta_sum(1, 1)^2 (both
     non-alternating), certified by K(k')/K(k) = agm(1, k')/agm(1, k) = sqrt r.
+    The point carries K(k) = pi / (2 agm(1, k')) from the same AGM, which
+    equals ``ellipk(k)`` bit for bit.
     A k within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``.
 
     Every call computes the point afresh.  Callers that ask for the same
@@ -725,12 +732,13 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     if 1 - k < _ten(-digits - GUARD, digits):
         raise ValueError(f"singular modulus k_r rounds to 1 at r={r} with {digits} digits")
     kprime = (1 - k * k).sqrt()
-    resid = abs(_agm_quotient(kprime, k) - BigReal(r, digits).sqrt())
+    m = _agm1(kprime)
+    resid = abs(m / _agm1(k) - BigReal(r, digits).sqrt())
     if resid > _ten(-digits + 5, digits):
         raise CertificationError(
             f"singular modulus certification failed at r={r}: residual {resid.nstr(5)}"
         )
-    return EvalPoint(r=r, q=q, k=k, kprime=kprime)
+    return EvalPoint(r=r, q=q, k=k, kprime=kprime, K=_quarter_period(m))
 
 
 POINT_CACHE_SIZE = 32  # distinct (r, digits) points kept by singular_point
@@ -760,7 +768,7 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
     x = BigReal(x, digits)
     if not (0 < x < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
-    ratio = _agm_quotient((1 - x * x).sqrt(), x)
+    ratio = _agm1((1 - x * x).sqrt()) / _agm1(x)
     return ratio * ratio
 
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:

@@ -13,10 +13,10 @@ degree-1 case: ``recognize(x, 1)`` returns d*x - n for x = n/d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import MIN_DIGITS, BigReal, big_real, ten_to
+from .values import Value
 
 __all__ = ["IntPoly", "NotFound", "recognize", "lll_reduce"]
 
@@ -30,8 +30,7 @@ class NotFound(Exception):
     exhausted (degree bound or precision)."""
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Integer polynomial, coefficients low degree first, content 1,
     positive leading coefficient."""
 

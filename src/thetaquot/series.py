@@ -32,12 +32,12 @@ import math
 import operator
 import sys
 from array import array
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Iterable, Mapping, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 # fields of at most this many bytes are packed and read through 8-byte
 # machine words, whose byte order must be little-endian; wider fields go one

@@ -2,7 +2,6 @@
 fallbacks, convention determination, and report structure."""
 
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +21,7 @@ from thetaquot.mining import MiningError, validate
 from thetaquot.numeric import singular_modulus
 from thetaquot.recognize import recognize
 from thetaquot.series import invert_unit, modulus_series, rescale, theta_series
+from thetaquot.values import replace
 
 
 def residual_values(report):

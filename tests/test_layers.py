@@ -2,10 +2,10 @@
 
 No module imports mpmath, except numeric.py inside the ``BigReal.value``
 accessor, which hands tests and the benchmark an ``mpf``; no module reads
-that accessor, and no launch of the CLI loads mpmath.  The reals are
-numeric.py's own integer type, reached through ``BigReal``'s operators and
-numeric's functions, and no module enters one of mpmath's precision
-contexts or reads its ambient precision.
+that accessor, and no launch of the CLI loads mpmath, dataclasses, inspect
+or typing.  The reals are numeric.py's own integer type, reached through
+``BigReal``'s operators and numeric's functions, and no module enters one
+of mpmath's precision contexts or reads its ambient precision.
 
 Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
@@ -109,22 +109,41 @@ LAUNCH_JOBS = [
 LAUNCH = """
 import sys
 import thetaquot.cli as cli
-assert "mpmath" not in sys.modules, "import thetaquot.cli loaded mpmath"
+
+def check(after):
+    loaded = sorted({forbidden!r} & set(sys.modules))
+    assert not loaded, f"{{after}} loaded {{loaded}}"
+
+check("import thetaquot.cli")
 for argv in {jobs!r}:
     assert cli.main(argv) == 0, argv
-    assert "mpmath" not in sys.modules, f"{{argv}} loaded mpmath"
+    check(argv)
 """
 
 
-def test_no_launch_loads_mpmath(tmp_path):
+def launch(tmp_path, forbidden: set[str], *flags: str) -> None:
+    """Import the CLI and run every ``LAUNCH_JOBS`` command in one fresh
+    interpreter, checking after each that no ``forbidden`` module is loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + sys.path)
+    script = LAUNCH.format(jobs=LAUNCH_JOBS, forbidden=forbidden)
     proc = subprocess.run(
-        [sys.executable, "-c", LAUNCH.format(jobs=LAUNCH_JOBS)],
+        [sys.executable, *flags, "-c", script],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rel.json").exists()
+
+
+def test_no_launch_loads_mpmath(tmp_path):
+    launch(tmp_path, {"mpmath"})
+
+
+def test_no_launch_loads_dataclasses_or_typing(tmp_path):
+    # their import and a dataclass's generated methods cost more than the
+    # package's own start-up; -S leaves out site, whose .pth files may
+    # import typing before any code of the package runs
+    launch(tmp_path, {"dataclasses", "inspect", "typing"}, "-S")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,9 +1,10 @@
 """Text in and out of BigReal, byte for byte against mpmath.
 
 ``BigReal.nstr`` must print what ``mpmath.nstr`` prints for the same bits,
-and ``big_real`` must parse a string to the bits ``mpf(str)`` gives at the
-same working precision.  mpmath is the oracle here; no command of the
-package imports it."""
+and ``big_real`` must parse a string to its correctly rounded value at the
+working precision, which is the bits ``mpf(str)`` gives up to 400 decimal
+places.  mpmath is the oracle here, and exact ``Fraction`` rounding the
+stricter one for parsing; no command of the package imports mpmath."""
 
 import math
 from fractions import Fraction as F
@@ -109,14 +110,47 @@ LITERALS = st.one_of(
 )
 
 
+def scale_exponent(text: str) -> int:
+    """The power of ten a decimal literal's digits are scaled by."""
+    s, _, e = text.lower().strip().partition("e")
+    return int(e or 0) - len(s.partition(".")[2].rstrip("0"))
+
+
+def correctly_rounded(text: str, digits: int) -> tuple:
+    """The literal's exact value rounded to nearest, ties to even, at the
+    working bits of ``digits``, as an mpf tuple."""
+    x = F(text.strip())
+    if not x:
+        return from_man_exp(0, 0)
+    prec, a = mpmath.libmp.dps_to_prec(digits + GUARD), abs(x)
+    t = a.numerator.bit_length() - a.denominator.bit_length()
+    t -= a < F(2) ** t  # 2^t <= a < 2^(t + 1)
+    scaled = a * F(2) ** (prec - 1 - t)
+    m, rem = divmod(scaled.numerator, scaled.denominator)
+    m += 2 * rem > scaled.denominator or (2 * rem == scaled.denominator and m & 1)
+    return from_man_exp(m if x > 0 else -m, t + 1 - prec)
+
+
 class TestParse:
+    # mpf(str) rounds exactly up to 400 decimal places; past them it cuts
+    # the digits and the power of ten, and is not always correctly rounded
+    @settings(max_examples=300, deadline=None)
+    @given(LITERALS, st.integers(20, 600))
+    @example(" 2.5E3 ", 20)
+    @example("0.0", 20)
+    def test_equals_mpf_of_the_string(self, text, digits):
+        if abs(scale_exponent(text)) > 400:
+            return
+        with mp.workdps(digits + GUARD):
+            want = mpmath.mpf(text)
+        assert big_real(text, digits).value._mpf_ == want._mpf_
+
     @settings(max_examples=300, deadline=None)
     @given(LITERALS, st.integers(20, 600))
     @example("1e-500", 60)  # past 400 decimal places, parsed through a power of ten
     @example("-7.5e401", 30)
+    @example("81240732771212123119e-471", 20)  # one unit off under mpf(str)
     @example(" 2.5E3 ", 20)
     @example("0.0", 20)
-    def test_equals_mpf_of_the_string(self, text, digits):
-        with mp.workdps(digits + GUARD):
-            want = mpmath.mpf(text)
-        assert big_real(text, digits).value._mpf_ == want._mpf_
+    def test_is_correctly_rounded(self, text, digits):
+        assert big_real(text, digits).value._mpf_ == correctly_rounded(text, digits)
