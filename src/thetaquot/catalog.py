@@ -31,6 +31,7 @@ from .numeric import (
     GUARD,
     BigReal,
     big_real,
+    ellipk,
     eval_A,
     eval_eta,
     nome_from_r,
@@ -190,7 +191,7 @@ def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
 def _even_shift(s: int, r, digits):
     ep = singular_point(r, digits)
     lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
-    return lhs, ep.q ** (-s * s) * (2 * ep.K / pi_at(digits)).sqrt()
+    return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
 
 
 def _odd_shift(s: int, r, digits):
@@ -208,7 +209,7 @@ def _odd_shift(s: int, r, digits):
         * ep.q ** Fraction(-m * m, 4)
         * (k11 * k12 * k21) ** Fraction(1, 6)
         / k22 ** Fraction(1, 3)
-        * (ep.K / pi_at(digits)).sqrt()
+        * (ellipk(k11) / pi_at(digits)).sqrt()
     )
 
 
@@ -221,7 +222,7 @@ def _eta8(r, digits):
         * ep.q ** Fraction(-1, 3)
         * ep.k ** Fraction(2, 3)
         * ep.kprime ** Fraction(8, 3)
-        * ep.K ** 4
+        * ellipk(ep.k) ** 4
     )
 
 

@@ -660,15 +660,10 @@ def agm(a0, b0, wdps: int) -> tuple[BigReal, int]:
     return _real(*_round(a, -shift, a.bit_length()), digits, _bits(digits + GUARD)), count
 
 
-def _agm1(x: BigReal) -> BigReal:
-    """agm(1, x) at the digits of x."""
-    return agm(1, x, x.digits + GUARD)[0].with_digits(x.digits)
-
-
-def _quarter_period(m: BigReal) -> BigReal:
-    """K = pi / (2 m) from m = agm(1, k'), at m's digits and bits."""
-    two_m = _round(m.man, m.exp + 1, m.prec)
-    return _real(*_div(*_pi(m.prec), *two_m, m.prec), m.digits, m.prec)
+def _agm_quotient(x: BigReal, y: BigReal) -> BigReal:
+    """agm(1, x) / agm(1, y), at the digits of x and y."""
+    wd = x.digits + GUARD
+    return agm(1, x, wd)[0].with_digits(x.digits) / agm(1, y, wd)[0].with_digits(y.digits)
 
 
 _last_agm_iterations = 0
@@ -691,8 +686,12 @@ def ellipk(x: Number, digits: int | None = None) -> BigReal:
         raise ValueError("modulus must be nonnegative")
     if x >= 1:
         raise ValueError("modulus must be < 1")
-    m_val, _last_agm_iterations = agm(1, (1 - x * x).sqrt(), digits + GUARD)
-    return _quarter_period(m_val)
+    kp = (1 - x * x).sqrt()
+    m_val, iters = agm(1, kp, digits + GUARD)
+    _last_agm_iterations = iters
+    prec = x.prec
+    two_m = _round(m_val.man, m_val.exp + 1, prec)
+    return _real(*_div(*_pi(prec), *two_m, prec), digits, prec)
 
 
 def nome_from_r(r: Number, digits: int) -> BigReal:
@@ -705,18 +704,16 @@ def nome_from_r(r: Number, digits: int) -> BigReal:
     return _real(*_exp(*_round(-pm * sm, pe + se, prec), prec), digits, prec)
 
 
-EvalPoint = namedtuple("EvalPoint", "r q k kprime K")
-EvalPoint.__doc__ = """A singular argument: r, its nome q, the modulus k, k' and
-K(k).  A tuple, so that code that walks tuples (perfbench's fingerprint of
-an output) reaches every field's bits."""
+EvalPoint = namedtuple("EvalPoint", "r q k kprime")
+EvalPoint.__doc__ = """A singular argument: r, its nome q, the modulus k and k'.
+A tuple, so that code that walks tuples (perfbench's fingerprint of an
+output) reaches every field's bits."""
 
 
 def singular_modulus(r: Number, digits: int) -> EvalPoint:
     """Singular modulus k_r = theta2^2 / theta3^2 at q = e^(-pi sqrt r), with
     theta3 = theta_sum(1, 0) and theta2^2 = sqrt(q) theta_sum(1, 1)^2 (both
     non-alternating), certified by K(k')/K(k) = agm(1, k')/agm(1, k) = sqrt r.
-    The point carries K(k) = pi / (2 agm(1, k')) from the same AGM, which
-    equals ``ellipk(k)`` bit for bit.
     A k within 10^-(digits + GUARD) of 1 is noise and raises ``ValueError``.
 
     Every call computes the point afresh.  Callers that ask for the same
@@ -732,13 +729,12 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     if 1 - k < _ten(-digits - GUARD, digits):
         raise ValueError(f"singular modulus k_r rounds to 1 at r={r} with {digits} digits")
     kprime = (1 - k * k).sqrt()
-    m = _agm1(kprime)
-    resid = abs(m / _agm1(k) - BigReal(r, digits).sqrt())
+    resid = abs(_agm_quotient(kprime, k) - BigReal(r, digits).sqrt())
     if resid > _ten(-digits + 5, digits):
         raise CertificationError(
             f"singular modulus certification failed at r={r}: residual {resid.nstr(5)}"
         )
-    return EvalPoint(r=r, q=q, k=k, kprime=kprime, K=_quarter_period(m))
+    return EvalPoint(r=r, q=q, k=k, kprime=kprime)
 
 
 POINT_CACHE_SIZE = 32  # distinct (r, digits) points kept by singular_point
@@ -768,7 +764,7 @@ def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
     x = BigReal(x, digits)
     if not (0 < x < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
-    ratio = _agm1((1 - x * x).sqrt()) / _agm1(x)
+    ratio = _agm_quotient((1 - x * x).sqrt(), x)
     return ratio * ratio
 
 def _term_count(a: Fraction, b: Fraction, t: float, wd: int) -> int:
