@@ -15,9 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, mining
 from .recognize import NotFound, recognize as recognize_poly
-from .modular import s_n
 from .numeric import (
     BigReal,
     CertificationError,
@@ -47,6 +45,9 @@ from .series import (
 
 MIN_ORDER = 40
 MAX_DIGITS = 5000
+# the names of mining.V_BINDINGS, so that building the parser needs no
+# mining import (tests/test_layers.py pins them to the registry)
+V_NAMES = ("eta5_q4_pow5", "m", "m_q2_squared", "sqrt_m")
 
 
 class UsageError(Exception):
@@ -107,6 +108,8 @@ def _cmd_eval(args) -> int:
         value = eval_eta5(_nome(args, digits), digits)
     elif fn == "Sn":
         _require(args.n is not None and args.x is not None, "Sn needs --n and --x")
+        from .modular import s_n
+
         value = s_n(big_real(parse_rational(args.x), digits), args.n, digits)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown function {fn!r}")
@@ -152,14 +155,19 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    from . import mining
+
     _require(args.max_degree >= 1, "--max-degree must be at least 1")
     spec = ThetaSpec(parse_rational(args.a), parse_rational(args.p))
     qscale = parse_rational(args.qscale) if args.qscale else Fraction(1)
     binding = mining.ABinding(spec, args.power, qscale)
-    rel = mining.mine(
-        None, None, args.max_degree, u_binding=binding, v_binding=args.v,
-        digits=args.digits,
-    )
+    try:
+        rel = mining.mine(
+            None, None, args.max_degree, u_binding=binding, v_binding=args.v,
+            digits=args.digits,
+        )
+    except mining.MiningError as exc:
+        raise UsageError(str(exc)) from exc
     print(f"relation: {rel.poly}")
     print(f"degree: {rel.degree}; series rows certified: {rel.validated_grid_order}")
     for chk in rel.numeric_checks:
@@ -195,21 +203,27 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import catalog
+    from .mining import MiningError
+
     digits = args.digits
     _require(args.order >= MIN_ORDER, f"--order must be at least {MIN_ORDER}")
     rs = tuple(parse_rational(tok) for tok in args.rs.split(","))
     _require(all(r > 0 for r in rs), "all r values must be positive")
-    if args.all:
-        report = catalog.verify_all(digits=digits, M=args.order, r_list=rs)
-        entries = report.entries
-    else:
-        entry_report = catalog.verify_entry_with_fallback(
-            args.entry, digits, args.order, rs
-        )
-        entries = (entry_report,)
-        report = catalog.Report(
-            digits=digits, order=args.order, r_list=rs, entries=entries
-        )
+    try:
+        if args.all:
+            report = catalog.verify_all(digits=digits, M=args.order, r_list=rs)
+            entries = report.entries
+        else:
+            entry_report = catalog.verify_entry_with_fallback(
+                args.entry, digits, args.order, rs
+            )
+            entries = (entry_report,)
+            report = catalog.Report(
+                digits=digits, order=args.order, r_list=rs, entries=entries
+            )
+    except MiningError as exc:
+        raise UsageError(str(exc)) from exc
     for e in entries:
         extra = f" series_order={e.series_order}" if e.series_order is not None else ""
         print(f"{e.id}: {e.verdict}{extra}" + (f" ({e.notes})" if e.notes else ""))
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--p", required=True)
     p_mine.add_argument("--power", type=int, required=True)
     p_mine.add_argument("--qscale", help="nome scale of u (default 1)")
-    p_mine.add_argument("--v", required=True, choices=sorted(mining.V_BINDINGS))
+    p_mine.add_argument("--v", required=True, choices=V_NAMES)
     p_mine.add_argument("--max-degree", type=int, required=True)
     p_mine.add_argument("--digits", type=int, default=60)
     p_mine.add_argument("--out", help="write the relation as JSON to this file")
@@ -309,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             _require(d >= MIN_DIGITS, f"--digits must be at least {MIN_DIGITS}")
             _require(d <= MAX_DIGITS, f"--digits must be at most {MAX_DIGITS}")
         return args.func(args)
-    except (
-        UsageError, ValueError, KeyError, OSError, mining.MiningError,
-        CertificationError,
-    ) as exc:
+    except (UsageError, ValueError, KeyError, OSError, CertificationError) as exc:
         # a KeyError's str() is the repr of its message, quotes included
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

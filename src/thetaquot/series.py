@@ -544,6 +544,9 @@ class ThetaSpec:
     def __setattr__(self, name, value):
         raise AttributeError("ThetaSpec is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor
+        return ThetaSpec, (self.a, self.p)
+
     def __eq__(self, other):
         return (
             isinstance(other, ThetaSpec) and self.a == other.a and self.p == other.p
@@ -598,13 +601,15 @@ def _divide(num: PuiseuxSeries, u: PuiseuxSeries) -> PuiseuxSeries:
     with nonzero leading coefficient, known as far above its leading term as
     both num and u are, as num * invert_unit(u) is.
 
-    On the common grid, with num = q^beta (n_0 + n_1 x + ...) / scale_num,
-    u = q^alpha (a_0 + a_1 x + ...) / scale_u and x = q^(s/denom), s the gcd
-    stride of both's offsets, the quotient's r_n = (n_n - sum_k a_k r_(n-k))
-    / a_0 runs on the integers B_n = c^(n+1) r_n = sign(a_0) c^n n_n -
-    sum_k sign(a_0) c^(k-1) a_k B_(n-k), c = |a_0|, with a power of c in the
-    scale.  Each step costs one product per term of u: cheap on a theta or
-    eta series, quadratic on a dense unit.
+    On the common grid, with u = q^alpha (a_0 + a_1 x + ...) / scale_u and
+    x = q^(s/denom), s the gcd stride of u's own offsets, the terms of num
+    fall into residue classes mod s, and each class of the quotient is num's
+    terms in that class divided by u alone.  A class q^beta (n_0 + n_1 x +
+    ...) / scale_num runs r_n = (n_n - sum_k a_k r_(n-k)) / a_0 on the
+    integers B_n = c^(n+1) r_n = sign(a_0) c^n n_n - sum_k sign(a_0) c^(k-1)
+    a_k B_(n-k), c = |a_0|, with a power of c in the scale.  Each step costs
+    one product per term of u: cheap on a theta or eta series, quadratic on
+    a dense unit.
     """
     if not u.nums:
         raise ValueError("cannot invert a series that is zero to its bound")
@@ -613,29 +618,33 @@ def _divide(num: PuiseuxSeries, u: PuiseuxSeries) -> PuiseuxSeries:
     fn, fu = denom // num.denom, denom // u.denom
     alpha, beta = min(u.nums) * fu, min(num.nums) * fn
     known = n_rel * fu if num.hi is None else min(n_rel * fu, num.hi * fn - beta)
-    offsets = [k * fn - beta for k in num.nums]
-    stride = gcd(*(k * fu - alpha for k in u.nums), *offsets) or known
-    length = _ceil_div(known, stride)
-    if length > MAX_TERMS:
+    stride = gcd(*(k * fu - alpha for k in u.nums)) or known
+    classes: dict[int, dict[int, int]] = {}
+    for k, x in num.nums.items():
+        if (at := k * fn - beta) < known:
+            classes.setdefault(at % stride, {})[at // stride] = x
+    lengths = {r: _ceil_div(known - r, stride) for r in classes}
+    if sum(lengths.values()) > MAX_TERMS:
         raise ValueError(f"inversion: more than {MAX_TERMS} terms")
+    length = max(lengths.values())
     a0 = u.nums[min(u.nums)]
     c = abs(a0)
     sign = a0 // c
     units = sorted(u.nums.items())[1:]
     ks = [(k * fu - alpha) // stride for k, _ in units]
     cs = [sign * a * c ** (j - 1) for j, (_, a) in zip(ks, units)]
-    top = [0] * length
-    for at, x in zip(offsets, num.nums.values()):
-        if at < known:
-            top[at // stride] = sign * x * c ** (at // stride)
-    b, m, kn, cn = [], 0, [], []
-    for n, t in enumerate(top):
-        if m < len(ks) and ks[m] == n:  # kn, cn: the terms a_k with k <= n
-            m += 1
-            kn, cn = ks[:m], cs[:m]
-        b.append(t - sum(map(operator.mul, cn, map(b.__getitem__, map(n.__sub__, kn)))))
-    nums = {n * stride + beta - alpha: u.scale * x * c ** (length - 1 - n)
-            for n, x in enumerate(b) if x}
+    nums = {}
+    for r, tops in classes.items():
+        b, m, kn, cn = [], 0, [], []
+        for n in range(lengths[r]):
+            if m < len(ks) and ks[m] == n:  # kn, cn: the terms a_k with k <= n
+                m += 1
+                kn, cn = ks[:m], cs[:m]
+            t = sign * tops[n] * c ** n if n in tops else 0
+            b.append(t - sum(map(operator.mul, cn, map(b.__getitem__, map(n.__sub__, kn)))))
+        lead = r + beta - alpha
+        nums.update((lead + n * stride, u.scale * x * c ** (length - 1 - n))
+                    for n, x in enumerate(b) if x)
     return PuiseuxSeries._make(denom, nums, num.scale * c ** length, beta - alpha + known)
 
 

@@ -121,17 +121,23 @@ for argv in {jobs!r}:
 """
 
 
-def launch(tmp_path, forbidden: set[str], *flags: str) -> None:
-    """Import the CLI and run every ``LAUNCH_JOBS`` command in one fresh
-    interpreter, checking after each that no ``forbidden`` module is loaded."""
+def run_script(tmp_path, script: str, *flags: str) -> str:
+    """Run ``script`` in a fresh interpreter that finds this package; its
+    standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + sys.path)
-    script = LAUNCH.format(jobs=LAUNCH_JOBS, forbidden=forbidden)
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def launch(tmp_path, forbidden: set[str], *flags: str) -> None:
+    """Import the CLI and run every ``LAUNCH_JOBS`` command in one fresh
+    interpreter, checking after each that no ``forbidden`` module is loaded."""
+    run_script(tmp_path, LAUNCH.format(jobs=LAUNCH_JOBS, forbidden=forbidden), *flags)
     assert (tmp_path / "rel.json").exists()
 
 
@@ -144,6 +150,42 @@ def test_no_launch_loads_dataclasses_or_typing(tmp_path):
     # package's own start-up; -S leaves out site, whose .pth files may
     # import typing before any code of the package runs
     launch(tmp_path, {"dataclasses", "inspect", "typing"}, "-S")
+
+
+# the modules a subcommand imports when it runs, and which of them each
+# launch loads: the import alone (no argv) and the commands that need none
+# of them load none
+LAZY = {"catalog", "mining", "modular"}
+LOADS = [
+    ([], set()),
+    *((argv, set()) for argv in LAUNCH_JOBS if argv[0] in ("eval", "series", "recognize")),
+    (["eval", "--fn", "Sn", "--n", "3", "--x", "1/2"], {"modular"}),
+    (LAUNCH_JOBS[-1], {"mining"}),
+    (LAUNCH_JOBS[2], LAZY),
+]
+LOADED = """
+import sys
+import thetaquot.cli as cli
+
+argv = {argv!r}
+assert not argv or cli.main(argv) == 0, argv
+print(*sorted(m for m in {lazy!r} if "thetaquot." + m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads", LOADS, ids=[" ".join(argv[:3]) or "import" for argv, _ in LOADS]
+)
+def test_each_launch_loads_only_what_it_runs(tmp_path, argv, loads):
+    out = run_script(tmp_path, LOADED.format(argv=argv, lazy=LAZY))
+    assert set(out.splitlines()[-1].split()) == loads
+
+
+def test_mine_choices_are_the_binding_names():
+    # the parser lists them without importing mining
+    from thetaquot import cli
+
+    assert cli.V_NAMES == tuple(sorted(mining.V_BINDINGS))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -704,6 +704,20 @@ class TestInvertUnit:
 
     @settings(max_examples=60, deadline=None)
     @given(product_operands().filter(lambda x: not x.is_zero()), sparse_units())
+    # a dense dividend over a unit on stride 96 of the 1/96 grid: one
+    # recurrence over all 9,600 grid steps, whose integers grow by a power of
+    # a_0 per step, took seconds; one per residue class of the dividend, 100
+    # steps each, takes milliseconds
+    @example(
+        PuiseuxSeries(96, {j: 10**6 - j if j % 2 else F(-999, 59 - j) for j in range(25)}, None),
+        PuiseuxSeries(
+            96,
+            {0: F(-29, 11)} | {
+                96 * j: F((-1) ** j * 50) for j in (1, 4, 9, 16, 25, 36, 49, 64, 81, 98, 99)
+            },
+            96 * 100,
+        ),
+    )
     def test_division_by_sparse_units(self, num, u):
         assert fields(_divide(num, u)) == fields(num * schoolbook_inverse(u))
 

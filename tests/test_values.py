@@ -1,7 +1,8 @@
 """The value classes behave as the frozen dataclasses they replace: built
 positionally or by keyword with their defaults, equal and hashed by their
 fields within one class, printed as their fields, immutable (but
-``CheckData``), and copied by ``replace``."""
+``CheckData``) and copied by ``replace``.  ``ThetaSpec``, and so an
+``ABinding`` holding one, copies and pickles too."""
 
 import copy
 import pickle
@@ -78,3 +79,17 @@ def test_copy_and_pickle_keep_the_value():
     assert copy.copy(check) == check == pickle.loads(pickle.dumps(check))
     data = CheckData([ResidualRecord("r=1", 60, "1e-60", True)], 7)
     assert copy.deepcopy(data) == data
+
+
+@pytest.mark.parametrize(
+    "value", [ThetaSpec(Fraction(1, 2), 4), ABinding(ThetaSpec(8, 6), 6, Fraction(2))],
+    ids=["ThetaSpec", "ABinding"],
+)
+def test_theta_spec_copies_and_pickles(value):
+    spec = value if isinstance(value, ThetaSpec) else value.spec
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        twin_spec = twin if isinstance(twin, ThetaSpec) else twin.spec
+        assert twin_spec.delta == spec.delta
+        with pytest.raises(AttributeError, match="immutable"):
+            twin_spec.a = 0
