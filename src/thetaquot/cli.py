@@ -11,7 +11,6 @@ present, 2 usage, domain or file errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -31,17 +30,7 @@ from .numeric import (
     singular_modulus,
     theta_sum,
 )
-from .series import (
-    A_series,
-    PuiseuxSeries,
-    ThetaSpec,
-    eta5_series,
-    eta_series,
-    h5_series,
-    modulus_series,
-    rescale,
-    theta_series,
-)
+from .values import ThetaSpec
 
 MIN_ORDER = 40
 MAX_DIGITS = 5000
@@ -118,6 +107,9 @@ def _cmd_eval(args) -> int:
 
 
 def _build_series(args) -> PuiseuxSeries:
+    from .series import (A_series, eta5_series, eta_series, h5_series,
+                          modulus_series, rescale, theta_series)
+
     order = Fraction(args.order)
     fn = args.fn
     if fn == "eta":
@@ -143,6 +135,8 @@ def _build_series(args) -> PuiseuxSeries:
 
 
 def _cmd_series(args) -> int:
+    import json
+
     _require(args.order >= 1, "--order must be positive")
     ser = _build_series(args)
     print(ser.to_str())
@@ -181,6 +175,8 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    import json
+
     digits = args.digits
     quotient = (args.a, args.p, args.power, args.r)
     if args.literal is not None:

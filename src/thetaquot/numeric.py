@@ -29,7 +29,7 @@ from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 
-from .series import MAX_TERMS, PuiseuxSeries, Rat, ThetaSpec
+from .values import MAX_TERMS, Rat, ThetaSpec
 
 GUARD = 15
 MIN_DIGITS = 20

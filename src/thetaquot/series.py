@@ -37,16 +37,13 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd
 
-Rat = int | Fraction
+from .values import MAX_TERMS, Rat, ThetaSpec
 
 # fields of at most this many bytes are packed and read through 8-byte
 # machine words, whose byte order must be little-endian; wider fields go one
 # by one, which measures faster than splitting them into words
 _BULK_BYTES = 8 if sys.byteorder == "little" else 0
 
-# the most terms of a theta sum on each side of its vertex, and of the
-# accumulator of a product form
-MAX_TERMS = 10 ** 6
 # the largest packed Kronecker product or product form: the golden corpus and
 # the benchmark jobs pack at most 12,558 bytes (verify --all, 299 fields of 42
 # bytes), the product forms among them at most 2,424 (expand's A(1/2, 2) at
@@ -524,39 +521,6 @@ def _coerce(x) -> PuiseuxSeries:
     if isinstance(x, (int, Fraction)):
         return PuiseuxSeries.constant(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a series")
-
-
-class ThetaSpec:
-    """Parameter pair (a, p) of a theta quotient, with the prefactor
-    exponent delta = p/12 - a/2 + a^2/(2p)."""
-
-    __slots__ = ("a", "p", "delta")
-
-    def __init__(self, a: Rat, p: Rat):
-        a = Fraction(a)
-        p = Fraction(p)
-        if p <= 0:
-            raise ValueError("p must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "delta", p / 12 - a / 2 + a * a / (2 * p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaSpec is immutable")
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return ThetaSpec, (self.a, self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ThetaSpec) and self.a == other.a and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.p))
-
-    def __repr__(self):
-        return f"ThetaSpec(a={self.a}, p={self.p}, delta={self.delta})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Value classes without generated code.
+"""Value classes without generated code, and what numeric shares with series.
 
 A subclass of ``Value`` declares its fields as annotations, in constructor
 order, with defaults on trailing fields; the fields become its
@@ -11,7 +11,14 @@ constructor, so its checks run again.
 
 from __future__ import annotations
 
-__all__ = ["Value", "replace"]
+from fractions import Fraction
+
+__all__ = ["MAX_TERMS", "Rat", "ThetaSpec", "Value", "replace"]
+
+Rat = int | Fraction
+# the most terms of a theta sum on each side of its vertex, and of the
+# accumulator of a product form
+MAX_TERMS = 10 ** 6
 
 
 class _Fields(type):
@@ -70,3 +77,36 @@ class Value(metaclass=_Fields):
 def replace(obj: Value, **changes) -> Value:
     """A copy of ``obj`` with the fields named in ``changes`` set to them."""
     return type(obj)(**{name: getattr(obj, name) for name in obj.__slots__} | changes)
+
+
+class ThetaSpec:
+    """Parameter pair (a, p) of a theta quotient, with the prefactor
+    exponent delta = p/12 - a/2 + a^2/(2p)."""
+
+    __slots__ = ("a", "p", "delta")
+
+    def __init__(self, a: Rat, p: Rat):
+        a = Fraction(a)
+        p = Fraction(p)
+        if p <= 0:
+            raise ValueError("p must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "delta", p / 12 - a / 2 + a * a / (2 * p))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ThetaSpec is immutable")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return ThetaSpec, (self.a, self.p)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ThetaSpec) and self.a == other.a and self.p == other.p
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.p))
+
+    def __repr__(self):
+        return f"ThetaSpec(a={self.a}, p={self.p}, delta={self.delta})"

@@ -152,16 +152,23 @@ def test_no_launch_loads_dataclasses_or_typing(tmp_path):
     launch(tmp_path, {"dataclasses", "inspect", "typing"}, "-S")
 
 
-# the modules a subcommand imports when it runs, and which of them each
-# launch loads: the import alone (no argv) and the commands that need none
-# of them load none
-LAZY = {"catalog", "mining", "modular"}
+# the package's modules that every launch loads (CORE) and those that a
+# subcommand imports only when it runs (LAZY), and which of LAZY and json
+# each launch loads: the import alone (no argv) and eval load none of them,
+# and only series, mine and verify load series
+CORE = {"cli", "numeric", "recognize", "values"}
+LAZY = {"catalog", "mining", "modular", "series"}
 LOADS = [
     ([], set()),
-    *((argv, set()) for argv in LAUNCH_JOBS if argv[0] in ("eval", "series", "recognize")),
+    (LAUNCH_JOBS[0], set()),
+    (["eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "2"], set()),
+    (LAUNCH_JOBS[3], {"json"}),
+    (["recognize", "--a", "1", "--p", "4", "--power", "12", "--r", "2", "--max-degree",
+      "4"], {"json"}),
+    (LAUNCH_JOBS[1], {"series", "json"}),
     (["eval", "--fn", "Sn", "--n", "3", "--x", "1/2"], {"modular"}),
-    (LAUNCH_JOBS[-1], {"mining"}),
-    (LAUNCH_JOBS[2], LAZY),
+    (LAUNCH_JOBS[-1], {"mining", "series", "json"}),
+    (LAUNCH_JOBS[2], LAZY | {"json"}),
 ]
 LOADED = """
 import sys
@@ -169,7 +176,8 @@ import thetaquot.cli as cli
 
 argv = {argv!r}
 assert not argv or cli.main(argv) == 0, argv
-print(*sorted(m for m in {lazy!r} if "thetaquot." + m in sys.modules))
+print(*(m.removeprefix("thetaquot.") for m in sys.modules
+        if m.startswith("thetaquot.") or m == "json"))
 """
 
 
@@ -177,8 +185,8 @@ print(*sorted(m for m in {lazy!r} if "thetaquot." + m in sys.modules))
     "argv, loads", LOADS, ids=[" ".join(argv[:3]) or "import" for argv, _ in LOADS]
 )
 def test_each_launch_loads_only_what_it_runs(tmp_path, argv, loads):
-    out = run_script(tmp_path, LOADED.format(argv=argv, lazy=LAZY))
-    assert set(out.splitlines()[-1].split()) == loads
+    out = run_script(tmp_path, LOADED.format(argv=argv))
+    assert set(out.splitlines()[-1].split()) == CORE | loads
 
 
 def test_mine_choices_are_the_binding_names():

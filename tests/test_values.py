@@ -2,7 +2,8 @@
 positionally or by keyword with their defaults, equal and hashed by their
 fields within one class, printed as their fields, immutable (but
 ``CheckData``) and copied by ``replace``.  ``ThetaSpec``, and so an
-``ABinding`` holding one, copies and pickles too."""
+``ABinding`` holding one, copies and pickles too, also from streams that
+name it at its former home, the series module."""
 
 import copy
 import pickle
@@ -10,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from thetaquot import numeric, series, values
 from thetaquot.catalog import CheckData, EntryReport, ResidualRecord
 from thetaquot.mining import ABinding, NumericCheck
 from thetaquot.recognize import IntPoly
-from thetaquot.series import ThetaSpec
-from thetaquot.values import replace
+from thetaquot.values import ThetaSpec, replace
 
 
 def test_positional_keyword_and_default_fields():
@@ -86,8 +87,16 @@ def test_copy_and_pickle_keep_the_value():
     ids=["ThetaSpec", "ABinding"],
 )
 def test_theta_spec_copies_and_pickles(value):
+    # values holds them, and series and numeric import the same objects
+    assert values.ThetaSpec is series.ThetaSpec is numeric.ThetaSpec
+    assert values.MAX_TERMS is series.MAX_TERMS is numeric.MAX_TERMS
+    # a stream as written when series defined ThetaSpec
+    stream = pickle.dumps(value, protocol=0)
+    old = stream.replace(b"cthetaquot.values\nThetaSpec", b"cthetaquot.series\nThetaSpec")
+    assert old != stream
     spec = value if isinstance(value, ThetaSpec) else value.spec
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                 pickle.loads(old)):
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
         twin_spec = twin if isinstance(twin, ThetaSpec) else twin.spec
         assert twin_spec.delta == spec.delta
