@@ -43,7 +43,6 @@ from .series import (
     PuiseuxSeries,
     ThetaSpec,
     _pack,
-    _theta_min_exponent,
     _unpack,
     common_known_order,
     eta5_series,
@@ -53,7 +52,7 @@ from .series import (
 )
 from . import numeric
 from .numeric import BigReal, eval_A, eval_eta5, nome_from_r, singular_point
-from .values import Value, replace
+from .values import Rat, Value, replace
 
 __all__ = [
     "BivarIntPoly",
@@ -185,12 +184,19 @@ class ABinding(Value):
         if self.qscale <= 0:
             raise ValueError("qscale must be positive")
 
+    @property
+    def shape(self) -> tuple[Fraction, Fraction]:
+        """(lead, step): u's terms lie on lead + step Z, as those of theta(p/2,
+        p/2 - a) differ by multiples of a and p, and those of eta(q^p) of p."""
+        a, p, scale = self.spec.a, self.spec.p, self.qscale
+        step = Fraction(gcd(a.numerator, p.numerator), math.lcm(a.denominator, p.denominator))
+        return self.spec.lead * self.power * scale, step * scale
+
     def series(self, q_order: Fraction) -> PuiseuxSeries:
         # built below inner + max(2, lead), A and 1/A are known inner past lead
         spec, inner = self.spec, Fraction(q_order) / self.qscale
-        lead = spec.delta + _theta_min_exponent(spec.p / 2, spec.p / 2 - spec.a)
         build = A_series if self.power >= 0 else A_inverse_series  # no dense inverse
-        return rescale(build(spec, inner + max(2, lead)), self.qscale) ** abs(self.power)
+        return rescale(build(spec, inner + max(2, spec.lead)), self.qscale) ** abs(self.power)
 
     def numeric(self, r: Fraction, digits: int) -> BigReal:
         q = nome_from_r(r, digits)
@@ -216,11 +222,12 @@ class ABinding(Value):
 
 
 class VBinding(Value):
-    """What v means: its series known below a given order, and its value
-    at q = e^(-pi sqrt(r))."""
+    """What v means: its series known below a given order, its value at q =
+    e^(-pi sqrt(r)), and its ``shape`` (lead, step): its terms lie on lead + step Z."""
 
     series: Callable[[Fraction], PuiseuxSeries]
     numeric: Callable[[Fraction, int], BigReal]
+    shape: tuple[Rat, Rat]
 
 
 # keyed by the one name of each binding: `mine --v` takes it, and relation
@@ -229,18 +236,22 @@ V_BINDINGS = {
     "m": VBinding(
         lambda order: modulus_series(order),
         lambda r, digits: singular_point(r, digits).k ** 2,
+        (1, 1),
     ),
     "sqrt_m": VBinding(
         lambda order: k_series(order + 1),
         lambda r, digits: singular_point(r, digits).k,
+        (Fraction(1, 2), 1),
     ),
     "m_q2_squared": VBinding(
         lambda order: rescale(modulus_series(order / 2 + 1), 2) ** 2,
         lambda r, digits: singular_point(4 * r, digits).k ** 4,
+        (4, 2),
     ),
     "eta5_q4_pow5": VBinding(
         lambda order: rescale(eta5_series(order / 4 + 1), 4) ** 5,
         lambda r, digits: eval_eta5(nome_from_r(r, digits) ** 4, digits) ** 5,
+        (4, 4),
     ),
 }
 
@@ -318,8 +329,7 @@ class MonomialTable:
     Over Q the leading coefficient of a product is the product of its
     factors', so u^i v^j leads at i lead(u) + j lead(v), and it is known as
     many rows above that as its least known factor, as
-    ``PuiseuxSeries.__mul__`` bounds it.  A factor with no known nonzero
-    term is zero through its bound, which counts as its lead.
+    ``PuiseuxSeries.__mul__`` bounds it.  u and v have known nonzero terms.
     """
 
     def __init__(self, u: PuiseuxSeries, v: PuiseuxSeries, rows: int, p: int):
@@ -328,16 +338,14 @@ class MonomialTable:
         self.denom = math.lcm(u.denom, v.denom)
         self.stride = 0
         for w in (u, v):
-            if w.nums:
-                lead = min(w.nums)
-                spacing = gcd(*(k - lead for k in w.nums))
-                self.stride = gcd(self.stride, spacing * (self.denom // w.denom))
+            lead = min(w.nums)
+            spacing = gcd(*(k - lead for k in w.nums))
+            self.stride = gcd(self.stride, spacing * (self.denom // w.denom))
         self.stride = self.stride or 1
         self.width = _field_bytes(p, rows)
         self._fold = _mersenne_fold(p, self.width, self._fields(rows))
         (lu, ku, xu), (lv, kv, xv) = self._reduce(u), self._reduce(v)
         self._leads, self._known = (lu, lv), (ku, kv)
-        self._nonzero = (bool(u.nums), bool(v.nums))
         self._pows = ([1, xu], [1, xv])
         self._products: dict[tuple[int, int], int] = {}
 
@@ -348,8 +356,6 @@ class MonomialTable:
     def _reduce(self, w: PuiseuxSeries) -> tuple[int, int, int]:
         """(lead, grid rows known, packed fields) of one factor."""
         f = self.denom // w.denom
-        if not w.nums:
-            return (0, self.rows, 0) if w.hi is None else (w.hi * f, 0, 0)
         lead = min(w.nums) * f
         known = self.rows if w.hi is None else min(self.rows, w.hi * f - lead)
         inv = pow(w.scale, -1, self.p)
@@ -392,13 +398,8 @@ class MonomialTable:
         return sorted({(i * lu + j * lv) % g for i in range(s + 1) for j in range(s + 1)})
 
     def base(self, s: int) -> int:
-        """The least leading grid index of the nonzero u^i v^j, 0 <= i, j <= s."""
-        (lu, lv), (nu, nv) = self._leads, self._nonzero
-        return min(
-            i * lu + j * lv
-            for i in ((0, s) if nu else (0,))
-            for j in ((0, s) if nv else (0,))
-        )
+        """The least leading grid index of the u^i v^j, 0 <= i, j <= s."""
+        return sum(min(0, s * lead) for lead in self._leads)
 
 
 def _columns(s: int) -> list[tuple[int, int]]:
@@ -746,20 +747,11 @@ def _horner_residual(
     InsufficientTruncation when it is not, because u or v is known less
     than R above its leading exponent.
     """
-    vu, vv = (None if w.is_zero() else w.leading()[0] for w in (u, v))
-    # a monomial with a factor that has no known nonzero term has no
-    # leading exponent
-    leads = [
-        i * (vu or 0) + j * (vv or 0)
-        for i, j, _ in poly.terms
-        if (i == 0 or vu is not None) and (j == 0 or vv is not None)
-    ]
-    if not leads:
-        raise MiningError("relation evaluates on identically zero products")
-    base_exp = min(leads)
+    vu, vv = u.leading()[0], v.leading()[0]
+    base_exp = min(i * vu + j * vv for i, j, _ in poly.terms)
     top = math.floor(base_exp) + through_rows
     reach = top - base_exp
-    u, v = (w if w.is_zero() else w.truncate(w.leading()[0] + reach) for w in (u, v))
+    u, v = u.truncate(vu + reach), v.truncate(vv + reach)
     a = gcd(*(i for i, _, _ in poly.terms)) or 1
     b = gcd(*(j for _, j, _ in poly.terms)) or 1
     u, v = u ** a, v ** b
@@ -800,6 +792,7 @@ def _first_nonzero(
 
 
 EXTRA_ORDERS = 25  # series rows a relation must vanish on past its matrix's
+ZERO_PRODUCTS = "relation evaluates on identically zero products"
 POINTS = (1, 2)  # the r = 1, 2 at which a relation is checked numerically
 
 
@@ -821,6 +814,8 @@ def validate(
         if rel.u_binding is None or rel.v_binding is None:
             raise ValidationFailed("no series supplied and no bindings to rebuild from")
         u, v = build_binding_series(rel.u_binding, rel.v_binding, Fraction(rows_needed))
+    if u.is_zero() or v.is_zero():
+        raise MiningError(ZERO_PRODUCTS)
     first = _first_nonzero(rel.poly, u, v, rows_needed)
     if first is not None:
         raise ValidationFailed(
@@ -864,13 +859,16 @@ def mine(
     """Search degrees s = 1..s_max and return the first kernel relation
     that validates.
 
-    With bindings, u and v may be None: mine builds them itself, as far as
-    its rows need.  At each s the reduced kernel basis of the coefficient
-    matrix is lifted lazily, in order of total degree, and each total
-    degree's vectors are tried fewest terms first, then in lexicographic
-    order, so the returned polynomial has the least total degree present in
-    the kernel.  One elimination per prime serves every total degree, one
-    block of the matrix at a time (``build_coeff_matrix``'s ``residue``).
+    With bindings, u and v may be None: mine sizes its rows from the declared
+    shapes (``ABinding.shape``, ``VBinding.shape``) and builds u and v once,
+    as far as those rows need, after refusing a zero factor: A(a, p)^power
+    with ``ThetaSpec.is_zero`` and power > 0, or an unbound series with no
+    known nonzero term.  At each s the reduced kernel basis of the coefficient
+    matrix is lifted lazily, in order of total degree, and each total degree's
+    vectors are tried fewest terms first, then in lexicographic order, so the
+    returned polynomial has the least total degree present in the kernel.  One
+    elimination per prime serves every total degree, one block of the matrix
+    at a time (``build_coeff_matrix``'s ``residue``).
 
     The matrix is built mod the first prime of the ladder, the next prime's
     only when a lift fails; each prime's table is built once, cut to the
@@ -884,20 +882,25 @@ def mine(
     MiningNotFound carries each degree's rank over Q.
     """
     bound = u_binding is not None and v_binding is not None
-    if bound and (u is None or v is None):
-        # the row counts need only the leading exponents and the grid
-        u, v = build_binding_series(u_binding, v_binding, Fraction(1))
+    if bound:
+        if u_binding.spec.is_zero and u_binding.power > 0:
+            raise MiningError(ZERO_PRODUCTS)
+        shapes = [u_binding.shape, get_v_binding(v_binding).shape]
+    elif u.is_zero() or v.is_zero():
+        raise MiningError(ZERO_PRODUCTS)
+    else:  # an unbound series steps by one row of its own grid
+        shapes = [(w.leading()[0], Fraction(1, w.denom)) for w in (u, v)]
     rank_profile: dict[int, int] = {}
     failures: list[str] = []
     all_rows = {
-        s: (s + 1) ** 2 + 10 + _valuation_spread(u, v, s) for s in range(1, s_max + 1)
+        s: (s + 1) ** 2 + 10 + _valuation_spread(shapes, s) for s in range(1, s_max + 1)
     }
     max_rows = max(all_rows.values())
     # every matrix and every validation window fits in max_rows +
-    # EXTRA_ORDERS rows; bound series known less far relative to their
-    # leading terms are built that far, once, before the first matrix
+    # EXTRA_ORDERS rows; bound series missing or known less far relative to
+    # their leading terms are built that far, once, before the first matrix
     needed = max_rows + EXTRA_ORDERS
-    if bound and min(u.relative_order(), v.relative_order()) < needed:
+    if bound and min(0 if w is None else w.relative_order() for w in (u, v)) < needed:
         u, v = build_binding_series(u_binding, v_binding, Fraction(needed))
     if M is None:
         M = common_known_order(u, v)
@@ -976,13 +979,11 @@ def mine(
     raise MiningNotFound(msg, rank_profile)
 
 
-def _valuation_spread(u: PuiseuxSeries, v: PuiseuxSeries, s: int) -> int:
-    """Spread, in common-grid units, between the least and greatest leading
-    exponents of the monomials u^i v^j with 0 <= i, j <= s, the corners i, j
-    in {0, s}: s (|val u| + |val v|).  Added to the row count so every
-    column keeps a full window of informative rows."""
-    try:
-        vu, vv = u.leading()[0], v.leading()[0]
-    except ValueError:
-        return 0
-    return int(s * (abs(vu) + abs(vv)) * math.lcm(u.denom, v.denom))
+def _valuation_spread(shapes: Sequence[tuple[Rat, Rat]], s: int) -> int:
+    """Spread between the least and greatest leading exponents of the
+    monomials u^i v^j with 0 <= i, j <= s, the corners i, j in {0, s}: s
+    (|val u| + |val v|), in units of the grid that holds the (lead, step)
+    ``shapes`` of u and v.  Added to the row count so every column keeps a
+    full window of informative rows."""
+    denom = math.lcm(*(x.denominator for shape in shapes for x in shape))
+    return int(s * sum(abs(lead) for lead, _ in shapes) * denom)

@@ -924,11 +924,11 @@ def eval_eta(p, q: BigReal, digits: int | None = None) -> BigReal:
 
 def eval_A(spec: ThetaSpec, q: BigReal, digits: int | None = None) -> BigReal:
     """Direct numeric value of the theta quotient at a real nome; 0 before any
-    eta when p divides a, as b/a = 1 - 2a/p of its theta sum is then odd."""
+    eta when the quotient is identically zero (``ThetaSpec.is_zero``)."""
     if digits is None:
         digits = q.digits
     th = theta_sum(spec.p / 2, spec.p / 2 - spec.a, q, digits)
-    if not th.man:
+    if spec.is_zero:
         return th
     et = eval_eta(spec.p, q, digits)
     prec = _bits(digits + GUARD)

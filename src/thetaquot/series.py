@@ -740,19 +740,12 @@ def theta_series(
     return PuiseuxSeries._make(denom, nums, 1, hi)
 
 
-def _theta_min_exponent(a: Fraction, b: Fraction) -> Fraction:
-    """min over integers n of a n^2 + b n (a > 0)."""
-    vertex = -b / (2 * a)
-    return min(a * n * n + b * n for n in (math.floor(vertex), math.ceil(vertex)))
-
-
 def _theta_over_eta(spec: ThetaSpec, order: Rat, sign: int) -> PuiseuxSeries:
     """A(a, p; q)^sign for sign = +-1, known as far above its leading term as
     A_series(spec, order) is; only a sparse eta or theta series is inverted."""
     order = Fraction(order)
-    ta, tb = spec.p / 2, spec.p / 2 - spec.a
-    theta = theta_series(ta, tb, order - spec.delta)
-    eta = eta_series(spec.p, order - spec.delta - _theta_min_exponent(ta, tb))
+    theta = theta_series(spec.p / 2, spec.p / 2 - spec.a, order - spec.delta)
+    eta = eta_series(spec.p, order - spec.lead)
     num, den = (theta, eta) if sign > 0 else (eta, theta)
     return PuiseuxSeries.monomial(1, sign * spec.delta) * num * invert_unit(den)
 

@@ -80,19 +80,25 @@ def replace(obj: Value, **changes) -> Value:
 
 
 class ThetaSpec:
-    """Parameter pair (a, p) of a theta quotient, with the prefactor
-    exponent delta = p/12 - a/2 + a^2/(2p)."""
+    """Parameter pair (a, p) of a theta quotient A = q^delta theta(p/2, p/2 -
+    a) / eta(q^p), delta = p/12 - a/2 + a^2/(2p).  A leads at ``lead`` =
+    delta + min_n (p/2 n^2 + (p/2 - a) n) unless ``is_zero``: A is zero
+    exactly when a/p is an integer, as b/a = 1 - 2a/p of its theta sum is
+    then odd and its terms n and -b/a - n cancel in pairs."""
 
-    __slots__ = ("a", "p", "delta")
+    __slots__ = ("a", "p", "delta", "lead", "is_zero")
 
     def __init__(self, a: Rat, p: Rat):
         a = Fraction(a)
         p = Fraction(p)
         if p <= 0:
             raise ValueError("p must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "delta", p / 12 - a / 2 + a * a / (2 * p))
+        delta = p / 12 - a / 2 + a * a / (2 * p)
+        n = (2 * a - p) // (2 * p)  # the vertex a/p - 1/2, rounded down
+        lead = delta + min(p / 2 * k * k + (p / 2 - a) * k for k in (n, n + 1))
+        is_zero = (a / p).denominator == 1
+        for name, value in zip(self.__slots__, (a, p, delta, lead, is_zero)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaSpec is immutable")

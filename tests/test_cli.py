@@ -301,12 +301,15 @@ class TestMine:
         assert code == 2
         assert err == "error: qscale must be positive\n"
 
-    def test_identically_zero_quotient_is_usage_error(self, capsys):
-        # A(4, 4; q) is identically zero, so the kernel's candidates are
-        # monomials in u alone and every product of the relation vanishes
+    @pytest.mark.parametrize(
+        "a,p,power,degree", [("4", "4", "12", "3"), ("1", "1/1000", "1", "1")]
+    )
+    def test_identically_zero_quotient_is_usage_error(self, capsys, a, p, power, degree):
+        # A(4, 4; q) and A(1, 1/1000; q) are identically zero (a/p is an
+        # integer), so every product of a relation in them vanishes
         code, out, err = run(
-            capsys, "mine", "--a", "4", "--p", "4", "--power", "12", "--v", "m",
-            "--max-degree", "3",
+            capsys, "mine", "--a", a, "--p", p, "--power", power, "--v", "m",
+            "--max-degree", degree,
         )
         assert code == 2
         assert out == ""

@@ -635,8 +635,9 @@ class TestBuildCoeffMatrix:
         # products are left to the series build and the Horner certificate
         binding = ABinding(ThetaSpec(1, 3), 12)
         u, v = build_binding_series(binding, "m", F(150))
+        shapes = [binding.shape, get_v_binding("m").shape]
         all_rows = {
-            s: (s + 1) ** 2 + 10 + mining._valuation_spread(u, v, s) for s in range(1, 8)
+            s: (s + 1) ** 2 + 10 + mining._valuation_spread(shapes, s) for s in range(1, 8)
         }
         calls = []
 
@@ -685,7 +686,6 @@ class TestBuildCoeffMatrix:
         "u",
         [
             PuiseuxSeries.from_pairs([(F(-1, 2), 3), (1, F(-2, 5))], order=7),
-            PuiseuxSeries.from_pairs([], order=F(5, 3)),
             PuiseuxSeries.constant(F(7, 2)),
         ],
     )
@@ -693,8 +693,8 @@ class TestBuildCoeffMatrix:
         # u^i v^0 and u^0 v^j are the power tables' own entries: the same
         # fields, mod p, as the exact products with the exact 1, and known as
         # far as those
-        # v has even exponents only, so beside the one-term and zero u the
-        # fields hold every second grid row
+        # v has even exponents only, so beside the one-term u the fields
+        # hold every second grid row
         v = rescale(modulus_series(3), 2)
         table = mining.MonomialTable(u, v, 4, P61)
         assert table.stride == (1 if len(u.nums) > 1 else 2)
@@ -806,8 +806,9 @@ class TestMine:
         # <= d, are those columns' reduced kernel, and give their rank
         u = A_series(ThetaSpec(-2, 8), 90) ** 12
         v = rescale(modulus_series(45), 2) ** 2
+        shapes = [(w.leading()[0], F(1, w.denom)) for w in (u, v)]
         for s in (4, 5):
-            rows = (s + 1) ** 2 + 10 + mining._valuation_spread(u, v, s)
+            rows = (s + 1) ** 2 + 10 + mining._valuation_spread(shapes, s)
             m, cols, _, _, _ = reference_coeff_matrix(u, v, s, rows)
             assert rows_mod_p(u, v, s, rows) == reference_mod_p(u, v, s, rows)
             basis = exact_nullspace(m)
@@ -867,9 +868,9 @@ class TestMine:
         assert events.count("build_binding_series") == 1
 
     def test_unbuilt_pair_is_built_once_before_the_first_matrix(self, monkeypatch):
-        # with bindings and no series, mine reads the leading exponents from
-        # a one-order build, then builds u and v once, as far as its largest
-        # matrix and validation window reach
+        # with bindings and no series, mine sizes its rows from the declared
+        # shapes and builds u and v once, as far as its largest matrix and
+        # validation window reach
         events = []
 
         def build(*args):
@@ -888,9 +889,30 @@ class TestMine:
         )
         assert rel.poly == REL_M1_6
         builds = [e for e in events if e != "matrix"]
-        assert events.index("matrix") == len(builds) == 2
-        assert builds[0] == ("build", 1)
-        assert rel.validated_grid_order <= builds[1][1]
+        assert events.index("matrix") == len(builds) == 1
+        assert rel.validated_grid_order <= builds[0][1]
+
+    def test_zero_quotient_is_refused_before_anything_is_built(self, monkeypatch):
+        # A(1, 1/1000; q) is identically zero (ThetaSpec.is_zero), and so is
+        # every positive power of it
+        def build(*args):
+            raise AssertionError("mine built a series")
+
+        monkeypatch.setattr(mining, "build_binding_series", build)
+        with pytest.raises(MiningError, match="identically zero products"):
+            mine(None, None, 1, u_binding=ABinding(ThetaSpec(1, F(1, 1000)), 1), v_binding="m")
+
+    def test_zero_factor_is_refused_by_mine_and_validate(self):
+        # a factor with no known nonzero term makes every product with it
+        # vanish, so neither a matrix nor a certificate is formed from it
+        zero = PuiseuxSeries.from_pairs([], order=F(5, 3))
+        v = modulus_series(10)
+        rel = MinedRelation(poly=REL_14, degree=2, validated_grid_order=5)
+        for pair in ((zero, v), (v, zero)):
+            with pytest.raises(MiningError, match="identically zero products"):
+                mine(*pair, 1, 5)
+            with pytest.raises(MiningError, match="identically zero products"):
+                validate(rel, 40, *pair)
 
     def test_bound_pair_that_reaches_the_rows_is_not_rebuilt(self, monkeypatch):
         # the benchmark's mine jobs pass series built at order 150
@@ -1165,14 +1187,27 @@ class TestRelationFile:
             ABinding.from_json_obj(obj)
 
 
+def assert_shape(binding, tight=False):
+    """A binding's declared (lead, step) against its series to relative
+    order 40: it leads at lead and every term lies on lead + step Z; if
+    ``tight``, the offsets from lead have gcd step."""
+    lead, step = binding.shape
+    ser = binding.series(F(40))
+    assert ser.leading()[0] == lead
+    offsets = [(e - lead) / step for e, _ in ser.terms()]
+    assert all(k.denominator == 1 for k in offsets)
+    assert not tight or math.gcd(*(int(k) for k in offsets)) == 1
+
+
 class TestVBindings:
     @pytest.mark.parametrize(
-        "name,val", [("m", F(1)), ("sqrt_m", F(1, 2)), ("m_q2_squared", F(4)),
-                     ("eta5_q4_pow5", F(4))]
+        "name,val", [("m", (1, 1)), ("sqrt_m", (F(1, 2), 1)), ("m_q2_squared", (4, 2)),
+                     ("eta5_q4_pow5", (4, 4))]
     )
     def test_series_leading_exponent(self, name, val):
-        ser = get_v_binding(name).series(F(30))
-        assert ser.leading()[0] == val
+        # each v declares its (lead, step), and its series has that shape
+        assert get_v_binding(name).shape == val
+        assert_shape(get_v_binding(name), tight=True)
 
     def test_build_binding_series_pair(self):
         u, v = build_binding_series(ABinding(ThetaSpec(1, 4), 12), "m", F(40))
@@ -1272,6 +1307,39 @@ def a_bindings(draw):
     )
     power = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     return ABinding(ThetaSpec(a, p), power, draw(st.sampled_from([F(1), F(2), F(1, 3)])))
+
+
+class TestShapes:
+    @pytest.mark.parametrize(
+        "binding", A_BINDINGS, ids=lambda b: f"A({b.spec.a},{b.spec.p};q^{b.qscale})^{b.power}"
+    )
+    def test_declared_shape_is_the_series_shape(self, binding):
+        assert_shape(binding, tight=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_bindings())
+    @example(ABinding(ThetaSpec(1, 60), 1))
+    def test_drawn_terms_lie_on_the_declared_shape(self, binding):
+        assert_shape(binding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 4), max_value=120, max_denominator=4),
+        st.one_of(
+            st.integers(-2, 2),
+            st.fractions(min_value=-1, max_value=2, max_denominator=12),
+        ),
+    )
+    # A(1, 1/1000; q): a/p = 1000
+    @example(F(1, 1000), 1000)
+    # A(0, 120; q): its cancelled theta sum starts at q^(p/12) = q^10
+    @example(F(120), 0)
+    def test_is_zero_is_the_series_zero(self, p, ratio):
+        # a/p is drawn, integer or not; A's lead is below p/12 <= 10 unless
+        # it is zero, so a nonzero A has a term below q^10, and a zero A
+        # built to q^11 knows its eta(q^p) past the constant term
+        spec = ThetaSpec(ratio * p, p)
+        assert spec.is_zero == A_series(spec, 11).is_zero()
 
 
 class TestKnownThrough:

@@ -5,13 +5,15 @@ closed form with one side off by a relative 10^(-d+12) must fail at every
 point it is checked at, and the same side off by 10^(-d-20) must still
 pass, so the suite pins both edges of the gap the pass rule sits in.  A
 recognized polynomial with one coefficient off by one must fail the
-certificate that accepted the true one."""
+certificate that accepted the true one.  Table 1's series certificate must
+refuse a u cut one grid row short of its window, and pass one cut at it."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from thetaquot import catalog
+from thetaquot import catalog, mining
 from thetaquot.catalog import catalog_ids, get_entry, verify_entry
 from thetaquot.modular import p2_A14, q_A14, s_n
 from thetaquot.numeric import big_real, eval_A, nome_from_r
@@ -95,3 +97,24 @@ def test_a_coefficient_off_by_one_fails_the_certificate(digits):
                 coeffs = list(poly.coeffs)
                 coeffs[i] += delta
                 assert not _certify(IntPoly(tuple(coeffs)), x, digits), (poly, i, delta)
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["at the window", "one row short"])
+def test_table1_certificate_needs_u_through_its_window(short):
+    # table 1's certified rows: its degree-6 matrix, sized from the declared
+    # shapes of its bindings, and EXTRA_ORDERS more
+    entry = get_entry("table1")
+    shapes = [entry.u_binding.shape, mining.get_v_binding(entry.v_binding).shape]
+    rows = 7 ** 2 + 10 + mining._valuation_spread(shapes, 6) + mining.EXTRA_ORDERS
+    assert rows == 96
+    u, v = mining.build_binding_series(entry.u_binding, entry.v_binding, Fraction(rows))
+    # the window ends at floor(b) + rows, b the least leading exponent of the
+    # relation's monomials, so u must be known that far past b
+    (lu, _), (lv, _) = shapes
+    base = min(i * lu + j * lv for i, j, _ in entry.poly.terms)
+    cut = u.truncate(lu + math.floor(base) + rows - base - Fraction(short, u.denom))
+    if short:
+        with pytest.raises(mining.InsufficientTruncation):
+            mining._first_nonzero(entry.poly, cut, v, rows)
+    else:
+        assert mining._first_nonzero(entry.poly, cut, v, rows) is None
