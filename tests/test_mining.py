@@ -686,6 +686,7 @@ class TestBuildCoeffMatrix:
         "u",
         [
             PuiseuxSeries.from_pairs([(F(-1, 2), 3), (1, F(-2, 5))], order=7),
+            PuiseuxSeries.from_pairs([(3, F(-5, 4))], order=5),
             PuiseuxSeries.constant(F(7, 2)),
         ],
     )
@@ -693,8 +694,9 @@ class TestBuildCoeffMatrix:
         # u^i v^0 and u^0 v^j are the power tables' own entries: the same
         # fields, mod p, as the exact products with the exact 1, and known as
         # far as those
-        # v has even exponents only, so beside the one-term u the fields
-        # hold every second grid row
+        # v has even exponents only, so beside the one-term u's (one known
+        # two grid rows past its lead, one exact) the fields hold every
+        # second grid row
         v = rescale(modulus_series(3), 2)
         table = mining.MonomialTable(u, v, 4, P61)
         assert table.stride == (1 if len(u.nums) > 1 else 2)
