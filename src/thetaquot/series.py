@@ -743,6 +743,8 @@ def theta_series(
 def _theta_over_eta(spec: ThetaSpec, order: Rat, sign: int) -> PuiseuxSeries:
     """A(a, p; q)^sign for sign = +-1, known as far above its leading term as
     A_series(spec, order) is; only a sparse eta or theta series is inverted."""
+    if spec.is_zero and sign > 0:
+        return PuiseuxSeries.from_pairs((), order)
     order = Fraction(order)
     theta = theta_series(spec.p / 2, spec.p / 2 - spec.a, order - spec.delta)
     eta = eta_series(spec.p, order - spec.lead)

@@ -1,4 +1,5 @@
-"""Value classes without generated code, and what numeric shares with series.
+"""Value classes without generated code, and what numeric shares with the
+CLI, recognize and series, which compile no numeric.py until they evaluate.
 
 A subclass of ``Value`` declares its fields as annotations, in constructor
 order, with defaults on trailing fields; the fields become its
@@ -13,12 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["MAX_TERMS", "Rat", "ThetaSpec", "Value", "replace"]
+__all__ = ["CertificationError", "MAX_TERMS", "MIN_DIGITS", "Rat", "ThetaSpec",
+           "Value", "replace"]
 
 Rat = int | Fraction
 # the most terms of a theta sum on each side of its vertex, and of the
 # accumulator of a product form
 MAX_TERMS = 10 ** 6
+MIN_DIGITS = 20  # the least precision a real is evaluated at
+
+
+class CertificationError(ArithmeticError):
+    """An internal consistency check failed beyond tolerance."""
 
 
 class _Fields(type):

@@ -99,19 +99,25 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.0905077326652576")
 
-    @pytest.mark.parametrize("a, p", [("0", "4"), ("1", "1"), ("8", "4")])
+    @pytest.mark.parametrize(
+        "a, p",
+        [("0", "4"), ("1", "1"), ("8", "4"), ("0", "120"), ("240", "120"), ("1", "1e-400")],
+    )
     def test_quotient_vanishing_when_p_divides_a(self, capsys, a, p):
         # the product form has the factor 1 - q^0, so A is identically zero
-        # (as `series --fn A` shows), not the rounding noise of its theta sum
+        # (as `series --fn A` shows), not the rounding noise of its theta sum;
+        # the series is zero at every order: below q^(p/12) = q^10, where
+        # A(0, 120)'s eta(q^120) is known to no term yet, and at a p whose
+        # theta series would pass MAX_TERMS terms
         code, out, _ = run(
             capsys, "eval", "--fn", "A", "--a", a, "--p", p, "--r", "1"
         )
         assert code == 0
         assert out == "0.0\n"
-        code, out, _ = run(
-            capsys, "series", "--fn", "A", "--a", a, "--p", p, "--order", "5"
+        code, out, err = run(
+            capsys, "series", "--fn", "A", "--a", a, "--p", p, "--order", "10"
         )
-        assert out.startswith("0 + O(q^")
+        assert (code, out, err) == (0, "0 + O(q^(10))\n", "")
 
     @pytest.mark.parametrize("a, b", [("1", "1"), ("2", "6"), ("1/2", "3/2")])
     def test_theta_vanishing_when_b_over_a_is_odd(self, capsys, a, b):
@@ -335,7 +341,8 @@ class TestRangeGuards:
         "argv",
         [
             ["series", "--fn", "A", "--a", "1e-400", "--p", "4", "--order", "10"],
-            ["series", "--fn", "A", "--a", "1", "--p", "1e-400", "--order", "10"],
+            # a/p = 10^400/3 is no integer, so A is not zero
+            ["series", "--fn", "A", "--a", "1", "--p", "3e-400", "--order", "10"],
             ["series", "--fn", "theta", "--a", "1e-400", "--b", "0", "--order", "10"],
             ["series", "--fn", "theta", "--a", "1", "--b", "1e400", "--order", "10"],
             ["series", "--fn", "eta", "--p", "1e-400", "--order", "10"],

@@ -5,7 +5,9 @@ accessor, which hands tests and the benchmark an ``mpf``; no module reads
 that accessor, and no launch of the CLI loads mpmath, dataclasses, inspect
 or typing.  The reals are numeric.py's own integer type, reached through
 ``BigReal``'s operators and numeric's functions, and no module enters one
-of mpmath's precision contexts or reads its ambient precision.
+of mpmath's precision contexts or reads its ambient precision.  Only the
+launches that evaluate load numeric: cli.py and recognize.py, which every
+launch loads, import it in the functions that evaluate.
 
 Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
@@ -154,20 +156,21 @@ def test_no_launch_loads_dataclasses_or_typing(tmp_path):
 
 # the package's modules that every launch loads (CORE) and those that a
 # subcommand imports only when it runs (LAZY), and which of LAZY and json
-# each launch loads: the import alone (no argv) and eval load none of them,
-# and only series, mine and verify load series
-CORE = {"cli", "numeric", "recognize", "values"}
-LAZY = {"catalog", "mining", "modular", "series"}
+# each launch loads: the import alone (no argv) loads none of them, only
+# the commands that evaluate (eval, recognize, mine and verify) load
+# numeric, and only series, mine and verify load series
+CORE = {"cli", "recognize", "values"}
+LAZY = {"catalog", "mining", "modular", "numeric", "series"}
 LOADS = [
     ([], set()),
-    (LAUNCH_JOBS[0], set()),
-    (["eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "2"], set()),
-    (LAUNCH_JOBS[3], {"json"}),
+    (LAUNCH_JOBS[0], {"numeric"}),
+    (["eval", "--fn", "A", "--a", "1", "--p", "4", "--r", "2"], {"numeric"}),
+    (LAUNCH_JOBS[3], {"numeric", "json"}),
     (["recognize", "--a", "1", "--p", "4", "--power", "12", "--r", "2", "--max-degree",
-      "4"], {"json"}),
+      "4"], {"numeric", "json"}),
     (LAUNCH_JOBS[1], {"series", "json"}),
-    (["eval", "--fn", "Sn", "--n", "3", "--x", "1/2"], {"modular"}),
-    (LAUNCH_JOBS[-1], {"mining", "series", "json"}),
+    (["eval", "--fn", "Sn", "--n", "3", "--x", "1/2"], {"modular", "numeric"}),
+    (LAUNCH_JOBS[-1], {"mining", "numeric", "series", "json"}),
     (LAUNCH_JOBS[2], LAZY | {"json"}),
 ]
 LOADED = """
@@ -187,6 +190,41 @@ print(*(m.removeprefix("thetaquot.") for m in sys.modules
 def test_each_launch_loads_only_what_it_runs(tmp_path, argv, loads):
     out = run_script(tmp_path, LOADED.format(argv=argv))
     assert set(out.splitlines()[-1].split()) == CORE | loads
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """Every module name, and each dotted part of one, that an import run
+    by importing ``path`` names: imports in function bodies run later."""
+    names, todo = set(), list(ast.parse(path.read_text(), str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+            if node.module:
+                names.update(node.module.split("."))
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("name", ["cli.py", "recognize.py"])
+def test_no_launch_compiles_numeric_until_it_evaluates(name):
+    # every launch imports cli, and the package imports recognize, so
+    # numeric is imported by the functions that evaluate
+    assert "numeric" not in top_level_imports(PACKAGE / name)
+
+
+def test_the_top_level_scan_skips_only_function_bodies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "if True:\n    from .numeric import big_real\n"
+        "class C:\n    import thetaquot.series\n"
+        "def f():\n    from . import mining\n"
+    )
+    assert top_level_imports(probe) == {"numeric", "big_real", "thetaquot", "series"}
 
 
 def test_mine_choices_are_the_binding_names():

@@ -1343,6 +1343,21 @@ class TestShapes:
         spec = ThetaSpec(ratio * p, p)
         assert spec.is_zero == A_series(spec, 11).is_zero()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 4), max_value=120, max_denominator=4),
+        st.integers(-2, 2),
+        st.fractions(min_value=-1, max_value=1, max_denominator=12),
+    )
+    @example(F(120), 0, F(1))
+    @example(F(120), 2, F(1))
+    def test_a_zero_quotient_builds_at_every_order(self, p, ratio, t):
+        # a zero A's declared lead is p/12, so at an order at or below it no
+        # term of its eta(q^p) is known; A is built as zero all the same
+        spec = ThetaSpec(ratio * p, p)
+        assert spec.lead == p / 12
+        assert A_series(spec, t * p / 12).is_zero()
+
 
 class TestKnownThrough:
     @pytest.mark.parametrize("name", list(BINDING_SERIES))

@@ -5,8 +5,10 @@ closed form with one side off by a relative 10^(-d+12) must fail at every
 point it is checked at, and the same side off by 10^(-d-20) must still
 pass, so the suite pins both edges of the gap the pass rule sits in.  A
 recognized polynomial with one coefficient off by one must fail the
-certificate that accepted the true one.  Table 1's series certificate must
-refuse a u cut one grid row short of its window, and pass one cut at it."""
+certificate that accepted the true one.  A passing polynomial entry with
+one coefficient off by one must fail its series check and every numeric
+residual.  Table 1's series certificate must refuse a u cut one grid row
+short of its window, and pass one cut at it."""
 
 import math
 from fractions import Fraction
@@ -15,10 +17,12 @@ import pytest
 
 from thetaquot import catalog, mining
 from thetaquot.catalog import catalog_ids, get_entry, verify_entry
+from thetaquot.mining import BivarIntPoly
 from thetaquot.modular import p2_A14, q_A14, s_n
 from thetaquot.numeric import big_real, eval_A, nome_from_r
 from thetaquot.recognize import IntPoly, _certify, recognize
 from thetaquot.series import ThetaSpec
+from thetaquot.values import replace
 
 DIGITS = 60
 ORDER = 60
@@ -97,6 +101,22 @@ def test_a_coefficient_off_by_one_fails_the_certificate(digits):
                 coeffs = list(poly.coeffs)
                 coeffs[i] += delta
                 assert not _certify(IntPoly(tuple(coeffs)), x, digits), (poly, i, delta)
+
+
+@pytest.mark.parametrize("eid", ["table1", "table3", "table4"])
+def test_a_polynomial_coefficient_off_by_one_fails_everywhere(monkeypatch, eid):
+    entry = get_entry(eid)
+    assert entry.kind == "poly_relation"
+    assert verify_entry(eid, DIGITS, ORDER, [1, 2, 3]).verdict == "pass"
+    for k, (i, j, c) in enumerate(entry.poly.terms):
+        for delta in (1, -1):
+            terms = list(entry.poly.terms)
+            terms[k] = (i, j, c + delta)
+            planted = replace(entry, poly=BivarIntPoly(tuple(terms)))
+            monkeypatch.setattr(catalog, "get_entry", lambda _, planted=planted: planted)
+            report = verify_entry(eid, DIGITS, ORDER, [1, 2, 3])
+            assert report.verdict == "fail" and report.series_order is None, (k, delta)
+            assert not any(rec.passed for rec in report.residuals), (k, delta)
 
 
 @pytest.mark.parametrize("short", [0, 1], ids=["at the window", "one row short"])
