@@ -1,8 +1,11 @@
 """Data-driven catalog of evaluation identities and polynomial relations.
 
-Each entry pairs a left-hand construction with a hand-coded closed-form or
-polynomial right side, and is verified by exact series arithmetic and/or
-high-precision numerics across a set of singular arguments.  Entries are
+Each entry pairs a left-hand construction with a closed-form or polynomial
+right side, and is verified by exact series arithmetic and/or
+high-precision numerics across a set of singular arguments.  Most closed
+forms are data: each side a signed rational times rational powers of named
+factors (theta sums, eta and theta quotients at the nome, q, k, k', k_4r,
+K/pi and a few binomials in k), all run by one evaluator.  Entries are
 never silently corrected: where a printed identity fails its checks, the
 catalog carries both the printed variant (flagged, with the failure
 documented) and a corrected or re-mined counterpart that passes.
@@ -149,6 +152,9 @@ class CatalogEntry(Value):
     statement: str
     check: Callable[["CatalogEntry", int, int, Sequence[Fraction]], CheckData]
     status_expectation: str = "expected_pass"
+    # a closed form's ((c, factors), (c, factors)), each side c times the
+    # product of x^e over its (x, e) factors; see _factor for the x
+    sides: tuple | None = None
     poly: BivarIntPoly | None = None
     u_binding: ABinding | None = None
     v_binding: str | None = None
@@ -171,7 +177,7 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# closed forms: each is a function (r, digits) -> (lhs, rhs)
+# closed forms: each side is c times a product of rational powers of factors
 # ---------------------------------------------------------------------------
 
 
@@ -189,82 +195,74 @@ def _at_each_r(sides: Callable[[Fraction, int], tuple[BigReal, BigReal]]):
     return run
 
 
-def _even_shift(s: int, r, digits):
-    ep = singular_point(r, digits)
-    lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
-    return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
-
-
-def _odd_shift(s: int, r, digits):
-    m = 2 * s + 1
-    ep = singular_point(r, digits)
+# the named factors at a point ep, given the value of any other named factor
+_POINT_FACTORS = {
+    "q": lambda ep, digits, value: ep.q,
+    "k": lambda ep, digits, value: ep.k,
+    "k'": lambda ep, digits, value: ep.kprime,
     # the paper's k11 = k_r, k12 = k'_r, k21 = k_4r and k22 = k'_4r; its
     # k21 = (2 - k11^2 - 2 k12)/k11^2 is the Landen descent of k11, taken
     # from landen_k4, whose form has no cancellation as k11 -> 0
-    k11, k12 = ep.k, ep.kprime
-    k21 = landen_k4(k11)
-    k22 = (1 - k21 ** 2).sqrt()
-    lhs = theta_sum(1, m, ep.q, digits, alternating=False)
-    return lhs, (
-        big_real(2, digits) ** Fraction(5, 6)
-        * ep.q ** Fraction(-m * m, 4)
-        * (k11 * k12 * k21) ** Fraction(1, 6)
-        / k22 ** Fraction(1, 3)
-        * (ellipk(k11) / pi_at(digits)).sqrt()
-    )
+    "k4": lambda ep, digits, value: landen_k4(ep.k),
+    "k4'": lambda ep, digits, value: (1 - value("k4") ** 2).sqrt(),
+    "K/pi": lambda ep, digits, value: ellipk(ep.k) / pi_at(digits),
+    "1-k": lambda ep, digits, value: 1 - ep.k,
+    "1+k": lambda ep, digits, value: 1 + ep.k,
+    "1-k^2": lambda ep, digits, value: 1 - ep.k ** 2,
+    # thm2's 2 + k - 2 sqrt(1+k) = (sqrt(1+k) - 1)^2 = (k / (1 + sqrt(1+k)))^2,
+    # a form that does not cancel as k -> 0
+    "1+sqrt(1+k)": lambda ep, digits, value: 1 + (1 + ep.k).sqrt(),
+}
 
 
-def _eta8(r, digits):
+def _factor(factor, ep, digits: int, value) -> BigReal:
+    """One factor at the point ep: an integer, a named point value or
+    binomial, or ("theta", a, b, alternating), ("eta", p) or ("A", a, p) at
+    the point's nome."""
+    if isinstance(factor, int):
+        return big_real(factor, digits)
+    if isinstance(factor, str):
+        return _POINT_FACTORS[factor](ep, digits, value)
+    kind, *args = factor
+    if kind == "theta":
+        a, b, alternating = args
+        return theta_sum(a, b, ep.q, digits, alternating=alternating)
+    if kind == "eta":
+        return eval_eta(args[0], ep.q, digits)
+    return eval_A(ThetaSpec(*args), ep.q, digits)
+
+
+def _side(c, factors, value, digits: int) -> BigReal:
+    """c times the product of x^e over the (x, e) ``factors``, with one root:
+    the integer powers as they are, times (prod x^(e D))^(1/D) over the
+    fractional ones, D the lcm of their denominators."""
+    D = math.lcm(*(Fraction(e).denominator for _, e in factors))
+    whole, inner = big_real(c, digits), big_real(1, digits)
+    for x, e in factors:
+        if Fraction(e).denominator == 1:
+            whole *= value(x) ** int(e)
+        else:
+            inner *= value(x) ** int(e * D)
+    return whole * inner ** Fraction(1, D)
+
+
+def _sides_at(sides, r, digits: int) -> tuple[BigReal, BigReal]:
+    """Both sides of a closed form's data at singular_point(r, digits), each
+    factor evaluated once."""
     ep = singular_point(r, digits)
-    lhs = eval_eta(1, ep.q, digits) ** 8
-    return lhs, (
-        big_real(2, digits) ** Fraction(8, 3)
-        / pi_at(digits) ** 4
-        * ep.q ** Fraction(-1, 3)
-        * ep.k ** Fraction(2, 3)
-        * ep.kprime ** Fraction(8, 3)
-        * ellipk(ep.k) ** 4
-    )
+    values = {}
+
+    def value(factor):
+        if factor not in values:
+            values[factor] = _factor(factor, ep, digits, value)
+        return values[factor]
+
+    return tuple(_side(c, factors, value, digits) for c, factors in sides)
 
 
-def _a14_24(corrected: bool, r, digits):
-    ep = singular_point(r, digits)
-    lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
-    ksq = ep.k ** 2
-    num = (1 - ksq) ** 2 if corrected else 1 - ksq
-    return lhs, 16 * num / ksq
-
-
-def _thm1(r, digits):
-    ep = singular_point(r, digits)
-    lhs = theta_sum(2, 1, ep.q, digits)
-    inner = 4 * (1 - ep.k ** 2) / ep.k
-    rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
-    return lhs, rhs
-
-
-def _eq18(r, digits):
-    ep = singular_point(r, digits)
-    k = ep.k
-    lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
-    return lhs, (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
-
-
-def _thm2(r, digits):
-    ep = singular_point(r, digits)
-    k = ep.k
-    lhs = theta_sum(2, Fraction(3, 2), ep.q, digits)
-    # 2 + k - 2 sqrt(1+k) = (sqrt(1+k) - 1)^2 = (k / (1 + sqrt(1+k)))^2, a
-    # form that does not cancel as k -> 0
-    inner = (
-        4 * (1 - k) ** 4 * (k / (1 + (1 + k).sqrt())) ** 24
-        / (k ** 13 * (1 + k) ** 2)
-    )
-    return lhs, (
-        ep.q ** Fraction(-11, 96)
-        * eval_eta(4, ep.q, digits)
-        * inner ** Fraction(1, 48)
-    )
+def _check_sides(entry, digits, M, r_list):
+    """A closed form written as data: its two ``sides`` at every r."""
+    return _at_each_r(partial(_sides_at, entry.sides))(entry, digits, M, r_list)
 
 
 def _eq27(r, digits):
@@ -489,85 +487,79 @@ TABLE5_POLY = BivarIntPoly.normalized(
 
 
 def _entries() -> list[CatalogEntry]:
+    F = Fraction
     entries: list[CatalogEntry] = []
-    for s in (0, 1, 2):
+
+    def closed_form(eid, statement, lhs, rhs, **kwargs):
         entries.append(
             CatalogEntry(
-                id=f"eq11_s{s}",
-                kind="closed_form",
-                statement=(
-                    f"bilateral sum of q^(n^2+{2 * s}n) equals "
-                    f"q^(-{s * s}) sqrt(2K(k)/pi)"
-                ),
-                check=_at_each_r(partial(_even_shift, s)),
+                eid, "closed_form", statement, _check_sides, sides=(lhs, rhs), **kwargs
             )
+        )
+
+    for s in (0, 1, 2):
+        closed_form(
+            f"eq11_s{s}",
+            f"bilateral sum of q^(n^2+{2 * s}n) equals q^(-{s * s}) sqrt(2K(k)/pi)",
+            (1, ((("theta", 1, 2 * s, False), 1),)),
+            (1, (("q", -s * s), (2, F(1, 2)), ("K/pi", F(1, 2)))),
         )
     for s in (0, 1):
-        entries.append(
-            CatalogEntry(
-                id=f"eq12_s{s}",
-                kind="closed_form",
-                statement=(
-                    f"bilateral sum of q^(n^2+{2 * s + 1}n) via the "
-                    "k11/k12/k21/k22 chain"
-                ),
-                check=_at_each_r(partial(_odd_shift, s)),
-            )
+        m = 2 * s + 1
+        closed_form(
+            f"eq12_s{s}",
+            f"bilateral sum of q^(n^2+{m}n) via the k11/k12/k21/k22 chain",
+            (1, ((("theta", 1, m, False), 1),)),
+            (1, (
+                (2, F(5, 6)), ("q", F(-m * m, 4)), ("k", F(1, 6)), ("k'", F(1, 6)),
+                ("k4", F(1, 6)), ("k4'", F(-1, 3)), ("K/pi", F(1, 2)),
+            )),
         )
-    entries.append(
-        CatalogEntry(
-            id="eq13",
-            kind="closed_form",
-            statement="eta(q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4",
-            check=_at_each_r(_eta8),
-        )
+    closed_form(
+        "eq13",
+        "eta(q)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4",
+        (1, ((("eta", 1), 8),)),
+        (1, (
+            (2, F(8, 3)), ("K/pi", 4), ("q", F(-1, 3)), ("k", F(2, 3)), ("k'", F(8, 3)),
+        )),
     )
-    entries.append(
-        CatalogEntry(
-            id="eq15_as_printed",
-            kind="closed_form",
-            statement="A(1,4;q)^24 = 16(1-k^2)/k^2 (printed form; fails)",
-            check=_at_each_r(partial(_a14_24, False)),
-            status_expectation="known_discrepancy",
-        )
+    closed_form(
+        "eq15_as_printed",
+        "A(1,4;q)^24 = 16(1-k^2)/k^2 (printed form; fails)",
+        (1, ((("A", 1, 4), 24),)),
+        (16, (("1-k^2", 1), ("k", -2))),
+        status_expectation="known_discrepancy",
     )
-    entries.append(
-        CatalogEntry(
-            id="eq15_corrected",
-            kind="closed_form",
-            statement="A(1,4;q)^24 = 16(1-k^2)^2/k^2 (corrected form)",
-            check=_at_each_r(partial(_a14_24, True)),
-        )
+    closed_form(
+        "eq15_corrected",
+        "A(1,4;q)^24 = 16(1-k^2)^2/k^2 (corrected form)",
+        (1, ((("A", 1, 4), 24),)),
+        (16, (("1-k^2", 2), ("k", -2))),
     )
-    entries.append(
-        CatalogEntry(
-            id="thm1",
-            kind="closed_form",
-            statement=(
-                "alternating sum of q^(2n^2+n) equals "
-                "q^(1/24) eta(q^4) (4(1-k^2)/k)^(1/12)"
-            ),
-            check=_at_each_r(_thm1),
-        )
+    closed_form(
+        "thm1",
+        "alternating sum of q^(2n^2+n) equals q^(1/24) eta(q^4) (4(1-k^2)/k)^(1/12)",
+        (1, ((("theta", 2, 1, True), 1),)),
+        (1, (
+            ("q", F(1, 24)), (("eta", 4), 1), (4, F(1, 12)), ("1-k^2", F(1, 12)),
+            ("k", F(-1, 12)),
+        )),
     )
-    entries.append(
-        CatalogEntry(
-            id="eq18",
-            kind="closed_form",
-            statement="A(1/2,2;q) = (4(1-k)^4 / (k(1+k)^2))^(1/24)",
-            check=_at_each_r(_eq18),
-        )
+    closed_form(
+        "eq18",
+        "A(1/2,2;q) = (4(1-k)^4 / (k(1+k)^2))^(1/24)",
+        (1, ((("A", F(1, 2), 2), 1),)),
+        (1, ((4, F(1, 24)), ("1-k", F(1, 6)), ("k", F(-1, 24)), ("1+k", F(-1, 12)))),
     )
-    entries.append(
-        CatalogEntry(
-            id="thm2",
-            kind="closed_form",
-            statement=(
-                "alternating sum of q^(2n^2+3n/2) equals q^(-11/96) eta(q^4) "
-                "(4(1-k)^4 (2+k-2 sqrt(1+k))^12 / (k^13 (1+k)^2))^(1/48)"
-            ),
-            check=_at_each_r(_thm2),
-        )
+    closed_form(
+        "thm2",
+        "alternating sum of q^(2n^2+3n/2) equals q^(-11/96) eta(q^4) "
+        "(4(1-k)^4 (2+k-2 sqrt(1+k))^12 / (k^13 (1+k)^2))^(1/48)",
+        (1, ((("theta", 2, F(3, 2), True), 1),)),
+        (1, (
+            ("q", F(-11, 96)), (("eta", 4), 1), (4, F(1, 48)), ("1-k", F(1, 12)),
+            ("k", F(11, 48)), ("1+sqrt(1+k)", F(-1, 2)), ("1+k", F(-1, 24)),
+        )),
     )
     entries.append(
         CatalogEntry(

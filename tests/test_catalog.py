@@ -1,8 +1,10 @@
 """Catalog verification: entry outcomes, the errata pair, re-mining
-fallbacks, convention determination, and report structure."""
+fallbacks, convention determination, report structure, and the closed
+forms' data against the hand-written sides it replaced."""
 
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -18,9 +20,26 @@ from thetaquot.catalog import (
     verify_entry_with_fallback,
 )
 from thetaquot.mining import MiningError, validate
-from thetaquot.numeric import singular_modulus
+from thetaquot.modular import landen_k4
+from thetaquot.numeric import (
+    big_real,
+    ellipk,
+    eval_A,
+    eval_eta,
+    pi_at,
+    singular_modulus,
+    singular_point,
+    ten_to,
+    theta_sum,
+)
 from thetaquot.recognize import recognize
-from thetaquot.series import invert_unit, modulus_series, rescale, theta_series
+from thetaquot.series import (
+    ThetaSpec,
+    invert_unit,
+    modulus_series,
+    rescale,
+    theta_series,
+)
 from thetaquot.values import replace
 
 
@@ -301,3 +320,113 @@ class TestToleranceScaling:
         with mp.workdps(40):
             for lo, hi in zip(residual_values(low), residual_values(high)):
                 assert hi < lo or (hi == 0 and lo == 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms' data against the hand-written functions it replaced
+# ---------------------------------------------------------------------------
+
+
+def _even_shift(s, r, digits):
+    ep = singular_point(r, digits)
+    lhs = theta_sum(1, 2 * s, ep.q, digits, alternating=False)
+    return lhs, ep.q ** (-s * s) * (2 * ellipk(ep.k) / pi_at(digits)).sqrt()
+
+
+def _odd_shift(s, r, digits):
+    m = 2 * s + 1
+    ep = singular_point(r, digits)
+    k11, k12 = ep.k, ep.kprime
+    k21 = landen_k4(k11)
+    k22 = (1 - k21 ** 2).sqrt()
+    lhs = theta_sum(1, m, ep.q, digits, alternating=False)
+    return lhs, (
+        big_real(2, digits) ** Fraction(5, 6)
+        * ep.q ** Fraction(-m * m, 4)
+        * (k11 * k12 * k21) ** Fraction(1, 6)
+        / k22 ** Fraction(1, 3)
+        * (ellipk(k11) / pi_at(digits)).sqrt()
+    )
+
+
+def _eta8(r, digits):
+    ep = singular_point(r, digits)
+    lhs = eval_eta(1, ep.q, digits) ** 8
+    return lhs, (
+        big_real(2, digits) ** Fraction(8, 3)
+        / pi_at(digits) ** 4
+        * ep.q ** Fraction(-1, 3)
+        * ep.k ** Fraction(2, 3)
+        * ep.kprime ** Fraction(8, 3)
+        * ellipk(ep.k) ** 4
+    )
+
+
+def _a14_24(corrected, r, digits):
+    ep = singular_point(r, digits)
+    lhs = eval_A(ThetaSpec(1, 4), ep.q, digits) ** 24
+    ksq = ep.k ** 2
+    num = (1 - ksq) ** 2 if corrected else 1 - ksq
+    return lhs, 16 * num / ksq
+
+
+def _thm1(r, digits):
+    ep = singular_point(r, digits)
+    lhs = theta_sum(2, 1, ep.q, digits)
+    inner = 4 * (1 - ep.k ** 2) / ep.k
+    rhs = ep.q ** Fraction(1, 24) * eval_eta(4, ep.q, digits) * inner ** Fraction(1, 12)
+    return lhs, rhs
+
+
+def _eq18(r, digits):
+    ep = singular_point(r, digits)
+    k = ep.k
+    lhs = eval_A(ThetaSpec(Fraction(1, 2), 2), ep.q, digits)
+    return lhs, (4 * (1 - k) ** 4 / (k * (1 + k) ** 2)) ** Fraction(1, 24)
+
+
+def _thm2(r, digits):
+    ep = singular_point(r, digits)
+    k = ep.k
+    lhs = theta_sum(2, Fraction(3, 2), ep.q, digits)
+    inner = (
+        4 * (1 - k) ** 4 * (k / (1 + (1 + k).sqrt())) ** 24
+        / (k ** 13 * (1 + k) ** 2)
+    )
+    return lhs, (
+        ep.q ** Fraction(-11, 96)
+        * eval_eta(4, ep.q, digits)
+        * inner ** Fraction(1, 48)
+    )
+
+
+REFERENCE_SIDES = {
+    **{f"eq11_s{s}": partial(_even_shift, s) for s in (0, 1, 2)},
+    **{f"eq12_s{s}": partial(_odd_shift, s) for s in (0, 1)},
+    "eq13": _eta8,
+    "eq15_as_printed": partial(_a14_24, False),
+    "eq15_corrected": partial(_a14_24, True),
+    "thm1": _thm1,
+    "eq18": _eq18,
+    "thm2": _thm2,
+}
+
+
+class TestClosedFormData:
+    """Each closed form's data, evaluated, equals the hand-written sides it
+    replaced (the catalog's original functions, kept here as references):
+    a mistranscribed factor shows here whatever the pass rule allows."""
+
+    def test_every_data_entry_has_a_reference(self):
+        assert {eid for eid in catalog_ids() if get_entry(eid).sides} == set(REFERENCE_SIDES)
+
+    @pytest.mark.parametrize("digits", [60, 200])
+    @pytest.mark.parametrize("eid", list(REFERENCE_SIDES))
+    def test_sides_match_the_reference(self, eid, digits):
+        sides = get_entry(eid).sides
+        tol = ten_to(-digits)
+        for r in (1, 2, 3, Fraction(1, 2), 5, Fraction(7, 3), 25):
+            got = catalog._sides_at(sides, Fraction(r), digits)
+            want = REFERENCE_SIDES[eid](Fraction(r), digits)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= abs(w) * tol, (r, g, w)

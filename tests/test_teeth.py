@@ -6,9 +6,12 @@ point it is checked at, and the same side off by 10^(-d-20) must still
 pass, so the suite pins both edges of the gap the pass rule sits in.  A
 recognized polynomial with one coefficient off by one must fail the
 certificate that accepted the true one.  A passing polynomial entry with
-one coefficient off by one must fail its series check and every numeric
-residual.  Table 1's series certificate must refuse a u cut one grid row
-short of its window, and pass one cut at it."""
+one coefficient, or u's power, off by one must fail its series check and
+every numeric residual.  Table 1's series certificate must refuse a u cut
+one grid row short of its window, and pass one cut at it.  A passing closed
+form written as data must fail with any one exponent off by one or either
+side's constant doubled, and eq45 with the other multiplier convention must
+fail at every point."""
 
 import math
 from fractions import Fraction
@@ -30,6 +33,9 @@ CLOSED_FORMS = [eid for eid in catalog_ids() if get_entry(eid).kind == "closed_f
 PASSING_CLOSED_FORMS = [
     eid for eid in CLOSED_FORMS if get_entry(eid).status_expectation == "expected_pass"
 ]
+# eq15_as_printed is left out: its (1 - k^2) to one power more is the
+# corrected form, which passes
+PASSING_DATA_FORMS = [eid for eid in PASSING_CLOSED_FORMS if get_entry(eid).sides]
 
 
 def plant(monkeypatch, exponent: int) -> None:
@@ -138,3 +144,51 @@ def test_table1_certificate_needs_u_through_its_window(short):
             mining._first_nonzero(entry.poly, cut, v, rows)
     else:
         assert mining._first_nonzero(entry.poly, cut, v, rows) is None
+
+
+@pytest.mark.parametrize("eid", ["table1", "table3", "table4"])
+def test_a_polynomial_with_u_to_the_wrong_power_fails_everywhere(monkeypatch, eid):
+    entry = get_entry(eid)
+    for delta in (1, -1):
+        u = replace(entry.u_binding, power=entry.u_binding.power + delta)
+        monkeypatch.setitem(catalog._CATALOG, eid, replace(entry, u_binding=u))
+        report = verify_entry(eid, DIGITS, ORDER, [1, 2, 3])
+        assert report.verdict == "fail" and report.series_order is None, delta
+        assert not any(rec.passed for rec in report.residuals), delta
+
+
+def test_eq45_with_the_other_convention_fails_at_every_point(monkeypatch):
+    assert verify_entry("eq45", DIGITS, ORDER, [1, 2, 3]).verdict == "pass"
+    eq45 = catalog._eq45
+    monkeypatch.setattr(catalog, "_eq45", lambda i, j, r, digits: eq45(j, i, r, digits))
+    report = verify_entry("eq45", DIGITS, ORDER, [1, 2, 3])
+    assert report.verdict == "fail"
+    assert len(report.residuals) == 3
+    assert not any(rec.passed for rec in report.residuals), report.residuals
+
+
+def data_faults(sides):
+    """Each side's data with one exponent off by +-1, or its constant doubled."""
+    for i, (c, factors) in enumerate(sides):
+        for j, (x, e) in enumerate(factors):
+            for delta in (1, -1):
+                planted = factors[:j] + ((x, e + delta),) + factors[j + 1:]
+                yield f"side {i}, {x!r}^{e + delta}", sides[:i] + ((c, planted),) + sides[i + 1:]
+        yield f"side {i}, constant {2 * c}", sides[:i] + ((2 * c, factors),) + sides[i + 1:]
+
+
+def test_every_passing_data_form_is_mutated():
+    assert len(PASSING_DATA_FORMS) == 10
+    assert "eq15_as_printed" not in PASSING_DATA_FORMS
+    assert sum(len(list(data_faults(get_entry(eid).sides))) for eid in PASSING_DATA_FORMS) == 132
+
+
+@pytest.mark.parametrize("eid", PASSING_DATA_FORMS)
+def test_closed_form_data_with_one_fault_fails_at_every_point(monkeypatch, eid):
+    entry = get_entry(eid)
+    assert verify_entry(eid, DIGITS, ORDER, [1, 2, 3]).verdict == "pass"
+    for fault, sides in data_faults(entry.sides):
+        monkeypatch.setitem(catalog._CATALOG, eid, replace(entry, sides=sides))
+        report = verify_entry(eid, DIGITS, ORDER, [1, 2, 3])
+        assert report.verdict == "fail", fault
+        assert not any(rec.passed for rec in report.residuals), (fault, report.residuals)
