@@ -92,14 +92,35 @@ class IntPoly(Value):
 
 
 def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA) -> list[list[int]]:
-    """LLL-reduce a full-rank integer basis (Lovasz parameter delta) with
-    Cohen's integral algorithm (GTM 138, Alg. 2.6.7).
+    """LLL-reduce a full-rank integer basis (Lovasz parameter delta,
+    1/4 < delta <= 1) with Cohen's integral algorithm (GTM 138, Alg. 2.6.7).
 
     The Gram-Schmidt data are kept exactly as integers: d[0] = 1,
     d[i+1] = B_0*...*B_i with B_i = |b_i*|^2, and lam[i][j] = d[j+1]*mu_ij;
     every division is exact.  Each step size-reduces b_k against
     b_{k-1}, ..., b_0, rounding mu half to even, then applies the Lovasz
-    test.  Raises ValueError when the rows are linearly dependent."""
+    test den*g >= num*d[k]^2, with delta = num/den, m = lam[k][k-1] and
+    g = d[k+1]*d[k-1] + m^2 = d[k-1]*d[k]*(B_k + mu_{k,k-1}^2 B_{k-1}).
+
+    The test is first tried on leading bits.  With s = bits(d[k]) - 64,
+    the shifts x >> t of d[k+1], d[k-1], |m| and d[k] (t = s_a, s_c, s, s,
+    s_a + s_c = 2s) bound each x as (x >> t)*2^t <= x < ((x >> t) + 1)*2^t,
+    exactly when t = 0, so they give lo*4^s <= g <= hi*4^s and
+    bh*2^s <= d[k] < (bh + 1)*2^s.  den*lo >= num*(bh + 1)^2 then proves
+    the test passes and den*hi < num*bh^2 that it fails; only in between
+    are g and d[k]^2 compared exactly, and also when d[k] has at most 512
+    bits, where those products cost less than the shifts.  A decided pass
+    forms neither; a swap of b_{k-1} and b_k forms g for the new
+    d[k] = g/d[k].  Each later row i is updated from its old u = lam[i][k-1]
+    and v = lam[i][k], both over the old d[k]: lam'[i][k] =
+    (d[k+1]*u - m*v)/d[k] as in Cohen, and since the new b*_{k-1} is
+    b*_k + mu_{k,k-1} b*_{k-1} and d[k-1]*B'_{k-1} is the new d[k],
+    lam'[i][k-1] = d[k-1]*(mu_ik B_k + mu_{k,k-1} mu_{i,k-1} B_{k-1})
+    = (d[k-1]*v + m*u)/d[k].  Raises ValueError when delta is outside
+    (1/4, 1] or the rows are linearly dependent."""
+    num, den = delta.as_integer_ratio()  # a float's exact binary fraction
+    if not den < 4 * num <= 4 * den:
+        raise ValueError(f"LLL delta must lie in (1/4, 1], not {delta}")
     b = [row[:] for row in basis]
     n = len(b)
     d = [1]
@@ -115,7 +136,6 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA) -> list[list
         d.append(row.pop())
         if not d[-1]:
             raise ValueError("LLL input basis is not of full rank")
-    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
         lk = lam[k]
@@ -131,20 +151,31 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA) -> list[list
                     lk[t] -= r * lj[t]
                 lk[j] -= r * dj
         m = lk[k - 1]
-        g = d[k + 1] * d[k - 1] + m * m  # d[k-1] d[k] (B_k + mu^2 B_{k-1})
-        if den * g >= num * d[k] * d[k]:
+        dk = d[k]
+        s = dk.bit_length() - 64
+        undecided = s <= 448  # up to 512 bits the full products cost less
+        if not undecided:  # bound both sides over 4^s by leading bits
+            sc = min(max(d[k - 1].bit_length() - 64, 0), 2 * s)
+            sa = 2 * s - sc
+            a, c, mh, bh = d[k + 1] >> sa, d[k - 1] >> sc, abs(m) >> s, dk >> s
+            if den * (a * c + mh * mh) >= num * (bh + 1) ** 2:
+                k += 1
+                continue
+            hi = (a + (sa > 0)) * (c + (sc > 0)) + (mh + 1) ** 2
+            undecided = den * hi >= num * bh * bh
+        g = d[k + 1] * d[k - 1] + m * m
+        if undecided and den * g >= num * dk * dk:
             k += 1
             continue
         # swap b_{k-1} and b_k; the divisions below are exact
-        dk = g // d[k]
         b[k], b[k - 1] = b[k - 1], b[k]
         lam[k - 1], lam[k] = lk[:-1], lam[k - 1] + [m]
         for i in range(k + 1, n):
             li = lam[i]
-            t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
-            li[k - 1] = (dk * t + m * li[k]) // d[k + 1]
-        d[k] = dk
+            u, v = li[k - 1], li[k]
+            li[k - 1] = (d[k - 1] * v + m * u) // dk
+            li[k] = (d[k + 1] * u - m * v) // dk
+        d[k] = g // dk
         k = max(k - 1, 1)
     return b
 

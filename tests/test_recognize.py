@@ -104,6 +104,59 @@ def fraction_lll(basis, delta):
     return b
 
 
+def cohen_lll(basis, delta=F(99, 100)):
+    """Reference integral LLL (Cohen, GTM 138, Alg. 2.6.7) as first written
+    here: the Lovasz test always on the full products, and each later row's
+    lam[i][k-1] updated through the new d_k.  lll_reduce must reproduce its
+    output bit for bit."""
+    b = [row[:] for row in basis]
+    n = len(b)
+    d = [1]
+    lam = []
+    for k in range(n):
+        row = []
+        lam.append(row)
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - row[i] * lam[j][i]) // d[i]
+            row.append(u)
+        d.append(row.pop())
+        if not d[-1]:
+            raise ValueError("LLL input basis is not of full rank")
+    num, den = delta.numerator, delta.denominator
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                r, rem = divmod(lk[j], dj)
+                if 2 * rem > dj or (2 * rem == dj and r & 1):
+                    r += 1
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lj = lam[j]
+                for t in range(j):
+                    lk[t] -= r * lj[t]
+                lk[j] -= r * dj
+        m = lk[k - 1]
+        g = d[k + 1] * d[k - 1] + m * m
+        if den * g >= num * d[k] * d[k]:
+            k += 1
+            continue
+        dk = g // d[k]
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k - 1], lam[k] = lk[:-1], lam[k - 1] + [m]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (dk * t + m * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return b
+
+
 def _det(rows):
     a = [[F(x) for x in row] for row in rows]
     det = F(1)
@@ -157,6 +210,26 @@ def tie_bases(draw):
     return [[row[c] for c in perm] for row in basis]
 
 
+@st.composite
+def lovasz_tie_bases(draw):
+    """b0 = L(10, 0, 0), b1 = L(1, 7, 7) + (0, 0, e) and random rows after
+    them, L from 2^260 to 2^600.  mu_10 = 1/10 and B_1 = 98L^2 + 14eL + e^2,
+    so at delta = 99/100 the first Lovasz test is the tie den*g = num*d_1^2
+    for e = 0 and misses it by a relative 1/(7L) or less for e = +-1.
+    d_1 = 100L^2 has over 512 bits, so lll_reduce tries the 64 leading bits
+    first, and only its exact test can decide."""
+    big = draw(st.integers(2 ** 260, 2 ** 600))
+    e = draw(st.sampled_from([-1, 0, 1]))
+    n = draw(st.integers(2, 6))
+    cols = max(n, 3)
+    pad = [0] * (cols - 3)
+    basis = [[10 * big, 0, 0] + pad, [big, 7 * big, 7 * big + e] + pad]
+    entry = st.integers(-(10 ** 30), 10 ** 30)
+    basis += [[draw(entry) for _ in range(cols)] for _ in range(n - 2)]
+    assume(all(_gram_schmidt(basis)[1]))
+    return basis
+
+
 class TestLLL:
     @settings(max_examples=200, deadline=None)
     @given(full_rank_bases(), DELTAS)
@@ -167,6 +240,28 @@ class TestLLL:
     @given(tie_bases(), DELTAS)
     def test_matches_fraction_lll_on_ties(self, basis, delta):
         assert lll_reduce(basis, delta) == fraction_lll(basis, delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(full_rank_bases(), tie_bases()), DELTAS)
+    def test_cohen_reference_matches_fraction_lll(self, basis, delta):
+        assert cohen_lll(basis, delta) == fraction_lll(basis, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lovasz_tie_bases())
+    def test_lovasz_ties_past_the_leading_bits(self, basis):
+        assert lll_reduce(basis) == fraction_lll(basis, F(99, 100))
+
+    @pytest.mark.parametrize("delta", [F(2), F(1, 4), 0])
+    def test_delta_outside_the_range_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"\(1/4, 1\]"):
+            lll_reduce([[1, 0], [0, 1]], delta)
+
+    @pytest.mark.parametrize(
+        "basis", [[[1, 0], [0, 1]], [[3, 1, 4], [1, 5, 9], [2, 6, 5]], [[12, 5], [7, 3]]]
+    )
+    def test_delta_one_and_float_delta(self, basis):
+        assert lll_reduce(basis, F(1)) == fraction_lll(basis, F(1))
+        assert lll_reduce(basis, 0.75) == lll_reduce(basis, F(3, 4))
 
     @pytest.mark.parametrize(
         "basis",
@@ -243,6 +338,35 @@ class TestIncrementalLattice:
         assert calls
         for d, reduced in enumerate(calls, start=1):
             assert reduced == lll_reduce(_fresh_lattice(x, d, digits))
+
+
+class TestRecognitionLattices:
+    """lll_reduce against cohen_lll on the lattices recognize reduces."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(algebraic_values(), st.integers(300, 1000), st.integers(1, 6))
+    def test_fresh_lattice_matches_cohen(self, expr, digits, d):
+        d = min(d, 2000 // digits)  # under a second a lattice
+        basis = _fresh_lattice(br(expr, digits), d, digits)
+        assert lll_reduce(basis) == cohen_lll(basis)
+
+    @pytest.mark.parametrize("r", [5, 9, 25])
+    def test_benchmark_climb_matches_cohen(self, r):
+        # the precision workload's job: A(1,4; q_r)^24 at 400 digits, degree <= 8
+        x = eval_A(ThetaSpec(1, 4), nome_from_r(r, 400), 400) ** 24
+        seen = []
+
+        def recording(basis):
+            reduced = lll_reduce(basis)
+            seen.append((basis, reduced))
+            return reduced
+
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(recognize_mod, "lll_reduce", recording)
+            recognize(x, 8, 400)
+        assert len(seen) == 4  # each of these is a quartic
+        for basis, reduced in seen:
+            assert reduced == cohen_lll(basis)
 
 
 class TestRecognize:
