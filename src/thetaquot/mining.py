@@ -423,11 +423,11 @@ def build_coeff_matrix(
     one row per grid exponent starting at the least leading index
     ``base_index``, each in the form ``_echelon_mod_p`` takes (fields of
     ``table.width`` bytes, lowest field the first column), cut out of the
-    table's packed monomials as byte slices.  Raises InsufficientTruncation
-    when any monomial is not known through the last requested row.
-    ``table`` holds the monomials for at least ``rows`` rows; by default it
-    is built here, mod the first prime of the ladder that divides neither
-    scale.
+    table's packed monomials as slices of the ceil((e + 1)/8) low bytes a
+    field below 2^(e+1) fills.  Raises InsufficientTruncation when any
+    monomial is not known through the last requested row.  ``table`` holds
+    the monomials for at least ``rows`` rows; by default it is built here,
+    mod the first prime of the ladder that divides neither scale.
 
     The terms of u^i v^j lie on its lead plus multiples of the table's
     stride g, so the matrix is block diagonal by class mod g: a column is
@@ -462,10 +462,10 @@ def build_coeff_matrix(
         x = table.fields(i, j)
         off = (lead - first) // h
         if x and off < nrows:
-            # one strided byte slice per byte of a field
+            # one strided byte slice per live byte of a field; the rest stay 0
             n = -(-(nrows - off) * h // g)
             raw = (x & ((1 << 8 * width * n) - 1)).to_bytes(n * width, "little")
-            for t in range(width):
+            for t in range(table.p.bit_length() // 8 + 1):
                 cells[off * step + c * width + t :: g // h * step] = raw[t::width]
     matrix = [int.from_bytes(cells[k * step : (k + 1) * step], "little") for k in range(nrows)]
     return matrix, [c for c, _ in block], base, table.denom
@@ -476,9 +476,11 @@ def _echelon_mod_p(
 ) -> tuple[list[int], list[int]]:
     """Row echelon form mod p = 2^e - 1 with unit pivots: (echelon rows,
     pivot columns).  A column is a pivot when it is independent of the
-    columns before it.  The miner calls it once per block of its
-    coefficient matrix (``build_coeff_matrix``'s ``residue``), so a column
-    visits only the rows of its own class.
+    columns before it.  The miner calls it once per block of its coefficient
+    matrix (``build_coeff_matrix``'s ``residue``), so a column visits only
+    the rows of its own class.  Rows past the first ``ncols`` join, in order
+    and as they would have been, only when a column finds no pivot in the
+    others: the result is the same, bit for bit.
 
     Each row is one int of ``width``-byte fields, lowest field the first
     column, every field below 2^(e+1), as ``build_coeff_matrix`` gives it.
@@ -495,14 +497,19 @@ def _echelon_mod_p(
     bits = 8 * width
     mask = (1 << bits) - 1
     fold = _mersenne_fold(p, width, ncols)
-    # the rows below the pivots, in the order the swaps leave them
-    m = list(rows)
+    # the rows below the pivots, in the order the swaps leave them, and
+    # the rows waiting to join them, the next one last
+    m, waiting = rows[:ncols], rows[ncols:][::-1]
     ech: list[int] = []
     pivots: list[int] = []
     for col in range(ncols):
-        if not m:
-            break
         fs = [(row & mask) % p for row in m]
+        while waiting and not any(fs):
+            row = waiting.pop()
+            for prow in ech:  # the steps it missed: no column was free yet
+                row = (row + (p - f) * prow if (f := (row & mask) % p) else row) >> bits
+            m.append(row)
+            fs.append((row & mask) % p)
         piv = next((r for r, f in enumerate(fs) if f), None)
         if piv is None:
             m = [row >> bits for row in m]
@@ -732,8 +739,8 @@ def _horner_residual(
 
     P is evaluated as P'(U, V) = P(u, v) with U = u^a and V = v^b, a and b
     the gcds of the relation's u- and v-exponents (1 for a gcd of 0), by
-    Horner in U: H_d = Q_d and H_i = H_(i+1) U + Q_i, with Q_i = sum_j
-    c_ij V^j from one table of V powers, so one product per U-degree.  u
+    Horner in U: H_d = Q_d and H_i = H_(i+1) U + Q_i, Q_i = sum_j c_ij V^j
+    one sum on the grid and scale of its V^j, so one product per U-degree.  u
     and v are cut R = E - b above their leading exponents, so U, V and V^j
     are known R above their leading exponents (the product bound of
     ``PuiseuxSeries.__mul__``: the unknown part of either factor times the
@@ -758,12 +765,19 @@ def _horner_residual(
     v_pows = [PuiseuxSeries.constant(1), v]
     while len(v_pows) <= max(j for _, j, _ in poly.terms) // b:
         v_pows.append(v_pows[-1] * v)
-    q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) // a + 1)]
-    for i, j, c in poly.terms:
-        q[i // a] = q[i // a] + v_pows[j // b] * c
-    residual = q[-1]
-    for q_i in reversed(q[:-1]):
-        residual = residual * u + q_i
+    residual = None
+    for i in range(max(i for i, _, _ in poly.terms) // a * a, -1, -a):
+        group = [(v_pows[j // b], c) for i_, j, c in poly.terms if i_ == i]
+        n = math.lcm(*(w.denom for w, _ in group))
+        scale = math.lcm(*(w.scale for w, _ in group))
+        nums: dict[int, int] = {}
+        for w, c in group:
+            f, m = n // w.denom, c * (scale // w.scale)
+            for k, x in w.nums.items():
+                nums[k * f] = nums.get(k * f, 0) + m * x
+        his = [w.hi * (n // w.denom) for w, _ in group if w.hi is not None]
+        q_i = PuiseuxSeries._make(n, nums, scale, min(his, default=None))
+        residual = q_i if residual is None else residual * u + q_i
     need = top * residual.denom
     if residual.hi is not None and residual.hi < need:
         raise InsufficientTruncation(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetaquot import mining
+from thetaquot import catalog, mining
 from thetaquot.series import (
     A_series,
     PuiseuxSeries,
@@ -223,6 +223,77 @@ def block_diagonal_matrices(draw):
     return g, leads, [[col[t] for col in columns] for t in range(nrows)]
 
 
+def full_echelon_mod_p(rows, ncols, width, p):
+    """``mining._echelon_mod_p`` as first written, every row eliminated
+    from the first column on: the elimination with waiting rows must give
+    its echelon rows and pivots bit for bit."""
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    fold = mining._mersenne_fold(p, width, ncols)
+    # the rows below the pivots, in the order the swaps leave them
+    m = list(rows)
+    ech = []
+    pivots = []
+    for col in range(ncols):
+        if not m:
+            break
+        fs = [(row & mask) % p for row in m]
+        piv = next((r for r, f in enumerate(fs) if f), None)
+        if piv is None:
+            m = [row >> bits for row in m]
+            continue
+        prow = fold(fold(m[piv]) * pow(fs[piv], -1, p))
+        ech.append(prow)
+        # the pivot row trades places with the first row, then leaves
+        m[piv], fs[piv] = m[0], fs[0]
+        m = [
+            (row + (p - f) * prow if f else row) >> bits
+            for row, f in zip(m[1:], fs[1:])
+        ]
+        pivots.append(col)
+    return ech, pivots
+
+
+def kernel_lifts(blocks, ncols, width, p, eliminate):
+    """(free columns, reduced vectors mod p, lifts) of a ``_ReducedKernel``
+    mod p whose blocks are eliminated by ``eliminate``."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(mining, "_echelon_mod_p", eliminate)
+        kernel = mining._ReducedKernel([(p, blocks, width)], ncols)
+    free = kernel._free
+    return free, [kernel._solve(fc) for fc in free], [kernel._lift(fc) for fc in free]
+
+
+def pack_row(fields, width):
+    return int.from_bytes(b"".join(f.to_bytes(width, "little") for f in fields), "little")
+
+
+@st.composite
+def tall_matrices(draw):
+    """(p, fields): 1-10 columns and 1-12 more rows than columns mod 2^61 - 1
+    or 2^89 - 1, each field x or x + p (below 2^(e+1) either way).  The
+    first ``ncols`` rows are random, or combinations of fewer rows, so that
+    a pivot must come from a row past them, or every row is, so that the
+    matrix has a kernel."""
+    p = draw(st.sampled_from([P61, P89]))
+    ncols = draw(st.integers(1, 10))
+    nrows = ncols + draw(st.integers(1, 12))
+    low = {"random": 0, "deficient top": ncols, "kernel": nrows}[
+        draw(st.sampled_from(["random", "deficient top", "kernel"]))
+    ]
+    field = st.one_of(st.just(0), st.integers(1, p - 1))
+    basis = [[draw(field) for _ in range(ncols)] for _ in range(draw(st.integers(0, ncols - 1)))]
+    matrix = []
+    for t in range(nrows):
+        if t < low:
+            coefs = [draw(field) for _ in basis]
+            row = [sum(a * b[c] for a, b in zip(coefs, basis)) % p for c in range(ncols)]
+        else:
+            row = [draw(field) for _ in range(ncols)]
+        matrix.append([x + p * draw(st.booleans()) for x in row])
+    return p, matrix
+
+
 # OEIS A000043: the exponents e of the Mersenne primes 2^e - 1
 A000043 = (
     2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
@@ -403,15 +474,16 @@ class TestExactNullspace:
         p, ncols = P61, len(leads)
         width = mining._field_bytes(p, max(len(matrix), 1))
 
-        def pack(fields):
-            return int.from_bytes(b"".join(f.to_bytes(width, "little") for f in fields), "little")
-
         blocks = []
         for r in sorted({lead % g for lead in leads}):
             columns = [c for c, lead in enumerate(leads) if lead % g == r]
-            rows = [pack([row[c] for c in columns]) for t, row in enumerate(matrix) if t % g == r]
+            rows = [
+                pack_row([row[c] for c in columns], width)
+                for t, row in enumerate(matrix)
+                if t % g == r
+            ]
             blocks.append((columns, rows))
-        whole = mining._ReducedKernel([(p, [pack(row) for row in matrix], width)], ncols)
+        whole = mining._ReducedKernel([(p, [pack_row(row, width) for row in matrix], width)], ncols)
         split = mining._ReducedKernel([(p, blocks, width)], ncols)
         pivots = echelon_mod_p_lists(matrix, p)[1]
         assert split._free == whole._free == [c for c in range(ncols) if c not in pivots]
@@ -419,6 +491,52 @@ class TestExactNullspace:
             x = split._solve(fc)
             assert x == whole._solve(fc)
             assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tall_matrices())
+    # the first two rows zero: both pivots come from the rows waiting
+    @example((P61, [[0, 0], [0, 0], [5, 0], [P61 + 3, 7]]))
+    # a free column first: every row joins before any pivot
+    @example((P89, [[0, 1], [0, 0], [0, 2], [0, 0]]))
+    # a pivot from a row waiting, then one from the first rows again
+    @example((P61, [[0, 1, 0], [0, 2, 1], [0, 0, 0], [4, 0, 0], [1, 1, 1]]))
+    def test_waiting_rows_join_as_they_would_have_been(self, case):
+        p, matrix = case
+        ncols, width = len(matrix[0]), mining._field_bytes(p, len(matrix))
+        rows = [pack_row(row, width) for row in matrix]
+        assert mining._echelon_mod_p(rows, ncols, width, p) == full_echelon_mod_p(
+            rows, ncols, width, p
+        )
+        assert kernel_lifts(rows, ncols, width, p, mining._echelon_mod_p) == kernel_lifts(
+            rows, ncols, width, p, full_echelon_mod_p
+        )
+
+    def test_benchmark_blocks_join_as_they_would_have_been(self, monkeypatch):
+        # every block of every degree of the mine workload's table-1 and
+        # table-4 jobs, and of table 2's and table 5's re-mining
+        matrices = []
+        record_eliminations(monkeypatch, matrices)
+        for a, p, v, s_max in ((1, 3, "m", 7), (-2, 8, "m_q2_squared", 5)):
+            binding = ABinding(ThetaSpec(a, p), 12)
+            mine(
+                *build_binding_series(binding, v, F(150)), s_max,
+                u_binding=binding, v_binding=v,
+            )
+        for entry in ("table2", "table5"):
+            catalog.remine_entry(entry)
+        monkeypatch.undo()
+        degrees = [range(1, 7), range(1, 5), range(1, 7), range(1, 12)]
+        assert [(ncols, p) for ncols, (p, _, _) in matrices] == [
+            ((s + 1) ** 2, P61) for ds in degrees for s in ds
+        ]
+        for ncols, (p, blocks, width) in matrices:
+            for columns, rows in blocks:
+                assert mining._echelon_mod_p(
+                    rows, len(columns), width, p
+                ) == full_echelon_mod_p(rows, len(columns), width, p)
+            assert kernel_lifts(
+                blocks, ncols, width, p, mining._echelon_mod_p
+            ) == kernel_lifts(blocks, ncols, width, p, full_echelon_mod_p)
 
     @pytest.mark.parametrize("e", [61, 89, 521])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32])
@@ -501,6 +619,43 @@ def reference_mod_p(u, v, s, rows, p=P61):
     matrix, cols, base, denom, scale = reference_coeff_matrix(u, v, s, rows)
     inv = pow(scale, -1, p)
     return [[x * inv % p for x in row] for row in matrix], cols, base, denom
+
+
+def all_bytes_coeff_matrix(u, v, s, rows, table, residue=None):
+    """``build_coeff_matrix`` as first written, every byte of each field
+    copied: the live-byte copy must return the same rows."""
+    cols = mining._columns(s)
+    base = table.base(s)
+    top = base + rows
+    spans = [table.span(i, j) for i, j in cols]
+    g, width = table.stride, table.width
+    # the rows kept are first + k h below top, so field k of a kept column,
+    # at grid index lead + k g, lands k g/h rows below its lead's row
+    first, h = (base, 1) if residue is None else (base + (residue - base) % g, g)
+    nrows = len(range(first, top, h))
+    block = [(c, lead) for c, (lead, _) in zip(cols, spans) if (lead - first) % h == 0]
+    step = len(block) * width
+    cells = bytearray(nrows * step)  # the rows' bytes, one after another
+    for c, ((i, j), lead) in enumerate(block):
+        x = table.fields(i, j)
+        off = (lead - first) // h
+        if x and off < nrows:
+            # one strided byte slice per byte of a field
+            n = -(-(nrows - off) * h // g)
+            raw = (x & ((1 << 8 * width * n) - 1)).to_bytes(n * width, "little")
+            for t in range(width):
+                cells[off * step + c * width + t :: g // h * step] = raw[t::width]
+    matrix = [int.from_bytes(cells[k * step : (k + 1) * step], "little") for k in range(nrows)]
+    return matrix, [c for c, _ in block], base, table.denom
+
+
+def assert_live_bytes_suffice(u, v, s, rows, p):
+    """``build_coeff_matrix`` equals the all-bytes copy on a table mod p, for
+    the whole matrix and for every block."""
+    table = mining.MonomialTable(u, v, rows, p)
+    for r in [None, *table.residues(s)]:
+        got = build_coeff_matrix(u, v, s, rows, table, r)
+        assert got == all_bytes_coeff_matrix(u, v, s, rows, table, r)
 
 
 @st.composite
@@ -630,6 +785,20 @@ class TestBuildCoeffMatrix:
                     denom,
                 )
 
+    @pytest.mark.parametrize("p", mining._PRIMES[:6], ids=lambda p: f"2^{p.bit_length()}-1")
+    def test_live_bytes_match_the_all_bytes_copy(self, p):
+        # table 1's pair packs on stride 1, table 5's re-mined pair on 4
+        table1 = build_binding_series(ABinding(ThetaSpec(1, 3), 12), "m", F(60))
+        table5 = build_binding_series(ABinding(ThetaSpec(1, 5), 15, F(4)), "eta5_q4_pow5", F(80))
+        for (u, v), s, rows, stride in ((table1, 4, 45, 1), (table5, 5, 70, 4)):
+            assert mining.MonomialTable(u, v, rows, p).stride == stride
+            assert_live_bytes_suffice(u, v, s, rows, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(scaled_pairs(), st.sampled_from(mining._PRIMES[:6]))
+    def test_live_bytes_match_on_scaled_pairs(self, pair, p):
+        assert_live_bytes_suffice(*pair, p)
+
     def test_table1_matrices_form_no_series_product(self, monkeypatch):
         # the matrices are built mod p from u and v alone: exact series
         # products are left to the series build and the Horner certificate
@@ -750,17 +919,19 @@ class TestBuildCoeffMatrix:
         assert exc.value.required_grid_order > 0
 
 
-def record_eliminations(monkeypatch):
+def record_eliminations(monkeypatch, matrices=None):
     """A list that gets (columns, p) for each prime a ``_ReducedKernel``
     eliminates its matrix mod, once per prime whatever its number of
-    blocks."""
+    blocks; ``matrices``, when given, gets (columns, (p, blocks, width))."""
     eliminations = []
     real_init = mining._ReducedKernel.__init__
 
-    def init(kernel, matrices, ncols):
+    def init(kernel, items, ncols):
         def recorded():
-            for item in matrices:
+            for item in items:
                 eliminations.append((ncols, item[0]))
+                if matrices is not None:
+                    matrices.append((ncols, item))
                 yield item
 
         real_init(kernel, recorded(), ncols)
@@ -1261,6 +1432,56 @@ def plain_first_nonzero(poly, u, v, through_rows):
     return lead - math.floor(base * residual.denom), F(lead, residual.denom)
 
 
+def chain_horner_residual(poly, u, v, through_rows):
+    """``mining._horner_residual`` as first written, each Q_i a chain of
+    pairwise sums of scalar multiples of the V^j: the one sum per u-degree
+    must give the same residual and the same InsufficientTruncation."""
+    vu, vv = u.leading()[0], v.leading()[0]
+    base_exp = min(i * vu + j * vv for i, j, _ in poly.terms)
+    top = math.floor(base_exp) + through_rows
+    reach = top - base_exp
+    u, v = u.truncate(vu + reach), v.truncate(vv + reach)
+    a = math.gcd(*(i for i, _, _ in poly.terms)) or 1
+    b = math.gcd(*(j for _, j, _ in poly.terms)) or 1
+    u, v = u ** a, v ** b
+    v_pows = [PuiseuxSeries.constant(1), v]
+    while len(v_pows) <= max(j for _, j, _ in poly.terms) // b:
+        v_pows.append(v_pows[-1] * v)
+    q = [PuiseuxSeries.zero() for _ in range(max(i for i, _, _ in poly.terms) // a + 1)]
+    for i, j, c in poly.terms:
+        q[i // a] = q[i // a] + v_pows[j // b] * c
+    residual = q[-1]
+    for q_i in reversed(q[:-1]):
+        residual = residual * u + q_i
+    need = top * residual.denom
+    if residual.hi is not None and residual.hi < need:
+        raise InsufficientTruncation(
+            f"residual known to grid order {residual.hi} < required {need}",
+            required_grid_order=need,
+        )
+    return residual.truncate(top), base_exp
+
+
+@st.composite
+def certificate_pairs(draw):
+    """(u, v, n): series on grids 1/1 to 1/6 with rational coefficients (so
+    scales other than 1) and a nonzero leading term, negative valuations
+    allowed, exact or known 1 to n + 2 grid units past it, so often cut too
+    short for n rows."""
+    n = draw(st.integers(1, 10))
+    coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+    def one():
+        denom = draw(st.integers(1, 6))
+        lead = draw(st.integers(-2 * denom, 2 * denom))
+        span = draw(st.integers(1, (n + 2) * denom))
+        coeffs = {lead + k: draw(coeff) for k in draw(st.lists(st.integers(1, span), max_size=10))}
+        coeffs[lead] = draw(coeff.filter(bool))
+        return PuiseuxSeries(denom, coeffs, None if draw(st.booleans()) else lead + span)
+
+    return one(), one(), n
+
+
 @st.composite
 def strided_relations(draw):
     """Relations whose u-exponents are multiples of a and v-exponents
@@ -1433,6 +1654,44 @@ class TestKnownThrough:
                 return "short", exc.required_grid_order
 
         assert verdict(mining._first_nonzero) == verdict(plain_first_nonzero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(certificate_pairs(), strided_relations())
+    # u-degrees 1 and 2 empty, v on a finer grid than u, both short
+    @example(
+        (PuiseuxSeries(2, {-1: F(1, 3), 1: F(2, 5)}, 5), PuiseuxSeries(6, {1: 2, 4: F(-1, 4)}, 9), 4),
+        BivarIntPoly.normalized([(0, 0, 1), (0, 3, -2), (3, 0, 3), (3, 3, 1)]),
+    )
+    # Q_0 = V + V^2 is known only as far as V is, short of the one row
+    @example(
+        (PuiseuxSeries(1, {0: 1}, 1), PuiseuxSeries(3, {1: 1}, 2), 1),
+        BivarIntPoly.normalized([(0, 1, 1), (0, 2, 1)]),
+    )
+    # Q_0 = (V - 1)^2 cancels its constant and q^(1/2) terms
+    @example(
+        (PuiseuxSeries(1, {1: 3}, None), PuiseuxSeries(2, {0: 1, 1: F(1, 2), 3: F(-1, 3)}, 7), 3),
+        BivarIntPoly.normalized([(0, 0, 1), (0, 1, -2), (0, 2, 1), (2, 1, 1)]),
+    )
+    # a residual that vanishes: u = v^2
+    @example(
+        (
+            PuiseuxSeries(2, {2: F(1, 9), 3: F(4, 15), 4: F(4, 25)}, 7),
+            PuiseuxSeries(2, {1: F(1, 3), 2: F(2, 5)}, 6),
+            3,
+        ),
+        BivarIntPoly.normalized([(1, 0, 1), (0, 2, -1)]),
+    )
+    def test_one_sum_per_u_degree_matches_the_chain(self, pair, poly):
+        u, v, n = pair
+
+        def outcome(horner):
+            try:
+                residual, base = horner(poly, u, v, n)
+            except InsufficientTruncation as exc:
+                return "short", exc.required_grid_order
+            return (residual.denom, residual.nums, residual.scale, residual.hi), base
+
+        assert outcome(mining._horner_residual) == outcome(chain_horner_residual)
 
     def test_unknown_v_binding(self):
         with pytest.raises(ValueError, match="unknown v binding 'zz'"):
