@@ -32,7 +32,6 @@ from .numeric import (
     real_eval_series,
     residual_str,
     singular_point,
-    ten_to,
     theta_sum,
 )
 from .series import (
@@ -55,6 +54,7 @@ from .mining import (
     build_binding_series,
     get_v_binding,
     mine,
+    passes,
     _first_nonzero,
 )
 from .values import Value, replace
@@ -164,16 +164,10 @@ class CatalogEntry(Value):
 def _record(
     data: CheckData, label: str, digits: int, residual: BigReal, *terms: BigReal
 ) -> None:
-    """Record a residual, passing when it is below 10^(-digits+10)
-    times the largest of 1 and the absolute ``terms`` it was summed from.
-    This is the catalog's one pass rule for a numeric residual.  It runs on
-    BigReals, so no step rounds to mpmath's ambient precision: the absolute
-    values are exact, the threshold is the product at ``ten_to``'s 30
-    digits, and the comparison is exact."""
-    val = abs(residual)
-    size = max([1] + [abs(t) for t in terms])
-    ok = val < size * ten_to(-digits + 10)
-    data.records.append(ResidualRecord(label, digits, residual_str(val, digits), ok))
+    """Record a residual of a closed form, series identity or relation,
+    judged by ``mining.passes`` against the ``terms`` it was summed from."""
+    ok = passes(residual, digits, *terms)
+    data.records.append(ResidualRecord(label, digits, residual_str(residual, digits), ok))
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +707,8 @@ def verify_entry(
     M: int = 150,
     r_list: Sequence[Fraction | int] = (1, 2, 3),
 ) -> EntryReport:
-    """Run one entry's checks; a numeric residual passes below
-    10^(-digits+10) times the largest of 1 and the terms it was summed
-    from."""
+    """Run one entry's checks; a numeric residual passes by
+    ``mining.passes``."""
     entry = get_entry(entry_id)
     rs = [Fraction(r) for r in r_list]
     data = entry.check(entry, digits, M, rs)

@@ -140,10 +140,6 @@ class BivarIntPoly(Value):
         v_pow = {j: v ** j for j in {j for _, j, _ in self.terms}}
         return [u_pow[i] * v_pow[j] * c for i, j, c in self.terms]
 
-    def eval_numeric(self, u: BigReal, v: BigReal) -> BigReal:
-        terms = self.eval_terms(u, v)
-        return sum(terms[1:], terms[0])
-
     def __str__(self) -> str:
         parts = []
         for i, j, c in self.terms:
@@ -810,6 +806,14 @@ ZERO_PRODUCTS = "relation evaluates on identically zero products"
 POINTS = (1, 2)  # the r = 1, 2 at which a relation is checked numerically
 
 
+def passes(residual: BigReal, digits: int, *terms: BigReal) -> bool:
+    """The one pass rule for a relation or catalog residual: |residual| below
+    10^(-digits+10) times max(1, |t|) over the ``terms`` t it was summed from,
+    as a sum's rounding error grows with its largest term (Higham, 5.1)."""
+    size = max([1] + [abs(t) for t in terms])
+    return abs(residual) < size * numeric.ten_to(-digits + 10)
+
+
 def validate(
     rel: MinedRelation,
     digits: int = 60,
@@ -820,8 +824,9 @@ def validate(
     the numeric points ``POINTS``.
 
     Series are built from the bindings when not supplied, once, with
-    relative order enough for every checked row.  Raises ValidationFailed
-    on the first offending order or point.
+    relative order enough for every checked row.  A point's residual is
+    judged against its terms by ``passes``, the catalog's rule.  Raises
+    ValidationFailed on the first offending order or point.
     """
     rows_needed = rel.validated_grid_order + EXTRA_ORDERS
     if u is None or v is None:
@@ -837,7 +842,6 @@ def validate(
             exponent=first[1],
         )
     checks = []
-    threshold = numeric.ten_to(-Fraction(digits, 2))
     for r in POINTS:
         r = Fraction(r)
         if rel.u_binding is not None and rel.v_binding is not None:
@@ -847,10 +851,12 @@ def validate(
             q = nome_from_r(r, digits)
             uval = numeric.real_eval_series(u, q, digits)
             vval = numeric.real_eval_series(v, q, digits)
-        resid = abs(rel.poly.eval_numeric(uval, vval))
-        if resid > threshold:
+        terms = rel.poly.eval_terms(uval, vval)
+        resid = sum(terms[1:], terms[0])
+        if not passes(resid, digits, *terms):
             raise ValidationFailed(
-                f"numeric residual {resid.nstr(5)} at r={r} exceeds 10^(-{digits}/2)"
+                f"numeric residual {abs(resid).nstr(5)} at r={r} is not below 10^({10 - digits})"
+                f" times max(1, largest term {max(abs(t) for t in terms).nstr(5)})"
             )
         checks.append(NumericCheck(r, digits, numeric.residual_str(resid, digits)))
     return replace(

@@ -13,6 +13,9 @@ Only sparse units are inverted: ``invert_unit`` runs a recurrence whose cost
 grows with the unit's number of terms, so every series the package builds
 hands it a theta or eta series, never a dense one.
 
+One function, ``mining.passes``, decides whether a relation or catalog
+residual passes: it alone names the tolerance ``ten_to``.
+
 The miner eliminates its coefficient matrix block by block: on a table of
 stride g, a column visits only the rows of its lead's class mod g.
 
@@ -225,6 +228,44 @@ def test_the_top_level_scan_skips_only_function_bodies(tmp_path):
         "def f():\n    from . import mining\n"
     )
     assert top_level_imports(probe) == {"numeric", "big_real", "thetaquot", "series"}
+
+
+def functions_naming(path: Path, name: str) -> list[str | None]:
+    """The enclosing function of each import, name or attribute ``name`` in
+    ``path``, None at module level."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)
+        ):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return owners
+
+
+def test_one_module_decides_whether_a_residual_passes():
+    # every pass threshold of a relation or catalog residual is mining's
+    # passes: the catalog names no tolerance of its own
+    assert functions_naming(PACKAGE / "catalog.py", "ten_to") == []
+    assert set(functions_naming(PACKAGE / "mining.py", "ten_to")) == {"passes"}
+
+
+def test_the_naming_scan_sees_imports_names_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .numeric import ten_to\n"
+        "def f():\n    return ten_to(1)\n"
+        "class C:\n    def g(self):\n        def h():\n            numeric.ten_to(2)\n"
+    )
+    assert functions_naming(probe, "ten_to") == [None, "f", "h"]
 
 
 def test_mine_choices_are_the_binding_names():

@@ -1,6 +1,7 @@
 """Relation mining: coefficient matrix, exact nullspace, rediscovery of the
 catalog relations, validation guards, and stability properties."""
 
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaquot import catalog, mining
+from thetaquot.numeric import big_real, eval_A, nome_from_r, singular_point
 from thetaquot.series import (
     A_series,
     PuiseuxSeries,
@@ -1329,6 +1331,65 @@ class TestValidate:
         rel = mine(u, v, 3, 120)
         assert rel.u_binding is None
         assert len(rel.numeric_checks) == 2
+
+
+# A(a, p)^power against m at max-degree 12, power the denominator of the
+# lead: the relation's (degree, terms, certified rows), or None where the
+# matrix has full rank at every degree
+PAST_THE_TABLES = {
+    (1, 6, 12): (4, 17, 68),
+    (2, 6, 6): (4, 10, 68),
+    (3, 6, 4): (12, 31, 228),
+    (2, 8, 12): (2, 3, 48),
+    (4, 8, 3): (8, 7, 132),
+    (5, 10, 12): (12, 69, 276),
+    (1, 5, 60): None,
+    (2, 5, 60): None,
+    (3, 9, 4): None,
+    (2, 10, 30): None,
+    (4, 10, 30): None,
+    (1, 8, 48): None,
+    (1, 7, 84): None,
+}
+
+
+@functools.cache  # the relation is immutable; two tests share the A(5,10)^12 one
+def mine_against_m(a, p, power, digits=60):
+    return mine(
+        None, None, 12, u_binding=ABinding(ThetaSpec(a, p), power), v_binding="m",
+        digits=digits,
+    )
+
+
+class TestPastTheTables:
+    @pytest.mark.parametrize("a, p, power", PAST_THE_TABLES)
+    def test_pinned_relation_or_full_rank(self, a, p, power):
+        expected = PAST_THE_TABLES[a, p, power]
+        if expected is None:
+            with pytest.raises(MiningNotFound) as exc:
+                mine_against_m(a, p, power)
+            assert exc.value.rank_profile == {s: (s + 1) ** 2 for s in range(1, 13)}
+            return
+        rel = mine_against_m(a, p, power)
+        assert (rel.degree, rel.poly.term_count(), rel.validated_grid_order) == expected
+        # apart from the miner: A from eval_A and m = k^2 from singular_point,
+        # at twice the digits and at r = 3, a point the miner does not check
+        for r in (1, 2, 3):
+            u = eval_A(ThetaSpec(a, p), nome_from_r(r, 120), 120) ** power
+            m = singular_point(r, 120).k ** 2
+            terms = [c * u ** i * m ** j for i, j, c in rel.poly.terms]
+            size = max(abs(t) for t in terms)
+            assert abs(sum(terms[1:], terms[0])) < size * big_real("1e-100", 120)
+
+    def test_large_terms_pass_at_sixty_digits(self):
+        # the absolute 10^(-digits/2) this relation was once held to failed
+        # it at r = 2, where its residual 1.0588e-22 is a relative 3.4e-76
+        # of its largest term, 3.112e53; judged against its terms, it is
+        # found at 60 digits as at 200
+        rel = mine_against_m(5, 10, 12)
+        assert rel.poly == mine_against_m(5, 10, 12, digits=200).poly
+        assert (rel.poly.term_count(), rel.validated_grid_order) == (69, 276)
+        assert [c.residual for c in rel.numeric_checks] == ["6.0185e-36", "1.0588e-22"]
 
 
 class TestRelationFile:

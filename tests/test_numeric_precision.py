@@ -292,7 +292,7 @@ class TestBitIdentityWithTheContext:
         | st.fractions(min_value=-2000, max_value=0, max_denominator=10 ** 6),
     )
     @example(20, F(-3, 5) * 60)  # recognize's certificate threshold
-    @example(20, F(-61, 2))  # the miner's numeric threshold at 61 digits
+    @example(20, F(-61, 2))  # a half-integer power
     def test_constants(self, digits, e):
         assert raw(pi_at(digits)) == ctx_pi(dps_to_prec(digits + GUARD))._mpf_
         with mp.workdps(30):

@@ -11,8 +11,11 @@ every numeric residual.  Table 1's series certificate must refuse a u cut
 one grid row short of its window, and pass one cut at it.  A passing closed
 form written as data must fail with any one exponent off by one or either
 side's constant doubled, and eq45 with the other multiplier convention must
-fail at every point."""
+fail at every point.  A mined relation whose terms reach 3.1e53 must fail
+the numeric rule alone with its largest term's coefficient off by one, and
+the series check with its constant term off by one."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ import pytest
 
 from thetaquot import catalog, mining
 from thetaquot.catalog import catalog_ids, get_entry, verify_entry
-from thetaquot.mining import BivarIntPoly
+from thetaquot.mining import ABinding, BivarIntPoly
 from thetaquot.modular import p2_A14, q_A14, s_n
 from thetaquot.numeric import big_real, eval_A, nome_from_r
 from thetaquot.recognize import IntPoly, _certify, recognize
@@ -123,6 +126,58 @@ def test_a_polynomial_coefficient_off_by_one_fails_everywhere(monkeypatch, eid):
             report = verify_entry(eid, DIGITS, ORDER, [1, 2, 3])
             assert report.verdict == "fail" and report.series_order is None, (k, delta)
             assert not any(rec.passed for rec in report.residuals), (k, delta)
+
+
+@functools.cache  # immutable, shared by the tests below
+def large_terms_relation():
+    """A(5,10)^12 against m: degree 12, 69 terms, the largest 3.1e53 at r = 2."""
+    u = ABinding(ThetaSpec(5, 10), 12)
+    return mining.mine(None, None, 12, u_binding=u, v_binding="m", digits=DIGITS)
+
+
+def off_by(rel, k, delta):
+    """``rel`` with the coefficient of its k-th term moved by ``delta``."""
+    terms = list(rel.poly.terms)
+    i, j, c = terms[k]
+    terms[k] = (i, j, c + delta)
+    return replace(rel, poly=BivarIntPoly(tuple(terms)))
+
+
+def terms_at(rel, r):
+    u = rel.u_binding.numeric(Fraction(r), DIGITS)
+    v = mining.get_v_binding(rel.v_binding).numeric(Fraction(r), DIGITS)
+    return rel.poly.eval_terms(u, v)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_the_largest_term_off_by_one_fails_the_numeric_rule(monkeypatch, delta):
+    # with the series check blinded, the numeric rule alone must refuse the
+    # fault at r = 2, where the terms are largest and so is its tolerance
+    rel = large_terms_relation()
+    monkeypatch.setattr(mining, "_first_nonzero", lambda *args: None)
+    monkeypatch.setattr(mining, "POINTS", (2,))
+    assert mining.validate(rel, DIGITS).numeric_checks[0].r == 2
+    terms = terms_at(rel, 2)
+    k = max(range(len(terms)), key=lambda k: abs(terms[k]))
+    with pytest.raises(mining.ValidationFailed, match=r"at r=2 .* term 3\.112e\+53"):
+        mining.validate(off_by(rel, k, delta), DIGITS)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_the_constant_term_off_by_one_fails_the_series_check(delta):
+    # The numeric rule cannot be relied on for this fault.  It moves the
+    # residual by 1, and at r = 2 the largest term is 3.1e53, so the
+    # tolerance there is about 3e3 and the rule passes the fault (asserted
+    # below).  r = 1, whose largest term is 8.4e39, happens to catch it, but
+    # a relation with large terms at every point would pass: only the exact
+    # series check sees such a fault wherever the terms are large.
+    rel = large_terms_relation()
+    planted = off_by(rel, rel.poly.terms.index((0, 0, 16777216)), delta)
+    terms = terms_at(planted, 2)
+    assert mining.passes(sum(terms[1:], terms[0]), DIGITS, *terms)
+    with pytest.raises(mining.ValidationFailed, match="series residual") as exc:
+        mining.validate(planted, DIGITS)
+    assert exc.value.exponent is not None
 
 
 @pytest.mark.parametrize("short", [0, 1], ids=["at the window", "one row short"])
