@@ -276,7 +276,7 @@ def _check_thm3(entry, digits, M, r_list):
         ("x=0.6", big_real(Fraction(3, 5), digits)),
     ]
     for label, x in points:
-        _record(data, label, digits, check_theorem3_instance(x, digits))
+        _record(data, label, digits, check_theorem3_instance(x))
     return data
 
 
@@ -376,7 +376,7 @@ def _check_jtp(entry, digits, M, r_list):
     direct = eval_A(spec86, q, digits)
     # the series is cut at q^order = e^(-pi order) below the working precision
     order = math.ceil((digits + GUARD) * math.log(10) / math.pi)
-    series_val = real_eval_series(A_series(spec86, order), q, digits)
+    series_val = real_eval_series(A_series(spec86, order), q)
     _record(data, "(8,6) two-path r=1", digits, direct - series_val, direct)
     data.series_ok = bool(ok)
     data.series_order = int(min_known)

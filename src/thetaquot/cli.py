@@ -88,7 +88,7 @@ def _cmd_eval(args) -> int:
         _require(args.n is not None and args.x is not None, "Sn needs --n and --x")
         from .modular import s_n
 
-        value = s_n(big_real(parse_rational(args.x), digits), args.n, digits)
+        value = s_n(big_real(parse_rational(args.x), digits), args.n)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown function {fn!r}")
     print(value.nstr(digits))

@@ -407,7 +407,7 @@ def build_coeff_matrix(
     v: PuiseuxSeries,
     s: int,
     rows: int,
-    table: MonomialTable | None = None,
+    table: MonomialTable,
     residue: int | None = None,
 ) -> tuple[list[int], list[tuple[int, int]], int, int]:
     """Coefficients of u^i v^j (0 <= i, j <= s) on the common grid, mod the
@@ -422,8 +422,7 @@ def build_coeff_matrix(
     table's packed monomials as slices of the ceil((e + 1)/8) low bytes a
     field below 2^(e+1) fills.  Raises InsufficientTruncation when any
     monomial is not known through the last requested row.  ``table`` holds
-    the monomials for at least ``rows`` rows; by default it is built here,
-    mod the first prime of the ladder that divides neither scale.
+    the monomials for at least ``rows`` rows.
 
     The terms of u^i v^j lie on its lead plus multiples of the table's
     stride g, so the matrix is block diagonal by class mod g: a column is
@@ -432,9 +431,6 @@ def build_coeff_matrix(
     congruent to r mod g, from the first at or above the base, and the
     columns (in the same order) whose leads are congruent to r.
     """
-    if table is None:
-        p = next(p for p in _PRIMES if u.scale % p and v.scale % p)
-        table = MonomialTable(u, v, rows, p)
     cols = _columns(s)
     base = table.base(s)
     top = base + rows
@@ -549,13 +545,12 @@ class _ReducedKernel:
     ``matrices`` yields (p, blocks, width) for successive primes: the matrix
     mod p as (columns, rows) blocks, each ``rows`` in the form
     ``_echelon_mod_p`` takes over the ascending global ``columns``, every
-    column in one block and no row nonzero outside its block's columns.  A
-    plain list of rows is the one block of every column.  It is read
-    lazily, one prime per climb.  ``lift(end)`` solves the vectors at the
-    free columns below ``end`` past those accepted, and lifts each by
-    rational reconstruction (``_rational_mod_p``: Monagan's, reach |n| d <
-    p/(2T)), scaled to coprime integers with its first nonzero entry
-    positive.  A lift with an entry that has no reconstruction has failed,
+    column in one block and no row nonzero outside its block's columns.
+    It is read lazily, one prime per climb.  ``lift(end)`` solves the
+    vectors at the free columns below ``end`` past those accepted, and
+    lifts each by rational reconstruction (``_rational_mod_p``: Monagan's,
+    reach |n| d < p/(2T)), scaled to coprime integers with its first
+    nonzero entry positive.  A lift with an entry that has no reconstruction has failed,
     and the kernel climbs at once; the caller checks the others exactly,
     then calls ``accept(end)`` when all are exact and ``climb()`` when one
     is not.
@@ -581,8 +576,6 @@ class _ReducedKernel:
 
     def climb(self) -> None:
         for p, blocks, width in self._matrices:
-            if blocks and isinstance(blocks[0], int):
-                blocks = [(range(self.ncols), blocks)]
             # (block columns, local pivot column, echelon row)
             ech = []
             for columns, rows in blocks:
@@ -647,12 +640,12 @@ class _ReducedKernel:
         return [val // g for val in vec]
 
 
-def _pack_rows(matrix: list[list[int]], p: int) -> tuple[list[int], int]:
-    """An integer matrix mod p as ``_echelon_mod_p`` takes it, and its
-    field bytes."""
+def _pack_rows(matrix: list[list[int]], p: int) -> tuple[list, int]:
+    """An integer matrix mod p as ``_ReducedKernel`` takes it, one block of
+    every column, and its field bytes."""
     width = _field_bytes(p, len(matrix))
     rows = [_pack({c: x % p for c, x in enumerate(r)}, 0, 1, len(r), width) for r in matrix]
-    return rows, width
+    return [(range(len(matrix[0])), rows)], width
 
 
 def exact_nullspace(matrix: list[list[int]]) -> list[list[int]]:
@@ -849,8 +842,8 @@ def validate(
             vval = get_v_binding(rel.v_binding).numeric(r, digits)
         else:
             q = nome_from_r(r, digits)
-            uval = numeric.real_eval_series(u, q, digits)
-            vval = numeric.real_eval_series(v, q, digits)
+            uval = numeric.real_eval_series(u, q)
+            vval = numeric.real_eval_series(v, q)
         terms = rel.poly.eval_terms(uval, vval)
         resid = sum(terms[1:], terms[0])
         if not passes(resid, digits, *terms):
@@ -911,7 +904,7 @@ def mine(
     else:  # an unbound series steps by one row of its own grid
         shapes = [(w.leading()[0], Fraction(1, w.denom)) for w in (u, v)]
     rank_profile: dict[int, int] = {}
-    failures: list[str] = []
+    failures: list[tuple[str, Fraction | None]] = []  # (message, series exponent)
     all_rows = {
         s: (s + 1) ** 2 + 10 + _valuation_spread(shapes, s) for s in range(1, s_max + 1)
     }
@@ -980,7 +973,7 @@ def mine(
                             break  # not a kernel vector over Q: a bad lift
                         # a kernel vector failing certification is an
                         # artifact of the truncation; keep looking
-                        rejected.append(f"s={s}: {poly} rejected ({exc})")
+                        rejected.append((f"s={s}: {poly} rejected ({exc})", exc.exponent))
                         continue
                     # a bad lift after it may hide a relation that sorts
                     # before it
@@ -995,7 +988,11 @@ def mine(
         rank_profile[s] = len(cols) - len(kernel.done)
     msg = f"no certified integer relation of degree <= {s_max} through grid order {M}"
     if failures:
-        msg += "; rejected candidates: " + " | ".join(failures[:4])
+        numeric_only = sum(exponent is None for _, exponent in failures)
+        if numeric_only:
+            msg += "; kernel vectors that passed the series check and failed numerically: "
+            msg += str(numeric_only)
+        msg += "; rejected candidates: " + " | ".join(text for text, _ in failures[:4])
     raise MiningNotFound(msg, rank_profile)
 
 

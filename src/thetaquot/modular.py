@@ -22,25 +22,21 @@ __all__ = [
 ]
 
 
-def s_n(x: BigReal, n: int, digits: int | None = None) -> BigReal:
-    """k at n^2 times the inverse modulus of x, for 0 < x < 1."""
+def s_n(x: BigReal, n: int) -> BigReal:
+    """k at n^2 times the inverse modulus of x, for 0 < x < 1, at the
+    digits of x."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if digits is None:
-        digits = x.digits
     if not (0 < x < 1):
         raise ValueError("S_n(x) needs 0 < x < 1")
-    r = inverse_modulus(x, digits)
-    return singular_modulus(n * n * r, digits).k
+    return singular_modulus(n * n * inverse_modulus(x), x.digits).k
 
 
-def landen_k4(k: BigReal, digits: int | None = None) -> BigReal:
-    """Degree-2 modulus descent k_r -> k_4r, (1 - k') / (1 + k') with
-    k' = sqrt(1-k^2), taken as (k / (1 + k'))^2: the same value by
-    (1 - k')(1 + k') = k^2, with no cancellation as k -> 0."""
-    if digits is None:
-        digits = k.digits
-    k = big_real(k, digits)
+def landen_k4(k: BigReal) -> BigReal:
+    """Degree-2 modulus descent k_r -> k_4r at the digits of k,
+    (1 - k') / (1 + k') with k' = sqrt(1-k^2), taken as (k / (1 + k'))^2:
+    the same value by (1 - k')(1 + k') = k^2, with no cancellation as
+    k -> 0."""
     kp = (1 - k * k).sqrt()
     return (k / (1 + kp)) ** 2
 
@@ -60,17 +56,15 @@ def p2_A14(w: BigReal) -> BigReal:
     return (inner ** Fraction(1, 8)) / (big_real(2, w.digits) ** Fraction(1, 8))
 
 
-def check_theorem3_instance(x: BigReal, digits: int | None = None) -> BigReal:
-    """Residual |Q(S_2(x)) - P_2(Q(x))| with Q(x) = (4(1-x^2)/x)^(1/12).
+def check_theorem3_instance(x: BigReal) -> BigReal:
+    """Residual |Q(S_2(x)) - P_2(Q(x))| with Q(x) = (4(1-x^2)/x)^(1/12), at
+    the digits of x.
 
     This is the functional equation of the degree-2 modular step in the
     rearranged form that avoids inverting the 12th-root map.
     """
-    if digits is None:
-        digits = x.digits
-    x = big_real(x, digits)
     if not (0 < x < 1):
         raise ValueError("argument must lie in (0, 1)")
-    lhs = q_A14(s_n(x, 2, digits))
+    lhs = q_A14(s_n(x, 2))
     rhs = p2_A14(q_A14(x))
     return abs(lhs - rhs)

@@ -575,12 +575,6 @@ def pi_at(digits: int) -> BigReal:
     return _real(*_pi(prec), digits, prec)
 
 
-def _ten(e: int, digits: int) -> BigReal:
-    """10^e at the working bits of ``digits``."""
-    prec = _bits(digits + GUARD)
-    return _real(*_ten_pow(e, prec), digits, prec)
-
-
 def ten_to(e: int | Fraction) -> BigReal:
     """10^e at 30 digits' bits: every pass threshold and residual floor.
     An integer power has mpf_pow_int's bits; a fractional one,
@@ -668,25 +662,21 @@ def last_agm_iterations() -> int:
     return _last_agm_iterations
 
 
-def ellipk(x: Number, digits: int | None = None) -> BigReal:
+def ellipk(x: BigReal) -> BigReal:
     """Complete elliptic integral of the first kind as a function of the
-    modulus, K(x) = pi / (2 agm(1, sqrt(1-x^2))), for 0 <= x < 1."""
+    modulus, K(x) = pi / (2 agm(1, sqrt(1-x^2))), for 0 <= x < 1, at the
+    digits of x."""
     global _last_agm_iterations
-    if isinstance(x, BigReal) and digits is None:
-        digits = x.digits
-    if digits is None:
-        raise PrecisionError("digits required when x is not a BigReal")
-    x = BigReal(x, digits)
     if x < 0:
         raise ValueError("modulus must be nonnegative")
     if x >= 1:
         raise ValueError("modulus must be < 1")
     kp = (1 - x * x).sqrt()
-    m_val, iters = agm(1, kp, digits + GUARD)
+    m_val, iters = agm(1, kp, x.digits + GUARD)
     _last_agm_iterations = iters
     prec = x.prec
     two_m = _round(m_val.man, m_val.exp + 1, prec)
-    return _real(*_div(*_pi(prec), *two_m, prec), digits, prec)
+    return _real(*_div(*_pi(prec), *two_m, prec), x.digits, prec)
 
 
 def nome_from_r(r: Number, digits: int) -> BigReal:
@@ -721,11 +711,11 @@ def singular_modulus(r: Number, digits: int) -> EvalPoint:
     theta2 = theta_sum(1, 1, q, alternating=False)
     theta3 = theta_sum(1, 0, q, alternating=False)
     k = q.sqrt() * (theta2 / theta3) ** 2
-    if 1 - k < _ten(-digits - GUARD, digits):
+    if 1 - k < ten_to(-digits - GUARD):
         raise ValueError(f"singular modulus k_r rounds to 1 at r={r} with {digits} digits")
     kprime = (1 - k * k).sqrt()
     resid = abs(_agm_quotient(kprime, k) - BigReal(r, digits).sqrt())
-    if resid > _ten(-digits + 5, digits):
+    if resid > ten_to(-digits + 5):
         raise CertificationError(
             f"singular modulus certification failed at r={r}: residual {resid.nstr(5)}"
         )
@@ -749,14 +739,10 @@ def singular_point(r: Rat | str, digits: int) -> EvalPoint:
     return _cached_point(Fraction(r), digits)
 
 
-def inverse_modulus(x: Number, digits: int | None = None) -> BigReal:
-    """k_i(x) = (K(x') / K(x))^2 for 0 < x < 1, with x' = sqrt(1-x^2),
-    taken as (agm(1, x') / agm(1, x))^2, which never forms sqrt(1-x'^2)."""
-    if isinstance(x, BigReal) and digits is None:
-        digits = x.digits
-    if digits is None:
-        raise PrecisionError("digits required when x is not a BigReal")
-    x = BigReal(x, digits)
+def inverse_modulus(x: BigReal) -> BigReal:
+    """k_i(x) = (K(x') / K(x))^2 for 0 < x < 1, with x' = sqrt(1-x^2), at
+    the digits of x, taken as (agm(1, x') / agm(1, x))^2, which never forms
+    sqrt(1-x'^2)."""
     if not (0 < x < 1):
         raise ValueError("inverse modulus needs 0 < x < 1")
     ratio = _agm_quotient((1 - x * x).sqrt(), x)
@@ -949,18 +935,16 @@ def eval_eta5(x: BigReal, digits: int | None = None) -> BigReal:
     return 2 / (1 + h + (5 + 2 * h + h * h).sqrt())
 
 
-def real_eval_series(u: PuiseuxSeries, q: BigReal, digits: int | None = None) -> BigReal:
-    """The sum of an exact series' known terms at a real nome in (0,1); the
-    truncation tail is not bounded here."""
-    if digits is None:
-        digits = q.digits
+def real_eval_series(u: PuiseuxSeries, q: BigReal) -> BigReal:
+    """The sum of an exact series' known terms at a real nome in (0,1), at
+    the digits of q; the truncation tail is not bounded here."""
     if not (q.man > 0 and q < 1):
         raise ValueError("series evaluation requires 0 < q < 1")
-    prec = _bits(digits + GUARD)
+    prec = q.prec
     root = _power(q.man, q.exp, 1, u.denom, prec)
     tm, te = 0, 0
     for k in sorted(u.nums):
         cm, ce = _parse(Fraction(u.nums[k], u.scale), prec)
         pm, pe = _pow_int(*root, k, prec)
         tm, te = _add(tm, te, *_round(cm * pm, ce + pe, prec), prec)
-    return _real(tm, te, digits, prec)
+    return _real(tm, te, q.digits, prec)

@@ -449,13 +449,10 @@ class PuiseuxSeries:
     def __hash__(self):
         return hash((self.denom, tuple(sorted(self.nums.items())), self.scale, self.hi))
 
-    def agrees_with(self, other: "PuiseuxSeries", through: Rat | None = None) -> bool:
-        """Coefficient-wise equality below min of the knowledge bounds and
-        the optional exponent bound ``through`` (exclusive)."""
-        diff = self - other
-        if through is not None:
-            diff = diff.truncate(through)
-        return diff.is_zero()
+    def agrees_with(self, other: "PuiseuxSeries") -> bool:
+        """Coefficient-wise equality below the lesser of the two knowledge
+        bounds."""
+        return (self - other).is_zero()
 
     def truncate(self, order: Rat) -> "PuiseuxSeries":
         hi = _min_bound(self.hi, _grid_bound(order, self.denom))

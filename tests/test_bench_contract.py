@@ -165,7 +165,8 @@ def test_recognize_calls_lll_once_per_degree(monkeypatch, value, d_max, dims):
 
 # the calls perfbench/workloads.py and perfbench/record.py make, by their
 # positional and keyword shapes: a parameter renamed, reordered or made
-# keyword-only must fail here, not in every benchmark job of its kind
+# keyword-only must fail here, not in every benchmark job of its kind; a
+# method is named through its class and called with its instance first
 CALL_SHAPES = [
     ("numeric", "eval_A", ("spec", "q", 400), {}),
     ("numeric", "eval_eta5", ("q", 500), {}),
@@ -176,6 +177,24 @@ CALL_SHAPES = [
         {"u_binding": "binding", "v_binding": "m", "digits": 60},
     ),
     ("catalog", "verify_entry", ("table1", 60, 60, (1, 2, 3)), {}),
+    ("catalog", "verify_entry_with_fallback", ("table1", 60, 60, (1, 2, 3)), {}),
+    ("numeric", "singular_modulus", ("r", 2000), {}),
+    ("numeric", "nome_from_r", ("r", 400), {}),
+    ("modular", "landen_k4", ("k",), {}),
+    ("series", "ThetaSpec", ("a", "p"), {}),
+    ("mining", "ABinding", ("spec", 12, "qscale"), {}),
+    ("mining", "build_binding_series", ("binding", "m", "order"), {}),
+    ("series", "eta_series", (1, 300), {}),
+    ("series", "A_series", ("spec", 100), {}),
+    ("series", "A_series_product", ("spec", 100), {}),
+    ("series", "sqrt_series", ("s",), {}),
+    ("series", "modulus_series", (100,), {}),
+    ("series", "nome_sqrt_exp_form", (100,), {}),
+    ("series", "h5_series", (100,), {}),
+    ("series", "eta5_series", (100,), {}),
+    ("series", "PuiseuxSeries.agrees_with", ("a", "b"), {}),
+    ("series", "PuiseuxSeries.knowledge_order", ("a",), {}),
+    ("recognize", "IntPoly.eval_mpf", ("poly", "x"), {}),
 ]
 
 
@@ -183,17 +202,20 @@ CALL_SHAPES = [
     "module, name, args, kwargs", CALL_SHAPES, ids=[name for _, name, _, _ in CALL_SHAPES]
 )
 def test_benchmark_call_shapes_bind(module, name, args, kwargs):
-    fn = getattr(importlib.import_module(f"thetaquot.{module}"), name)
+    fn = importlib.import_module(f"thetaquot.{module}")
+    for attr in name.split("."):
+        fn = getattr(fn, attr)
     inspect.signature(fn).bind(*args, **kwargs)
 
 
 def test_coeff_matrix_is_one_packed_int_per_row():
     # the tracer counts mining.matrix_cells as len(result[0]) *
     # len(result[1]) of build_coeff_matrix: grid rows times monomials
-    from thetaquot.mining import build_coeff_matrix
+    from thetaquot.mining import MonomialTable, build_coeff_matrix
     from thetaquot.series import A_series, ThetaSpec, modulus_series
 
     u, v = A_series(ThetaSpec(1, 4), 30) ** 12, modulus_series(30)
-    matrix, cols = build_coeff_matrix(u, v, 2, 12)[:2]
+    table = MonomialTable(u, v, 12, (1 << 61) - 1)
+    matrix, cols = build_coeff_matrix(u, v, 2, 12, table)[:2]
     assert len(matrix) == 12 and all(type(row) is int for row in matrix)
     assert cols == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2)]

@@ -16,6 +16,9 @@ hands it a theta or eta series, never a dense one.
 One function, ``mining.passes``, decides whether a relation or catalog
 residual passes: it alone names the tolerance ``ten_to``.
 
+A function of one real works at that real's digits: it takes no ``digits``
+of its own, so there is one way to call it.
+
 The miner eliminates its coefficient matrix block by block: on a table of
 stride g, a column visits only the rows of its lead's class mod g.
 
@@ -24,6 +27,7 @@ eta or inverse construction and no series product, so comparing it with
 ``A_series`` compares two independent constructions."""
 
 import ast
+import inspect
 import math
 import os
 import subprocess
@@ -36,10 +40,10 @@ import pytest
 
 import thetaquot
 import thetaquot.series as series_module
-from thetaquot import mining
+from thetaquot import mining, modular, numeric
 from thetaquot.catalog import JTP_PAIRS, remine_entry
 from thetaquot.mining import ABinding
-from thetaquot.series import ThetaSpec
+from thetaquot.series import ThetaSpec, modulus_series
 
 PACKAGE = Path(thetaquot.__file__).parent
 MPMATH_NAMES = {"mpmath", "mp", "mpf"}
@@ -266,6 +270,26 @@ def test_the_naming_scan_sees_imports_names_and_attributes(tmp_path):
         "class C:\n    def g(self):\n        def h():\n            numeric.ten_to(2)\n"
     )
     assert functions_naming(probe, "ten_to") == [None, "f", "h"]
+
+
+# each function of a real, and how to call it on a real x in (0, 1)
+FUNCTIONS_OF_A_REAL = {
+    "ellipk": (numeric.ellipk, lambda f, x: f(x)),
+    "inverse_modulus": (numeric.inverse_modulus, lambda f, x: f(x)),
+    "real_eval_series": (numeric.real_eval_series, lambda f, x: f(modulus_series(20), x)),
+    "s_n": (modular.s_n, lambda f, x: f(x, 2)),
+    "landen_k4": (modular.landen_k4, lambda f, x: f(x)),
+    "check_theorem3_instance": (modular.check_theorem3_instance, lambda f, x: f(x)),
+}
+
+
+@pytest.mark.parametrize("digits", [23, 61])
+@pytest.mark.parametrize("name", list(FUNCTIONS_OF_A_REAL))
+def test_a_function_of_a_real_works_at_its_digits(name, digits):
+    fn, call = FUNCTIONS_OF_A_REAL[name]
+    assert "digits" not in inspect.signature(fn).parameters
+    x = numeric.big_real(Fraction(3, 10), digits)
+    assert call(fn, x).digits == digits
 
 
 def test_mine_choices_are_the_binding_names():

@@ -485,7 +485,8 @@ class TestExactNullspace:
                 if t % g == r
             ]
             blocks.append((columns, rows))
-        whole = mining._ReducedKernel([(p, [pack_row(row, width) for row in matrix], width)], ncols)
+        one_block = [(range(ncols), [pack_row(row, width) for row in matrix])]
+        whole = mining._ReducedKernel([(p, one_block, width)], ncols)
         split = mining._ReducedKernel([(p, blocks, width)], ncols)
         pivots = echelon_mod_p_lists(matrix, p)[1]
         assert split._free == whole._free == [c for c in range(ncols) if c not in pivots]
@@ -509,8 +510,9 @@ class TestExactNullspace:
         assert mining._echelon_mod_p(rows, ncols, width, p) == full_echelon_mod_p(
             rows, ncols, width, p
         )
-        assert kernel_lifts(rows, ncols, width, p, mining._echelon_mod_p) == kernel_lifts(
-            rows, ncols, width, p, full_echelon_mod_p
+        blocks = [(range(ncols), rows)]
+        assert kernel_lifts(blocks, ncols, width, p, mining._echelon_mod_p) == kernel_lifts(
+            blocks, ncols, width, p, full_echelon_mod_p
         )
 
     def test_benchmark_blocks_join_as_they_would_have_been(self, monkeypatch):
@@ -892,8 +894,9 @@ class TestBuildCoeffMatrix:
         assert (table.span(0, 0), table.fields(0, 0)) == ((0, 4), 1)
 
     def test_rows_start_at_most_negative_exponent(self):
-        u = PuiseuxSeries.from_pairs([(-1, 1), (0, 1)], order=20)
-        m, cols, base, denom = build_coeff_matrix(u, modulus_series(20), 2, 8)
+        u, v = PuiseuxSeries.from_pairs([(-1, 1), (0, 1)], order=20), modulus_series(20)
+        table = mining.MonomialTable(u, v, 8, P61)
+        m, cols, base, denom = build_coeff_matrix(u, v, 2, 8, table)
         assert base == -2 * denom // denom * 1 - 0 or base == -2  # u^2 reaches -2
         assert base == -2
 
@@ -906,7 +909,8 @@ class TestBuildCoeffMatrix:
         # the rows mod p lift to the same kernel
         table = mining.MonomialTable(u, v, 9, P61)
         rows = build_coeff_matrix(u, v, 2, 9, table)[0]
-        kernel = mining._ReducedKernel([(P61, rows, table.width)], len(cols))
+        one_block = [(range(len(cols)), rows)]
+        kernel = mining._ReducedKernel([(P61, one_block, table.width)], len(cols))
         assert kernel.lift(len(cols)) == ker
         poly = BivarIntPoly.normalized(
             [(i, j, c) for (i, j), c in zip(cols, ker[0])]
@@ -917,7 +921,7 @@ class TestBuildCoeffMatrix:
         u = A_series(ThetaSpec(1, 4), 8) ** 12
         v = modulus_series(8)
         with pytest.raises(InsufficientTruncation) as exc:
-            build_coeff_matrix(u, v, 3, 60)
+            build_coeff_matrix(u, v, 3, 60, mining.MonomialTable(u, v, 60, P61))
         assert exc.value.required_grid_order > 0
 
 
@@ -1125,6 +1129,26 @@ class TestMine:
         assert exc.value.rank_profile == {
             s: len(cols) - len(exact_nullspace(m)) for s, (m, cols) in matrices.items()
         }
+
+    def test_not_found_counts_the_candidates_that_failed_only_numerically(self, monkeypatch):
+        # REL_14 passes the series check; with the numeric rule refusing
+        # everything it is the one candidate rejected through degree 2
+        monkeypatch.setattr(mining, "passes", lambda residual, digits, *terms: False)
+        with pytest.raises(MiningNotFound) as exc:
+            mine_14(s_max=2)
+        message = str(exc.value)
+        assert "; kernel vectors that passed the series check and failed numerically: 1;" in message
+        assert f"rejected candidates: s=2: {REL_14} rejected (numeric residual " in message
+
+    def test_not_found_counts_no_candidate_that_failed_the_series_check(self, monkeypatch):
+        def reject(rel, **kwargs):  # nonzero past every matrix row
+            raise ValidationFailed("forced", exponent=F(10 ** 6))
+
+        monkeypatch.setattr(mining, "validate", reject)
+        with pytest.raises(MiningNotFound) as exc:
+            mine_14(s_max=2)
+        assert "rejected candidates: s=2: " in str(exc.value)
+        assert "failed numerically" not in str(exc.value)
 
     def test_full_kernel_solved_only_after_restricted_candidates_fail(
         self, monkeypatch
@@ -1661,7 +1685,7 @@ class TestKnownThrough:
     def test_relative_order_covers_matrices_and_residuals(self, pair, s, data):
         u, v, n = pair
         assert min(u.relative_order(), v.relative_order()) >= n
-        build_coeff_matrix(u, v, s, n)
+        build_coeff_matrix(u, v, s, n, mining.MonomialTable(u, v, n, P61))
         terms = data.draw(
             st.dictionaries(st.tuples(st.integers(0, s), st.integers(0, s)),
                             st.integers(-4, 4).filter(bool), min_size=1)

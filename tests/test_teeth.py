@@ -57,8 +57,8 @@ def plant(monkeypatch, exponent: int) -> None:
             residual = residual + terms[0] * eps(digits)
         return record(data, label, digits, residual, *terms)
 
-    def planted_thm3(x, digits):
-        lhs = q_A14(s_n(x, 2, digits)) * (1 + eps(digits))
+    def planted_thm3(x):
+        lhs = q_A14(s_n(x, 2)) * (1 + eps(x.digits))
         return abs(lhs - p2_A14(q_A14(x)))
 
     monkeypatch.setattr(catalog, "_record", planted_record)
